@@ -40,10 +40,9 @@ from .gammafn import (
     weierstrass_partial,
 )
 from .montecarlo import (
-    BERNOULLI_DEFAULT_MIN_N,
+    BERNOULLI_MAX_N,
     McEstimate,
     SamplerKind,
-    default_sampler,
     estimate_collision,
     sample_cycle_count,
     sample_cycle_counts,
@@ -70,7 +69,7 @@ from .verify import run_verify
 __version__ = VERSION
 
 __all__ = [
-    "BERNOULLI_DEFAULT_MIN_N",
+    "BERNOULLI_MAX_N",
     "CSV_COLUMNS",
     "CollisionReportRow",
     "CycleDistribution",
@@ -92,7 +91,6 @@ __all__ = [
     "StirlingRow",
     "VERSION",
     "cycle_distribution",
-    "default_sampler",
     "estimate_collision",
     "f_exact",
     "harmonic",

@@ -3,13 +3,17 @@
 Two samplers draw the cycle count of a uniform random n-permutation:
 
 * PERMUTATION_DIRECT shuffles 0..n-1 with an unbiased shuffle and counts
-  the cycles of the result.  This is the structural ground truth.
+  the cycles of the result.  O(n) time and memory per draw; this is the
+  structural ground truth.
 * BERNOULLI_SUM uses the classical fact that the cycle count of a uniform
-  n-permutation is distributed as 1 + sum_{j=2..n} Bernoulli(1/j) (build
-  the permutation by inserting letters one at a time: letter j either
-  closes a new cycle, with probability 1/j, or does not).  O(n) time and
-  O(1) memory per draw, the default for large n, and validated against
-  the direct sampler.
+  n-permutation is distributed as 1 + sum_{j=2..n} Bernoulli(1/j) (the
+  Feller coupling: build the permutation by inserting letters one at a
+  time; letter j closes a new cycle with probability 1/j).  It jumps from
+  success to success: after a success at index j the next one is at
+  N = floor(j / U) + 1 with U uniform on (0, 1], since P(N > m) = j/m.
+  A draw costs an expected H_n ~ ln n steps.  The index is a double, so
+  n is limited to BERNOULLI_MAX_N = 2**53.  This is the default sampler
+  at every n, validated against the direct sampler.
 
 Randomness comes from counter-based Philox streams keyed by
 (seed, block index), with trials sharded into fixed-size blocks.  The
@@ -29,8 +33,7 @@ import numpy as np
 __all__ = [
     "SamplerKind",
     "McEstimate",
-    "BERNOULLI_DEFAULT_MIN_N",
-    "default_sampler",
+    "BERNOULLI_MAX_N",
     "sample_cycle_count",
     "sample_cycle_counts",
     "estimate_collision",
@@ -38,14 +41,12 @@ __all__ = [
 
 # Ordered pairs per RNG block.  Fixed: changing it changes every estimate.
 BLOCK_PAIRS = 1 << 14
-# Column width of the uniform slabs consumed by the batched Bernoulli
-# sampler.  Fixed for the same reason.
-_BERNOULLI_SLAB = 256
 # Element budget per chunk of batched permutations (rows x n).
 _PERM_CHUNK_ELEMS = 1 << 22
 
-# Above this n the O(n)-memory permutation sampler stops being the default.
-BERNOULLI_DEFAULT_MIN_N = 10**4
+# Largest n for BERNOULLI_SUM: every success index up to n must be an
+# exact double.
+BERNOULLI_MAX_N = 2**53
 
 
 class SamplerKind(Enum):
@@ -64,19 +65,14 @@ class McEstimate:
     std_err: float
 
 
-def default_sampler(n: int) -> SamplerKind:
-    """Sampler used when none is requested: direct permutations for small
-    n, the Bernoulli representation once n exceeds 1e4."""
-    return (
-        SamplerKind.BERNOULLI_SUM
-        if n > BERNOULLI_DEFAULT_MIN_N
-        else SamplerKind.PERMUTATION_DIRECT
-    )
-
-
-def _check_n(n: int) -> None:
+def _check_n(n: int, kind: SamplerKind) -> None:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    if kind is SamplerKind.BERNOULLI_SUM and n > BERNOULLI_MAX_N:
+        raise ValueError(
+            f"n={n} above BERNOULLI_MAX_N = 2**53, the largest n the "
+            f"{kind.value} sampler draws exactly"
+        )
 
 
 def _check_seed(seed: int) -> None:
@@ -120,21 +116,28 @@ def _permutation_batch(n: int, size: int, rng: np.random.Generator) -> np.ndarra
 
 
 def _bernoulli_batch(n: int, size: int, rng: np.random.Generator) -> np.ndarray:
+    # Success-to-success jumps, vectorized over the draws still running:
+    # `j` holds each active draw's latest success index, starting from the
+    # certain one at 1.
     counts = np.ones(size, dtype=np.int64)
-    j = 2
-    while j <= n:
-        hi = min(n, j + _BERNOULLI_SLAB - 1)
-        inv = 1.0 / np.arange(j, hi + 1, dtype=np.float64)
-        counts += (rng.random((size, inv.size)) < inv).sum(axis=1)
-        j = hi + 1
+    active = np.arange(size)
+    j = np.ones(size)
+    while active.size:
+        j = np.floor(j / (1.0 - rng.random(active.size)))  # next success - 1
+        alive = j < n
+        active, j = active[alive], j[alive] + 1.0
+        counts[active] += 1
     return counts
 
 
 def sample_cycle_counts(
     kind: SamplerKind, n: int, size: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Draw `size` independent cycle counts; values lie in 1..n."""
-    _check_n(n)
+    """Draw `size` independent cycle counts; values lie in 1..n.
+
+    Raises ValueError for BERNOULLI_SUM above BERNOULLI_MAX_N.
+    """
+    _check_n(n, kind)
     if size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
     if kind is SamplerKind.PERMUTATION_DIRECT:
@@ -149,12 +152,13 @@ def sample_cycle_count(kind: SamplerKind, n: int, rng: np.random.Generator) -> i
     then walk each unvisited cycle.  Batched draws should go through
     `sample_cycle_counts`.
     """
-    _check_n(n)
+    _check_n(n, kind)
     if kind is SamplerKind.BERNOULLI_SUM:
-        if n == 1:
-            return 1
-        inv = 1.0 / np.arange(2.0, n + 1.0)
-        return 1 + int((rng.random(n - 1) < inv).sum())
+        cycles, j = 0, 1
+        while j <= n:
+            cycles += 1
+            j = math.floor(j / (1.0 - rng.random())) + 1
+        return cycles
     perm = rng.permutation(n)
     seen = np.zeros(n, dtype=bool)
     cycles = 0
@@ -187,16 +191,17 @@ def estimate_collision(
     """Estimate the collision probability from `pairs` ordered pairs.
 
     Each pair is two independent draws, matching the definition of the
-    probability being estimated.  The estimate is a deterministic
-    function of (n, pairs, kind, seed); `workers` only changes how the
-    fixed blocks are scheduled, never the result.
+    probability being estimated.  `kind=None` means BERNOULLI_SUM.  The
+    estimate is a deterministic function of (n, pairs, kind, seed);
+    `workers` only changes how the fixed blocks are scheduled, never the
+    result.
     """
-    _check_n(n)
+    if kind is None:
+        kind = SamplerKind.BERNOULLI_SUM
+    _check_n(n, kind)
     _check_seed(seed)
     if pairs < 1:
         raise ValueError(f"pairs must be >= 1, got {pairs}")
-    if kind is None:
-        kind = default_sampler(n)
 
     tasks = [
         (n, min(BLOCK_PAIRS, pairs - start), kind, seed, block)

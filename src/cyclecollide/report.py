@@ -73,9 +73,10 @@ class CollisionReportRow:
     ratio_to_asymptotic: float | None = None
     mc_p_hat: float | None = None
     mc_std_err: float | None = None
-    # Per-row method failures (exact route above its ceiling, quadrature
-    # that ran out of subdivisions).  Serialized in JSON only; the CSV
-    # schema is the fixed nine columns above.
+    # Per-row method failures (exact route above its ceiling, Monte Carlo
+    # above the sampler limit, quadrature that ran out of subdivisions).
+    # Serialized in JSON only; the CSV schema is the fixed nine columns
+    # above.
     errors: tuple[str, ...] = ()
 
 
@@ -128,10 +129,14 @@ def _compute_row(n: int, config: ReportConfig) -> CollisionReportRow:
     best_p: float | None = None
 
     if "montecarlo" in methods:
-        est = estimate_collision(n, config.mc_pairs, kind=None, seed=config.seed)
-        fields["mc_p_hat"] = est.p_hat
-        fields["mc_std_err"] = est.std_err
-        best_p = est.p_hat
+        try:
+            est = estimate_collision(n, config.mc_pairs, kind=None, seed=config.seed)
+        except ValueError as exc:  # n above the sampler limit
+            errors.append(f"montecarlo: {exc}")
+        else:
+            fields["mc_p_hat"] = est.p_hat
+            fields["mc_std_err"] = est.std_err
+            best_p = est.p_hat
 
     if "eq2" in methods:
         try:
@@ -191,8 +196,8 @@ def run_report(config: ReportConfig) -> list[CollisionReportRow]:
     """One row per configured n, in ascending n order.
 
     Per-row method failures are recorded on the row (exact route above
-    its ceiling; non-converged quadrature keeps its best estimate), never
-    raised.
+    its ceiling; Monte Carlo above BERNOULLI_MAX_N; non-converged
+    quadrature keeps its best estimate), never raised.
     """
     return [_compute_row(n, config) for n in config.n_values]
 

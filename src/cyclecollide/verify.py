@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable, TextIO
 
 import numpy as np
-from scipy.stats import chi2
 
 from .analytic import (
     I_n,
@@ -147,12 +146,32 @@ def check_theorem_trend() -> tuple[bool, str]:
     return ok, detail
 
 
+def _chi2_sf(x: float, df: int) -> float:
+    """P(X > x) for X chi-square with integer df >= 1.
+
+    The regularized upper incomplete gamma Q(df/2, x/2) as a finite sum,
+    by Q(a + 1, y) = Q(a, y) + y^a e^-y / Gamma(a + 1) from Q(0, y) = 0
+    (even df: a Poisson tail) or Q(1/2, y) = erfc(sqrt y) (odd df).
+    Each term is formed in logs so none underflows ahead of the rest.
+    """
+    if x <= 0.0:
+        return 1.0
+    y = 0.5 * x
+    a = 0.5 * (df % 2)
+    sf = math.erfc(math.sqrt(y)) if df % 2 else 0.0
+    log_y = math.log(y)
+    while a < 0.5 * df:
+        sf += math.exp(a * log_y - y - math.lgamma(a + 1.0))
+        a += 1.0
+    return min(sf, 1.0)
+
+
 def _chi_square_pvalue(draws: np.ndarray, n: int) -> float:
     probs = [float(p) for p in cycle_distribution(n).probs]
     counts = np.bincount(draws, minlength=n + 1)[1:].astype(np.float64)
     expected = np.asarray(probs) * counts.sum()
     stat = float(((counts - expected) ** 2 / expected).sum())
-    return float(chi2.sf(stat, n - 1))
+    return _chi2_sf(stat, n - 1)
 
 
 def check_monte_carlo() -> tuple[bool, str]:

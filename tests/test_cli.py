@@ -80,6 +80,15 @@ def test_collide_domain_error_exits_1(capsys):
     assert "error" in err
 
 
+def test_collide_montecarlo_above_sampler_limit_exits_1(capsys):
+    code, out, err = run_cli(
+        capsys, "collide", "--n", str(2**53 + 1), "--method", "montecarlo"
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "BERNOULLI_MAX_N" in err
+
+
 # ----------------------------------------------------------------- table
 
 def test_table_csv_stdout(capsys):

@@ -5,11 +5,11 @@ import pytest
 from scipy.stats import chi2
 
 from cyclecollide import (
-    BERNOULLI_DEFAULT_MIN_N,
+    BERNOULLI_MAX_N,
     SamplerKind,
     cycle_distribution,
-    default_sampler,
     estimate_collision,
+    harmonic,
     p_exact,
     sample_cycle_count,
     sample_cycle_counts,
@@ -21,8 +21,17 @@ def chi_square_pvalue(draws, n):
     probs = np.array([float(p) for p in cycle_distribution(n).probs])
     counts = np.bincount(draws, minlength=n + 1)[1:]
     expected = probs * counts.sum()
+    # Pool each tail's bins expecting fewer than 5 draws into its last
+    # well-filled bin.
+    lo, hi = np.flatnonzero(expected >= 5)[[0, -1]]
+
+    def pooled(v):
+        middle = v[lo + 1 : hi]
+        return np.concatenate([[v[: lo + 1].sum()], middle, [v[hi:].sum()]])
+
+    counts, expected = pooled(counts), pooled(expected)
     stat = ((counts - expected) ** 2 / expected).sum()
-    return chi2.sf(stat, n - 1)
+    return chi2.sf(stat, counts.size - 1)
 
 
 # ------------------------------------------------------------ sampling
@@ -50,8 +59,9 @@ def test_draws_within_range(kind):
 
 @pytest.mark.parametrize("kind", SamplerKind)
 def test_batch_sampler_matches_exact_law(kind):
-    draws = sample_cycle_counts(kind, 6, 10**5, _stream(0, 0))
-    assert chi_square_pvalue(draws, 6) >= 1e-6
+    for n in (6, 50, 200):
+        draws = sample_cycle_counts(kind, n, 10**5, _stream(0, n))
+        assert chi_square_pvalue(draws, n) >= 1e-6, n
 
 
 @pytest.mark.parametrize("kind", SamplerKind)
@@ -67,9 +77,33 @@ def test_permutation_batch_chunking_is_consistent():
     assert chi_square_pvalue(draws, 12) >= 1e-6
 
 
-def test_default_sampler_switchover():
-    assert default_sampler(BERNOULLI_DEFAULT_MIN_N) is SamplerKind.PERMUTATION_DIRECT
-    assert default_sampler(BERNOULLI_DEFAULT_MIN_N + 1) is SamplerKind.BERNOULLI_SUM
+def test_bernoulli_moments_at_huge_n():
+    # Mean H_n and variance H_n - H_n^(2) of 1 + sum_{j=2..n} Bernoulli(1/j).
+    n, size = 10**12, 10**5
+    draws = sample_cycle_counts(SamplerKind.BERNOULLI_SUM, n, size, _stream(4, 0))
+    mean = harmonic(n)
+    var = mean - (math.pi**2 / 6 - 1.0 / n)
+    assert abs(draws.mean() - mean) <= 5 * math.sqrt(var / size)
+
+
+def test_bernoulli_rejects_n_above_max():
+    rng = _stream(0, 0)
+    kind = SamplerKind.BERNOULLI_SUM
+    assert sample_cycle_count(kind, BERNOULLI_MAX_N, rng) >= 1
+    assert sample_cycle_counts(kind, BERNOULLI_MAX_N, 10, rng).min() >= 1
+    with pytest.raises(ValueError, match="BERNOULLI_MAX_N"):
+        sample_cycle_counts(kind, BERNOULLI_MAX_N + 1, 10, rng)
+    with pytest.raises(ValueError, match="BERNOULLI_MAX_N"):
+        sample_cycle_count(kind, BERNOULLI_MAX_N + 1, rng)
+    with pytest.raises(ValueError, match="BERNOULLI_MAX_N"):
+        estimate_collision(BERNOULLI_MAX_N + 1, 10)
+
+
+def test_default_sampler_is_bernoulli_sum():
+    for n in (2, 10**4, 10**4 + 1):
+        assert estimate_collision(n, 5000, seed=3) == estimate_collision(
+            n, 5000, SamplerKind.BERNOULLI_SUM, seed=3
+        )
 
 
 # ------------------------------------------------------------ estimates

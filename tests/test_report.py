@@ -66,6 +66,13 @@ def test_exact_above_ceiling_recorded_not_raised():
     assert row.p_asymptotic is not None
 
 
+def test_montecarlo_above_sampler_limit_recorded_not_raised():
+    row, _ = single_row(2**53 + 1, ("montecarlo", "asymptotic"))
+    assert row.mc_p_hat is None and row.mc_std_err is None
+    assert row.errors and "BERNOULLI_MAX_N" in row.errors[0]
+    assert row.p_asymptotic is not None
+
+
 def test_quadrature_nonconvergence_annotated():
     row, _ = single_row(
         100,

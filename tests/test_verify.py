@@ -1,4 +1,10 @@
 import io
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+from scipy.stats import chi2
 
 import cyclecollide.verify as verify
 from cyclecollide import QuadratureConfig, StirlingRow
@@ -60,3 +66,18 @@ def test_failure_turns_into_exit_code(monkeypatch):
     assert "FAIL forced: forced failure" in out
     assert "PASS fine: ok" in out
     assert out.splitlines()[-1] == "criterion failures"
+
+
+def test_chi2_sf_matches_scipy():
+    for df in range(1, 40):
+        for x in np.geomspace(0.01, 300.0, 60):
+            want = chi2.sf(x, df)
+            assert verify._chi2_sf(float(x), df) == pytest.approx(want, rel=1e-12)
+    assert verify._chi2_sf(0.0, 3) == 1.0
+
+
+def test_import_does_not_load_scipy():
+    code = "import sys, cyclecollide; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
