@@ -9,17 +9,21 @@ Applied to the rising factorial x (x+1) ... (x+n-1), whose coefficients
 count permutations by cycle number, the collision probability becomes an
 integral that can be evaluated three ways:
 
-* EXACT_PRODUCT - |prod_{j<n} (e^{i theta} + j)|^2 / (n!)^2 summed term by
-  term in log space, O(n) per evaluation.  This route is an identity, not
-  an approximation; quadrature tolerance is the only error.
+* EXACT_PRODUCT - |prod_{j<n} (e^{i theta} + j)|^2 / (n!)^2 as
+  n^-2 prod_{j=1}^{n-1} (1 + 2 cos(theta)/j + 1/j^2), summed term by term
+  as log1p values, O(n) per evaluation.  It is a trigonometric polynomial
+  of degree n - 1, so the trapezoid rule on N >= n/2 intervals of [0, pi]
+  integrates it exactly; quadrature tolerance is the only error.
 * GAMMA_RATIO - the same quantity through Gamma(z+n)/Gamma(z), O(1) per
-  evaluation, usable up to n ~ 1e8 and beyond.
+  evaluation, at any integer n, including n above the double range.
 * LIMIT_KERNEL - the large-n kernel exp(2(cos theta - 1) log n) /
   |Gamma(e^{i theta})|^2 whose integral I(n) tends to sqrt(pi / log n);
   dividing by 2 pi gives the asymptotic collision estimate.
 
-All integrands are even about theta = pi, so integration is always done
-on [0, pi] and doubled.
+The two identity integrands are accurate to ~1e-14 relative away from
+theta = pi, which the quadrature error estimate relies on.  All
+integrands are 2 pi-periodic and even about theta = pi, so integration
+is done on [0, pi], endpoints included, and doubled.
 """
 
 from __future__ import annotations
@@ -92,34 +96,27 @@ def _check_theta_range(theta: np.ndarray) -> None:
 
 
 def _exact_product_values(n: int, theta: np.ndarray) -> np.ndarray:
-    # log |prod_{j=0}^{n-1} (e^{i theta} + j)|^2 = sum_j log(1 + 2 j cos + j^2),
-    # the j = 0 term being log 1 = 0.  The j = 1 factor vanishes at theta = pi;
-    # nonpositive arguments are masked and force the value to exactly 0.
-    ct = np.cos(theta)
-    log_norm = 2.0 * math.lgamma(n + 1)
-    out = np.zeros_like(theta)
+    # |prod_{j=0}^{n-1} (e^{i theta} + j)|^2 / (n!)^2
+    #     = n^-2 prod_{j=1}^{n-1} (1 + 2 cos(theta) / j + 1 / j^2),
+    # summed as log1p terms, so no sum of size log n! is cancelled.  The
+    # j = 1 factor is 2 + 2 cos, exactly 0 at theta = pi, where
+    # log1p(-1) = -inf gives the exact 0.
+    ct2 = 2.0 * np.cos(theta)
     acc = np.zeros_like(theta)
-    dead = np.zeros(theta.shape, dtype=bool)
     chunk = max(1, (1 << 22) // max(1, theta.size))
-    for start in range(1, n, chunk):
-        j = np.arange(start, min(n - 1, start + chunk - 1) + 1, dtype=np.float64)
-        args = 1.0 + np.multiply.outer(ct, 2.0 * j) + j * j
-        bad = args <= 0.0
-        if bad.any():
-            dead |= bad.any(axis=-1)
-            args = np.where(bad, 1.0, args)
-        acc += np.log(args).sum(axis=-1)
-    ok = ~dead
-    out[ok] = np.exp(acc[ok] - log_norm)
-    return out
+    with np.errstate(divide="ignore"):
+        for start in range(1, n, chunk):
+            r = 1.0 / np.arange(start, min(n, start + chunk), dtype=np.float64)
+            acc += np.log1p(np.multiply.outer(ct2, r) + r * r).sum(axis=-1)
+    return np.exp(acc) / (float(n) * n)
 
 
 def _gamma_ratio_values(n: int, theta: np.ndarray) -> np.ndarray:
     # |Gamma(z+n) / (Gamma(z) n!)|^2 with 1/|Gamma(z)|^2 in its entire,
     # pole-free form; the 2 + 2 cos factor is exactly 0 at theta = pi.
-    # (For n = 1 the true integrand is identically 1 and the limit at
-    # theta = pi is 1, not 0; the isolated point never matters to the
-    # integral and is left as the product form's 0.)
+    # For n = 1 the integrand is |z|^2 = 1 everywhere, theta = pi included.
+    if n == 1:
+        return np.ones_like(theta)
     z = np.cos(theta) + 1j * np.sin(theta)
     front = np.maximum(2.0 + 2.0 * np.cos(theta), 0.0)
     expo = 2.0 * np.real(log_gamma_ratio(n, z)) - 2.0 * np.real(
@@ -129,6 +126,7 @@ def _gamma_ratio_values(n: int, theta: np.ndarray) -> np.ndarray:
 
 
 def _limit_kernel_values(n: float, theta: np.ndarray) -> np.ndarray:
+    # math.log takes n as given, so an int n above the double range works.
     log_n = math.log(n)
     return np.exp(2.0 * (np.cos(theta) - 1.0) * log_n) * recip_gamma_abs_sq(theta)
 
@@ -145,7 +143,7 @@ def _integrand_fn(kind: IntegrandKind, n: float) -> Callable[[np.ndarray], np.nd
     if kind is IntegrandKind.LIMIT_KERNEL:
         if not n > 1:
             raise ValueError(f"LIMIT_KERNEL requires real n > 1, got {n}")
-        return lambda t: _limit_kernel_values(float(n), t)
+        return lambda t: _limit_kernel_values(n, t)
     raise ValueError(f"unknown integrand kind: {kind!r}")
 
 
@@ -155,7 +153,7 @@ def integrand(
     """Evaluate one of the unit-circle integrands at theta in [0, 2*pi].
 
     EXACT_PRODUCT and GAMMA_RATIO take integer n >= 1 and agree to
-    ~1e-10 relative or better (the product form is the oracle);
+    ~1e-14 relative away from theta = pi (the product form is the oracle);
     LIMIT_KERNEL takes real n > 1.
     """
     f = _integrand_fn(kind, n)
@@ -209,8 +207,9 @@ def p_quadrature_result(
     """Collision probability by quadrature, with its error estimate.
 
     kind=None picks EXACT_PRODUCT for n <= 512 and GAMMA_RATIO above.
-    This route evaluates an identity, so up to quadrature tolerance it
-    reproduces the exact-arithmetic value for every n, large or small.
+    This route evaluates an identity, so it reproduces the exact-arithmetic
+    value for every n, large or small, to within the returned
+    abs_error_estimate.
     """
     if n < 1 or int(n) != n:
         raise ValueError(f"n must be a positive integer, got {n}")

@@ -74,7 +74,7 @@ class CollisionReportRow:
     mc_p_hat: float | None = None
     mc_std_err: float | None = None
     # Per-row method failures (exact route above its ceiling, Monte Carlo
-    # above the sampler limit, quadrature that ran out of subdivisions).
+    # above the sampler limit, quadrature that did not converge).
     # Serialized in JSON only; the CSV schema is the fixed nine columns
     # above.
     errors: tuple[str, ...] = ()
@@ -263,8 +263,7 @@ def _render_config_json(config: ReportConfig) -> str:
         "{"
         f'"n_values": [{", ".join(str(n) for n in config.n_values)}], '
         f'"methods": [{", ".join(_json_str(m) for m in config.methods)}], '
-        f'"quad": {{"rel_tol": {quad.rel_tol:.17g}, "abs_tol": {quad.abs_tol:.17g}, '
-        f'"max_subdivisions": {quad.max_subdivisions}}}, '
+        f'"quad": {{"rel_tol": {quad.rel_tol:.17g}, "abs_tol": {quad.abs_tol:.17g}}}, '
         f'"mc_pairs": {config.mc_pairs}, '
         f'"seed": {config.seed}, '
         f'"output_format": {_json_str(config.output_format)}, '

@@ -106,8 +106,8 @@ def check_integrand_agreement() -> tuple[bool, str]:
         rel = float(np.max(np.abs(a - b) / np.abs(a)))
         if rel > worst:
             worst, worst_n = rel, n
-    ok = worst <= 1e-9
-    return ok, f"max relative route gap {worst:.3e} at n={worst_n} over 32 angles (tol 1e-9)"
+    ok = worst <= 1e-12
+    return ok, f"max relative route gap {worst:.3e} at n={worst_n} over 32 angles (tol 1e-12)"
 
 
 def _dual_route_thetas() -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -119,7 +120,80 @@ def test_p_quadrature_result_fields():
     res = p_quadrature_result(10, IntegrandKind.EXACT_PRODUCT)
     assert res.value == pytest.approx(p_exact(10).approx, rel=1e-9)
     assert res.abs_error_estimate >= 0
-    assert res.evaluations % 15 == 0
+    nodes = res.evaluations - 1  # 2^k intervals, endpoints included
+    assert nodes >= 16 and nodes & (nodes - 1) == 0
+
+
+def _exact_p_values(wanted):
+    """p(n) as a Fraction for each n in `wanted`, from one pass of the
+    row recurrence c(n+1, k) = n c(n, k) + c(n, k-1)."""
+    out = {}
+    row, fact = [1], 1
+    for n in range(1, max(wanted) + 1):
+        if n in wanted:
+            out[n] = Fraction(sum(c * c for c in row), fact * fact)
+        row = [n * c + b for c, b in zip(row + [0], [0] + row)]
+        fact *= n + 1
+    return out
+
+
+def test_quadrature_error_estimate_is_a_bound():
+    # |p_quadrature - p_exact| <= abs_error_estimate, the gap taken in
+    # exact arithmetic, for both identity integrands at both tolerances.
+    wanted = set(range(1, 601)) | set(range(650, 1501, 50))
+    exact = _exact_p_values(wanted)
+    misses = []
+    for n in sorted(wanted):
+        for kind in (IntegrandKind.EXACT_PRODUCT, IntegrandKind.GAMMA_RATIO):
+            for rel_tol in (1e-10, 1e-12):
+                res = p_quadrature_result(n, kind, QuadratureConfig(rel_tol=rel_tol))
+                if abs(Fraction(res.value) - exact[n]) > Fraction(res.abs_error_estimate):
+                    misses.append((n, kind.value, rel_tol))
+    assert misses == []
+
+
+@pytest.mark.parametrize("n", [3, 20, 415, 2000, 10**4])
+def test_identity_integrands_match_reference(n):
+    # Both routes to |Gamma(z+n) / (Gamma(z) n!)|^2, z = e^{i theta}, to
+    # 1e-13 relative away from the zero at theta = pi.
+    thetas = np.linspace(0.0, 2 * math.pi, 41)
+    thetas = thetas[np.abs(thetas - math.pi) >= 0.1]
+    want = []
+    for t in thetas:
+        z = mpmath.expj(mpmath.mpf(float(t)))
+        log_value = mpmath.loggamma(z + n) - mpmath.loggamma(z) - mpmath.loggamma(n + 1)
+        want.append(float(abs(mpmath.exp(log_value)) ** 2))
+    want = np.array(want)
+    for kind in (IntegrandKind.EXACT_PRODUCT, IntegrandKind.GAMMA_RATIO):
+        got = integrand(kind, n, thetas)
+        assert np.max(np.abs(got / want - 1.0)) <= 1e-13, kind
+
+
+@pytest.mark.parametrize("n", [2, 9, 16, 101, 512])
+def test_exact_product_trapezoid_is_exact_once_2N_reaches_n(n):
+    # A trigonometric polynomial of degree n - 1: N intervals on [0, pi]
+    # with 2N >= n integrate it exactly (discrete Parseval).
+    intervals = -(-n // 2)
+    y = integrand(IntegrandKind.EXACT_PRODUCT, n, np.linspace(0.0, math.pi, intervals + 1))
+    mean = math.fsum((0.5 * y[0], *y[1:-1], 0.5 * y[-1])) / intervals
+    assert mean == pytest.approx(p_exact(n).approx, rel=1e-14)
+    if n <= 16:  # 8 intervals already exact: converged at the first estimate
+        res = p_quadrature_result(n, IntegrandKind.EXACT_PRODUCT, TIGHT)
+        assert res.evaluations == 17
+
+
+def test_gamma_ratio_n1_is_one_at_pi():
+    # |Gamma(z+1) / Gamma(z)|^2 = |z|^2 = 1 on the whole circle.
+    assert integrand(IntegrandKind.GAMMA_RATIO, 1, math.pi) == 1.0
+    assert p_quadrature(1, IntegrandKind.GAMMA_RATIO) == 1.0
+
+
+@pytest.mark.parametrize("n", [2**60, 10**20, 10**300, 2**1030])
+def test_gamma_ratio_at_huge_n_matches_kernel_integral(n):
+    # From n = 2^60 on the Gamma ratio is (z - 1) log n to double
+    # resolution, so the identity integrand becomes the limit kernel.
+    p = p_quadrature(n, IntegrandKind.GAMMA_RATIO)
+    assert p == pytest.approx(I_n(n).value / (2 * math.pi), rel=1e-14)
 
 
 def test_p_quadrature_rejects_limit_kernel():

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -72,6 +73,16 @@ def test_collide_quadrature_reports_error_estimate(capsys):
     assert code == 0
     assert "error estimate" in out
     assert "evaluations" in out
+
+
+@pytest.mark.parametrize("method", ["quadrature", "eq2"])
+def test_collide_above_double_range(capsys, method):
+    code, out, err = run_cli(
+        capsys, "collide", "--n", str(2**1024 + 7), "--method", method
+    )
+    assert code == 0 and err == ""
+    value = float(out.splitlines()[0].removeprefix("p = "))
+    assert value == pytest.approx(1.0 / (2.0 * (math.pi * 1024 * math.log(2)) ** 0.5), rel=1e-2)
 
 
 def test_collide_domain_error_exits_1(capsys):

@@ -96,6 +96,18 @@ def test_log_gamma_ratio_vs_reference(n):
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
 
+@pytest.mark.parametrize("n", [2**60, 10**20, 10**300, 2**1024 + 7])
+def test_log_gamma_ratio_beyond_double_range(n):
+    # (z - 1) log n; an int n above 1.8e308 must not be turned into a float
+    z = complex(math.cos(1.2), math.sin(1.2))
+    with mpmath.workdps(len(str(n)) + 30):  # n + z must keep z's digits
+        want = complex(
+            mpmath.loggamma(mpmath.mpf(n) + mpmath.mpc(z)) - mpmath.loggamma(mpmath.mpf(n) + 1)
+        )
+    got = log_gamma_ratio(n, z)
+    assert abs(got - want) <= 1e-14 * abs(want)
+
+
 # ------------------------------------------------- recip_gamma_abs_sq
 
 def test_recip_gamma_endpoint_values():

@@ -13,16 +13,32 @@ from cyclecollide import (
 
 
 def test_cosine_over_full_period_is_zero():
-    res = quadrature(np.cos, 0.0, 2 * math.pi)
-    assert abs(res.value - 0.0) <= QuadratureConfig().abs_tol
+    # A zero integral is resolved only to the evaluation-error floor,
+    # 64 eps * integral |cos| ~ 6e-14, so abs_tol must sit above it.
+    config = QuadratureConfig(abs_tol=1e-12)
+    res = quadrature(np.cos, 0.0, 2 * math.pi, config)
+    assert abs(res.value - 0.0) <= config.abs_tol
     assert abs(res.value - 0.0) <= res.abs_error_estimate
     assert res.evaluations > 0
 
 
+def test_exp_cosine_over_half_period_converges_geometrically():
+    # integral_0^pi e^{cos t} dt = pi I_0(1), I_0(1) = sum_k 1 / (4^k (k!)^2)
+    want = math.pi * math.fsum(1.0 / (4**k * math.factorial(k) ** 2) for k in range(20))
+    res = quadrature(lambda t: np.exp(np.cos(t)), 0.0, math.pi, QuadratureConfig(rel_tol=1e-13))
+    assert res.value == pytest.approx(want, rel=1e-15)
+    assert abs(res.value - want) <= res.abs_error_estimate
+    assert res.evaluations == 17
+
+
 def test_parabola():
-    res = quadrature(lambda x: x * x, 0.0, 1.0)
-    assert res.value == pytest.approx(1.0 / 3.0, rel=1e-14)
+    # Not periodic: the rule converges only as h^2, and the difference of
+    # successive levels (3x the error) still bounds it.
+    config = QuadratureConfig(rel_tol=1e-8, abs_tol=0.0)
+    res = quadrature(lambda x: x * x, 0.0, 1.0, config)
+    assert res.value == pytest.approx(1.0 / 3.0, rel=1e-8)
     assert abs(res.value - 1.0 / 3.0) <= res.abs_error_estimate
+    assert res.evaluations == 2**14 + 1
 
 
 def test_product_integrand_mean_n2():
@@ -50,20 +66,43 @@ def test_error_estimate_contract_on_success():
 
 
 def test_evaluations_accounting():
+    # The rule is exact for a line, so it stops at the first comparison:
+    # 8 intervals, then 16, endpoints included.
     res = quadrature(lambda x: x, 0.0, 1.0)
-    assert res.evaluations % 15 == 0
-    assert (res.evaluations // 15) % 2 == 1  # 1 + 2 * splits panels
+    assert res.evaluations == 17
+    # Each halving evaluates only the new midpoints, in one call.
+    seen = []
+
+    def bump(x):
+        seen.append(x.size)
+        return np.exp(-500.0 * x * x)
+
+    res = quadrature(bump, -1.0, 1.0)
+    assert seen == [9] + [2**k for k in range(3, 3 + len(seen) - 1)]
+    assert res.evaluations == sum(seen)
 
 
 def test_convergence_error_carries_best_estimate():
-    config = QuadratureConfig(rel_tol=1e-13, abs_tol=0.0, max_subdivisions=2)
+    # rel_tol 1e-16 is below the evaluation-error floor: the rule gives up
+    # at its first error estimate instead of refining to the node cap.
+    config = QuadratureConfig(rel_tol=1e-16, abs_tol=0.0)
     with pytest.raises(QuadratureConvergenceError) as exc_info:
         quadrature(lambda x: np.cos(40.0 * x) ** 2 + x, 0.0, 3.0, config)
     best = exc_info.value.best
     want = 4.5 + (math.sin(240.0) / 160.0 + 1.5)  # int cos(40x)^2 = x/2 + sin(80x)/160
-    assert best.value == pytest.approx(want, rel=0.5)  # rough: 2 splits on 19 periods
+    assert best.value == pytest.approx(want, rel=0.5)  # rough: 16 nodes on 19 periods
     assert best.abs_error_estimate > 0
-    assert best.evaluations == 15 * (1 + 2 * 2)
+    assert best.evaluations == 17
+    assert exc_info.value.tolerance == pytest.approx(1e-16 * abs(best.value))
+
+
+def test_node_cap_raises_with_best_estimate():
+    # x^2 needs ~1.2e5 intervals for rel_tol 1e-10; the cap is 2^16 + 1 nodes.
+    with pytest.raises(QuadratureConvergenceError) as exc_info:
+        quadrature(lambda x: x * x, 0.0, 1.0)
+    best = exc_info.value.best
+    assert best.evaluations == 2**16 + 1
+    assert abs(best.value - 1.0 / 3.0) <= best.abs_error_estimate
 
 
 def test_interval_validation():
@@ -84,8 +123,8 @@ def test_config_validation():
         QuadratureConfig(rel_tol=0.0)
     with pytest.raises(ValueError):
         QuadratureConfig(abs_tol=-1.0)
-    with pytest.raises(ValueError):
-        QuadratureConfig(max_subdivisions=0)
+    with pytest.raises(TypeError):
+        QuadratureConfig(max_subdivisions=1)  # the subdivision knob is gone
 
 
 def test_bit_stable_across_runs():

@@ -77,11 +77,21 @@ def test_quadrature_nonconvergence_annotated():
     row, _ = single_row(
         100,
         ("quadrature",),
-        quad=QuadratureConfig(rel_tol=1e-13, abs_tol=0.0, max_subdivisions=1),
+        quad=QuadratureConfig(rel_tol=1e-16, abs_tol=0.0),  # below the error floor
     )
     assert row.p_quadrature is not None  # best estimate retained
     assert row.quad_error_estimate > 0
     assert any("quadrature" in e for e in row.errors)
+
+
+def test_rows_above_double_range_carry_no_errors():
+    config = ReportConfig(
+        n_values=(10**300, 2**1030), methods=("quadrature", "eq2", "asymptotic")
+    )
+    for row in run_report(config):
+        assert row.errors == ()
+        assert row.p_quadrature == pytest.approx(row.p_eq2, rel=1e-14)
+        assert row.ratio_to_asymptotic == pytest.approx(1.0, abs=1e-3)
 
 
 def test_eq2_column_is_kernel_integral_over_2pi():
