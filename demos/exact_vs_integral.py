@@ -18,7 +18,7 @@ import math
 import sys
 from decimal import Decimal, localcontext
 
-from cyclecollide import f_exact, p_exact, p_quadrature_result
+from cyclecollide import p_quadrature_result, stirling_rows
 
 # f(n) runs to thousands of digits; lift the int-to-str guard to show it
 sys.set_int_max_str_digits(1_000_000)
@@ -35,8 +35,11 @@ ns = [1, 2, 3, 5, 10, 30, 100, 300, 512, 513, 1000, 5000]
 print(f"{'n':>6}  {'p exact (20 digits)':>24}  {'p quadrature':>22}  "
       f"{'|diff|':>9}  {'err est':>9}")
 print("-" * 80)
-for n in ns:
-    exact = p_exact(n)
+f_digits = {}
+for row in stirling_rows(ns):  # one upward walk serves every n
+    n = row.n
+    exact = row.collision_probability()
+    f_digits[n] = len(str(row.square_sum()))
     quad = p_quadrature_result(n)
     diff = abs(quad.value - exact.approx)
     print(f"{n:>6}  {twenty_digits(exact):>24}  {quad.value:>22.17f}  "
@@ -45,7 +48,7 @@ for n in ns:
 print()
 print("size of the exact computation:")
 for n in [10, 100, 1000, 5000]:
-    print(f"  f({n}) has {len(str(f_exact(n)))} digits "
+    print(f"  f({n}) has {f_digits[n]} digits "
           f"(denominator (n!)^2 has {len(str(math.factorial(n)**2))})")
 print()
 print("above n = 512 the quadrature switches from the O(n) product "

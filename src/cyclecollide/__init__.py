@@ -30,6 +30,7 @@ from .exact import (
     p_exact,
     rising_factorial_eval,
     stirling_row,
+    stirling_rows,
 )
 from .gammafn import (
     EULER_GAMMA,
@@ -112,5 +113,6 @@ __all__ = [
     "sample_cycle_count",
     "sample_cycle_counts",
     "stirling_row",
+    "stirling_rows",
     "weierstrass_partial",
 ]

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
-from fractions import Fraction
 
 from .analytic import I_n, p_asymptotic, p_quadrature_result
-from .exact import ExactProbability, f_exact, p_exact, stirling_row
+from .exact import StirlingRow, exact_ceiling_error, stirling_row
 from .montecarlo import SamplerKind, estimate_collision
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, QuadratureConvergenceError
 from .report import (
@@ -60,10 +60,19 @@ def _quad_config(tol: float | None) -> QuadratureConfig:
     return QuadratureConfig(rel_tol=tol)
 
 
+def _exact_row(n: int) -> StirlingRow:
+    """Row n for the exact route; ValueError above its ceiling."""
+    error = exact_ceiling_error(n)
+    if error is not None:
+        raise ValueError(error)
+    return stirling_row(n)
+
+
 def _cmd_exact(args: argparse.Namespace) -> int:
     n = args.n
-    f_val = f_exact(n)
-    prob = ExactProbability.from_fraction(Fraction(f_val, math.factorial(n) ** 2))
+    row = _exact_row(n)
+    f_val = row.square_sum()
+    prob = row.collision_probability()
     if args.json:
         fields = [
             f'"n": {n}',
@@ -73,7 +82,6 @@ def _cmd_exact(args: argparse.Namespace) -> int:
             f'"p_approx": {prob.approx:.17g}',
         ]
         if args.row:
-            row = stirling_row(n)
             fields.append(f'"row": [{", ".join(str(c) for c in row.coeffs)}]')
         print("{" + ", ".join(fields) + "}")
         return 0
@@ -81,7 +89,7 @@ def _cmd_exact(args: argparse.Namespace) -> int:
     print(f"f(n) = {f_val}")
     print(f"p(n) = {prob.numerator}/{prob.denominator} = {prob.approx:.17g}")
     if args.row:
-        print("row:", " ".join(str(c) for c in stirling_row(n).coeffs))
+        print("row:", " ".join(str(c) for c in row.coeffs))
     return 0
 
 
@@ -89,7 +97,7 @@ def _cmd_collide(args: argparse.Namespace) -> int:
     n = args.n
     method = args.method
     if method == "exact":
-        prob = p_exact(n)
+        prob = _exact_row(n).collision_probability()
         print(f"p = {prob.approx:.17g}")
         print(f"exact = {prob.numerator}/{prob.denominator}")
     elif method == "quadrature":
@@ -187,19 +195,26 @@ def main(argv: list[str] | None = None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(2_000_000)
     args = build_parser().parse_args(argv)
+    command = {
+        "exact": _cmd_exact,
+        "collide": _cmd_collide,
+        "table": _cmd_table,
+        "verify": lambda _: run_verify(),
+    }[args.command]
     try:
-        if args.command == "exact":
-            return _cmd_exact(args)
-        if args.command == "collide":
-            return _cmd_collide(args)
-        if args.command == "table":
-            return _cmd_table(args)
-        if args.command == "verify":
-            return run_verify()
+        code = command(args)
+        # Flush here, not at interpreter exit, so a closed pipe surfaces
+        # as the BrokenPipeError handled below.
+        sys.stdout.flush()
     except (ValueError, QuadratureConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    raise AssertionError("unreachable")
+    except BrokenPipeError:
+        # The reader went away (e.g. `| head`).  Point stdout at devnull
+        # so the flush at exit does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

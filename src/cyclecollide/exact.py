@@ -13,14 +13,15 @@ Python integers for the counts, ``fractions.Fraction`` for probabilities.
 
 from __future__ import annotations
 
-import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
-# Practical ceiling for the exact route.  Nothing below enforces it; it is
-# the documented point past which row construction (O(n^2) big-int adds on
-# entries with tens of thousands of digits) stops being worth the wait and
-# callers should switch to the quadrature route.
+# Practical ceiling for the exact route: the point past which row
+# construction (O(n^2) big-int adds on entries with tens of thousands of
+# digits) stops being worth the wait and callers should switch to the
+# quadrature route.  The functions below do not enforce it; the CLI
+# refuses n above it and `table` records a per-row error.
 EXACT_ROUTE_CEILING = 20000
 
 
@@ -48,6 +49,16 @@ class StirlingRow:
     def row_sum(self) -> int:
         """Total count over all cycle numbers; equals n!."""
         return sum(self.coeffs)
+
+    def square_sum(self) -> int:
+        """sum_k c(n, k)^2, the numerator of the collision probability."""
+        return sum(c * c for c in self.coeffs)
+
+    def collision_probability(self) -> "ExactProbability":
+        """sum_k c(n, k)^2 / (n!)^2, reduced; the row sums to n!."""
+        return ExactProbability.from_fraction(
+            Fraction(self.square_sum(), self.row_sum() ** 2)
+        )
 
 
 @dataclass(frozen=True)
@@ -90,18 +101,40 @@ def _require_positive(n: int) -> None:
         raise ValueError(f"n must be a positive integer, got {n}")
 
 
-def _build_row(n: int) -> list[int]:
-    """Row n of the triangle via the additive recurrence, one pass per row."""
+def exact_ceiling_error(n: int) -> str | None:
+    """Why the CLI and `table` refuse n on the exact route, or None."""
+    if n <= EXACT_ROUTE_CEILING:
+        return None
+    return (
+        f"n={n} above the documented exact-route ceiling "
+        f"{EXACT_ROUTE_CEILING}; use the quadrature route"
+    )
+
+
+def stirling_rows(n_values: Iterable[int]) -> Iterator[StirlingRow]:
+    """Rows of the triangle at each n of a strictly increasing sequence.
+
+    One upward walk of the additive recurrence serves every requested n,
+    so rows 1..N cost the same O(N^2) big-int steps as row N alone.  Only
+    the current row is held.  The sequence is read and checked when
+    iteration starts: ValueError for an n < 1 or a non-increasing step.
+    """
+    targets = tuple(n_values)
+    if targets:
+        _require_positive(targets[0])
+    if any(b <= a for a, b in zip(targets, targets[1:])):
+        raise ValueError(f"n values must be strictly increasing, got {targets}")
     row = [1]
-    for m in range(2, n + 1):
-        prev = row
-        row = [0] * m
-        w = m - 1
-        for j in range(w):
-            row[j] = w * prev[j]
-        for j in range(1, m):
-            row[j] += prev[j - 1]
-    return row
+    for n in targets:
+        for m in range(len(row) + 1, n + 1):
+            prev = row
+            row = [0] * m
+            w = m - 1
+            for j in range(w):
+                row[j] = w * prev[j]
+            for j in range(1, m):
+                row[j] += prev[j - 1]
+        yield StirlingRow(n, tuple(row))
 
 
 def stirling_row(n: int) -> StirlingRow:
@@ -110,8 +143,7 @@ def stirling_row(n: int) -> StirlingRow:
     Raises ValueError for n < 1; the n = 0 row is deliberately undefined
     here rather than adopting an empty-product convention.
     """
-    _require_positive(n)
-    return StirlingRow(n, tuple(_build_row(n)))
+    return next(stirling_rows((n,)))
 
 
 def rising_factorial_eval(n: int, x: Fraction | int) -> Fraction:
@@ -130,24 +162,19 @@ def rising_factorial_eval(n: int, x: Fraction | int) -> Fraction:
 def f_exact(n: int) -> int:
     """Sum of the squared row entries, sum_k c(n, k)^2.
 
-    Consumes the row as it is squared so only one row is ever held; this
-    is the numerator of the collision probability before reduction.
+    This is the numerator of the collision probability before reduction.
     """
-    _require_positive(n)
-    return sum(c * c for c in _build_row(n))
+    return stirling_row(n).square_sum()
 
 
 def p_exact(n: int) -> ExactProbability:
     """Probability that two independent uniform n-permutations have the
     same number of cycles: sum_k c(n, k)^2 / (n!)^2, reduced."""
-    _require_positive(n)
-    return ExactProbability.from_fraction(
-        Fraction(f_exact(n), math.factorial(n) ** 2)
-    )
+    return stirling_row(n).collision_probability()
 
 
 def cycle_distribution(n: int) -> CycleDistribution:
     """Exact cycle-count law of a uniform random n-permutation."""
-    _require_positive(n)
-    fact = math.factorial(n)
-    return CycleDistribution(n, tuple(Fraction(c, fact) for c in _build_row(n)))
+    row = stirling_row(n)
+    fact = row.row_sum()
+    return CycleDistribution(n, tuple(Fraction(c, fact) for c in row.coeffs))

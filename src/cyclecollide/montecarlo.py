@@ -24,7 +24,6 @@ bit-for-bit no matter how many workers process the blocks.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -91,16 +90,18 @@ def _count_cycles_rows(perms: np.ndarray) -> np.ndarray:
 
     Pointer-doubling traversal: label every position with the minimum
     index reachable in its cycle (doubling the stride each round), then
-    count the positions that are their own cycle minimum.
+    count the positions that are their own cycle minimum.  Rows are
+    offset by row * n and walked as one flat array, so each round is two
+    plain gathers and an in-place minimum.
     """
     rows, n = perms.shape
-    idx = np.arange(n)
-    label = np.broadcast_to(idx, (rows, n)).copy()
-    ptr = perms.copy()
+    flat = np.arange(rows * n)
+    ptr = (perms + flat[::n, None]).ravel()
+    label = flat.copy()
     for _ in range(max(0, (n - 1).bit_length())):
-        label = np.minimum(label, np.take_along_axis(label, ptr, axis=1))
-        ptr = np.take_along_axis(ptr, ptr, axis=1)
-    return (label == idx).sum(axis=1)
+        np.minimum(label, label[ptr], out=label)
+        ptr = ptr[ptr]
+    return (label == flat).reshape(rows, n).sum(axis=1)
 
 
 def _permutation_batch(n: int, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -208,6 +209,10 @@ def estimate_collision(
         for block, start in enumerate(range(0, pairs, BLOCK_PAIRS))
     ]
     if workers > 1:
+        # Imported only here, so `import cyclecollide` does not load the
+        # pool and `logging` for the one branch that uses them.
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             per_block = list(pool.map(_block_collisions, tasks))
     else:

@@ -30,7 +30,7 @@ from .analytic import (
     p_asymptotic,
     p_quadrature_result,
 )
-from .exact import EXACT_ROUTE_CEILING, p_exact
+from .exact import StirlingRow, exact_ceiling_error, stirling_rows
 from .montecarlo import estimate_collision
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, QuadratureConvergenceError
 
@@ -122,7 +122,9 @@ def _exact_decimal(value: Fraction, significant_digits: int = 20) -> str:
         return str(Decimal(value.numerator) / Decimal(value.denominator))
 
 
-def _compute_row(n: int, config: ReportConfig) -> CollisionReportRow:
+def _compute_row(
+    n: int, config: ReportConfig, stirling: StirlingRow | None
+) -> CollisionReportRow:
     methods = config.methods
     errors: list[str] = []
     fields: dict = {"n": n}
@@ -160,16 +162,12 @@ def _compute_row(n: int, config: ReportConfig) -> CollisionReportRow:
             errors.append(f"quadrature: {exc}")
         best_p = fields["p_quadrature"]
 
-    if "exact" in methods:
-        if n <= EXACT_ROUTE_CEILING:
-            exact = p_exact(n)
-            fields["p_exact"] = _exact_decimal(exact.fraction)
-            best_p = exact.approx
-        else:
-            errors.append(
-                f"exact: n={n} above the documented exact-route ceiling "
-                f"{EXACT_ROUTE_CEILING}; use the quadrature route"
-            )
+    if stirling is not None:
+        exact = stirling.collision_probability()
+        fields["p_exact"] = _exact_decimal(exact.fraction)
+        best_p = exact.approx
+    elif "exact" in methods:
+        errors.append(f"exact: {exact_ceiling_error(n)}")
 
     if "asymptotic" in methods:
         fields["p_asymptotic"] = p_asymptotic(n)
@@ -197,9 +195,16 @@ def run_report(config: ReportConfig) -> list[CollisionReportRow]:
 
     Per-row method failures are recorded on the row (exact route above
     its ceiling; Monte Carlo above BERNOULLI_MAX_N; non-converged
-    quadrature keeps its best estimate), never raised.
+    quadrature keeps its best estimate), never raised.  The exact column
+    comes from one ascending row walk: n_values ascend, so the n within
+    the exact-route ceiling are a prefix and their rows arrive in step.
     """
-    return [_compute_row(n, config) for n in config.n_values]
+    exact_rows = iter(())
+    if "exact" in config.methods:
+        exact_rows = stirling_rows(
+            n for n in config.n_values if exact_ceiling_error(n) is None
+        )
+    return [_compute_row(n, config, next(exact_rows, None)) for n in config.n_values]
 
 
 def _fmt_float(x: float | None) -> str:

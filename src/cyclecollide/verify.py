@@ -26,7 +26,7 @@ from .analytic import (
     p_asymptotic,
     p_quadrature,
 )
-from .exact import cycle_distribution, p_exact, stirling_row
+from .exact import cycle_distribution, p_exact, stirling_rows
 from .gammafn import EULER_GAMMA, log_gamma, weierstrass_partial
 from .montecarlo import SamplerKind, _stream, estimate_collision, sample_cycle_counts
 from .quadrature import QuadratureConfig
@@ -64,21 +64,21 @@ def _brute_cycle_histogram(n: int) -> list[int]:
 
 
 def check_brute_force_rows() -> tuple[bool, str]:
-    for n in range(1, 9):
-        expected = _brute_cycle_histogram(n)
-        got = list(stirling_row(n).coeffs)
+    for row in stirling_rows(range(1, 9)):
+        expected = _brute_cycle_histogram(row.n)
+        got = list(row.coeffs)
         if got != expected:
-            return False, f"row {n}: recurrence {got} != enumeration {expected}"
+            return False, f"row {row.n}: recurrence {got} != enumeration {expected}"
     return True, "rows 1..8 match exhaustive enumeration of all n! permutations"
 
 
 def check_row_sums() -> tuple[bool, str]:
     fact = 1
-    for n in range(1, 501):
-        fact *= n
-        total = stirling_row(n).row_sum()
+    for row in stirling_rows(range(1, 501)):
+        fact *= row.n
+        total = row.row_sum()
         if total != fact:
-            return False, f"row {n} sums to {total}, expected {n}!"
+            return False, f"row {row.n} sums to {total}, expected {row.n}!"
     return True, "row sums equal n! exactly for n = 1..500"
 
 
@@ -86,8 +86,9 @@ def check_parseval() -> tuple[bool, str]:
     config = QuadratureConfig(rel_tol=1e-12)
     worst = 0.0
     worst_n = 0
-    for n in (2, 5, 10, 50, 100, 512):
-        exact = p_exact(n).approx
+    for row in stirling_rows((2, 5, 10, 50, 100, 512)):
+        n = row.n
+        exact = row.collision_probability().approx
         quad = p_quadrature(n, IntegrandKind.EXACT_PRODUCT, config)
         rel = abs(quad - exact) / exact
         if rel > worst:

@@ -34,6 +34,48 @@ def test_exact_json(capsys):
     assert doc["p_denominator"] == 288
 
 
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (
+            ("exact", "--n", "5"),
+            "n = 5\nf(n) = 4402\np(n) = 2201/7200 = 0.30569444444444444\n",
+        ),
+        (
+            ("exact", "--n", "5", "--row"),
+            "n = 5\nf(n) = 4402\np(n) = 2201/7200 = 0.30569444444444444\n"
+            "row: 24 50 35 10 1\n",
+        ),
+        (
+            ("exact", "--n", "5", "--row", "--json"),
+            '{"n": 5, "f": 4402, "p_numerator": 2201, "p_denominator": 7200, '
+            '"p_approx": 0.30569444444444444, "row": [24, 50, 35, 10, 1]}\n',
+        ),
+        (
+            ("collide", "--n", "5", "--method", "exact"),
+            "p = 0.30569444444444444\nexact = 2201/7200\n",
+        ),
+    ],
+)
+def test_exact_route_stdout_at_n5(capsys, argv, want):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (0, want, "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("exact", "--n", "20001", "--row"), ("collide", "--n", "20001", "--method", "exact")],
+)
+def test_exact_route_ceiling_exits_1(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "error: n=20001 above the documented exact-route ceiling 20000; "
+        "use the quadrature route\n"
+    )
+
+
 def test_exact_invalid_n(capsys):
     code, _, err = run_cli(capsys, "exact", "--n", "0")
     assert code == 1
@@ -171,6 +213,21 @@ def test_parse_n_values():
         parse_n_values("1:10:1")
     with pytest.raises(ValueError):
         parse_n_values("1:2:3:4")
+
+
+def test_closed_stdout_pipe_exits_1_without_traceback():
+    # Row 600 prints ~0.4 MB, far more than a pipe buffers, so the writer
+    # is still writing when the reader goes away after one line.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cyclecollide", "exact", "--n", "600", "--row"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"n = 600\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err
+    assert err == ""
 
 
 def test_module_entry_point():

@@ -11,6 +11,7 @@ from cyclecollide import (
     p_exact,
     rising_factorial_eval,
     stirling_row,
+    stirling_rows,
 )
 from oracles import collision_probability, cycle_histogram
 
@@ -38,6 +39,36 @@ def test_row_structure(n):
     if n >= 2:
         assert row.coeff(n - 1) == n * (n - 1) // 2
     assert all(c > 0 for c in row.coeffs)
+
+
+def rising_factorial_coeffs(n):
+    """Coefficients of x (x+1) ... (x+n-1), multiplied out from scratch."""
+    poly = [1]  # constant polynomial 1
+    for j in range(n):
+        poly = [j * a + b for a, b in zip(poly + [0], [0] + poly)]
+    return poly[1:]
+
+
+@pytest.mark.parametrize(
+    "n_values", [(1, 2, 7, 8, 64, 300), (7, 8, 64, 300), (300,)]
+)
+def test_ascending_walk_matches_from_scratch_rows(n_values):
+    rows = list(stirling_rows(n_values))
+    assert [row.n for row in rows] == list(n_values)
+    for row in rows:
+        assert list(row.coeffs) == rising_factorial_coeffs(row.n)
+        assert row == stirling_row(row.n)
+
+
+@pytest.mark.parametrize("n_values", [(3, 3), (5, 2), (2, 9, 9), (0, 1), (-1,)])
+def test_walk_rejects_bad_sequences_before_any_row(n_values):
+    walk = stirling_rows(iter(n_values))
+    with pytest.raises(ValueError):
+        next(walk)
+
+
+def test_walk_over_nothing_is_empty():
+    assert list(stirling_rows(())) == []
 
 
 def test_row_coeff_bounds():
@@ -76,6 +107,8 @@ def test_f_exact_values():
 @settings(max_examples=30)
 def test_f_exact_is_square_sum_of_row(n):
     assert f_exact(n) == sum(c * c for c in stirling_row(n).coeffs)
+    assert stirling_row(n).square_sum() == f_exact(n)
+    assert stirling_row(n).collision_probability() == p_exact(n)
 
 
 def test_p_exact_small_cases():

@@ -14,7 +14,8 @@ from cyclecollide import (
     sample_cycle_count,
     sample_cycle_counts,
 )
-from cyclecollide.montecarlo import BLOCK_PAIRS, _stream
+from cyclecollide.montecarlo import BLOCK_PAIRS, _count_cycles_rows, _stream
+from oracles import count_cycles
 
 
 def chi_square_pvalue(draws, n):
@@ -75,6 +76,22 @@ def test_permutation_batch_chunking_is_consistent():
     # chunk boundary inside the batch: distribution unaffected, law exact
     draws = sample_cycle_counts(SamplerKind.PERMUTATION_DIRECT, 12, 3 * 10**4, _stream(5, 2))
     assert chi_square_pvalue(draws, 12) >= 1e-6
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 257])
+def test_cycle_counter_matches_plain_walk(n):
+    rng = np.random.default_rng(n)
+    perms = rng.permuted(np.tile(np.arange(n), (300, 1)), axis=1)
+    want = [count_cycles(tuple(p)) for p in perms.tolist()]
+    assert _count_cycles_rows(perms).tolist() == want
+
+
+def test_permutation_direct_counts_are_pinned():
+    # Measured before the flat-gather counter; the stream and counts must
+    # stay bit-identical.
+    kind = SamplerKind.PERMUTATION_DIRECT
+    assert estimate_collision(10, 50000, kind, seed=3).collisions == 12144
+    assert estimate_collision(257, 20000, kind, seed=4).collisions == 2688
 
 
 def test_bernoulli_moments_at_huge_n():

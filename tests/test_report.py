@@ -151,6 +151,21 @@ def test_json_errors_field():
     assert doc["rows"][0]["p_exact"] is None
 
 
+@pytest.mark.parametrize(
+    "n_values", [(1, 2, 3, 50, 51, 200), (3, 50, 400, 20001, 10**6)]
+)
+def test_sweep_renders_like_single_n_reports(n_values):
+    # The exact column of a sweep comes from one ascending row walk; each
+    # row must still match a report over its n alone, past the ceiling too.
+    methods = ("exact", "quadrature")
+    config = ReportConfig(n_values=n_values, methods=methods)
+    swept = run_report(config)
+    alone = [single_row(n, methods)[0] for n in n_values]
+    assert swept == alone
+    assert render_csv(swept) == render_csv(alone)
+    assert render_json(swept, config) == render_json(alone, config)
+
+
 def test_report_deterministic_bytes():
     config = ReportConfig(
         n_values=(2, 10),

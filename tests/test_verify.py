@@ -24,17 +24,17 @@ def test_run_verify_prints_one_line_per_criterion():
 
 
 def test_corrupted_recurrence_fails_row_sum_criterion(monkeypatch):
-    real = verify.stirling_row
+    real = verify.stirling_rows
 
-    def corrupted(n):
-        row = real(n)
-        if n == 137:  # single off-by-one deep in the table
-            coeffs = list(row.coeffs)
-            coeffs[3] += 1
-            return StirlingRow(n, tuple(coeffs))
-        return row
+    def corrupted(n_values):
+        for row in real(n_values):
+            if row.n == 137:  # single off-by-one deep in the table
+                coeffs = list(row.coeffs)
+                coeffs[3] += 1
+                row = StirlingRow(row.n, tuple(coeffs))
+            yield row
 
-    monkeypatch.setattr(verify, "stirling_row", corrupted)
+    monkeypatch.setattr(verify, "stirling_rows", corrupted)
     passed, detail = verify.check_row_sums()
     assert not passed
     assert "137" in detail
@@ -78,6 +78,14 @@ def test_chi2_sf_matches_scipy():
 
 def test_import_does_not_load_scipy():
     code = "import sys, cyclecollide; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_import_does_not_load_thread_pool():
+    # Only estimate_collision(..., workers > 1) needs it.
+    code = "import sys, cyclecollide; print('concurrent.futures' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
