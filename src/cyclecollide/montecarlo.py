@@ -195,7 +195,8 @@ def estimate_collision(
     probability being estimated.  `kind=None` means BERNOULLI_SUM.  The
     estimate is a deterministic function of (n, pairs, kind, seed);
     `workers` only changes how the fixed blocks are scheduled, never the
-    result.
+    result.  Time is linear in `pairs`; serially the blocks are generated
+    one at a time, so memory does not grow with `pairs`.
     """
     if kind is None:
         kind = SamplerKind.BERNOULLI_SUM
@@ -204,10 +205,10 @@ def estimate_collision(
     if pairs < 1:
         raise ValueError(f"pairs must be >= 1, got {pairs}")
 
-    tasks = [
+    tasks = (
         (n, min(BLOCK_PAIRS, pairs - start), kind, seed, block)
         for block, start in enumerate(range(0, pairs, BLOCK_PAIRS))
-    ]
+    )
     if workers > 1:
         # Imported only here, so `import cyclecollide` does not load the
         # pool and `logging` for the one branch that uses them.
@@ -216,7 +217,7 @@ def estimate_collision(
         with ThreadPoolExecutor(max_workers=workers) as pool:
             per_block = list(pool.map(_block_collisions, tasks))
     else:
-        per_block = [_block_collisions(t) for t in tasks]
+        per_block = map(_block_collisions, tasks)
     collisions = sum(per_block)
 
     p_hat = collisions / pairs

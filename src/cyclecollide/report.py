@@ -6,7 +6,7 @@ methods populated:
     exact       - reduced-fraction arithmetic, rendered as a 20-digit
                   decimal string (ground truth, exceeds double precision)
     quadrature  - unit-circle integral identity (auto-picks the O(n)
-                  product integrand for n <= 512, the O(1) Gamma form above)
+                  product integrand for n <= 1024, the O(1) Gamma form above)
     eq2         - the large-n kernel integral divided by 2 pi
     asymptotic  - closed form 1 / (2 sqrt(pi log n))
     montecarlo  - paired sampling with binomial standard error

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cyclecollide import (
+    EXACT_PRODUCT_AUTO_MAX,
     I_n,
     IntegrandKind,
     QuadratureConfig,
@@ -112,8 +113,8 @@ def test_parseval_identity_across_n():
 def test_p_quadrature_auto_select_consistency():
     # just above the hand-off the Gamma route takes over; both sides agree
     # with exact arithmetic
-    exact = p_exact(513).approx
-    assert p_quadrature(513) == pytest.approx(exact, rel=1e-9)
+    n = EXACT_PRODUCT_AUTO_MAX + 1
+    assert p_quadrature(n) == pytest.approx(p_exact(n).approx, rel=1e-9)
 
 
 def test_p_quadrature_result_fields():

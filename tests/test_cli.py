@@ -189,6 +189,28 @@ def test_table_validation_error_exits_1(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("target", ["missing-dir/x.csv", "."])
+def test_table_unwritable_out_exits_1(tmp_path, capsys, target):
+    # A missing directory (FileNotFoundError) or a directory as the file
+    # (IsADirectoryError): one error line, no traceback.
+    code, out, err = run_cli(
+        capsys, "table", "--n", "3", "--methods", "exact", "--out", str(tmp_path / target)
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("spec", ["abc", "3,", "2:5:1"])
+def test_table_malformed_n_spec_is_usage_error(capsys, spec):
+    with pytest.raises(SystemExit) as exc_info:
+        main(["table", "--n", spec, "--methods", "exact"])
+    assert exc_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: ") and "bad n spec" in captured.err
+
+
 # ------------------------------------------------------------ usage/misc
 
 def test_usage_error_exit_code():

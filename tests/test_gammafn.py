@@ -7,8 +7,13 @@ import pytest
 from cyclecollide import (
     EULER_GAMMA,
     EULER_GAMMA_DIGITS,
+    I_n,
+    IntegrandKind,
+    analytic,
+    gammafn,
     log_gamma,
     log_gamma_ratio,
+    p_quadrature_result,
     recip_gamma_abs_sq,
     weierstrass_partial,
 )
@@ -31,6 +36,42 @@ def test_euler_gamma_digits():
     assert EULER_GAMMA == float(EULER_GAMMA_DIGITS)
     assert abs(float(mpmath.euler) - EULER_GAMMA) == 0.0
     assert EULER_GAMMA_DIGITS.startswith("0.5772156649015328606065120900824")
+
+
+def test_zeta_table_matches_mpmath():
+    # Every stored zeta(k) - 1 and every cosine coefficient a_k within
+    # one ulp of its 40-digit value; the first omitted term is negligible.
+    digits = gammafn._ZETA_MINUS_ONE_DIGITS
+    coeffs = gammafn._CIRCLE_COEFFS
+    assert len(coeffs) == len(digits) + 1 == 54
+    want_a1 = float(1 - mpmath.euler)
+    assert abs(coeffs[0] - want_a1) <= math.ulp(want_a1)
+    for k, text in enumerate(digits, start=2):
+        zm1 = mpmath.zeta(k) - 1
+        assert abs(float(text) - float(zm1)) <= math.ulp(float(zm1)), k
+        want = float((-1) ** k * zm1 / k)
+        assert abs(coeffs[k - 1] - want) <= math.ulp(want), k
+    assert float((mpmath.zeta(len(coeffs) + 1) - 1) / (len(coeffs) + 1)) < 1e-18
+
+
+def test_circle_series_matches_loggamma():
+    thetas = np.linspace(0.0, 2 * math.pi, 257)
+    got = gammafn._circle_log_gamma2(np.cos(thetas) + 1j * np.sin(thetas))
+    want = [float(mpmath.re(mpmath.loggamma(2 + mpmath.expj(mpmath.mpf(t))))) for t in thetas]
+    assert np.max(np.abs(got - want)) <= 1e-15
+
+
+def test_circle_integrands_avoid_general_log_gamma(monkeypatch):
+    # From n = 16 on, no circle integrand goes through the shifted
+    # Stirling series: the kernel weight is the zeta(k) series.
+    def boom(z):
+        raise AssertionError("_log_gamma_array on the integrand path")
+
+    monkeypatch.setattr(gammafn, "_log_gamma_array", boom)
+    monkeypatch.setattr(analytic, "_log_gamma_array", boom, raising=False)
+    for n in (16, 1000, 10**12, 2**1030):
+        assert I_n(n).value > 0.0
+        assert p_quadrature_result(n, IntegrandKind.GAMMA_RATIO).value > 0.0
 
 
 # ----------------------------------------------------------- log_gamma

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from cyclecollide import (
     cycle_distribution,
     estimate_collision,
     harmonic,
+    montecarlo,
     p_exact,
     sample_cycle_count,
     sample_cycle_counts,
@@ -92,6 +94,26 @@ def test_permutation_direct_counts_are_pinned():
     kind = SamplerKind.PERMUTATION_DIRECT
     assert estimate_collision(10, 50000, kind, seed=3).collisions == 12144
     assert estimate_collision(257, 20000, kind, seed=4).collisions == 2688
+
+
+def test_default_sampler_counts_are_pinned():
+    # Measured before the serial blocks became lazy.
+    assert estimate_collision(10, 3 * BLOCK_PAIRS + 17, seed=5).collisions == 11737
+    assert estimate_collision(10**9, 2 * BLOCK_PAIRS + 1, seed=6).collisions == 2075
+
+
+def test_serial_blocks_are_generated_lazily(monkeypatch):
+    # 10^5 blocks with a no-op block body: the serial loop must not hold
+    # one task per block (~10 MB as a list).
+    monkeypatch.setattr(montecarlo, "_block_collisions", lambda task: 0)
+    tracemalloc.start()
+    try:
+        est = estimate_collision(10, 10**5 * BLOCK_PAIRS, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.collisions == 0
+    assert peak < 100_000
 
 
 def test_bernoulli_moments_at_huge_n():

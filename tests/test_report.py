@@ -5,6 +5,7 @@ import pytest
 
 from cyclecollide import (
     CSV_COLUMNS,
+    EXACT_PRODUCT_AUTO_MAX,
     QuadratureConfig,
     ReportConfig,
     p_exact,
@@ -103,8 +104,9 @@ def test_eq2_column_is_kernel_integral_over_2pi():
 
 
 def test_boundary_crosscheck_runs():
-    row, _ = single_row(512, ("quadrature",))
-    assert row.p_quadrature == pytest.approx(p_exact(512).approx, rel=1e-9)
+    n = EXACT_PRODUCT_AUTO_MAX
+    row, _ = single_row(n, ("quadrature",))
+    assert row.p_quadrature == pytest.approx(p_exact(n).approx, rel=1e-9)
 
 
 # ------------------------------------------------------- serialization
