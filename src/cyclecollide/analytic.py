@@ -24,23 +24,29 @@ The two identity integrands are accurate to ~1e-14 relative away from
 theta = pi, which the quadrature error estimate relies on.  All
 integrands are 2 pi-periodic and even about theta = pi, so integration
 is done on [0, pi], endpoints included, and doubled.
+
+The n-independent part of the Gamma-ratio and kernel integrands -
+cos(theta), e^{i theta} and the weight 1/|Gamma(e^{i theta})|^2 - is
+cached per process for each node array, read-only: the quadrature driver
+evaluates the same node batches on [0, pi] for every n, so the weight is
+paid once per batch, not once per call.  The cache holds at most 16 node
+arrays of at most 2^15 nodes each, at 40 bytes a node with its key
+(about 21 MiB at most; a full quadrature ladder, 2^16 + 1 nodes, is
+2.5 MiB); larger arrays are computed directly and not stored.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from enum import Enum
 from typing import Callable
 
 import numpy as np
 
-from .gammafn import (
-    EULER_GAMMA,
-    _circle_weight,
-    log_gamma_ratio,
-    recip_gamma_abs_sq,
-)
+from .gammafn import EULER_GAMMA, _circle_weight, log_gamma_ratio
 from .quadrature import (
+    _MAX_NODES,
     DEFAULT_CONFIG,
     QuadratureConfig,
     QuadratureConvergenceError,
@@ -113,20 +119,53 @@ def _exact_product_values(n: int, theta: np.ndarray) -> np.ndarray:
     return np.exp(acc) / (float(n) * n)
 
 
+# The node-table cache: the quadrature driver's largest batch is 2^15 new
+# midpoints, and its whole ladder on [0, pi] is 14 batches (9 nodes, then
+# 8, 16, ..., 2^15), so 16 entries hold one ladder with room to spare.
+_NODE_TABLE_MAX_NODES = _MAX_NODES // 2
+_NODE_TABLE_ENTRIES = 16
+
+
+def _build_node_table(
+    theta: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # cos(theta), z = e^{i theta} and 1/|Gamma(z)|^2 in its entire,
+    # pole-free form, exactly 0 at theta = pi.
+    cos = np.cos(theta)
+    z = cos + 1j * np.sin(theta)
+    return cos, z, _circle_weight(z)
+
+
+@functools.lru_cache(maxsize=_NODE_TABLE_ENTRIES)
+def _cached_node_table(key: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    table = _build_node_table(np.frombuffer(key, dtype=np.float64))
+    for arr in table:
+        arr.flags.writeable = False
+    return table
+
+
+def _node_table(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # theta is a 1-d float64 array; the table depends on it alone.
+    if theta.size > _NODE_TABLE_MAX_NODES:
+        return _build_node_table(theta)
+    return _cached_node_table(theta.tobytes())
+
+
 def _gamma_ratio_values(n: int, theta: np.ndarray) -> np.ndarray:
-    # |Gamma(z+n) / (Gamma(z) n!)|^2 with 1/|Gamma(z)|^2 in its entire,
-    # pole-free form, exactly 0 at theta = pi.  For n = 1 the integrand is
-    # |z|^2 = 1 everywhere, theta = pi included.
+    # |Gamma(z+n) / (Gamma(z) n!)|^2 = w |Gamma(z+n) / n!|^2 with the
+    # weight w = 1/|Gamma(z)|^2.  For n = 1 the integrand is |z|^2 = 1
+    # everywhere, theta = pi included.
     if n == 1:
         return np.ones_like(theta)
-    z = np.cos(theta) + 1j * np.sin(theta)
-    return _circle_weight(z) * np.exp(2.0 * np.real(log_gamma_ratio(n, z)))
+    _, z, w = _node_table(theta)
+    return w * np.exp(2.0 * np.real(log_gamma_ratio(n, z)))
 
 
 def _limit_kernel_values(n: float, theta: np.ndarray) -> np.ndarray:
     # math.log takes n as given, so an int n above the double range works.
     log_n = math.log(n)
-    return np.exp(2.0 * (np.cos(theta) - 1.0) * log_n) * recip_gamma_abs_sq(theta)
+    cos, _, w = _node_table(theta)
+    return np.exp(2.0 * (cos - 1.0) * log_n) * w
 
 
 def _integrand_fn(kind: IntegrandKind, n: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -157,7 +196,7 @@ def integrand(
     f = _integrand_fn(kind, n)
     arr = np.asarray(theta, dtype=np.float64)
     _check_theta_range(arr)
-    out = f(np.atleast_1d(arr))
+    out = f(arr.reshape(-1))
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 

@@ -6,7 +6,8 @@ Subcommands:
     table    - multi-method convergence table as CSV or JSON
     verify   - run the built-in verification suite
 
-Exit codes: 0 success, 1 computation/validation failure, 2 usage error.
+Exit codes: 0 success, 1 computation/validation failure, 2 usage error,
+130 interrupted (SIGINT).
 """
 
 from __future__ import annotations
@@ -225,6 +226,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:  # e.g. an unwritable `table --out` path
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
     return code
 
 

@@ -196,7 +196,7 @@ def recip_gamma_abs_sq(theta: float | np.ndarray) -> float | np.ndarray:
     """
     arr = np.asarray(theta, dtype=np.float64)
     _check_theta(arr)
-    t = np.atleast_1d(arr)
+    t = arr.reshape(-1)
     out = _circle_weight(np.cos(t) + 1j * np.sin(t))
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 

@@ -43,10 +43,10 @@ class QuadratureConfig:
     abs_tol: float = 1e-14
 
     def __post_init__(self) -> None:
-        if not self.rel_tol > 0:
-            raise ValueError("rel_tol must be > 0")
-        if self.abs_tol < 0:
-            raise ValueError("abs_tol must be >= 0")
+        if not (math.isfinite(self.rel_tol) and self.rel_tol > 0):
+            raise ValueError(f"rel_tol must be finite and > 0, got {self.rel_tol}")
+        if not (math.isfinite(self.abs_tol) and self.abs_tol >= 0):
+            raise ValueError(f"abs_tol must be finite and >= 0, got {self.abs_tol}")
 
 
 DEFAULT_CONFIG = QuadratureConfig()
@@ -115,7 +115,10 @@ def quadrature(
 
     intervals = _START_INTERVALS
     y = _values(f, np.linspace(a, b, intervals + 1), a, b)
-    total = math.fsum((0.5 * y[0], *y[1:-1], 0.5 * y[-1]))
+    # fsum over Python floats: the same doubles, summed faster than as
+    # numpy scalars.
+    ys = y.tolist()
+    total = math.fsum([0.5 * ys[0], *ys[1:-1], 0.5 * ys[-1]])
     total_abs = float(np.abs(y).sum() - 0.5 * (abs(y[0]) + abs(y[-1])))
     h = (b - a) / intervals
     value = h * total
@@ -123,7 +126,7 @@ def quadrature(
         h *= 0.5
         y = _values(f, a + h * np.arange(1, 2 * intervals, 2), a, b)
         intervals *= 2
-        total += math.fsum(y)
+        total += math.fsum(y.tolist())
         total_abs += float(np.abs(y).sum())
         floor = _FLOOR * h * total_abs
         previous, value = value, h * total

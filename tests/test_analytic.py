@@ -20,7 +20,10 @@ from cyclecollide import (
     p_quadrature,
     p_quadrature_result,
     quadrature,
+    recip_gamma_abs_sq,
 )
+from cyclecollide import analytic
+from cyclecollide.gammafn import _circle_weight, log_gamma_ratio
 
 mpmath.mp.dps = 40
 
@@ -79,6 +82,11 @@ def test_integrand_vectorized_shape():
     out = integrand(IntegrandKind.GAMMA_RATIO, 7, np.linspace(0, 2 * math.pi, 11))
     assert out.shape == (11,)
     assert (out >= 0).all()
+    flat = np.linspace(0.1, 6.0, 12)
+    for kind in IntegrandKind:
+        grid = integrand(kind, 7, flat.reshape(3, 4))
+        assert grid.shape == (3, 4)
+        assert np.array_equal(grid.reshape(-1), integrand(kind, 7, flat))
 
 
 def test_integrand_domain_errors():
@@ -202,6 +210,97 @@ def test_p_quadrature_rejects_limit_kernel():
         p_quadrature(10, IntegrandKind.LIMIT_KERNEL)
     with pytest.raises(ValueError):
         p_quadrature(0)
+
+
+# ------------------------------------------------------ node tables
+
+# (value.hex(), abs_error_estimate.hex(), evaluations) of p_quadrature_result
+# (auto, which is GAMMA_RATIO above the hand-off) and of I_n, as computed
+# before the n-independent node tables were cached.  The elementary
+# functions come from numpy, so another numpy build or CPU may differ in
+# the last bits.
+PINNED = [
+    (1025, 1e-10,
+     ("0x1.e098eeae61a1fp-4", "0x1.f4f81f1c2b6a7p-50", 33),
+     ("0x1.7980f398d6facp-1", "0x1.8d80f398d6facp-47", 33)),
+    (10**6, 1e-10,
+     ("0x1.44fe4740e374cp-4", "0x1.44fe4740e374cp-50", 65),
+     ("0x1.fe7f8eb46a438p-2", "0x1.fe7f8eb46a43ap-48", 65)),
+    (2**60, 1e-10,
+     ("0x1.6b9178070479cp-5", "0x1.580525bb85ad3p-39", 65),
+     ("0x1.1d8bbb43aca35p-2", "0x1.0e3158bbb43adp-36", 65)),
+    (10**100, 1e-10,
+     ("0x1.31601728a739cp-6", "0x1.9edfbb76c3cf8p-52", 257),
+     ("0x1.dfaeb73b021f8p-4", "0x1.45d75b9d810fcp-49", 257)),
+    (2**1030, 1e-10,
+     ("0x1.5a3d51401009ep-7", "0x1.764aa6dc30a10p-52", 513),
+     ("0x1.0fef96168e864p-4", "0x1.25f7cb0b47432p-49", 513)),
+    (1025, 1e-12,
+     ("0x1.e098eeae61a1fp-4", "0x1.f4f81f1c2b6a7p-50", 33),
+     ("0x1.7980f398d6facp-1", "0x1.8d80f398d6facp-47", 33)),
+    (10**6, 1e-12,
+     ("0x1.44fe4740e374cp-4", "0x1.44fe4740e374cp-50", 65),
+     ("0x1.fe7f8eb46a438p-2", "0x1.fe7f8eb46a43ap-48", 65)),
+    (2**60, 1e-12,
+     ("0x1.6b91780704799p-5", "0x1.7ad8dc595bcffp-51", 129),
+     ("0x1.1d8bbb43aca32p-2", "0x1.298bbb43aca32p-48", 129)),
+    (10**100, 1e-12,
+     ("0x1.31601728a739cp-6", "0x1.9edfbb76c3cf8p-52", 257),
+     ("0x1.dfaeb73b021f8p-4", "0x1.45d75b9d810fcp-49", 257)),
+    (2**1030, 1e-12,
+     ("0x1.5a3d51401009ep-7", "0x1.764aa6dc30a10p-52", 513),
+     ("0x1.0fef96168e864p-4", "0x1.25f7cb0b47432p-49", 513)),
+]
+
+
+def _bits(r):
+    return (r.value.hex(), r.abs_error_estimate.hex(), r.evaluations)
+
+
+@pytest.mark.parametrize("n, rel_tol, want_p, want_i", PINNED)
+def test_quadrature_bits_pinned(n, rel_tol, want_p, want_i):
+    config = QuadratureConfig(rel_tol=rel_tol)
+    analytic._cached_node_table.cache_clear()
+    for _ in range(2):  # a cold cache, then a warm one
+        assert _bits(p_quadrature_result(n, None, config)) == want_p
+        assert _bits(p_quadrature_result(n, IntegrandKind.GAMMA_RATIO, config)) == want_p
+        assert _bits(I_n(n, config)) == want_i
+
+
+def test_node_table_is_read_only():
+    for array in analytic._node_table(np.linspace(0.0, math.pi, 9)):
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+
+
+def test_node_table_cache_stays_bounded():
+    cached = analytic._cached_node_table
+    cached.cache_clear()
+    rng = np.random.default_rng(3)
+    for size in range(1, 3 * analytic._NODE_TABLE_ENTRIES):
+        integrand(IntegrandKind.LIMIT_KERNEL, 10.0, rng.uniform(0, math.pi, size))
+    info = cached.cache_info()
+    assert info.currsize == analytic._NODE_TABLE_ENTRIES
+    big = rng.uniform(0, math.pi, analytic._NODE_TABLE_MAX_NODES + 1)
+    integrand(IntegrandKind.GAMMA_RATIO, 10, big)
+    assert cached.cache_info() == info  # neither looked up nor stored
+
+
+@pytest.mark.parametrize("n", [2, 15, 16, 1000, 2**60, 10**300])
+def test_integrand_matches_uncached_weight(n):
+    # The cached node table must give exactly the bits of the direct path.
+    rng = np.random.default_rng(n % 1000)
+    for theta in (
+        rng.uniform(0, 2 * math.pi, 37),
+        np.linspace(0.0, math.pi, 9),
+        rng.uniform(0, math.pi, analytic._NODE_TABLE_MAX_NODES + 1),
+    ):
+        z = np.cos(theta) + 1j * np.sin(theta)
+        gamma = _circle_weight(z) * np.exp(2.0 * np.real(log_gamma_ratio(n, z)))
+        kernel = np.exp(2.0 * (np.cos(theta) - 1.0) * math.log(n)) * recip_gamma_abs_sq(theta)
+        for _ in range(2):  # a miss, then a hit
+            assert integrand(IntegrandKind.GAMMA_RATIO, n, theta).tobytes() == gamma.tobytes()
+            assert integrand(IntegrandKind.LIMIT_KERNEL, n, theta).tobytes() == kernel.tobytes()
 
 
 # ------------------------------------------------------------- I_n

@@ -133,6 +133,26 @@ def test_collide_domain_error_exits_1(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan"])
+def test_collide_non_finite_tol_exits_1(capsys, tol):
+    code, out, err = run_cli(
+        capsys, "collide", "--n", "5", "--method", "quadrature", "--tol", tol
+    )
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_interrupt_exits_130_without_traceback(capsys, monkeypatch):
+    def interrupted():
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("cyclecollide.cli.run_verify", interrupted)
+    code, _, err = run_cli(capsys, "verify")
+    assert code == 130
+    assert err == "error: interrupted\n"
+
+
 def test_collide_montecarlo_above_sampler_limit_exits_1(capsys):
     code, out, err = run_cli(
         capsys, "collide", "--n", str(2**53 + 1), "--method", "montecarlo"

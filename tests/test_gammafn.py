@@ -161,6 +161,9 @@ def test_recip_gamma_nonnegative_and_accurate():
     thetas = np.linspace(0.0, 2 * math.pi, 257)
     vals = recip_gamma_abs_sq(thetas)
     assert (vals >= 0.0).all()
+    grid = recip_gamma_abs_sq(thetas[1:].reshape(16, 16))
+    assert grid.shape == (16, 16)
+    assert np.array_equal(grid.reshape(-1), recip_gamma_abs_sq(thetas[1:]))
     for theta in (0.4, 1.5, 2.9, 3.6, 4.8, 6.1):
         z = mpmath.mpc(math.cos(theta), math.sin(theta))
         want = float(1 / abs(mpmath.gamma(z)) ** 2)

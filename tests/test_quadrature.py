@@ -123,6 +123,11 @@ def test_config_validation():
         QuadratureConfig(rel_tol=0.0)
     with pytest.raises(ValueError):
         QuadratureConfig(abs_tol=-1.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            QuadratureConfig(rel_tol=bad)
+        with pytest.raises(ValueError):
+            QuadratureConfig(abs_tol=bad)
     with pytest.raises(TypeError):
         QuadratureConfig(max_subdivisions=1)  # the subdivision knob is gone
 
