@@ -7,112 +7,103 @@ Four routes to the same number, built to check each other:
 * a unit-circle quadrature identity (coefficient power sums as integrals),
 * the closed-form large-n asymptotic 1 / (2 sqrt(pi log n)),
 * reproducible Monte Carlo with two independent samplers.
+
+The package is lazy: each public name loads its defining module on first
+access (PEP 562), so the exact route runs without importing numpy.
 """
 
-from .analytic import (
-    EXACT_PRODUCT_AUTO_MAX,
-    I_n,
-    IntegrandKind,
-    harmonic,
-    integrand,
-    laplace_I,
-    p_asymptotic,
-    p_quadrature,
-    p_quadrature_result,
-)
-from .exact import (
-    EXACT_ROUTE_CEILING,
-    CycleDistribution,
-    ExactProbability,
-    StirlingRow,
-    cycle_distribution,
-    f_exact,
-    p_exact,
-    rising_factorial_eval,
-    stirling_row,
-    stirling_rows,
-)
-from .gammafn import (
-    EULER_GAMMA,
-    EULER_GAMMA_DIGITS,
-    log_gamma,
-    log_gamma_ratio,
-    recip_gamma_abs_sq,
-    weierstrass_partial,
-)
-from .montecarlo import (
-    BERNOULLI_MAX_N,
-    McEstimate,
-    SamplerKind,
-    estimate_collision,
-    sample_cycle_count,
-    sample_cycle_counts,
-)
-from .quadrature import (
-    DEFAULT_CONFIG,
-    QuadratureConfig,
-    QuadratureConvergenceError,
-    QuadratureResult,
-    quadrature,
-)
-from .report import (
-    CSV_COLUMNS,
-    METHODS,
-    VERSION,
-    CollisionReportRow,
-    ReportConfig,
-    render_csv,
-    render_json,
-    run_report,
-)
-from .verify import run_verify
+import importlib
+import sys
+import types
 
+VERSION = "0.1.0"
 __version__ = VERSION
 
-__all__ = [
-    "BERNOULLI_MAX_N",
-    "CSV_COLUMNS",
-    "CollisionReportRow",
-    "CycleDistribution",
-    "DEFAULT_CONFIG",
-    "EULER_GAMMA",
-    "EULER_GAMMA_DIGITS",
-    "EXACT_PRODUCT_AUTO_MAX",
-    "EXACT_ROUTE_CEILING",
-    "ExactProbability",
-    "I_n",
-    "IntegrandKind",
-    "METHODS",
-    "McEstimate",
-    "QuadratureConfig",
-    "QuadratureConvergenceError",
-    "QuadratureResult",
-    "ReportConfig",
-    "SamplerKind",
-    "StirlingRow",
-    "VERSION",
-    "cycle_distribution",
-    "estimate_collision",
-    "f_exact",
-    "harmonic",
-    "integrand",
-    "laplace_I",
-    "log_gamma",
-    "log_gamma_ratio",
-    "p_asymptotic",
-    "p_exact",
-    "p_quadrature",
-    "p_quadrature_result",
-    "quadrature",
-    "recip_gamma_abs_sq",
-    "render_csv",
-    "render_json",
-    "rising_factorial_eval",
-    "run_report",
-    "run_verify",
-    "sample_cycle_count",
-    "sample_cycle_counts",
-    "stirling_row",
-    "stirling_rows",
-    "weierstrass_partial",
-]
+# The routes a report can run, in its column order.
+METHODS = ("exact", "quadrature", "eq2", "asymptotic", "montecarlo")
+
+_EXPORTS = {
+    "analytic": (
+        "EXACT_PRODUCT_AUTO_MAX",
+        "I_n",
+        "IntegrandKind",
+        "harmonic",
+        "integrand",
+        "laplace_I",
+        "p_asymptotic",
+        "p_quadrature",
+        "p_quadrature_result",
+    ),
+    "exact": (
+        "EXACT_ROUTE_CEILING",
+        "CycleDistribution",
+        "ExactProbability",
+        "StirlingRow",
+        "cycle_distribution",
+        "f_exact",
+        "p_exact",
+        "rising_factorial_eval",
+        "stirling_row",
+        "stirling_rows",
+    ),
+    "gammafn": (
+        "EULER_GAMMA",
+        "EULER_GAMMA_DIGITS",
+        "log_gamma",
+        "log_gamma_ratio",
+        "recip_gamma_abs_sq",
+        "weierstrass_partial",
+    ),
+    "montecarlo": (
+        "BERNOULLI_MAX_N",
+        "McEstimate",
+        "SamplerKind",
+        "estimate_collision",
+        "sample_cycle_count",
+        "sample_cycle_counts",
+    ),
+    "quadrature": (
+        "DEFAULT_CONFIG",
+        "QuadratureConfig",
+        "QuadratureConvergenceError",
+        "QuadratureResult",
+        "quadrature",
+    ),
+    "report": (
+        "CSV_COLUMNS",
+        "CollisionReportRow",
+        "ReportConfig",
+        "render_csv",
+        "render_json",
+        "run_report",
+    ),
+    "verify": ("run_verify",),
+}
+_ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted([*_ORIGIN, "METHODS", "VERSION"])
+
+
+def __getattr__(name: str):
+    module = _ORIGIN.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))
+
+
+class _Package(types.ModuleType):
+    def __setattr__(self, name: str, value) -> None:
+        # Loading a submodule binds it on its package.  `quadrature` is
+        # the public function, so its module must not take the name.
+        if name in _ORIGIN and isinstance(value, types.ModuleType):
+            return
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

@@ -6,6 +6,9 @@ Subcommands:
     table    - multi-method convergence table as CSV or JSON
     verify   - run the built-in verification suite
 
+Each handler imports the route modules it uses, so `exact` and
+`collide --method exact` run without importing numpy.
+
 Exit codes: 0 success, 1 computation/validation failure, 2 usage error,
 130 interrupted (SIGINT).
 """
@@ -16,24 +19,16 @@ import argparse
 import math
 import os
 import sys
+from typing import TYPE_CHECKING
 
-from .analytic import I_n, p_asymptotic, p_quadrature_result
+from . import METHODS
 from .exact import StirlingRow, exact_ceiling_error, stirling_row
-from .montecarlo import SamplerKind, estimate_collision
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, QuadratureConvergenceError
-from .report import (
-    METHODS,
-    ReportConfig,
-    render_csv,
-    render_json,
-    run_report,
-)
-from .verify import run_verify
 
-_SAMPLERS = {
-    "permutation": SamplerKind.PERMUTATION_DIRECT,
-    "bernoulli": SamplerKind.BERNOULLI_SUM,
-}
+if TYPE_CHECKING:
+    from .quadrature import QuadratureConfig
+
+# The values of montecarlo.SamplerKind.
+_SAMPLERS = ("bernoulli", "permutation")
 
 
 def parse_n_values(spec: str) -> tuple[int, ...]:
@@ -64,6 +59,8 @@ def _n_spec(spec: str) -> tuple[int, ...]:
 
 
 def _quad_config(tol: float | None) -> QuadratureConfig:
+    from .quadrature import DEFAULT_CONFIG, QuadratureConfig
+
     if tol is None:
         return DEFAULT_CONFIG
     return QuadratureConfig(rel_tol=tol)
@@ -110,6 +107,9 @@ def _cmd_collide(args: argparse.Namespace) -> int:
         print(f"p = {prob.approx:.17g}")
         print(f"exact = {prob.numerator}/{prob.denominator}")
     elif method == "quadrature":
+        from .analytic import p_quadrature_result
+        from .quadrature import QuadratureConvergenceError
+
         try:
             res = p_quadrature_result(n, None, _quad_config(args.tol))
         except QuadratureConvergenceError as exc:
@@ -120,6 +120,9 @@ def _cmd_collide(args: argparse.Namespace) -> int:
         print(f"error estimate = {res.abs_error_estimate:.3e}")
         print(f"evaluations = {res.evaluations}")
     elif method == "eq2":
+        from .analytic import I_n
+        from .quadrature import QuadratureConvergenceError
+
         try:
             res = I_n(n, _quad_config(args.tol))
         except QuadratureConvergenceError as exc:
@@ -128,9 +131,13 @@ def _cmd_collide(args: argparse.Namespace) -> int:
         print(f"p = {res.value / (2.0 * math.pi):.17g}")
         print(f"kernel integral = {res.value:.17g}")
     elif method == "asymptotic":
+        from .analytic import p_asymptotic
+
         print(f"p = {p_asymptotic(n):.17g}")
     elif method == "montecarlo":
-        kind = _SAMPLERS[args.sampler] if args.sampler else None
+        from .montecarlo import SamplerKind, estimate_collision
+
+        kind = SamplerKind(args.sampler) if args.sampler else None
         est = estimate_collision(n, args.pairs, kind=kind, seed=args.seed)
         print(f"p = {est.p_hat:.17g}")
         print(f"std err = {est.std_err:.17g}")
@@ -139,6 +146,8 @@ def _cmd_collide(args: argparse.Namespace) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
+    from .report import ReportConfig, render_csv, render_json, run_report
+
     config = ReportConfig(
         n_values=args.n,
         methods=tuple(args.methods.split(",")),
@@ -156,6 +165,21 @@ def _cmd_table(args: argparse.Namespace) -> int:
     else:
         sys.stdout.write(text)
     return 0
+
+
+def _cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import run_verify
+
+    return run_verify()
+
+
+def _failures() -> tuple[type[Exception], ...]:
+    # Errors that exit 1.  A QuadratureConvergenceError can only come from
+    # a loaded quadrature module, so it is looked up there, not imported.
+    quadrature = sys.modules.get(f"{__package__}.quadrature")
+    if quadrature is None:
+        return (ValueError,)
+    return (ValueError, quadrature.QuadratureConvergenceError)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -178,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_co.add_argument("--method", required=True, choices=METHODS)
     p_co.add_argument("--tol", type=float, help="quadrature relative tolerance")
     p_co.add_argument("--pairs", type=int, default=100000)
-    p_co.add_argument("--sampler", choices=sorted(_SAMPLERS))
+    p_co.add_argument("--sampler", choices=_SAMPLERS)
     p_co.add_argument("--seed", type=int, default=0)
 
     p_ta = sub.add_parser("table", help="multi-method convergence table")
@@ -208,14 +232,14 @@ def main(argv: list[str] | None = None) -> int:
         "exact": _cmd_exact,
         "collide": _cmd_collide,
         "table": _cmd_table,
-        "verify": lambda _: run_verify(),
+        "verify": _cmd_verify,
     }[args.command]
     try:
         code = command(args)
         # Flush here, not at interpreter exit, so a closed pipe surfaces
         # as the BrokenPipeError handled below.
         sys.stdout.flush()
-    except (ValueError, QuadratureConvergenceError) as exc:
+    except _failures() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except BrokenPipeError:

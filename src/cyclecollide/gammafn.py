@@ -86,11 +86,11 @@ _SERIES_MIN_RE = 10.0
 _LOG_ONLY_MIN_N = 2**60
 
 
-def _stirling_series_tail(w: np.ndarray) -> np.ndarray:
+def _stirling_series_tail(w: np.ndarray | float) -> np.ndarray | float:
     """Correction sum of the Stirling series, valid for Re w >= 10."""
     r = 1.0 / w
     r2 = r * r
-    acc = np.zeros_like(w)
+    acc = 0.0
     p = r
     for c in _STIRLING_COEFFS:
         acc = acc + c * p
@@ -163,7 +163,7 @@ def log_gamma_ratio(n: float, z: complex | np.ndarray) -> complex | np.ndarray:
             d * math.log(b)
             + (a - 0.5) * lp
             - d
-            + (_stirling_series_tail(a) - _stirling_series_tail(np.array([b + 0.0j])))
+            + (_stirling_series_tail(a) - _stirling_series_tail(b))
         )
     return complex(out[0]) if scalar else out.reshape(arr.shape)
 

@@ -4,7 +4,7 @@ Two samplers draw the cycle count of a uniform random n-permutation:
 
 * PERMUTATION_DIRECT shuffles 0..n-1 with an unbiased shuffle and counts
   the cycles of the result.  O(n) time and memory per draw; this is the
-  structural ground truth.
+  structural ground truth, for n up to PERMUTATION_MAX_N = 2**22.
 * BERNOULLI_SUM uses the classical fact that the cycle count of a uniform
   n-permutation is distributed as 1 + sum_{j=2..n} Bernoulli(1/j) (the
   Feller coupling: build the permutation by inserting letters one at a
@@ -33,6 +33,7 @@ __all__ = [
     "SamplerKind",
     "McEstimate",
     "BERNOULLI_MAX_N",
+    "PERMUTATION_MAX_N",
     "sample_cycle_count",
     "sample_cycle_counts",
     "estimate_collision",
@@ -46,6 +47,9 @@ _PERM_CHUNK_ELEMS = 1 << 22
 # Largest n for BERNOULLI_SUM: every success index up to n must be an
 # exact double.
 BERNOULLI_MAX_N = 2**53
+# Largest n for PERMUTATION_DIRECT: one permutation fills a chunk.  Above
+# it the arrays outgrow memory (numpy fails to allocate them, or worse).
+PERMUTATION_MAX_N = _PERM_CHUNK_ELEMS
 
 
 class SamplerKind(Enum):
@@ -71,6 +75,11 @@ def _check_n(n: int, kind: SamplerKind) -> None:
         raise ValueError(
             f"n={n} above BERNOULLI_MAX_N = 2**53, the largest n the "
             f"{kind.value} sampler draws exactly"
+        )
+    if kind is SamplerKind.PERMUTATION_DIRECT and n > PERMUTATION_MAX_N:
+        raise ValueError(
+            f"n={n} above PERMUTATION_MAX_N = 2**22, the largest n the "
+            f"{kind.value} sampler holds in one chunk"
         )
 
 
@@ -136,7 +145,8 @@ def sample_cycle_counts(
 ) -> np.ndarray:
     """Draw `size` independent cycle counts; values lie in 1..n.
 
-    Raises ValueError for BERNOULLI_SUM above BERNOULLI_MAX_N.
+    Raises ValueError for BERNOULLI_SUM above BERNOULLI_MAX_N and for
+    PERMUTATION_DIRECT above PERMUTATION_MAX_N.
     """
     _check_n(n, kind)
     if size < 1:

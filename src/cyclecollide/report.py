@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
+from . import METHODS, VERSION
 from .analytic import (
     EXACT_PRODUCT_AUTO_MAX,
     I_n,
@@ -45,8 +46,6 @@ __all__ = [
     "render_json",
 ]
 
-VERSION = "0.1.0"
-
 CSV_COLUMNS = (
     "n",
     "p_exact",
@@ -58,8 +57,6 @@ CSV_COLUMNS = (
     "mc_p_hat",
     "mc_std_err",
 )
-
-METHODS = ("exact", "quadrature", "eq2", "asymptotic", "montecarlo")
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,16 @@
+import contextlib
+import io
 import json
 import math
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from cyclecollide import METHODS, SamplerKind, cli
 from cyclecollide.cli import build_parser, main, parse_n_values
 
 
@@ -147,10 +153,22 @@ def test_interrupt_exits_130_without_traceback(capsys, monkeypatch):
     def interrupted():
         raise KeyboardInterrupt
 
-    monkeypatch.setattr("cyclecollide.cli.run_verify", interrupted)
+    monkeypatch.setattr("cyclecollide.verify.run_verify", interrupted)
     code, _, err = run_cli(capsys, "verify")
     assert code == 130
     assert err == "error: interrupted\n"
+
+
+def test_unhandled_convergence_error_exits_1(capsys, monkeypatch):
+    from cyclecollide.quadrature import QuadratureConvergenceError, QuadratureResult
+
+    def not_converged(config):
+        raise QuadratureConvergenceError(QuadratureResult(0.5, 1e-3, 17), 1e-9)
+
+    monkeypatch.setattr("cyclecollide.report.run_report", not_converged)
+    code, out, err = run_cli(capsys, "table", "--n", "5", "--methods", "quadrature")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: quadrature did not converge") and err.count("\n") == 1
 
 
 def test_collide_montecarlo_above_sampler_limit_exits_1(capsys):
@@ -160,6 +178,15 @@ def test_collide_montecarlo_above_sampler_limit_exits_1(capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and "BERNOULLI_MAX_N" in err
+
+
+def test_collide_permutation_sampler_above_its_limit_exits_1(capsys):
+    code, out, err = run_cli(
+        capsys, "collide", "--n", str(2**53 + 1), "--method", "montecarlo",
+        "--sampler", "permutation",
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "PERMUTATION_MAX_N" in err
 
 
 # ----------------------------------------------------------------- table
@@ -272,6 +299,36 @@ def test_closed_stdout_pipe_exits_1_without_traceback():
     assert err == ""
 
 
+def test_sampler_choices_are_the_sampler_kinds():
+    assert list(cli._SAMPLERS) == sorted(kind.value for kind in SamplerKind)
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (
+            ("exact", "--n", "5", "--row"),
+            "n = 5\nf(n) = 4402\np(n) = 2201/7200 = 0.30569444444444444\n"
+            "row: 24 50 35 10 1\n",
+        ),
+        (
+            ("collide", "--n", "5", "--method", "exact"),
+            "p = 0.30569444444444444\nexact = 2201/7200\n",
+        ),
+    ],
+)
+def test_exact_commands_do_not_load_numpy(argv, want):
+    # -X importtime names every module the process imports on stderr.
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "cyclecollide", *argv],
+        capture_output=True, text=True,
+    )
+    assert (proc.returncode, proc.stdout) == (0, want)
+    imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]
+    assert "cyclecollide.exact" in imported
+    assert not [name for name in imported if name.split(".")[0] == "numpy"]
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "cyclecollide", "exact", "--n", "3"],
@@ -279,3 +336,83 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "f(n) = 14" in proc.stdout
+
+
+# ------------------------------------------------- generated arguments
+
+# Exact-route and Monte Carlo n stay small; the rest probe the edges.
+_N = st.one_of(
+    st.integers(min_value=1, max_value=30),
+    st.sampled_from([0, -1, -(2**70), 2**53 + 1, 10**309, 2**1100]),
+).map(str)
+# An option is left out, valid or an edge case, a third of the time each.
+_TOL = st.one_of(
+    st.none(), st.just("1e-8"), st.sampled_from(["nan", "0", "1e-20", "-1e-3", "inf"])
+)
+_PAIRS = st.one_of(st.none(), st.sampled_from(["1", "300"]), st.sampled_from(["0", "-5"]))
+_SEED = st.one_of(st.none(), st.sampled_from(["0", "11"]), st.sampled_from(["-1", str(2**64)]))
+# TMP stands for a fresh directory.
+_OUT = st.sampled_from([None, "TMP/t.csv", "TMP", "TMP/missing/t.csv"])
+
+
+def _options(**strategies):
+    """Optional `--name value` pairs, each drawn from its strategy."""
+    return st.tuples(*strategies.values()).map(
+        lambda values: [
+            item
+            for name, value in zip(strategies, values)
+            if value is not None
+            for item in (f"--{name}", value)
+        ]
+    )
+
+
+_ARGV = {
+    "exact": st.tuples(
+        _N, st.lists(st.sampled_from(["--row", "--json"]), unique=True)
+    ).map(lambda t: ["exact", "--n", t[0], *t[1]]),
+    "collide": st.tuples(
+        _N,
+        st.sampled_from([*METHODS, "bogus"]),
+        _options(
+            tol=_TOL, pairs=_PAIRS, seed=_SEED,
+            sampler=st.sampled_from([None, "bernoulli", "permutation"]),
+        ),
+    ).map(lambda t: ["collide", "--n", t[0], "--method", t[1], *t[2]]),
+    "table": st.tuples(
+        st.one_of(
+            st.lists(_N, min_size=1, max_size=3).map(",".join),
+            st.sampled_from(["2:30:3", "1000000:100000000:100", "5:2:2", "abc", "3,"]),
+        ),
+        st.lists(st.sampled_from([*METHODS, "bogus"]), min_size=1, max_size=3).map(",".join),
+        _options(
+            format=st.sampled_from([None, "csv", "json", "xml"]),
+            out=_OUT, tol=_TOL, pairs=_PAIRS, seed=_SEED,
+        ),
+    ).map(lambda t: ["table", "--n", t[0], "--methods", t[1], *t[2]]),
+    # Any argument is a usage error; a bare `verify` runs the whole suite,
+    # which tests/test_verify.py covers.
+    "verify": st.sampled_from(["--n", "--tol", "5"]).map(lambda a: ["verify", a]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_ARGV))
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_generated_arguments_exit_cleanly(command, data):
+    argv = data.draw(_ARGV[command])
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [tmp + a[3:] if a.startswith("TMP") else a for a in argv]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("usage: ")
+    if code == 1:
+        assert err.getvalue().startswith("error: ")

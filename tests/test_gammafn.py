@@ -149,6 +149,80 @@ def test_log_gamma_ratio_beyond_double_range(n):
     assert abs(got - want) <= 1e-14 * abs(want)
 
 
+# log_gamma_ratio at 16 <= n < 2**60 as computed with the Stirling tail at
+# b = n + 1 on a one-element complex array; the float form must match
+# exactly (repr round-trips a float).
+@pytest.mark.parametrize(
+    "n, want_circle, want_scalar",
+    [
+        (
+            16,
+            [
+                0j,
+                (-1.3043610835930517+2.3356913197066502j),
+                (-4.959646673208457+1.608835694989688j),
+                (-5.480638923341991+3.2751300790133005e-16j),
+            ],
+            (-1.3960580018131004+0.693198004777571j),
+        ),
+        (
+            100,
+            [
+                0j,
+                (-2.1217666918544804+3.8754695806735504j),
+                (-8.289140965478492+2.74823421641296j),
+                (-9.20029003612268+5.6212033188271e-16j),
+            ],
+            (-2.3041475848562896+1.1512938485551298j),
+        ),
+        (
+            1000.5,
+            [
+                0j,
+                (-3.1761869343610423+5.813130297570841j),
+                (-12.442217453683531+4.1336195192182j),
+                (-13.815510307964242+8.458335183296785e-16j),
+            ],
+            (-3.4542837489178115+1.7270638015137667j),
+        ),
+        (
+            123456789,
+            [
+                0j,
+                (-8.564812434225326+15.67778399280368j),
+                (-33.55783033542993+11.15037495635336j),
+                (-37.262803524236034+2.281688652168655e-15j),
+            ],
+            (-9.315700884349633+4.657850441542005j),
+        ),
+        (
+            2**40 + 3,
+            [
+                0j,
+                (-12.74552642389797+23.33052962570609j),
+                (-49.93830475600055+16.593171173173832j),
+                (-55.45177444480017+3.3954419040431652e-15j),
+            ],
+            (-13.862943611200413+6.931471805600135j),
+        ),
+        (
+            2**60 - 2**8,
+            [
+                0j,
+                (-19.11828963584442+34.99579443855564j),
+                (-74.90745713399419+24.889756759759365j),
+                (-83.17766166719343+5.093162856064497e-15j),
+            ],
+            (-20.79441541679836+10.39720770839918j),
+        ),
+    ],
+)
+def test_log_gamma_ratio_bits_pinned(n, want_circle, want_scalar):
+    z = np.exp(1j * np.array([0.0, 1.0, 2.5, math.pi]))
+    assert log_gamma_ratio(n, z).tolist() == want_circle
+    assert log_gamma_ratio(n, 0.5 + 0.25j) == want_scalar
+
+
 # ------------------------------------------------- recip_gamma_abs_sq
 
 def test_recip_gamma_endpoint_values():

@@ -16,7 +16,12 @@ from cyclecollide import (
     sample_cycle_count,
     sample_cycle_counts,
 )
-from cyclecollide.montecarlo import BLOCK_PAIRS, _count_cycles_rows, _stream
+from cyclecollide.montecarlo import (
+    BLOCK_PAIRS,
+    PERMUTATION_MAX_N,
+    _count_cycles_rows,
+    _stream,
+)
 from oracles import count_cycles
 
 
@@ -136,6 +141,19 @@ def test_bernoulli_rejects_n_above_max():
         sample_cycle_count(kind, BERNOULLI_MAX_N + 1, rng)
     with pytest.raises(ValueError, match="BERNOULLI_MAX_N"):
         estimate_collision(BERNOULLI_MAX_N + 1, 10)
+
+
+def test_permutation_rejects_n_above_max():
+    # Above the limit the batch arrays would not fit in memory.
+    rng = _stream(0, 0)
+    kind = SamplerKind.PERMUTATION_DIRECT
+    for n in (PERMUTATION_MAX_N + 1, 2**53 + 1, 10**309):
+        with pytest.raises(ValueError, match="PERMUTATION_MAX_N"):
+            sample_cycle_counts(kind, n, 10, rng)
+        with pytest.raises(ValueError, match="PERMUTATION_MAX_N"):
+            sample_cycle_count(kind, n, rng)
+        with pytest.raises(ValueError, match="PERMUTATION_MAX_N"):
+            estimate_collision(n, 10, kind)
 
 
 def test_default_sampler_is_bernoulli_sum():

@@ -1,0 +1,63 @@
+"""The lazy package: what `import cyclecollide` loads, and what its names are."""
+
+import subprocess
+import sys
+
+import pytest
+
+
+def _run(code: str) -> str:
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+@pytest.mark.parametrize("module", ["cyclecollide", "cyclecollide.cli"])
+def test_import_does_not_load_numpy(module):
+    assert _run(f"import sys, {module}; print('numpy' in sys.modules)") == "False"
+
+
+# Checks, in a fresh process, that every public name is the object that
+# each submodule holding it holds, and that `quadrature` stays the
+# function.  FIRST runs before the checks: a route that loads the
+# quadrature submodule, or nothing.
+_NAMES_CHECK = """
+import importlib, pkgutil, sys, types
+import cyclecollide as cc
+
+assert "cyclecollide.quadrature" not in sys.modules
+FIRST
+assert callable(cc.quadrature) and not isinstance(cc.quadrature, types.ModuleType)
+public = {name: getattr(cc, name) for name in [*cc.__all__, "__version__"]}
+assert public["__version__"] == cc.VERSION
+submodules = [
+    importlib.import_module(f"cyclecollide.{info.name}")
+    for info in pkgutil.iter_modules(cc.__path__)
+    if info.name != "__main__"
+]
+for name, value in public.items():
+    holders = [vars(m)[name] for m in submodules if name in vars(m)]
+    assert holders or name in ("METHODS", "VERSION", "__version__"), name
+    assert all(held is value for held in holders), name
+qmod = sys.modules["cyclecollide.quadrature"]
+assert cc.quadrature is qmod.quadrature
+assert importlib.import_module("cyclecollide.quadrature") is qmod
+import cyclecollide.quadrature as imported
+assert imported is qmod.quadrature
+cc.p_quadrature(100)
+assert cc.quadrature is qmod.quadrature
+assert set(cc.__all__) <= set(dir(cc))
+print("ok")
+"""
+
+
+@pytest.mark.parametrize("first", ["pass", "cc.p_quadrature(100)"])
+def test_public_names_resolve_to_their_modules(first):
+    assert _run(_NAMES_CHECK.replace("FIRST", first)) == "ok"
+
+
+def test_unknown_name_is_an_attribute_error():
+    import cyclecollide
+
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cyclecollide.no_such_name

@@ -76,8 +76,16 @@ def test_chi2_sf_matches_scipy():
     assert verify._chi2_sf(0.0, 3) == 1.0
 
 
+# Imports every submodule: `import cyclecollide` alone loads none of them.
+_IMPORT_ALL = (
+    "import importlib, pkgutil, sys, cyclecollide; "
+    "[importlib.import_module(f'cyclecollide.{m.name}') "
+    "for m in pkgutil.iter_modules(cyclecollide.__path__) if m.name != '__main__']; "
+)
+
+
 def test_import_does_not_load_scipy():
-    code = "import sys, cyclecollide; print('scipy' in sys.modules)"
+    code = _IMPORT_ALL + "print('scipy' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
@@ -85,7 +93,7 @@ def test_import_does_not_load_scipy():
 
 def test_import_does_not_load_thread_pool():
     # Only estimate_collision(..., workers > 1) needs it.
-    code = "import sys, cyclecollide; print('concurrent.futures' in sys.modules)"
+    code = _IMPORT_ALL + "print('concurrent.futures' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
