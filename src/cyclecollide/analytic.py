@@ -16,6 +16,8 @@ integral that can be evaluated three ways:
   integrates it exactly; quadrature tolerance is the only error.
 * GAMMA_RATIO - the same quantity through Gamma(z+n)/Gamma(z), O(1) per
   evaluation, at any integer n, including n above the double range.
+  From n = 2^60 on, where log_gamma_ratio is (z - 1) log n, it is
+  evaluated as the LIMIT_KERNEL integrand, which it equals bit for bit.
 * LIMIT_KERNEL - the large-n kernel exp(2(cos theta - 1) log n) /
   |Gamma(e^{i theta})|^2 whose integral I(n) tends to sqrt(pi / log n);
   dividing by 2 pi gives the asymptotic collision estimate.
@@ -26,7 +28,7 @@ integrands are 2 pi-periodic and even about theta = pi, so integration
 is done on [0, pi], endpoints included, and doubled.
 
 The n-independent part of the Gamma-ratio and kernel integrands -
-cos(theta), e^{i theta} and the weight 1/|Gamma(e^{i theta})|^2 - is
+cos(theta) - 1, e^{i theta} and the weight 1/|Gamma(e^{i theta})|^2 - is
 cached per process for each node array, read-only: the quadrature driver
 evaluates the same node batches on [0, pi] for every n, so the weight is
 paid once per batch, not once per call.  The cache holds at most 16 node
@@ -44,7 +46,7 @@ from typing import Callable
 
 import numpy as np
 
-from .gammafn import EULER_GAMMA, _circle_weight, log_gamma_ratio
+from .gammafn import _LOG_ONLY_MIN_N, EULER_GAMMA, _circle_weight, log_gamma_ratio
 from .quadrature import (
     _MAX_NODES,
     DEFAULT_CONFIG,
@@ -129,11 +131,11 @@ _NODE_TABLE_ENTRIES = 16
 def _build_node_table(
     theta: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # cos(theta), z = e^{i theta} and 1/|Gamma(z)|^2 in its entire,
+    # cos(theta) - 1, z = e^{i theta} and 1/|Gamma(z)|^2 in its entire,
     # pole-free form, exactly 0 at theta = pi.
     cos = np.cos(theta)
     z = cos + 1j * np.sin(theta)
-    return cos, z, _circle_weight(z)
+    return cos - 1.0, z, _circle_weight(z)
 
 
 @functools.lru_cache(maxsize=_NODE_TABLE_ENTRIES)
@@ -157,15 +159,19 @@ def _gamma_ratio_values(n: int, theta: np.ndarray) -> np.ndarray:
     # everywhere, theta = pi included.
     if n == 1:
         return np.ones_like(theta)
+    if n >= _LOG_ONLY_MIN_N:
+        # log_gamma_ratio is (z - 1) log n here, with real part exactly
+        # (cos(theta) - 1) log n: the kernel's integrand, bit for bit.
+        return _limit_kernel_values(n, theta)
     _, z, w = _node_table(theta)
     return w * np.exp(2.0 * np.real(log_gamma_ratio(n, z)))
 
 
 def _limit_kernel_values(n: float, theta: np.ndarray) -> np.ndarray:
-    # math.log takes n as given, so an int n above the double range works.
-    log_n = math.log(n)
-    cos, _, w = _node_table(theta)
-    return np.exp(2.0 * (cos - 1.0) * log_n) * w
+    # math.log takes n as given, so an int n above the double range works;
+    # the factor 2 is exact wherever it is applied.
+    cos_m1, _, w = _node_table(theta)
+    return np.exp(cos_m1 * (2.0 * math.log(n))) * w
 
 
 def _integrand_fn(kind: IntegrandKind, n: float) -> Callable[[np.ndarray], np.ndarray]:

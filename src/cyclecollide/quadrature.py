@@ -82,16 +82,22 @@ _FLOOR = 64.0 * float(np.finfo(np.float64).eps)
 
 
 def _values(
-    f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, a: float, b: float
-) -> np.ndarray:
+    f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, a: float, b: float, acc: float
+) -> tuple[list[float], float]:
+    # f(x) as Python floats, and acc + sum|f(x)|: a finite sum means every
+    # value is finite, so one float is tested per batch.
     y = np.asarray(f(x), dtype=np.float64)
     if y.shape != x.shape:
         raise ValueError(
             f"integrand must map a length-{x.size} array to a length-{x.size} array"
         )
-    if not np.all(np.isfinite(y)):
-        raise ValueError(f"integrand not finite on [{a}, {b}]")
-    return y
+    with np.errstate(over="ignore"):
+        acc += float(np.abs(y).sum())
+    if not math.isfinite(acc):
+        if not np.isfinite(y).all():
+            raise ValueError(f"integrand not finite on [{a}, {b}]")
+        raise ValueError(f"integrand sum overflows on [{a}, {b}]")
+    return y.tolist(), acc
 
 
 def quadrature(
@@ -108,31 +114,38 @@ def quadrature(
     estimate satisfies ``abs_error_estimate <= max(abs_tol, rel_tol *
     |value|)``.  A QuadratureConvergenceError carrying the best estimate
     is raised once the evaluation-error floor alone exceeds that
-    tolerance, or when 2^16 + 1 nodes did not reach it.
+    tolerance, or when 2^16 + 1 nodes did not reach it.  ValueError is
+    raised if f is not finite at a node, or if sum|f| over the nodes
+    overflows, which would make the floor infinite.
     """
     if not a < b:
         raise ValueError(f"need a < b, got [{a}, {b}]")
 
+    abs_tol, rel_tol = config.abs_tol, config.rel_tol
     intervals = _START_INTERVALS
-    y = _values(f, np.linspace(a, b, intervals + 1), a, b)
+    h = (b - a) / intervals
+    # The bytes of np.linspace(a, b, intervals + 1) whenever h > 0.
+    x = a + h * np.arange(intervals + 1)
+    x[-1] = b
+    ys, total_abs = _values(f, x, a, b, 0.0)
     # fsum over Python floats: the same doubles, summed faster than as
     # numpy scalars.
-    ys = y.tolist()
     total = math.fsum([0.5 * ys[0], *ys[1:-1], 0.5 * ys[-1]])
-    total_abs = float(np.abs(y).sum() - 0.5 * (abs(y[0]) + abs(y[-1])))
-    h = (b - a) / intervals
+    total_abs -= 0.5 * (abs(ys[0]) + abs(ys[-1]))
     value = h * total
     while True:
         h *= 0.5
-        y = _values(f, a + h * np.arange(1, 2 * intervals, 2), a, b)
+        x = a + h * np.arange(1, 2 * intervals, 2)
+        ys, total_abs = _values(f, x, a, b, total_abs)
         intervals *= 2
-        total += math.fsum(y.tolist())
-        total_abs += float(np.abs(y).sum())
+        total += math.fsum(ys)
         floor = _FLOOR * h * total_abs
         previous, value = value, h * total
-        best = QuadratureResult(value, abs(value - previous) + floor, intervals + 1)
-        tolerance = max(config.abs_tol, config.rel_tol * abs(value))
-        if best.abs_error_estimate <= tolerance:
-            return best
+        error = abs(value - previous) + floor
+        tolerance = max(abs_tol, rel_tol * abs(value))
+        if error <= tolerance:
+            return QuadratureResult(value, error, intervals + 1)
         if floor > tolerance or intervals + 1 >= _MAX_NODES:
-            raise QuadratureConvergenceError(best, tolerance)
+            raise QuadratureConvergenceError(
+                QuadratureResult(value, error, intervals + 1), tolerance
+            )

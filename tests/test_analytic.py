@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -267,6 +268,38 @@ def test_quadrature_bits_pinned(n, rel_tol, want_p, want_i):
         assert _bits(I_n(n, config)) == want_i
 
 
+# sha256 over the _bits of every quadrature route on a fixed grid: every
+# route at n = 1..64 and across the n = 1024 hand-off, ~100 log-spaced n to
+# 1e300, both sides of the n = 2^60 switch to (z - 1) log n, and 2^1030;
+# I_n also at non-integer n.  Measured before the trapezoid driver's
+# per-batch trim and the kernel form of GAMMA_RATIO from n = 2^60, both of
+# which must leave every bit in place.
+QUADRATURE_DIGEST = "03a3dab894350e00070b1362fa5972b6f181421a78a83e0f832e7207b8d5c5ce"
+
+
+def test_quadrature_digest_pinned():
+    ns = [*range(1, 65), 1023, 1024, 1025, 1026]
+    ns += [int(10.0 ** (3 * k)) for k in range(1, 101)]
+    ns += [2**60 - 1, 2**60 + 1, 2**1030]
+    digest = hashlib.sha256()
+    for rel_tol in (1e-10, 1e-12):
+        config = QuadratureConfig(rel_tol=rel_tol)
+        for n in ns:
+            results = [
+                p_quadrature_result(n, None, config),
+                p_quadrature_result(n, IntegrandKind.GAMMA_RATIO, config),
+            ]
+            if n <= 2000:
+                results.append(p_quadrature_result(n, IntegrandKind.EXACT_PRODUCT, config))
+            if n >= 2:
+                results.append(I_n(n, config))
+            if 2 <= n <= 64:
+                results.append(I_n(n + 0.5, config))
+            for r in results:
+                digest.update(repr(_bits(r)).encode())
+    assert digest.hexdigest() == QUADRATURE_DIGEST
+
+
 def test_node_table_is_read_only():
     for array in analytic._node_table(np.linspace(0.0, math.pi, 9)):
         with pytest.raises(ValueError):
@@ -286,9 +319,20 @@ def test_node_table_cache_stays_bounded():
     assert cached.cache_info() == info  # neither looked up nor stored
 
 
-@pytest.mark.parametrize("n", [2, 15, 16, 1000, 2**60, 10**300])
-def test_integrand_matches_uncached_weight(n):
+@pytest.mark.parametrize(
+    "n", [2, 15, 16, 1000, 2**60 - 1, 2**60, 2**60 + 1, 10**300, 2**1030]
+)
+def test_integrand_matches_uncached_weight(n, monkeypatch):
     # The cached node table must give exactly the bits of the direct path.
+    # From n = 2^60 on the Gamma-ratio integrand is evaluated as the
+    # kernel, and must still give the bits of the Gamma-ratio formula.
+    ratio_calls = []
+
+    def counted_log_gamma_ratio(m, z):
+        ratio_calls.append(m)
+        return log_gamma_ratio(m, z)
+
+    monkeypatch.setattr(analytic, "log_gamma_ratio", counted_log_gamma_ratio)
     rng = np.random.default_rng(n % 1000)
     for theta in (
         rng.uniform(0, 2 * math.pi, 37),
@@ -298,9 +342,12 @@ def test_integrand_matches_uncached_weight(n):
         z = np.cos(theta) + 1j * np.sin(theta)
         gamma = _circle_weight(z) * np.exp(2.0 * np.real(log_gamma_ratio(n, z)))
         kernel = np.exp(2.0 * (np.cos(theta) - 1.0) * math.log(n)) * recip_gamma_abs_sq(theta)
+        if n >= 2**60:
+            assert gamma.tobytes() == kernel.tobytes()
         for _ in range(2):  # a miss, then a hit
             assert integrand(IntegrandKind.GAMMA_RATIO, n, theta).tobytes() == gamma.tobytes()
             assert integrand(IntegrandKind.LIMIT_KERNEL, n, theta).tobytes() == kernel.tobytes()
+    assert ratio_calls == ([] if n >= 2**60 else [n] * 6)
 
 
 # ------------------------------------------------------------- I_n

@@ -7,6 +7,7 @@ from cyclecollide import (
     IntegrandKind,
     QuadratureConfig,
     QuadratureConvergenceError,
+    QuadratureResult,
     integrand,
     quadrature,
 )
@@ -116,6 +117,65 @@ def test_nonfinite_integrand_rejected():
     with np.errstate(divide="ignore", over="ignore"):
         with pytest.raises(ValueError):
             quadrature(lambda x: 1.0 / x, 0.0, 1.0)
+
+
+def _bump(x):
+    return np.exp(-500.0 * x * x)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_nonfinite_value_in_a_later_batch_rejected(bad):
+    # One bad node in the fourth batch (32 new midpoints) is enough; the
+    # bump needs more batches than that.
+    calls = []
+
+    def f(x):
+        calls.append(x.size)
+        y = _bump(x)
+        if len(calls) == 4:
+            y[5] = bad
+        return y
+
+    with pytest.raises(ValueError, match="not finite"):
+        quadrature(f, -1.0, 1.0)
+    assert calls == [9, 8, 16, 32]
+
+
+def test_large_finite_values_whose_sum_fits_are_integrated():
+    res = quadrature(lambda x: 1e300 * _bump(x), -1.0, 1.0)
+    ref = quadrature(_bump, -1.0, 1.0)
+    assert res.evaluations == ref.evaluations
+    assert res.value == pytest.approx(1e300 * ref.value, rel=1e-14)
+    assert res.abs_error_estimate == pytest.approx(1e300 * ref.abs_error_estimate, rel=1e-6)
+
+
+@pytest.mark.parametrize("value", [1e308, 1.5e307])
+def test_overflowing_sum_of_finite_values_rejected(value):
+    # 1e308 overflows sum|f| in the first batch (fsum raised OverflowError
+    # there); 1.5e307 only once the second batch is added (an infinite
+    # value was returned).  Either way the floor would be infinite.
+    with pytest.raises(ValueError, match="integrand sum overflows"):
+        quadrature(lambda x: np.full_like(x, value), 0.0, math.pi)
+
+
+def test_first_nodes_are_linspace_nodes():
+    # The first batch is built as np.linspace builds it, bit for bit.
+    rng = np.random.default_rng(7)
+    scales = 10.0 ** rng.uniform(-300, 300, 200)
+    bounds = [(0.0, math.pi), (-1.0, 1.0), (0.0, 1.0), (1e-300, 2e-300)]
+    bounds += [tuple(sorted(pair)) for pair in rng.normal(size=(200, 2)) * scales[:, None]]
+    for a, b in bounds:
+        seen = []
+
+        def f(x):
+            seen.append(x.copy())
+            return np.ones_like(x)
+
+        quadrature(f, a, b)
+        assert seen[0].tobytes() == np.linspace(a, b, 9).tobytes(), (a, b)
+    # Below 8 subnormal steps h is 0 and np.linspace spreads its nodes
+    # another way, but every value and estimate is 0 either way.
+    assert quadrature(np.cos, 0.0, 5e-324) == QuadratureResult(0.0, 0.0, 17)
 
 
 def test_config_validation():
