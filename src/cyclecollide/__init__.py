@@ -56,6 +56,7 @@ _EXPORTS = {
     ),
     "montecarlo": (
         "BERNOULLI_MAX_N",
+        "PERMUTATION_MAX_N",
         "McEstimate",
         "SamplerKind",
         "estimate_collision",

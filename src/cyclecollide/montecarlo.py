@@ -29,16 +29,6 @@ from enum import Enum
 
 import numpy as np
 
-__all__ = [
-    "SamplerKind",
-    "McEstimate",
-    "BERNOULLI_MAX_N",
-    "PERMUTATION_MAX_N",
-    "sample_cycle_count",
-    "sample_cycle_counts",
-    "estimate_collision",
-]
-
 # Ordered pairs per RNG block.  Fixed: changing it changes every estimate.
 BLOCK_PAIRS = 1 << 14
 # Element budget per chunk of batched permutations (rows x n).
@@ -159,29 +149,10 @@ def sample_cycle_counts(
 def sample_cycle_count(kind: SamplerKind, n: int, rng: np.random.Generator) -> int:
     """Cycle count of one uniform random n-permutation.
 
-    The PERMUTATION_DIRECT path here is the plain reference: shuffle,
-    then walk each unvisited cycle.  Batched draws should go through
-    `sample_cycle_counts`.
+    The batch of one: the same draw, and the same stream position after
+    it, as `sample_cycle_counts(kind, n, 1, rng)`.
     """
-    _check_n(n, kind)
-    if kind is SamplerKind.BERNOULLI_SUM:
-        cycles, j = 0, 1
-        while j <= n:
-            cycles += 1
-            j = math.floor(j / (1.0 - rng.random())) + 1
-        return cycles
-    perm = rng.permutation(n)
-    seen = np.zeros(n, dtype=bool)
-    cycles = 0
-    for start in range(n):
-        if seen[start]:
-            continue
-        cycles += 1
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-    return cycles
+    return int(sample_cycle_counts(kind, n, 1, rng)[0])
 
 
 def _block_collisions(args: tuple[int, int, SamplerKind, int, int]) -> int:

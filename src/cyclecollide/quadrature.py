@@ -28,14 +28,6 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = [
-    "QuadratureConfig",
-    "QuadratureResult",
-    "QuadratureConvergenceError",
-    "quadrature",
-    "DEFAULT_CONFIG",
-]
-
 
 @dataclass(frozen=True)
 class QuadratureConfig:

@@ -35,17 +35,6 @@ from .exact import StirlingRow, exact_ceiling_error, stirling_rows
 from .montecarlo import estimate_collision
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, QuadratureConvergenceError
 
-__all__ = [
-    "VERSION",
-    "CSV_COLUMNS",
-    "METHODS",
-    "CollisionReportRow",
-    "ReportConfig",
-    "run_report",
-    "render_csv",
-    "render_json",
-]
-
 CSV_COLUMNS = (
     "n",
     "p_exact",
@@ -204,29 +193,18 @@ def run_report(config: ReportConfig) -> list[CollisionReportRow]:
     return [_compute_row(n, config, next(exact_rows, None)) for n in config.n_values]
 
 
-def _fmt_float(x: float | None) -> str:
-    return "" if x is None else f"{x:.17g}"
+def _cells(row: CollisionReportRow) -> list[str | None]:
+    # One value string per CSV column, None where the value is missing:
+    # n as an integer, p_exact as its decimal string, and every other
+    # column a float with 17 significant digits.
+    floats = (getattr(row, column) for column in CSV_COLUMNS[2:])
+    return [str(row.n), row.p_exact, *(x if x is None else f"{x:.17g}" for x in floats)]
 
 
 def render_csv(rows: list[CollisionReportRow]) -> str:
     """Fixed-schema CSV; missing values are empty fields, newline endings."""
     lines = [",".join(CSV_COLUMNS)]
-    for row in rows:
-        lines.append(
-            ",".join(
-                [
-                    str(row.n),
-                    row.p_exact or "",
-                    _fmt_float(row.p_quadrature),
-                    _fmt_float(row.quad_error_estimate),
-                    _fmt_float(row.p_eq2),
-                    _fmt_float(row.p_asymptotic),
-                    _fmt_float(row.ratio_to_asymptotic),
-                    _fmt_float(row.mc_p_hat),
-                    _fmt_float(row.mc_std_err),
-                ]
-            )
-        )
+    lines += [",".join(cell or "" for cell in _cells(row)) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -236,23 +214,14 @@ def _json_str(s: str) -> str:
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _json_float(x: float | None) -> str:
-    return "null" if x is None else f"{x:.17g}"
-
-
 def _render_row_json(row: CollisionReportRow) -> str:
+    # The CSV cells; p_exact is the one string column.
     parts = [
-        f'"n": {row.n}',
-        f'"p_exact": {_json_str(row.p_exact) if row.p_exact is not None else "null"}',
-        f'"p_quadrature": {_json_float(row.p_quadrature)}',
-        f'"quad_error_estimate": {_json_float(row.quad_error_estimate)}',
-        f'"p_eq2": {_json_float(row.p_eq2)}',
-        f'"p_asymptotic": {_json_float(row.p_asymptotic)}',
-        f'"ratio_to_asymptotic": {_json_float(row.ratio_to_asymptotic)}',
-        f'"mc_p_hat": {_json_float(row.mc_p_hat)}',
-        f'"mc_std_err": {_json_float(row.mc_std_err)}',
-        f'"errors": [{", ".join(_json_str(e) for e in row.errors)}]',
+        f'"{column}": '
+        + ("null" if cell is None else _json_str(cell) if column == "p_exact" else cell)
+        for column, cell in zip(CSV_COLUMNS, _cells(row))
     ]
+    parts.append(f'"errors": [{", ".join(_json_str(e) for e in row.errors)}]')
     return "{" + ", ".join(parts) + "}"
 
 

@@ -32,8 +32,6 @@ from .montecarlo import SamplerKind, _stream, estimate_collision, sample_cycle_c
 from .quadrature import QuadratureConfig
 from .report import ReportConfig, render_csv, render_json, run_report
 
-__all__ = ["CriterionResult", "CRITERIA", "run_verify"]
-
 CHI2_SIGNIFICANCE = 1e-6
 
 

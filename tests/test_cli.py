@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -226,6 +227,25 @@ def test_table_deterministic_bytes(capsys):
     _, out2, _ = run_cli(capsys, *args)
     assert out1 == out2
     assert "" != out1
+
+
+_TABLE_SHA256 = {
+    "csv": "b53429124ea243ca2db994b19ca1fe2461aa502d168c49d360d83883b1d1f5ce",
+    "json": "3d00fb4f2ff3514c1953f9c41d86bb3f633576bbbfb06172070f8176fb3e1c27",
+}
+
+
+@pytest.mark.parametrize("fmt", _TABLE_SHA256)
+def test_table_bytes_are_pinned(capsys, fmt):
+    # Every column, and both per-row errors: the exact-route ceiling
+    # (n = 20001) and the sampler limit (n = 10^21).
+    code, out, _ = run_cli(
+        capsys, "table", "--n", "2,3,10,100,1024,20001,1000000000000000000000",
+        "--methods", "exact,quadrature,eq2,asymptotic,montecarlo",
+        "--pairs", "3000", "--seed", "9", "--format", fmt,
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _TABLE_SHA256[fmt]
 
 
 def test_table_validation_error_exits_1(capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
+import cyclecollide
 from cyclecollide import (
     BERNOULLI_MAX_N,
     SamplerKind,
@@ -107,6 +109,29 @@ def test_default_sampler_counts_are_pinned():
     assert estimate_collision(10**9, 2 * BLOCK_PAIRS + 1, seed=6).collisions == 2075
 
 
+# (kind, n) -> sha256 prefix of 300 single draws from _stream(1, 2), and
+# the next rng.random() after them, which pins the stream position.
+_SINGLE_DRAW_PINS = {
+    (SamplerKind.PERMUTATION_DIRECT, 1): ("6e7601f602122027", "0x1.3cbd0c4ed54dap-2"),
+    (SamplerKind.PERMUTATION_DIRECT, 5): ("08e03932004cbe9c", "0x1.950f6a801485ep-1"),
+    (SamplerKind.PERMUTATION_DIRECT, 1000): ("a7d6a22cf02cfd3b", "0x1.6f8f23834e184p-2"),
+    (SamplerKind.BERNOULLI_SUM, 1): ("6e7601f602122027", "0x1.394557f2d85b3p-1"),
+    (SamplerKind.BERNOULLI_SUM, 5): ("c8e58b0b7a3775f8", "0x1.7ab8ee9e169e6p-1"),
+    (SamplerKind.BERNOULLI_SUM, 1000): ("e941875bc0680cb2", "0x1.00cba9b37a076p-2"),
+    (SamplerKind.BERNOULLI_SUM, 2**40): ("8de440b3f1b6ece5", "0x1.42bcd23607edcp-3"),
+}
+
+
+@pytest.mark.parametrize("kind, n", list(_SINGLE_DRAW_PINS))
+def test_single_draw_counts_are_pinned(kind, n):
+    # Measured while sample_cycle_count still had its own scalar
+    # samplers; the batch of one gives the same draws and stream position.
+    rng = _stream(1, 2)
+    draws = [sample_cycle_count(kind, n, rng) for _ in range(300)]
+    digest = hashlib.sha256(repr(draws).encode()).hexdigest()[:16]
+    assert (digest, rng.random().hex()) == _SINGLE_DRAW_PINS[kind, n]
+
+
 def test_serial_blocks_are_generated_lazily(monkeypatch):
     # 10^5 blocks with a no-op block body: the serial loop must not hold
     # one task per block (~10 MB as a list).
@@ -147,6 +172,7 @@ def test_permutation_rejects_n_above_max():
     # Above the limit the batch arrays would not fit in memory.
     rng = _stream(0, 0)
     kind = SamplerKind.PERMUTATION_DIRECT
+    assert cyclecollide.PERMUTATION_MAX_N == 2**22
     for n in (PERMUTATION_MAX_N + 1, 2**53 + 1, 10**309):
         with pytest.raises(ValueError, match="PERMUTATION_MAX_N"):
             sample_cycle_counts(kind, n, 10, rng)
