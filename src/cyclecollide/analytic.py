@@ -16,25 +16,46 @@ integral that can be evaluated three ways:
   integrates it exactly; quadrature tolerance is the only error.
 * GAMMA_RATIO - the same quantity through Gamma(z+n)/Gamma(z), O(1) per
   evaluation, at any integer n, including n above the double range.
-  From n = 2^60 on, where log_gamma_ratio is (z - 1) log n, it is
-  evaluated as the LIMIT_KERNEL integrand, which it equals bit for bit.
+  From n = 2^60 on, where log_gamma_ratio is (z - 1) log n to double
+  resolution, it is evaluated as the LIMIT_KERNEL integrand.
 * LIMIT_KERNEL - the large-n kernel exp(2(cos theta - 1) log n) /
   |Gamma(e^{i theta})|^2 whose integral I(n) tends to sqrt(pi / log n);
-  dividing by 2 pi gives the asymptotic collision estimate.
+  dividing by 2 pi gives the asymptotic collision estimate.  cos theta - 1
+  is taken as -2 sin^2(theta/2), free of cancellation near theta = 0, so
+  the kernel is within 2.8e-15 relative of mpmath up to n = 2^1030.
 
 The two identity integrands are accurate to ~1e-14 relative away from
 theta = pi, which the quadrature error estimate relies on.  All
 integrands are 2 pi-periodic and even about theta = pi, so integration
 is done on [0, pi], endpoints included, and doubled.
 
+The kernel routes - I_n, and GAMMA_RATIO from n = 2^60 on - take one
+batch of N + 1 nodes, N = pi / h, from the strip bound of Trefethen &
+Weideman (Thm 3.2).  On |Im theta| <= a < ln 2 the kernel is at most
+
+    M(a) = exp(2 log n (cosh a - 1)) (2 + 2 cosh a) exp(2 sum_k |a_k| cosh ka)
+
+with a_k the weight's cosine coefficients (gammafn), so the rule on N
+intervals of [0, pi] is within 2 pi M(a) / (e^{2aN} - 1) of the integral.
+N is the smallest, over a fixed grid of a, that meets half the tolerance
+laplace_I(n) / 2 would give (below the integral at every n measured),
+rounded up to a multiple of 8; it is doubled, evaluating the new
+midpoints, only if the estimate then misses the computed value's
+tolerance.  The error estimate is that bound plus the floor 64 eps h
+sum|f| of `quadrature`, so it is proved rather than inferred from
+|T_N - T_{N/2}|, and `evaluations` is N + 1.  The other routes,
+EXACT_PRODUCT and GAMMA_RATIO below 2^60, use the halving ladder of
+`quadrature`.
+
 The n-independent part of the Gamma-ratio and kernel integrands -
 cos(theta) - 1, e^{i theta} and the weight 1/|Gamma(e^{i theta})|^2 - is
-cached per process for each node array, read-only: the quadrature driver
-evaluates the same node batches on [0, pi] for every n, so the weight is
-paid once per batch, not once per call.  The cache holds at most 16 node
-arrays of at most 2^15 nodes each, at 40 bytes a node with its key
-(about 21 MiB at most; a full quadrature ladder, 2^16 + 1 nodes, is
-2.5 MiB); larger arrays are computed directly and not stored.
+cached per process for each node array, read-only: the ladder evaluates
+the same node batches on [0, pi] for every n, so the weight is paid once
+per batch, not once per call.  The cache holds at most 16 node arrays of
+at most 2^15 nodes each, at 40 bytes a node with its key (about 21 MiB at
+most; a full quadrature ladder, 2^16 + 1 nodes, is 2.5 MiB); larger
+arrays are computed directly and not stored.  The kernel routes keep
+their own tables, keyed by N: at most 32, of N <= 2^12 (about 2 MiB).
 """
 
 from __future__ import annotations
@@ -47,6 +68,7 @@ from typing import Callable
 import numpy as np
 
 from .gammafn import (
+    _CIRCLE_COEFFS,
     _LOG_ONLY_MIN_N,
     EULER_GAMMA,
     _check_theta,
@@ -54,11 +76,13 @@ from .gammafn import (
     log_gamma_ratio,
 )
 from .quadrature import (
+    _FLOOR,
     _MAX_NODES,
     DEFAULT_CONFIG,
     QuadratureConfig,
     QuadratureConvergenceError,
     QuadratureResult,
+    _values,
     quadrature,
 )
 
@@ -122,10 +146,13 @@ def _build_node_table(
     theta: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # cos(theta) - 1, z = e^{i theta} and 1/|Gamma(z)|^2 in its entire,
-    # pole-free form, exactly 0 at theta = pi.
-    cos = np.cos(theta)
-    z = cos + 1j * np.sin(theta)
-    return cos - 1.0, z, _circle_weight(z)
+    # pole-free form, exactly 0 at theta = pi.  cos(theta) - 1 is taken as
+    # -2 sin^2(theta / 2): np.cos(theta) - 1 cancels near theta = 0, where
+    # the kernel's exponent (cos(theta) - 1) 2 log n would carry an error
+    # of eps 2 log n, 7.8e-14 relative to mpmath at n = 2^1030.
+    half = np.sin(0.5 * theta)
+    z = np.cos(theta) + 1j * np.sin(theta)
+    return -2.0 * half * half, z, _circle_weight(z)
 
 
 @functools.lru_cache(maxsize=_NODE_TABLE_ENTRIES)
@@ -150,8 +177,8 @@ def _gamma_ratio_values(n: int, theta: np.ndarray) -> np.ndarray:
     if n == 1:
         return np.ones_like(theta)
     if n >= _LOG_ONLY_MIN_N:
-        # log_gamma_ratio is (z - 1) log n here, with real part exactly
-        # (cos(theta) - 1) log n: the kernel's integrand, bit for bit.
+        # log_gamma_ratio is (z - 1) log n here: the kernel's integrand,
+        # whose table holds cos(theta) - 1 without cancellation.
         return _limit_kernel_values(n, theta)
     _, z, w = _node_table(theta)
     return w * np.exp(2.0 * np.real(log_gamma_ratio(n, z)))
@@ -196,10 +223,94 @@ def integrand(
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
+# The strip half-widths a for the kernel's node count (module docstring),
+# 0.68 down to 0.0045 in steps of 1.4: between two of them N is within 2%
+# of its value at the best a, and the smallest is best up to log n ~ 1e6.
+# N is a multiple of 8, so that few kernel tables exist; each holds
+# -2 sin^2(theta/2) and the weight at the N + 1 nodes.
+_STRIP_WIDTHS = tuple(0.68 / 1.4**k for k in range(16))
+_KERNEL_TABLE_ENTRIES = 32
+_KERNEL_TABLE_MAX_INTERVALS = 2**12
+
+
+@functools.cache
+def _strip_table() -> tuple[tuple[float, float, float], ...]:
+    # Per width a: (1 / 2a, cosh a - 1, log(2 pi M(a)) at log n = 0).
+    k = np.arange(1, _CIRCLE_COEFFS.size + 1)
+    return tuple(
+        (
+            0.5 / a,
+            math.cosh(a) - 1.0,
+            math.log(2.0 * math.pi * (2.0 + 2.0 * math.cosh(a)))
+            + 2.0 * float(np.abs(_CIRCLE_COEFFS) @ np.cosh(k * a)),
+        )
+        for a in _STRIP_WIDTHS
+    )
+
+
+def _build_kernel_table(intervals: int) -> tuple[np.ndarray, np.ndarray]:
+    theta = (math.pi / intervals) * np.arange(intervals + 1)
+    theta[-1] = math.pi
+    cos_m1, _, w = _build_node_table(theta)
+    return cos_m1, w
+
+
+@functools.lru_cache(maxsize=_KERNEL_TABLE_ENTRIES)
+def _cached_kernel_table(intervals: int) -> tuple[np.ndarray, np.ndarray]:
+    table = _build_kernel_table(intervals)
+    for arr in table:
+        arr.flags.writeable = False
+    return table
+
+
+def _kernel_table(intervals: int) -> tuple[np.ndarray, np.ndarray]:
+    if intervals > _KERNEL_TABLE_MAX_INTERVALS:
+        return _build_kernel_table(intervals)
+    return _cached_kernel_table(intervals)
+
+
+def _kernel_quadrature(n: float, config: QuadratureConfig) -> QuadratureResult:
+    # The kernel's integral over [0, pi] (module docstring).  laplace_I(n)
+    # / 2 is the guess of it: I_n / laplace_I is 1.997 at n = 2 and 1.034
+    # at 1e8, above 1 at every n measured.
+    log_n2 = 2.0 * math.log(n)
+    guess = 0.5 * laplace_I(n)
+    # No N takes the error below the rounding floor, about _FLOOR * value.
+    target = 0.5 * max(config.abs_tol, (config.rel_tol + _FLOOR) * guess)
+    # Smallest N over the widths with 2aN >= log(2 pi M(a) / target) + log 2,
+    # which implies e^{2aN} - 1 >= 2 pi M(a) / target.
+    shift = math.log(2.0 / target)
+    need, half_inv_a, cosh_m1, log_m0 = min(
+        ((shift + log_m0 + log_n2 * cosh_m1) * half_inv_a, half_inv_a, cosh_m1, log_m0)
+        for half_inv_a, cosh_m1, log_m0 in _strip_table()
+    )
+    intervals = min(max(8, 8 * math.ceil(need / 8)), _MAX_NODES - 1)
+    log_m = log_m0 + log_n2 * cosh_m1
+    cos_m1, w = _kernel_table(intervals)
+    ys, total_abs = _values(np.exp(cos_m1 * log_n2) * w, cos_m1, 0.0, math.pi, 0.0)
+    total = math.fsum([0.5 * ys[0], *ys[1:-1], 0.5 * ys[-1]])
+    total_abs -= 0.5 * (abs(ys[0]) + abs(ys[-1]))
+    while True:
+        h = math.pi / intervals
+        value = h * total
+        floor = _FLOOR * h * total_abs
+        # 2 pi M(a) / (e^{2aN} - 1), without overflow at large 2aN.
+        strip = math.exp(log_m - intervals / half_inv_a) / -math.expm1(-intervals / half_inv_a)
+        error = strip + floor
+        tolerance = max(config.abs_tol, config.rel_tol * abs(value))
+        result = QuadratureResult(value, error, intervals + 1)
+        if error <= tolerance:
+            return result
+        if floor > tolerance or 2 * intervals + 1 > _MAX_NODES:
+            raise QuadratureConvergenceError(result, tolerance)
+        intervals *= 2
+        cos_m1, w = (arr[1::2] for arr in _kernel_table(intervals))
+        ys, total_abs = _values(np.exp(cos_m1 * log_n2) * w, cos_m1, 0.0, math.pi, total_abs)
+        total += math.fsum(ys)
+
+
 def _half_range(
-    f: Callable[[np.ndarray], np.ndarray],
-    scale: float,
-    config: QuadratureConfig,
+    integrate: Callable[[], QuadratureResult], scale: float
 ) -> QuadratureResult:
     # Integrands are even about theta = pi: integrate [0, pi], then apply
     # scale (2 for the full circle, 1/pi for the normalized mean).
@@ -209,7 +320,7 @@ def _half_range(
         )
 
     try:
-        return scaled(quadrature(f, 0.0, math.pi, config))
+        return scaled(integrate())
     except QuadratureConvergenceError as exc:
         raise QuadratureConvergenceError(
             scaled(exc.best), exc.tolerance * abs(scale)
@@ -222,10 +333,16 @@ def I_n(n: float, config: QuadratureConfig = DEFAULT_CONFIG) -> QuadratureResult
     For large n the value behaves like sqrt(pi / log n); `laplace_I` gives
     that closed form and the ratio of the two tends to 1 from above with a
     leading correction of order 1/log n.
+
+    One trapezoid batch on N intervals of [0, pi], N the smallest multiple
+    of 8 that the kernel's strip bound certifies for half the tolerance
+    laplace_I(n) would give; `evaluations` is N + 1.  abs_error_estimate is
+    twice that bound plus twice the floor 64 eps h sum|f|, a proved upper
+    bound on the error of the value.
     """
     if not n >= 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    return _half_range(_integrand_fn(IntegrandKind.LIMIT_KERNEL, n), 2.0, config)
+    return _half_range(lambda: _kernel_quadrature(n, config), 2.0)
 
 
 def p_quadrature_result(
@@ -236,7 +353,9 @@ def p_quadrature_result(
     """Collision probability by quadrature, with its error estimate.
 
     kind=None picks EXACT_PRODUCT for n <= EXACT_PRODUCT_AUTO_MAX (1024)
-    and GAMMA_RATIO above.
+    and GAMMA_RATIO above.  From n = 2^60 on GAMMA_RATIO is the kernel and
+    is integrated as in `I_n`, with the strip bound in its estimate; below,
+    every route runs the halving ladder of `quadrature`.
     This route evaluates an identity, so it reproduces the exact-arithmetic
     value for every n, large or small, to within the returned
     abs_error_estimate.
@@ -252,7 +371,10 @@ def p_quadrature_result(
     if kind is IntegrandKind.LIMIT_KERNEL:
         raise ValueError("LIMIT_KERNEL is not a collision-probability identity; "
                          "use I_n for the asymptotic kernel")
-    return _half_range(_integrand_fn(kind, n), 1.0 / math.pi, config)
+    if kind is IntegrandKind.GAMMA_RATIO and n >= _LOG_ONLY_MIN_N:
+        return _half_range(lambda: _kernel_quadrature(n, config), 1.0 / math.pi)
+    f = _integrand_fn(kind, n)
+    return _half_range(lambda: quadrature(f, 0.0, math.pi, config), 1.0 / math.pi)
 
 
 def p_quadrature(

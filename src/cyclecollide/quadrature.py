@@ -18,6 +18,14 @@ across runs for a given config.  The error estimate of T_N is
 Under geometric convergence the difference exceeds the error of T_N by
 the convergence factor; the second term is a floor for the rounding
 error of integrand values accurate to a few ulps and of the sum.
+
+`quadrature` runs this ladder for any integrand, and the package runs it
+for every circle route below n = 2^60 except I_n.  The limit-kernel routes
+(I_n, and the Gamma-ratio identity from n = 2^60 on) know an analytic
+bound on their integrand instead: `analytic` evaluates them in one batch
+of N + 1 nodes, N from the Trefethen-Weideman strip bound, and reports
+that bound plus the same floor, through the same value checks (`_values`)
+and the same errors.
 """
 
 from __future__ import annotations
@@ -74,11 +82,12 @@ _FLOOR = 64.0 * float(np.finfo(np.float64).eps)
 
 
 def _values(
-    f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, a: float, b: float, acc: float
+    y: np.ndarray, x: np.ndarray, a: float, b: float, acc: float
 ) -> tuple[list[float], float]:
-    # f(x) as Python floats, and acc + sum|f(x)|: a finite sum means every
-    # value is finite, so one float is tested per batch.
-    y = np.asarray(f(x), dtype=np.float64)
+    # The integrand values y = f(x) as Python floats, and acc + sum|y|: a
+    # finite sum means every value is finite, so one float is tested per
+    # batch.
+    y = np.asarray(y, dtype=np.float64)
     if y.shape != x.shape:
         raise ValueError(
             f"integrand must map a length-{x.size} array to a length-{x.size} array"
@@ -119,7 +128,7 @@ def quadrature(
     # The bytes of np.linspace(a, b, intervals + 1) whenever h > 0.
     x = a + h * np.arange(intervals + 1)
     x[-1] = b
-    ys, total_abs = _values(f, x, a, b, 0.0)
+    ys, total_abs = _values(f(x), x, a, b, 0.0)
     # fsum over Python floats: the same doubles, summed faster than as
     # numpy scalars.
     total = math.fsum([0.5 * ys[0], *ys[1:-1], 0.5 * ys[-1]])
@@ -128,7 +137,7 @@ def quadrature(
     while True:
         h *= 0.5
         x = a + h * np.arange(1, 2 * intervals, 2)
-        ys, total_abs = _values(f, x, a, b, total_abs)
+        ys, total_abs = _values(f(x), x, a, b, total_abs)
         intervals *= 2
         total += math.fsum(ys)
         floor = _FLOOR * h * total_abs

@@ -13,6 +13,7 @@ from cyclecollide import (
     I_n,
     IntegrandKind,
     QuadratureConfig,
+    QuadratureConvergenceError,
     harmonic,
     integrand,
     laplace_I,
@@ -216,41 +217,42 @@ def test_p_quadrature_rejects_limit_kernel():
 # ------------------------------------------------------ node tables
 
 # (value.hex(), abs_error_estimate.hex(), evaluations) of p_quadrature_result
-# (auto, which is GAMMA_RATIO above the hand-off) and of I_n, as computed
-# before the n-independent node tables were cached.  The elementary
-# functions come from numpy, so another numpy build or CPU may differ in
-# the last bits.
+# (auto, which is GAMMA_RATIO above the hand-off) and of I_n.  The entries
+# below n = 2^60 are the ladder's, unchanged since before the n-independent
+# node tables were cached; I_n and the entries from n = 2^60 on come from
+# the kernel's strip-bound node count.  The elementary functions come from
+# numpy, so another numpy build or CPU may differ in the last bits.
 PINNED = [
     (1025, 1e-10,
      ("0x1.e098eeae61a1fp-4", "0x1.f4f81f1c2b6a7p-50", 33),
-     ("0x1.7980f398d6facp-1", "0x1.8d80f398d6facp-47", 33)),
+     ("0x1.7980f398d6facp-1", "0x1.b06a722030f0dp-45", 33)),
     (10**6, 1e-10,
      ("0x1.44fe4740e374cp-4", "0x1.44fe4740e374cp-50", 65),
-     ("0x1.fe7f8eb46a438p-2", "0x1.fe7f8eb46a43ap-48", 65)),
+     ("0x1.fe7f8eb46a438p-2", "0x1.227f1a135919ap-40", 33)),
     (2**60, 1e-10,
-     ("0x1.6b9178070479cp-5", "0x1.580525bb85ad3p-39", 65),
-     ("0x1.1d8bbb43aca35p-2", "0x1.0e3158bbb43adp-36", 65)),
+     ("0x1.6b91780704792p-5", "0x1.8065de28579e0p-51", 49),
+     ("0x1.1d8bbb43aca2dp-2", "0x1.2de7c9afe2f79p-48", 49)),
     (10**100, 1e-10,
-     ("0x1.31601728a739cp-6", "0x1.9edfbb76c3cf8p-52", 257),
-     ("0x1.dfaeb73b021f8p-4", "0x1.45d75b9d810fcp-49", 257)),
+     ("0x1.31601728a73b5p-6", "0x1.4d5c3a73eed26p-42", 89),
+     ("0x1.dfaeb73b02220p-4", "0x1.05d20f001cf33p-39", 89)),
     (2**1030, 1e-10,
-     ("0x1.5a3d51401009ep-7", "0x1.764aa6dc30a10p-52", 513),
-     ("0x1.0fef96168e864p-4", "0x1.25f7cb0b47432p-49", 513)),
+     ("0x1.5a3d514010100p-7", "0x1.e7dcf506b9b4bp-46", 161),
+     ("0x1.0fef96168e8b1p-4", "0x1.7f2ab2fbc559ap-43", 161)),
     (1025, 1e-12,
      ("0x1.e098eeae61a1fp-4", "0x1.f4f81f1c2b6a7p-50", 33),
-     ("0x1.7980f398d6facp-1", "0x1.8d80f398d6facp-47", 33)),
+     ("0x1.7980f398d6facp-1", "0x1.b06a722030f0dp-45", 33)),
     (10**6, 1e-12,
      ("0x1.44fe4740e374cp-4", "0x1.44fe4740e374cp-50", 65),
-     ("0x1.fe7f8eb46a438p-2", "0x1.fe7f8eb46a43ap-48", 65)),
+     ("0x1.fe7f8eb46a438p-2", "0x1.ffe39a5155db9p-48", 41)),
     (2**60, 1e-12,
-     ("0x1.6b91780704799p-5", "0x1.7ad8dc595bcffp-51", 129),
-     ("0x1.1d8bbb43aca32p-2", "0x1.298bbb43aca32p-48", 129)),
+     ("0x1.6b91780704792p-5", "0x1.8065de28579e0p-51", 49),
+     ("0x1.1d8bbb43aca2dp-2", "0x1.2de7c9afe2f79p-48", 49)),
     (10**100, 1e-12,
-     ("0x1.31601728a739cp-6", "0x1.9edfbb76c3cf8p-52", 257),
-     ("0x1.dfaeb73b021f8p-4", "0x1.45d75b9d810fcp-49", 257)),
+     ("0x1.31601728a7393p-6", "0x1.97772a7c7cb02p-50", 97),
+     ("0x1.dfaeb73b021eap-4", "0x1.4005cc54c3f59p-47", 97)),
     (2**1030, 1e-12,
-     ("0x1.5a3d51401009ep-7", "0x1.764aa6dc30a10p-52", 513),
-     ("0x1.0fef96168e864p-4", "0x1.25f7cb0b47432p-49", 513)),
+     ("0x1.5a3d5140100fep-7", "0x1.7d0915d7c22d6p-51", 169),
+     ("0x1.0fef96168e8afp-4", "0x1.2b43bb19bd2dap-48", 169)),
 ]
 
 
@@ -262,6 +264,7 @@ def _bits(r):
 def test_quadrature_bits_pinned(n, rel_tol, want_p, want_i):
     config = QuadratureConfig(rel_tol=rel_tol)
     analytic._cached_node_table.cache_clear()
+    analytic._cached_kernel_table.cache_clear()
     for _ in range(2):  # a cold cache, then a warm one
         assert _bits(p_quadrature_result(n, None, config)) == want_p
         assert _bits(p_quadrature_result(n, IntegrandKind.GAMMA_RATIO, config)) == want_p
@@ -271,10 +274,10 @@ def test_quadrature_bits_pinned(n, rel_tol, want_p, want_i):
 # sha256 over the _bits of every quadrature route on a fixed grid: every
 # route at n = 1..64 and across the n = 1024 hand-off, ~100 log-spaced n to
 # 1e300, both sides of the n = 2^60 switch to (z - 1) log n, and 2^1030;
-# I_n also at non-integer n.  Measured before the trapezoid driver's
-# per-batch trim and the kernel form of GAMMA_RATIO from n = 2^60, both of
-# which must leave every bit in place.
-QUADRATURE_DIGEST = "03a3dab894350e00070b1362fa5972b6f181421a78a83e0f832e7207b8d5c5ce"
+# I_n also at non-integer n.  Measured once the kernel routes (I_n, and
+# GAMMA_RATIO from n = 2^60) took their node count from the strip bound;
+# every result below n = 2^60 kept its bits through that change.
+QUADRATURE_DIGEST = "9cd3c06833f86bd44f4053d2ed6d2bf48ab8c0f1fcc162f3b1c52f72b40c0e78"
 
 
 def test_quadrature_digest_pinned():
@@ -325,7 +328,8 @@ def test_node_table_cache_stays_bounded():
 def test_integrand_matches_uncached_weight(n, monkeypatch):
     # The cached node table must give exactly the bits of the direct path.
     # From n = 2^60 on the Gamma-ratio integrand is evaluated as the
-    # kernel, and must still give the bits of the Gamma-ratio formula.
+    # kernel, whose exponent takes cos(theta) - 1 as -2 sin^2(theta / 2),
+    # and agrees with the (z - 1) log n form of the Gamma ratio.
     ratio_calls = []
 
     def counted_log_gamma_ratio(m, z):
@@ -341,13 +345,198 @@ def test_integrand_matches_uncached_weight(n, monkeypatch):
     ):
         z = np.cos(theta) + 1j * np.sin(theta)
         gamma = _circle_weight(z) * np.exp(2.0 * np.real(log_gamma_ratio(n, z)))
-        kernel = np.exp(2.0 * (np.cos(theta) - 1.0) * math.log(n)) * recip_gamma_abs_sq(theta)
+        half = np.sin(0.5 * theta)
+        kernel = np.exp(-2.0 * half * half * (2.0 * math.log(n))) * recip_gamma_abs_sq(theta)
         if n >= 2**60:
-            assert gamma.tobytes() == kernel.tobytes()
+            np.testing.assert_allclose(gamma, kernel, rtol=1e-12, atol=1e-300)
+            gamma = kernel
         for _ in range(2):  # a miss, then a hit
             assert integrand(IntegrandKind.GAMMA_RATIO, n, theta).tobytes() == gamma.tobytes()
             assert integrand(IntegrandKind.LIMIT_KERNEL, n, theta).tobytes() == kernel.tobytes()
     assert ratio_calls == ([] if n >= 2**60 else [n] * 6)
+
+
+# ------------------------------------------------------ kernel routes
+
+# The LIMIT_KERNEL integrand exp(2 (cos t - 1) log n) / |Gamma(e^{it})|^2 at
+# t = 0.005 k, k = 1..40 (the doubles 0.005 * np.arange(1, 41)), 20
+# significant digits.  Made with mpmath at 40 digits, at each double t
+# exactly, as mpmath.exp(2 * (mpmath.cos(t) - 1) * mpmath.log(n)) *
+# abs(mpmath.rgamma(mpmath.expj(t))) ** 2.
+KERNEL_REFERENCE = {
+    2**60: (
+        "9.9898748713611557294e-1", "9.9595611950356747585e-1", "9.9092434709645378716e-1",
+        "9.8392271119414022721e-1", "9.7499353442819872112e-1", "9.6419049308297168934e-1",
+        "9.5157807769933365826e-1", "9.3723094959275351028e-1", "9.2123320229980796919e-1",
+        "9.036775382075445909e-1", "8.8466437167682462073e-1", "8.6430087082730426477e-1",
+        "8.4269995079568771828e-1", "8.19979231702498663e-1", "7.962599747626990209e-1",
+        "7.7166600995346978785e-1", "7.4632266841426671782e-1", "7.2035573231000317844e-1",
+        "6.9389041425192118526e-1", "6.6705037755986615463e-1", "6.3995680768472776113e-1",
+        "6.1272754401361362779e-1", "5.8547628007755750397e-1", "5.5831183889811248454e-1",
+        "5.3133752887151681789e-1", "5.0465058422368126668e-1", "4.7834169270186651415e-1",
+        "4.5249461182428599451e-1", "4.2718587371001642858e-1", "4.0248457727950399052e-1",
+        "3.7845226546917143338e-1", "3.5514288405799870259e-1", "3.3260281777243308098e-1",
+        "3.1087099852849768177e-1", "2.8997907999339453391e-1", "2.6995167210708848806e-1",
+        "2.5080662879824949425e-1", "2.3255538185672027872e-1", "2.1520331378202538812e-1",
+        "1.9875016240777594297e-1",
+    ),
+    10**100: (
+        "9.9428662582000849851e-1", "9.7734175302779671903e-1", "9.4974004446346311219e-1",
+        "9.1240319541159519435e-1", "8.6654880515558275601e-1", "8.1362445839514145796e-1",
+        "7.5523199282119131073e-1", "6.9304746672321843204e-1", "6.2874236516605428314e-1",
+        "5.6391112107843078706e-1", "5.0000915618567670818e-1", "4.383044826096200675e-1",
+        "3.7984458769747259645e-1", "3.254389945000368069e-1", "2.7565667720299418586e-1",
+        "2.3083651663425458254e-1", "1.9110827198259680617e-1", "1.5642114857923756775e-1",
+        "1.2657694896306108472e-1", "1.012649662940169627e-1", "8.0096155387281704192e-2",
+        "6.2634626457638302678e-2", "4.8425078516626901586e-2", "3.701535901377372055e-2",
+        "2.7973852557472323545e-2", "2.09018292273927304e-2", "1.5441203418855437277e-2",
+        "1.1278363527077943797e-2", "8.1448391231504769328e-3", "5.8155917772261578344e-3",
+        "4.1056689181389533422e-3", "2.8658687175238914449e-3", "1.9779480698644951349e-3",
+        "1.3497821999086109032e-3", "9.107660637549444973e-4", "6.0764307144820841722e-4",
+        "4.0086042684015971409e-4", "2.6148406084000131828e-4", "1.6865889816503479431e-4",
+        "1.0756971519654661197e-4",
+    ),
+    2**1030: (
+        "9.8233605931311443831e-1", "9.3119479152556233168e-1", "8.5180843139097842658e-1",
+        "7.5190892553888028597e-1", "6.4048919235579174491e-1", "5.2648180672181493567e-1",
+        "4.1762073129324269169e-1", "3.1967623977732450101e-1", "2.3614088573591302189e-1",
+        "1.6833243987641513042e-1", "1.157987614844843217e-1", "7.6874716448871998746e-2",
+        "4.9250550763507248243e-2", "3.0450289748502435771e-2", "1.816894654155345201e-2",
+        "1.0462407602477012462e-2", "5.8143754397477998978e-3", "3.1185335064312928816e-3",
+        "1.6142857436071473295e-3", "8.0649223668516166326e-4", "3.8888148650768110248e-4",
+        "1.8098373234936295804e-4", "8.1297144061459860553e-5", "3.5247894561673956662e-5",
+        "1.4751027185010382999e-5", "5.958706155335030463e-6", "2.3234434870244898071e-6",
+        "8.7452633840854671273e-7", "3.1774951037943275172e-7", "1.1144974125588098245e-7",
+        "3.773694697231637796e-8", "1.2335583770290742054e-8", "3.8928709564491310839e-9",
+        "1.1860695380587059697e-9", "3.4889360473201277258e-10", "9.9090456096418536772e-11",
+        "2.7173165695512595718e-11", "7.1950239972703182034e-12", "1.8395951040038483464e-12",
+        "4.541768557038676749e-13",
+    ),
+}
+
+
+@pytest.mark.parametrize("n", KERNEL_REFERENCE)
+def test_kernel_values_match_reference(n):
+    # Near t = 0, where the kernel's mass is, cos(t) - 1 computed as a
+    # difference would carry an error of eps in the exponent 2 log n
+    # (cos t - 1), i.e. eps 2 log n relative: 7.8e-14 at n = 2^1030.
+    theta = 0.005 * np.arange(1, 41)
+    want = np.array([float(v) for v in KERNEL_REFERENCE[n]])
+    got = integrand(IntegrandKind.LIMIT_KERNEL, n, theta)
+    assert np.max(np.abs(got / want - 1.0)) <= 32 * np.finfo(np.float64).eps
+
+
+def _log_spaced_ints(lo_bits, hi_bits, count):
+    # Integers 2^e for e evenly spaced over [lo_bits, hi_bits], also above
+    # the double range.
+    out = []
+    for j in range(count):
+        e = lo_bits + (hi_bits - lo_bits) * j / (count - 1)
+        k = math.floor(e)
+        out.append(max(2, round(2.0 ** (e - k) * 2**52) * 2**k // 2**52))
+    return out
+
+
+def _kernel_trapezoid(n, intervals, scale):
+    # The half-range rule on the public integrand, as scale * T_N.
+    y = integrand(IntegrandKind.LIMIT_KERNEL, n, np.linspace(0.0, math.pi, intervals + 1))
+    return scale * ((math.pi / intervals) * math.fsum([0.5 * y[0], *y[1:-1], 0.5 * y[-1]]))
+
+
+def test_kernel_error_estimate_bounds_a_finer_rule():
+    # The strip bound plus the rounding floor covers |T_N - T_4N| at 200
+    # log-spaced n for I_n (n in [2, 2^1030]) and for GAMMA_RATIO, which is
+    # the kernel from n = 2^60 (n in [2^60, 2^1030]); T_N is the rule on
+    # the public integrand, bit for bit.
+    misses = []
+    for rel_tol in (1e-10, 1e-12):
+        config = QuadratureConfig(rel_tol=rel_tol)
+        cases = [(n, I_n(n, config), 2.0) for n in _log_spaced_ints(1, 1030, 200)]
+        cases += [
+            (n, p_quadrature_result(n, IntegrandKind.GAMMA_RATIO, config), 1.0 / math.pi)
+            for n in _log_spaced_ints(60, 1030, 200)
+        ]
+        for n, res, scale in cases:
+            intervals = res.evaluations - 1
+            assert intervals % 8 == 0
+            assert res.value == _kernel_trapezoid(n, intervals, scale), n
+            assert res.abs_error_estimate <= rel_tol * res.value
+            finer = _kernel_trapezoid(n, 4 * intervals, scale)
+            if abs(res.value - finer) > res.abs_error_estimate:
+                misses.append((n, rel_tol))
+    assert misses == []
+
+
+# I(n) = integral_0^{2 pi} of the kernel, 30 digits: mpmath at 40 digits,
+# mpmath.quad split at multiples of the kernel's width 1 / sqrt(2 log n),
+# and agreeing to 1e-38 with a 1200-interval trapezoid rule.
+KERNEL_INTEGRALS = {
+    2: "4.25243391984000490698228714160",
+    100: "0.950335588625627036685070787502",
+    10**6: "0.498533468019164366809996713480",
+    2**60: "0.278853345876231283935384894977",
+    10**100: "0.117109981292862799525784596120",
+    2**1030: "0.0663905966584106060418771268579",
+}
+
+
+@pytest.mark.parametrize("n", KERNEL_INTEGRALS)
+@pytest.mark.parametrize("rel_tol", [1e-10, 1e-12])
+def test_kernel_routes_match_reference_integrals(n, rel_tol):
+    config = QuadratureConfig(rel_tol=rel_tol)
+    want = mpmath.mpf(KERNEL_INTEGRALS[n])
+    res = I_n(n, config)
+    assert abs(res.value - want) <= res.abs_error_estimate
+    if n >= 2**60:
+        res = p_quadrature_result(n, IntegrandKind.GAMMA_RATIO, config)
+        assert abs(res.value - want / (2 * mpmath.pi)) <= res.abs_error_estimate
+
+
+def test_kernel_node_count_doubles_until_the_bound_holds(monkeypatch):
+    # A guess of the integral far above it picks too few intervals; the
+    # rule then doubles them, evaluating the new midpoints only, until the
+    # estimate meets the computed value's tolerance.
+    want = I_n(10**6, TIGHT)
+    monkeypatch.setattr(analytic, "laplace_I", lambda n: 1e6)
+    seen = []
+    real_table = analytic._kernel_table
+    monkeypatch.setattr(
+        analytic, "_kernel_table", lambda m: seen.append(m) or real_table(m)
+    )
+    res = I_n(10**6, TIGHT)
+    assert len(seen) >= 2 and seen == [seen[0] * 2**k for k in range(len(seen))]
+    assert res.evaluations == seen[-1] + 1
+    assert res.abs_error_estimate <= TIGHT.rel_tol * res.value
+    assert abs(res.value - want.value) <= res.abs_error_estimate + want.abs_error_estimate
+
+
+def test_kernel_convergence_errors_carry_the_best_estimate(monkeypatch):
+    # rel_tol below the rounding floor fails at the first batch ...
+    with pytest.raises(QuadratureConvergenceError) as exc_info:
+        I_n(100, QuadratureConfig(rel_tol=1e-16, abs_tol=0.0))
+    best = exc_info.value.best
+    assert best.value == pytest.approx(float(KERNEL_INTEGRALS[100]), rel=1e-14)
+    assert best.abs_error_estimate > exc_info.value.tolerance
+    # ... and so does a node count that the node cap truncates.
+    monkeypatch.setattr(analytic, "_MAX_NODES", 65)
+    with pytest.raises(QuadratureConvergenceError) as exc_info:
+        p_quadrature_result(2**1030, IntegrandKind.GAMMA_RATIO, TIGHT)
+    assert exc_info.value.best.evaluations == 65
+
+
+def test_kernel_table_cache_stays_bounded():
+    cached = analytic._cached_kernel_table
+    cached.cache_clear()
+    for intervals in range(8, 8 * (2 * analytic._KERNEL_TABLE_ENTRIES + 1), 8):
+        for array in analytic._kernel_table(intervals):
+            assert array.size == intervals + 1
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+    info = cached.cache_info()
+    assert info.currsize == analytic._KERNEL_TABLE_ENTRIES
+    big = analytic._KERNEL_TABLE_MAX_INTERVALS + 8
+    assert analytic._kernel_table(big)[0].size == big + 1
+    assert cached.cache_info() == info  # neither looked up nor stored
 
 
 # ------------------------------------------------------------- I_n

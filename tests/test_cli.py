@@ -230,8 +230,8 @@ def test_table_deterministic_bytes(capsys):
 
 
 _TABLE_SHA256 = {
-    "csv": "b53429124ea243ca2db994b19ca1fe2461aa502d168c49d360d83883b1d1f5ce",
-    "json": "3d00fb4f2ff3514c1953f9c41d86bb3f633576bbbfb06172070f8176fb3e1c27",
+    "csv": "179aa72f0f2c895e098cb899f7c28c8856fb73af7aa95a7c8b8b3876645be21d",
+    "json": "a17d3bebb01984783ccb487d5706d4e2c0849415f7edbdda5da61f6c55c7392e",
 }
 
 
