@@ -24,7 +24,6 @@ METHODS = ("exact", "quadrature", "eq2", "asymptotic", "montecarlo")
 
 _EXPORTS = {
     "analytic": (
-        "EXACT_PRODUCT_AUTO_MAX",
         "I_n",
         "IntegrandKind",
         "harmonic",
@@ -50,7 +49,6 @@ _EXPORTS = {
         "EULER_GAMMA",
         "EULER_GAMMA_DIGITS",
         "log_gamma",
-        "log_gamma_ratio",
         "recip_gamma_abs_sq",
         "weierstrass_partial",
     ),

@@ -6,75 +6,68 @@ g(z) = sum a_k z^k with real coefficients,
     sum_k a_k^2 = (1/2pi) integral_0^{2pi} |g(e^{i theta})|^2 d theta.
 
 Applied to the rising factorial x (x+1) ... (x+n-1), whose coefficients
-count permutations by cycle number, the collision probability becomes an
-integral that can be evaluated three ways:
+count permutations by cycle number, the collision probability becomes the
+mean over the circle of |Gamma(z+n) / (Gamma(z) n!)|^2, z = e^{i theta}.
+Three integrands:
 
-* EXACT_PRODUCT - |prod_{j<n} (e^{i theta} + j)|^2 / (n!)^2 as
-  n^-2 prod_{j=1}^{n-1} (1 + 2 cos(theta)/j + 1/j^2), summed term by term
-  as log1p values, O(n) per evaluation.  It is a trigonometric polynomial
-  of degree n - 1, so the trapezoid rule on N >= n/2 intervals of [0, pi]
-  integrates it exactly; quadrature tolerance is the only error.
-* GAMMA_RATIO - the same quantity through Gamma(z+n)/Gamma(z), O(1) per
-  evaluation, at any integer n, including n above the double range.
-  From n = 2^60 on, where log_gamma_ratio is (z - 1) log n to double
-  resolution, it is evaluated as the LIMIT_KERNEL integrand.
-* LIMIT_KERNEL - the large-n kernel exp(2(cos theta - 1) log n) /
-  |Gamma(e^{i theta})|^2 whose integral I(n) tends to sqrt(pi / log n);
-  dividing by 2 pi gives the asymptotic collision estimate.  cos theta - 1
-  is taken as -2 sin^2(theta/2), free of cancellation near theta = 0, so
-  the kernel is within 2.8e-15 relative of mpmath up to n = 2^1030.
+* EXACT_PRODUCT - n^-2 prod_{j=1}^{n-1} (1 + 2 cos(theta)/j + 1/j^2) as
+  log1p terms, O(n) per evaluation: the oracle.  A trigonometric
+  polynomial of degree n - 1, integrated exactly by the trapezoid rule on
+  N >= n/2 intervals of [0, pi].
+* LIMIT_KERNEL - K_n = exp(2(cos theta - 1) log n) w, w the weight
+  1/|Gamma(e^{i theta})|^2, whose integral I(n) tends to sqrt(pi / log n).
+  cos theta - 1 is taken as -2 sin^2(theta/2), free of cancellation near
+  theta = 0: within 2.8e-15 relative of mpmath up to n = 2^1030.
+* GAMMA_RATIO - the identity in O(1) per evaluation, as the kernel times
+  a factor that tends to 1 (log|1 + z/j|^2 summed over j as cosine series):
 
-The two identity integrands are accurate to ~1e-14 relative away from
-theta = pi, which the quadrature error estimate relies on.  All
-integrands are 2 pi-periodic and even about theta = pi, so integration
+      f_n = K_n exp(sum_{k=1}^{54} d_k(n) (cos k theta - 1)),
+      d_1 = 2 (H_{n-1} - log n - gamma),  d_k = 2 (-1)^k zeta(k, n) / k,
+
+  with the Hurwitz zeta(k, n) from Euler-Maclaurin for n >= 64 and from a
+  table built once by zeta(k, m) = zeta(k, m+1) + m^-k below.  From
+  n = 2^60 on every d_k is below double resolution and f_n is the kernel,
+  bit for bit; f_1 is the constant 1.  Within 1.1e-14 relative of mpmath
+  for n <= 1e6 (3.2e-14 near 2^60) away from theta = pi.
+
+All integrands are 2 pi-periodic and even about theta = pi, so integration
 is done on [0, pi], endpoints included, and doubled.
 
-The kernel routes - I_n, and GAMMA_RATIO from n = 2^60 on - take one
-batch of N + 1 nodes, N = pi / h, from the strip bound of Trefethen &
-Weideman (Thm 3.2).  On |Im theta| <= a < ln 2 the kernel is at most
+I_n and GAMMA_RATIO (the default) take one batch of N + 1 nodes, N from
+the strip bound of Trefethen & Weideman (Thm 3.2): on |Im theta| <= a <
+ln 2 the integrand is at most
 
     M(a) = exp(2 log n (cosh a - 1)) (2 + 2 cosh a) exp(2 sum_k |a_k| cosh ka)
+           exp(sum_k (|d_k| cosh ka - d_k))
 
-with a_k the weight's cosine coefficients (gammafn), so the rule on N
-intervals of [0, pi] is within 2 pi M(a) / (e^{2aN} - 1) of the integral.
-N is the smallest, over a fixed grid of a, that meets half the tolerance
-laplace_I(n) / 2 would give (below the integral at every n measured),
-rounded up to a multiple of 8; it is doubled, evaluating the new
-midpoints, only if the estimate then misses the computed value's
-tolerance.  The error estimate is that bound plus the floor 64 eps h
-sum|f| of `quadrature`, so it is proved rather than inferred from
-|T_N - T_{N/2}|, and `evaluations` is N + 1.  The other routes,
-EXACT_PRODUCT and GAMMA_RATIO below 2^60, use the halving ladder of
-`quadrature`.
+(a_k the weight's coefficients, gammafn; the last factor is 1 for the
+kernel), so the rule on N intervals of [0, pi] is within
+2 pi M(a) / (e^{2aN} - 1) of the integral.  N is the smallest, over a
+fixed grid of a, that meets half the tolerance laplace_I(n) / 2 would
+give (below the integral at every n measured), rounded up to a multiple
+of 8, and doubled only if the estimate then misses the computed value's
+tolerance.  The estimate is that bound plus the floor 64 eps h sum|f| of
+`quadrature`, and `evaluations` is N + 1.  EXACT_PRODUCT, and n = 1, run
+the halving ladder of `quadrature`.
 
-The n-independent part of the Gamma-ratio and kernel integrands -
-cos(theta) - 1, e^{i theta} and the weight 1/|Gamma(e^{i theta})|^2 - is
-cached per process for each node array, read-only: the ladder evaluates
-the same node batches on [0, pi] for every n, so the weight is paid once
-per batch, not once per call.  The cache holds at most 16 node arrays of
-at most 2^15 nodes each, at 40 bytes a node with its key (about 21 MiB at
-most; a full quadrature ladder, 2^16 + 1 nodes, is 2.5 MiB); larger
-arrays are computed directly and not stored.  The kernel routes keep
-their own tables, keyed by N: at most 32, of N <= 2^12 (about 2 MiB).
+The tables are cached per process, read-only: cos(theta) - 1 and the
+weight, 16 bytes a node, for at most 32 N <= 2^12 (2.1 MB); and for
+GAMMA_RATIO cos(k theta) - 1, k = 1..54, 432 bytes a node, for the six
+N <= 48 (75 kB), every N it took at rel_tol >= 1e-13 when measured.
+Larger tables are built and not stored, so the cache holds at most 2.2 MB.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from enum import Enum
 from typing import Callable
 
 import numpy as np
 
-from .gammafn import (
-    _CIRCLE_COEFFS,
-    _LOG_ONLY_MIN_N,
-    EULER_GAMMA,
-    _check_theta,
-    _circle_weight,
-    log_gamma_ratio,
-)
+from .gammafn import _CIRCLE_COEFFS, EULER_GAMMA, _check_theta, _circle_weight
 from .quadrature import (
     _FLOOR,
     _MAX_NODES,
@@ -86,13 +79,8 @@ from .quadrature import (
     quadrature,
 )
 
-# Largest n for which the auto-selected quadrature route uses the O(n)
-# exact-product integrand; above it the O(1) Gamma-ratio form takes over.
-# Measured (p_quadrature_result, best of 7 x 33 calls): at n = 1024 the
-# product route takes 0.20 ms and GAMMA_RATIO 0.13 ms; GAMMA_RATIO is the
-# faster from some n between 384 and 512.  Moving the constant changes the
-# bits of every auto result in between and re-pins the quadrature digest,
-# so it needs its own change.
+# No code in this package reads this constant.  It stays only because the
+# benchmark in bench/ imports it; ROADMAP item 6 moves it there.
 EXACT_PRODUCT_AUTO_MAX = 1024
 
 
@@ -104,19 +92,75 @@ class IntegrandKind(Enum):
     LIMIT_KERNEL = "limit-kernel"
 
 
-def harmonic(m: int) -> float:
-    """Harmonic number H_m = 1 + 1/2 + ... + 1/m (H_0 = 0).
+# k = 1..54, the terms of the weight's series and of d_k(n).
+_K = np.arange(1.0, _CIRCLE_COEFFS.size + 1)
+# From here on every d_k(n) is below double resolution (d_1 ~ -1/n).
+_KERNEL_MIN_N = 2**60
+# Euler-Maclaurin for zeta(k, n) from here on; a table below.
+_EULER_MACLAURIN_MIN_N = 64
+# B_2j / (2j)! (k)_{2j-1}, j = 1..6 (rows) and k = 1..54 (columns), with
+# (k)_m the rising factorial: zeta(k, n) = n^{1-k} / (k - 1) + n^-k / 2
+# + sum_j row_j[k] n^{-k-2j+1}, where for k = 1 the first term is replaced
+# by -log n, giving -psi(n).  The first omitted term is below 5e-12 of
+# zeta(k, 64) at k = 54 and far smaller at lower k.
+_EULER_MACLAURIN = np.array([
+    [b / math.factorial(2 * j) * math.prod(range(k, k + 2 * j - 1)) for k in range(1, 55)]
+    for j, b in enumerate((1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730), start=1)
+])
+_ODD_POWERS = np.arange(1.0, 12.0, 2.0)
+# n / (k - 1) for k >= 2 as n * this; 0 for k = 1.
+_LEADING = np.concatenate(([0.0], 1.0 / _K[:-1]))
 
-    Exact-rounded summation up to 1e6 terms; beyond that the asymptotic
-    expansion log m + gamma + 1/(2m) - 1/(12 m^2), whose next omitted term
-    is ~ 1/(120 m^4) < 1e-26 there.
+
+def _hurwitz_row(n: int) -> np.ndarray:
+    # log n - psi(n), then zeta(k, n) for k = 2..54; n >= 2.
+    if n < _EULER_MACLAURIN_MIN_N:
+        row = _small_hurwitz_table()[n - 1].copy()
+        row[0] += math.log(n)
+        return row
+    inv = 1.0 / n
+    return inv**_K * (n * _LEADING + 0.5 + inv**_ODD_POWERS @ _EULER_MACLAURIN)
+
+
+@functools.cache
+def _small_hurwitz_table() -> np.ndarray:
+    # Row m - 1, m = 1..64: -psi(m), then zeta(k, m) for k = 2..54, by
+    # zeta(k, m) = zeta(k, m + 1) + m^-k down from m = 64 (psi follows the
+    # same recurrence with k = 1), adding the smallest terms first.
+    top = _hurwitz_row(_EULER_MACLAURIN_MIN_N)
+    top[0] -= math.log(_EULER_MACLAURIN_MIN_N)
+    steps = (1.0 / np.arange(_EULER_MACLAURIN_MIN_N - 1, 0, -1))[:, None] ** _K
+    return np.cumsum(np.vstack([top, steps]), axis=0)[::-1]
+
+
+def _series_coeffs(n: int) -> np.ndarray | None:
+    # d_k(n) of the GAMMA_RATIO integrand, n >= 2; None from n = 2^60 on.
+    # d_1 = -2 (log n - psi(n)) = 2 (H_{n-1} - log n - gamma).
+    if n >= _KERNEL_MIN_N:
+        return None
+    return (2.0 * (-1.0) ** _K / _K) * _hurwitz_row(n)
+
+
+def harmonic(m: int) -> float:
+    """Harmonic number H_m = 1 + 1/2 + ... + 1/m (H_0 = 0) for integer m >= 0.
+
+    Exact-rounded summation below m = 64; from there the Euler-Maclaurin
+    expansion H_m = log m + gamma + 1/m - (log m - psi(m)) that the
+    GAMMA_RATIO integrand uses, within 1e-15 relative; from m = 2^60 on,
+    log m + gamma, also above the double range.  ValueError for a
+    negative or non-integer m.
     """
+    try:
+        m = operator.index(m)
+    except TypeError:
+        raise ValueError(f"m must be an integer, got {m!r}") from None
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
-    if m <= 10**6:
+    if m < _EULER_MACLAURIN_MIN_N:
         return math.fsum(1.0 / r for r in range(1, m + 1))
-    inv = 1.0 / m
-    return math.log(m) + EULER_GAMMA + 0.5 * inv - inv * inv / 12.0
+    if m >= _KERNEL_MIN_N:
+        return math.log(m) + EULER_GAMMA
+    return math.log(m) + EULER_GAMMA + (1.0 / m - float(_hurwitz_row(m)[0]))
 
 
 def _exact_product_values(n: int, theta: np.ndarray) -> np.ndarray:
@@ -135,60 +179,51 @@ def _exact_product_values(n: int, theta: np.ndarray) -> np.ndarray:
     return np.exp(acc) / (float(n) * n)
 
 
-# The node-table cache: the quadrature driver's largest batch is 2^15 new
-# midpoints, and its whole ladder on [0, pi] is 14 batches (9 nodes, then
-# 8, 16, ..., 2^15), so 16 entries hold one ladder with room to spare.
-_NODE_TABLE_MAX_NODES = _MAX_NODES // 2
-_NODE_TABLE_ENTRIES = 16
-
-
-def _build_node_table(
-    theta: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # cos(theta) - 1, z = e^{i theta} and 1/|Gamma(z)|^2 in its entire,
-    # pole-free form, exactly 0 at theta = pi.  cos(theta) - 1 is taken as
+def _build_node_table(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # cos(theta) - 1 and 1/|Gamma(e^{i theta})|^2 in its entire, pole-free
+    # form, exactly 0 at theta = pi.  cos(theta) - 1 is taken as
     # -2 sin^2(theta / 2): np.cos(theta) - 1 cancels near theta = 0, where
     # the kernel's exponent (cos(theta) - 1) 2 log n would carry an error
     # of eps 2 log n, 7.8e-14 relative to mpmath at n = 2^1030.
     half = np.sin(0.5 * theta)
-    z = np.cos(theta) + 1j * np.sin(theta)
-    return -2.0 * half * half, z, _circle_weight(z)
+    return -2.0 * half * half, _circle_weight(np.cos(theta) + 1j * np.sin(theta))
 
 
-@functools.lru_cache(maxsize=_NODE_TABLE_ENTRIES)
-def _cached_node_table(key: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    table = _build_node_table(np.frombuffer(key, dtype=np.float64))
-    for arr in table:
-        arr.flags.writeable = False
-    return table
+def _build_series_table(theta: np.ndarray) -> np.ndarray:
+    # cos(k theta) - 1 = -2 sin^2(k theta / 2), one row per k = 1..54.
+    half = np.sin(np.multiply.outer(0.5 * _K, theta))
+    return -2.0 * half * half
 
 
-def _node_table(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # theta is a 1-d float64 array; the table depends on it alone.
-    if theta.size > _NODE_TABLE_MAX_NODES:
-        return _build_node_table(theta)
-    return _cached_node_table(theta.tobytes())
+def _circle_values(
+    log_n2: float,
+    delta: np.ndarray | None,
+    cos_m1: np.ndarray,
+    w: np.ndarray,
+    series: np.ndarray | None,
+) -> np.ndarray:
+    # K_n exp(sum_k d_k (cos k theta - 1)), or the kernel K_n alone; log_n2
+    # is 2 log n, exact wherever the factor 2 is applied.
+    exponent = cos_m1 * log_n2
+    if delta is not None:
+        exponent += delta @ series
+    return np.exp(exponent) * w
 
 
-def _gamma_ratio_values(n: int, theta: np.ndarray) -> np.ndarray:
-    # |Gamma(z+n) / (Gamma(z) n!)|^2 = w |Gamma(z+n) / n!|^2 with the
-    # weight w = 1/|Gamma(z)|^2.  For n = 1 the integrand is |z|^2 = 1
-    # everywhere, theta = pi included.
-    if n == 1:
-        return np.ones_like(theta)
-    if n >= _LOG_ONLY_MIN_N:
-        # log_gamma_ratio is (z - 1) log n here: the kernel's integrand,
-        # whose table holds cos(theta) - 1 without cancellation.
-        return _limit_kernel_values(n, theta)
-    _, z, w = _node_table(theta)
-    return w * np.exp(2.0 * np.real(log_gamma_ratio(n, z)))
+def _circle_fn(n: float, delta: np.ndarray | None) -> Callable[[np.ndarray], np.ndarray]:
+    # math.log takes n as given, so an int n above the double range works.
+    log_n2 = 2.0 * math.log(n)
 
+    def block(theta: np.ndarray) -> np.ndarray:
+        series = None if delta is None else _build_series_table(theta)
+        return _circle_values(log_n2, delta, *_build_node_table(theta), series)
 
-def _limit_kernel_values(n: float, theta: np.ndarray) -> np.ndarray:
-    # math.log takes n as given, so an int n above the double range works;
-    # the factor 2 is exact wherever it is applied.
-    cos_m1, _, w = _node_table(theta)
-    return np.exp(cos_m1 * (2.0 * math.log(n))) * w
+    def values(theta: np.ndarray) -> np.ndarray:
+        # In blocks of 2^12 nodes: the weight's power table and the series
+        # table take 1.3 kB a node while they live.
+        return np.concatenate([block(t) for t in np.split(theta, range(4096, theta.size, 4096))])
+
+    return values
 
 
 def _integrand_fn(kind: IntegrandKind, n: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -199,11 +234,11 @@ def _integrand_fn(kind: IntegrandKind, n: float) -> Callable[[np.ndarray], np.nd
     if kind is IntegrandKind.GAMMA_RATIO:
         if n < 1 or int(n) != n:
             raise ValueError(f"GAMMA_RATIO requires integer n >= 1, got {n}")
-        return lambda t: _gamma_ratio_values(int(n), t)
+        return np.ones_like if n == 1 else _circle_fn(n, _series_coeffs(int(n)))
     if kind is IntegrandKind.LIMIT_KERNEL:
         if not n > 1:
             raise ValueError(f"LIMIT_KERNEL requires real n > 1, got {n}")
-        return lambda t: _limit_kernel_values(n, t)
+        return _circle_fn(n, None)
     raise ValueError(f"unknown integrand kind: {kind!r}")
 
 
@@ -223,41 +258,43 @@ def integrand(
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
-# The strip half-widths a for the kernel's node count (module docstring),
-# 0.68 down to 0.0045 in steps of 1.4: between two of them N is within 2%
-# of its value at the best a, and the smallest is best up to log n ~ 1e6.
-# N is a multiple of 8, so that few kernel tables exist; each holds
-# -2 sin^2(theta/2) and the weight at the N + 1 nodes.
+# The strip half-widths a for the node count (module docstring), 0.68
+# down to 0.0045 in steps of 1.4: between two of them N is within 2% of
+# its value at the best a, and the smallest is best up to log n ~ 1e6.
+# N is a multiple of 8, so that few tables exist.
 _STRIP_WIDTHS = tuple(0.68 / 1.4**k for k in range(16))
 _KERNEL_TABLE_ENTRIES = 32
 _KERNEL_TABLE_MAX_INTERVALS = 2**12
+_SERIES_TABLE_ENTRIES = 6
+_SERIES_TABLE_MAX_INTERVALS = 48
 
 
 @functools.cache
-def _strip_table() -> tuple[tuple[float, float, float], ...]:
-    # Per width a: (1 / 2a, cosh a - 1, log(2 pi M(a)) at log n = 0).
-    k = np.arange(1, _CIRCLE_COEFFS.size + 1)
-    return tuple(
+def _strip_table() -> tuple[tuple[tuple[float, float, float], ...], np.ndarray]:
+    # Per width a: (1 / 2a, cosh a - 1, log(2 pi M(a)) at log n = 0 for the
+    # kernel), and cosh(k a) for the d_k factor, one row per a.
+    rows = tuple(
         (
             0.5 / a,
             math.cosh(a) - 1.0,
             math.log(2.0 * math.pi * (2.0 + 2.0 * math.cosh(a)))
-            + 2.0 * float(np.abs(_CIRCLE_COEFFS) @ np.cosh(k * a)),
+            + 2.0 * float(np.abs(_CIRCLE_COEFFS) @ np.cosh(_K * a)),
         )
         for a in _STRIP_WIDTHS
     )
+    return rows, np.cosh(np.multiply.outer(_STRIP_WIDTHS, _K))
 
 
-def _build_kernel_table(intervals: int) -> tuple[np.ndarray, np.ndarray]:
+def _nodes(intervals: int) -> np.ndarray:
+    # The bytes of np.linspace(0, pi, intervals + 1).
     theta = (math.pi / intervals) * np.arange(intervals + 1)
     theta[-1] = math.pi
-    cos_m1, _, w = _build_node_table(theta)
-    return cos_m1, w
+    return theta
 
 
 @functools.lru_cache(maxsize=_KERNEL_TABLE_ENTRIES)
 def _cached_kernel_table(intervals: int) -> tuple[np.ndarray, np.ndarray]:
-    table = _build_kernel_table(intervals)
+    table = _build_node_table(_nodes(intervals))
     for arr in table:
         arr.flags.writeable = False
     return table
@@ -265,14 +302,30 @@ def _cached_kernel_table(intervals: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _kernel_table(intervals: int) -> tuple[np.ndarray, np.ndarray]:
     if intervals > _KERNEL_TABLE_MAX_INTERVALS:
-        return _build_kernel_table(intervals)
+        return _build_node_table(_nodes(intervals))
     return _cached_kernel_table(intervals)
 
 
-def _kernel_quadrature(n: float, config: QuadratureConfig) -> QuadratureResult:
-    # The kernel's integral over [0, pi] (module docstring).  laplace_I(n)
-    # / 2 is the guess of it: I_n / laplace_I is 1.997 at n = 2 and 1.034
-    # at 1e8, above 1 at every n measured.
+@functools.lru_cache(maxsize=_SERIES_TABLE_ENTRIES)
+def _cached_series_table(intervals: int) -> np.ndarray:
+    table = _build_series_table(_nodes(intervals))
+    table.flags.writeable = False
+    return table
+
+
+def _series_table(intervals: int) -> np.ndarray:
+    if intervals > _SERIES_TABLE_MAX_INTERVALS:
+        return _build_series_table(_nodes(intervals))
+    return _cached_series_table(intervals)
+
+
+def _kernel_quadrature(
+    n: float, config: QuadratureConfig, delta: np.ndarray | None = None
+) -> QuadratureResult:
+    # The integral over [0, pi] of the kernel, or with delta of the
+    # GAMMA_RATIO integrand (module docstring).  laplace_I(n) / 2 is the
+    # guess of it: I_n / laplace_I is 1.997 at n = 2 and 1.034 at 1e8, and
+    # pi p(n) is above it too, by r(n) > 1.
     log_n2 = 2.0 * math.log(n)
     guess = 0.5 * laplace_I(n)
     # No N takes the error below the rounding floor, about _FLOOR * value.
@@ -280,14 +333,22 @@ def _kernel_quadrature(n: float, config: QuadratureConfig) -> QuadratureResult:
     # Smallest N over the widths with 2aN >= log(2 pi M(a) / target) + log 2,
     # which implies e^{2aN} - 1 >= 2 pi M(a) / target.
     shift = math.log(2.0 / target)
-    need, half_inv_a, cosh_m1, log_m0 = min(
-        ((shift + log_m0 + log_n2 * cosh_m1) * half_inv_a, half_inv_a, cosh_m1, log_m0)
-        for half_inv_a, cosh_m1, log_m0 in _strip_table()
+    rows, cosh_ka = _strip_table()
+    extra = [0.0] * len(rows) if delta is None else (cosh_ka @ np.abs(delta) - delta.sum()).tolist()
+    need, half_inv_a, log_m = min(
+        (
+            (shift + log_m0 + log_n2 * cosh_m1 + e) * half_inv_a,
+            half_inv_a,
+            log_m0 + log_n2 * cosh_m1 + e,
+        )
+        for (half_inv_a, cosh_m1, log_m0), e in zip(rows, extra)
     )
     intervals = min(max(8, 8 * math.ceil(need / 8)), _MAX_NODES - 1)
-    log_m = log_m0 + log_n2 * cosh_m1
     cos_m1, w = _kernel_table(intervals)
-    ys, total_abs = _values(np.exp(cos_m1 * log_n2) * w, cos_m1, 0.0, math.pi, 0.0)
+    series = None if delta is None else _series_table(intervals)
+    ys, total_abs = _values(
+        _circle_values(log_n2, delta, cos_m1, w, series), cos_m1, 0.0, math.pi, 0.0
+    )
     total = math.fsum([0.5 * ys[0], *ys[1:-1], 0.5 * ys[-1]])
     total_abs -= 0.5 * (abs(ys[0]) + abs(ys[-1]))
     while True:
@@ -305,7 +366,10 @@ def _kernel_quadrature(n: float, config: QuadratureConfig) -> QuadratureResult:
             raise QuadratureConvergenceError(result, tolerance)
         intervals *= 2
         cos_m1, w = (arr[1::2] for arr in _kernel_table(intervals))
-        ys, total_abs = _values(np.exp(cos_m1 * log_n2) * w, cos_m1, 0.0, math.pi, total_abs)
+        series = None if delta is None else _series_table(intervals)[:, 1::2]
+        ys, total_abs = _values(
+            _circle_values(log_n2, delta, cos_m1, w, series), cos_m1, 0.0, math.pi, total_abs
+        )
         total += math.fsum(ys)
 
 
@@ -352,27 +416,27 @@ def p_quadrature_result(
 ) -> QuadratureResult:
     """Collision probability by quadrature, with its error estimate.
 
-    kind=None picks EXACT_PRODUCT for n <= EXACT_PRODUCT_AUTO_MAX (1024)
-    and GAMMA_RATIO above.  From n = 2^60 on GAMMA_RATIO is the kernel and
-    is integrated as in `I_n`, with the strip bound in its estimate; below,
-    every route runs the halving ladder of `quadrature`.
+    kind=None is GAMMA_RATIO, integrated at every n >= 2 as `I_n` is: one
+    batch on the N intervals of [0, pi] that the strip bound certifies,
+    with that bound in its estimate.  EXACT_PRODUCT, the O(n) oracle, and
+    n = 1, where both identity integrands are the constant 1, run the
+    halving ladder of `quadrature`.
     This route evaluates an identity, so it reproduces the exact-arithmetic
     value for every n, large or small, to within the returned
     abs_error_estimate.
     """
     if n < 1 or int(n) != n:
         raise ValueError(f"n must be a positive integer, got {n}")
-    if kind is None:
-        kind = (
-            IntegrandKind.EXACT_PRODUCT
-            if n <= EXACT_PRODUCT_AUTO_MAX
-            else IntegrandKind.GAMMA_RATIO
-        )
     if kind is IntegrandKind.LIMIT_KERNEL:
         raise ValueError("LIMIT_KERNEL is not a collision-probability identity; "
                          "use I_n for the asymptotic kernel")
-    if kind is IntegrandKind.GAMMA_RATIO and n >= _LOG_ONLY_MIN_N:
-        return _half_range(lambda: _kernel_quadrature(n, config), 1.0 / math.pi)
+    if kind is None or kind is IntegrandKind.GAMMA_RATIO:
+        if n > 1:
+            n = int(n)
+            return _half_range(
+                lambda: _kernel_quadrature(n, config, _series_coeffs(n)), 1.0 / math.pi
+            )
+        kind = IntegrandKind.EXACT_PRODUCT
     f = _integrand_fn(kind, n)
     return _half_range(lambda: quadrature(f, 0.0, math.pi, config), 1.0 / math.pi)
 

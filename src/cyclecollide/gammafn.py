@@ -82,9 +82,6 @@ _STIRLING_COEFFS = (
 # Right of this line the truncated series is accurate to ~1e-17 absolute.
 _SERIES_MIN_RE = 10.0
 
-# From here on log_gamma_ratio(n, z) is (z - 1) log n to double resolution.
-_LOG_ONLY_MIN_N = 2**60
-
 
 def _stirling_series_tail(w: np.ndarray | float) -> np.ndarray | float:
     """Correction sum of the Stirling series, valid for Re w >= 10."""
@@ -123,49 +120,6 @@ def log_gamma(z: complex | np.ndarray) -> complex | np.ndarray:
         raise ValueError("log_gamma pole: z is a nonpositive real integer")
     out = _log_gamma_array(np.atleast_1d(arr))
     return complex(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
-
-
-def log_gamma_ratio(n: float, z: complex | np.ndarray) -> complex | np.ndarray:
-    """log Gamma(n + z) - log Gamma(n + 1), stable for large n.
-
-    The naive difference of two log-gammas loses ~log10(log Gamma(n))
-    digits to cancellation; here the Stirling series is differenced term
-    by term, which keeps ~1e-14 relative accuracy in exp of the real part
-    (measured at n <= 1e4).  From n = 2^60 on, including n above the
-    double range, the value is (z - 1) log n: the omitted O(|z|^2 / n)
-    is below double resolution there.  Requires |z| bounded (this
-    package only uses |z| <= 1).
-    """
-    arr = np.asarray(z, dtype=np.complex128)
-    scalar = arr.ndim == 0
-    zz = np.atleast_1d(arr)
-    if n >= _LOG_ONLY_MIN_N:
-        out = (zz - 1.0) * math.log(n)
-    elif n < 16:
-        out = _log_gamma_array(n + zz) - _log_gamma_array(
-            np.array([n + 1.0 + 0.0j])
-        )
-    else:
-        # Both n+z and n+1 sit right of the series line; difference the
-        # closed parts analytically: (a-1/2)log a - (b-1/2)log b - (a-b)
-        # with a = n+z, b = n+1, d = z-1 rearranges to the stable terms
-        # below.  log(1 + u), u = d/b, is taken from the modulus and the
-        # argument of 1 + u: numpy's complex log1p loses ~eps/|u| of
-        # relative accuracy.
-        a = n + zz
-        b = n + 1.0
-        d = zz - 1.0
-        u = d / b
-        lp = 0.5 * np.log1p(2.0 * u.real + (u.real * u.real + u.imag * u.imag)) + (
-            1j * np.arctan2(u.imag, 1.0 + u.real)
-        )
-        out = (
-            d * math.log(b)
-            + (a - 0.5) * lp
-            - d
-            + (_stirling_series_tail(a) - _stirling_series_tail(b))
-        )
-    return complex(out[0]) if scalar else out.reshape(arr.shape)
 
 
 def _check_theta(theta: np.ndarray) -> None:

@@ -19,13 +19,12 @@ Under geometric convergence the difference exceeds the error of T_N by
 the convergence factor; the second term is a floor for the rounding
 error of integrand values accurate to a few ulps and of the sum.
 
-`quadrature` runs this ladder for any integrand, and the package runs it
-for every circle route below n = 2^60 except I_n.  The limit-kernel routes
-(I_n, and the Gamma-ratio identity from n = 2^60 on) know an analytic
-bound on their integrand instead: `analytic` evaluates them in one batch
-of N + 1 nodes, N from the Trefethen-Weideman strip bound, and reports
-that bound plus the same floor, through the same value checks (`_values`)
-and the same errors.
+`quadrature` runs this ladder for any integrand; the package runs it for
+the EXACT_PRODUCT oracle only.  The circle routes (I_n and the
+Gamma-ratio identity) know an analytic bound on their integrand instead:
+`analytic` evaluates them in one batch of N + 1 nodes, N from the
+Trefethen-Weideman strip bound, and reports that bound plus the same
+floor, through the same value checks (`_values`) and the same errors.
 """
 
 from __future__ import annotations

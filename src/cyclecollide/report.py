@@ -5,8 +5,8 @@ methods populated:
 
     exact       - reduced-fraction arithmetic, rendered as a 20-digit
                   decimal string (ground truth, exceeds double precision)
-    quadrature  - unit-circle integral identity (auto-picks the O(n)
-                  product integrand for n <= 1024, the O(1) Gamma form above)
+    quadrature  - unit-circle integral identity, the O(1) Gamma-ratio
+                  integrand with a certified error estimate
     eq2         - the large-n kernel integral divided by 2 pi
     asymptotic  - closed form 1 / (2 sqrt(pi log n))
     montecarlo  - paired sampling with binomial standard error
@@ -24,13 +24,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from . import METHODS, VERSION
-from .analytic import (
-    EXACT_PRODUCT_AUTO_MAX,
-    I_n,
-    IntegrandKind,
-    p_asymptotic,
-    p_quadrature_result,
-)
+from .analytic import I_n, p_asymptotic, p_quadrature_result
 from .exact import StirlingRow, exact_ceiling_error, stirling_rows
 from .montecarlo import estimate_collision
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, QuadratureConvergenceError
@@ -138,8 +132,6 @@ def _compute_row(
     if "quadrature" in methods:
         try:
             res = p_quadrature_result(n, None, config.quad)
-            if n == EXACT_PRODUCT_AUTO_MAX:
-                _crosscheck_boundary(res.value, n, config.quad)
             fields["p_quadrature"] = res.value
             fields["quad_error_estimate"] = res.abs_error_estimate
         except QuadratureConvergenceError as exc:
@@ -161,19 +153,6 @@ def _compute_row(
         fields["ratio_to_asymptotic"] = best_p / p_asymptotic(n)
 
     return CollisionReportRow(**fields, errors=tuple(errors))
-
-
-def _crosscheck_boundary(value: float, n: int, quad: QuadratureConfig) -> None:
-    # At the integrand hand-off point both routes are evaluated; a
-    # disagreement here means a defect, not a tolerance issue.
-    alt = p_quadrature_result(n, IntegrandKind.GAMMA_RATIO, quad)
-    if abs(alt.value - value) > max(
-        10.0 * alt.abs_error_estimate, 1e-9 * abs(value)
-    ):
-        raise RuntimeError(
-            f"integrand routes disagree at the n={n} hand-off: "
-            f"{value!r} vs {alt.value!r}"
-        )
 
 
 def run_report(config: ReportConfig) -> list[CollisionReportRow]:

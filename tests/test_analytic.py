@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -9,7 +10,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cyclecollide import (
-    EXACT_PRODUCT_AUTO_MAX,
     I_n,
     IntegrandKind,
     QuadratureConfig,
@@ -25,7 +25,6 @@ from cyclecollide import (
     recip_gamma_abs_sq,
 )
 from cyclecollide import analytic
-from cyclecollide.gammafn import _circle_weight, log_gamma_ratio
 
 mpmath.mp.dps = 40
 
@@ -40,7 +39,7 @@ def test_harmonic_small():
     assert harmonic(3) == pytest.approx(11.0 / 6.0, rel=1e-15)
 
 
-@pytest.mark.parametrize("m", [10, 999, 10**6, 10**6 + 7, 10**9])
+@pytest.mark.parametrize("m", [10, 63, 64, 65, 999, 10**6, 10**6 + 7, 10**9, 10**400])
 def test_harmonic_vs_reference(m):
     want = float(mpmath.harmonic(m))
     assert harmonic(m) == pytest.approx(want, rel=1e-13)
@@ -49,6 +48,29 @@ def test_harmonic_vs_reference(m):
 def test_harmonic_rejects_negative():
     with pytest.raises(ValueError):
         harmonic(-1)
+    with pytest.raises(ValueError):
+        harmonic(2.5)
+
+
+def _mp_series_coeffs(n):
+    # d_1 = 2 (H_{n-1} - log n - gamma), d_k = 2 (-1)^k zeta(k, n) / k.
+    # mpmath works in absolute precision, so zeta(k, n) ~ n^{1-k} needs
+    # about k log10(n) digits more than the 30 kept.
+    out = [2 * (mpmath.harmonic(n - 1) - mpmath.log(n) - mpmath.euler)]
+    for k in range(2, 55):
+        with mpmath.workdps(30 + int(k * math.log10(n))):
+            out.append(2 * (-1) ** k * mpmath.zeta(k, n) / k)
+    return np.array([float(x) for x in out])
+
+
+@pytest.mark.parametrize("n", [2, 3, 63, 64, 65, 1000, 10**6, 2**59])
+def test_series_coeffs_match_hurwitz_zeta(n):
+    # An absolute error of 8 eps in the exponent is 8 eps relative in the
+    # integrand; 1e-11 relative covers the Euler-Maclaurin truncation at
+    # k = 54, n = 64.
+    got = analytic._series_coeffs(n)
+    want = _mp_series_coeffs(n)
+    assert np.all(np.abs(got - want) <= 8 * np.finfo(np.float64).eps + 1e-11 * np.abs(want))
 
 
 # ---------------------------------------------------------- integrand
@@ -91,6 +113,21 @@ def test_integrand_vectorized_shape():
         assert np.array_equal(grid.reshape(-1), integrand(kind, 7, flat))
 
 
+def test_integrand_memory_is_bounded_per_block():
+    # Large arrays are evaluated in blocks: the transient tables (about
+    # 1.3 kB a node) never exist for the whole array, and the values are
+    # those of each block on its own.
+    theta = np.linspace(0.0, math.pi, 2**16 + 3)
+    for kind in (IntegrandKind.GAMMA_RATIO, IntegrandKind.LIMIT_KERNEL):
+        tracemalloc.start()
+        got = integrand(kind, 1000, theta)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak <= 100 * theta.size
+        halves = [integrand(kind, 1000, part) for part in (theta[:4096], theta[4096:])]
+        assert got.tobytes() == np.concatenate(halves).tobytes()
+
+
 def test_integrand_domain_errors():
     with pytest.raises(ValueError):
         integrand(IntegrandKind.EXACT_PRODUCT, 2, -0.5)
@@ -121,10 +158,11 @@ def test_parseval_identity_across_n():
 
 
 def test_p_quadrature_auto_select_consistency():
-    # just above the hand-off the Gamma route takes over; both sides agree
-    # with exact arithmetic
-    n = EXACT_PRODUCT_AUTO_MAX + 1
-    assert p_quadrature(n) == pytest.approx(p_exact(n).approx, rel=1e-9)
+    # kind=None is GAMMA_RATIO at every n, and agrees with exact arithmetic
+    for n in (2, 63, 64, 1024, 1025):
+        res = p_quadrature_result(n)
+        assert res == p_quadrature_result(n, IntegrandKind.GAMMA_RATIO)
+        assert res.value == pytest.approx(p_exact(n).approx, rel=1e-12)
 
 
 def test_p_quadrature_result_fields():
@@ -214,20 +252,19 @@ def test_p_quadrature_rejects_limit_kernel():
         p_quadrature(0)
 
 
-# ------------------------------------------------------ node tables
+# ------------------------------------------------- pinned quadrature bits
 
 # (value.hex(), abs_error_estimate.hex(), evaluations) of p_quadrature_result
-# (auto, which is GAMMA_RATIO above the hand-off) and of I_n.  The entries
-# below n = 2^60 are the ladder's, unchanged since before the n-independent
-# node tables were cached; I_n and the entries from n = 2^60 on come from
-# the kernel's strip-bound node count.  The elementary functions come from
-# numpy, so another numpy build or CPU may differ in the last bits.
+# (auto, which is GAMMA_RATIO) and of I_n.  Every entry comes from the
+# strip-bound node count; from n = 2^60 on GAMMA_RATIO is the kernel.  The
+# elementary functions come from numpy, so another numpy build or CPU may
+# differ in the last bits.
 PINNED = [
     (1025, 1e-10,
-     ("0x1.e098eeae61a1fp-4", "0x1.f4f81f1c2b6a7p-50", 33),
+     ("0x1.e098eeae61a1ep-4", "0x1.13f9bd344d932p-47", 33),
      ("0x1.7980f398d6facp-1", "0x1.b06a722030f0dp-45", 33)),
     (10**6, 1e-10,
-     ("0x1.44fe4740e374cp-4", "0x1.44fe4740e374cp-50", 65),
+     ("0x1.44fe4740e374cp-4", "0x1.71df725f5203cp-43", 33),
      ("0x1.fe7f8eb46a438p-2", "0x1.227f1a135919ap-40", 33)),
     (2**60, 1e-10,
      ("0x1.6b91780704792p-5", "0x1.8065de28579e0p-51", 49),
@@ -239,10 +276,10 @@ PINNED = [
      ("0x1.5a3d514010100p-7", "0x1.e7dcf506b9b4bp-46", 161),
      ("0x1.0fef96168e8b1p-4", "0x1.7f2ab2fbc559ap-43", 161)),
     (1025, 1e-12,
-     ("0x1.e098eeae61a1fp-4", "0x1.f4f81f1c2b6a7p-50", 33),
+     ("0x1.e098eeae61a1ep-4", "0x1.13f9bd344d932p-47", 33),
      ("0x1.7980f398d6facp-1", "0x1.b06a722030f0dp-45", 33)),
     (10**6, 1e-12,
-     ("0x1.44fe4740e374cp-4", "0x1.44fe4740e374cp-50", 65),
+     ("0x1.44fe4740e374bp-4", "0x1.45e0f1d18c434p-50", 41),
      ("0x1.fe7f8eb46a438p-2", "0x1.ffe39a5155db9p-48", 41)),
     (2**60, 1e-12,
      ("0x1.6b91780704792p-5", "0x1.8065de28579e0p-51", 49),
@@ -263,8 +300,8 @@ def _bits(r):
 @pytest.mark.parametrize("n, rel_tol, want_p, want_i", PINNED)
 def test_quadrature_bits_pinned(n, rel_tol, want_p, want_i):
     config = QuadratureConfig(rel_tol=rel_tol)
-    analytic._cached_node_table.cache_clear()
     analytic._cached_kernel_table.cache_clear()
+    analytic._cached_series_table.cache_clear()
     for _ in range(2):  # a cold cache, then a warm one
         assert _bits(p_quadrature_result(n, None, config)) == want_p
         assert _bits(p_quadrature_result(n, IntegrandKind.GAMMA_RATIO, config)) == want_p
@@ -272,12 +309,12 @@ def test_quadrature_bits_pinned(n, rel_tol, want_p, want_i):
 
 
 # sha256 over the _bits of every quadrature route on a fixed grid: every
-# route at n = 1..64 and across the n = 1024 hand-off, ~100 log-spaced n to
-# 1e300, both sides of the n = 2^60 switch to (z - 1) log n, and 2^1030;
-# I_n also at non-integer n.  Measured once the kernel routes (I_n, and
-# GAMMA_RATIO from n = 2^60) took their node count from the strip bound;
-# every result below n = 2^60 kept its bits through that change.
-QUADRATURE_DIGEST = "9cd3c06833f86bd44f4053d2ed6d2bf48ab8c0f1fcc162f3b1c52f72b40c0e78"
+# route at n = 1..64 and at n = 1023..1026, ~100 log-spaced n to 1e300,
+# both sides of n = 2^60, where GAMMA_RATIO becomes the kernel, and 2^1030;
+# I_n also at non-integer n.  Measured once GAMMA_RATIO took its node
+# count from the strip bound at every n; I_n and every result from
+# n = 2^60 on kept their bits through that change.
+QUADRATURE_DIGEST = "07bbc682be910e08b81364cf9ae825f2b571ec0aaa89e3b7fa57c3fb617d7d8a"
 
 
 def test_quadrature_digest_pinned():
@@ -303,57 +340,23 @@ def test_quadrature_digest_pinned():
     assert digest.hexdigest() == QUADRATURE_DIGEST
 
 
-def test_node_table_is_read_only():
-    for array in analytic._node_table(np.linspace(0.0, math.pi, 9)):
-        with pytest.raises(ValueError):
-            array[0] = 1.0
-
-
-def test_node_table_cache_stays_bounded():
-    cached = analytic._cached_node_table
-    cached.cache_clear()
-    rng = np.random.default_rng(3)
-    for size in range(1, 3 * analytic._NODE_TABLE_ENTRIES):
-        integrand(IntegrandKind.LIMIT_KERNEL, 10.0, rng.uniform(0, math.pi, size))
-    info = cached.cache_info()
-    assert info.currsize == analytic._NODE_TABLE_ENTRIES
-    big = rng.uniform(0, math.pi, analytic._NODE_TABLE_MAX_NODES + 1)
-    integrand(IntegrandKind.GAMMA_RATIO, 10, big)
-    assert cached.cache_info() == info  # neither looked up nor stored
-
-
 @pytest.mark.parametrize(
     "n", [2, 15, 16, 1000, 2**60 - 1, 2**60, 2**60 + 1, 10**300, 2**1030]
 )
-def test_integrand_matches_uncached_weight(n, monkeypatch):
-    # The cached node table must give exactly the bits of the direct path.
-    # From n = 2^60 on the Gamma-ratio integrand is evaluated as the
-    # kernel, whose exponent takes cos(theta) - 1 as -2 sin^2(theta / 2),
-    # and agrees with the (z - 1) log n form of the Gamma ratio.
-    ratio_calls = []
-
-    def counted_log_gamma_ratio(m, z):
-        ratio_calls.append(m)
-        return log_gamma_ratio(m, z)
-
-    monkeypatch.setattr(analytic, "log_gamma_ratio", counted_log_gamma_ratio)
+def test_integrand_matches_uncached_weight(n):
+    # From n = 2^60 on the GAMMA_RATIO integrand is the kernel, bit for
+    # bit.  Below, it is the kernel times exp(sum_k d_k (cos k theta - 1)),
+    # here with d_k from mpmath.
     rng = np.random.default_rng(n % 1000)
-    for theta in (
-        rng.uniform(0, 2 * math.pi, 37),
-        np.linspace(0.0, math.pi, 9),
-        rng.uniform(0, math.pi, analytic._NODE_TABLE_MAX_NODES + 1),
-    ):
-        z = np.cos(theta) + 1j * np.sin(theta)
-        gamma = _circle_weight(z) * np.exp(2.0 * np.real(log_gamma_ratio(n, z)))
-        half = np.sin(0.5 * theta)
-        kernel = np.exp(-2.0 * half * half * (2.0 * math.log(n))) * recip_gamma_abs_sq(theta)
-        if n >= 2**60:
-            np.testing.assert_allclose(gamma, kernel, rtol=1e-12, atol=1e-300)
-            gamma = kernel
-        for _ in range(2):  # a miss, then a hit
-            assert integrand(IntegrandKind.GAMMA_RATIO, n, theta).tobytes() == gamma.tobytes()
-            assert integrand(IntegrandKind.LIMIT_KERNEL, n, theta).tobytes() == kernel.tobytes()
-    assert ratio_calls == ([] if n >= 2**60 else [n] * 6)
+    theta = np.concatenate([rng.uniform(0, 2 * math.pi, 37), np.linspace(0.0, math.pi, 9)])
+    gamma = integrand(IntegrandKind.GAMMA_RATIO, n, theta)
+    kernel = integrand(IntegrandKind.LIMIT_KERNEL, n, theta)
+    if n >= 2**60:
+        assert gamma.tobytes() == kernel.tobytes()
+        return
+    k = np.arange(1, 55)
+    factor = np.exp(_mp_series_coeffs(n) @ (np.cos(np.multiply.outer(k, theta)) - 1.0))
+    np.testing.assert_allclose(gamma, kernel * factor, rtol=1e-13, atol=0.0)
 
 
 # ------------------------------------------------------ kernel routes
@@ -437,31 +440,40 @@ def _log_spaced_ints(lo_bits, hi_bits, count):
     return out
 
 
-def _kernel_trapezoid(n, intervals, scale):
+def _kernel_trapezoid(n, intervals, scale, kind=IntegrandKind.LIMIT_KERNEL):
     # The half-range rule on the public integrand, as scale * T_N.
-    y = integrand(IntegrandKind.LIMIT_KERNEL, n, np.linspace(0.0, math.pi, intervals + 1))
+    y = integrand(kind, n, np.linspace(0.0, math.pi, intervals + 1))
     return scale * ((math.pi / intervals) * math.fsum([0.5 * y[0], *y[1:-1], 0.5 * y[-1]]))
 
 
 def test_kernel_error_estimate_bounds_a_finer_rule():
     # The strip bound plus the rounding floor covers |T_N - T_4N| at 200
     # log-spaced n for I_n (n in [2, 2^1030]) and for GAMMA_RATIO, which is
-    # the kernel from n = 2^60 (n in [2^60, 2^1030]); T_N is the rule on
+    # the kernel from n = 2^60 (n in [2^60, 2^1030]) and the kernel times
+    # the Hurwitz-zeta series below (n in [2, 2^60)); T_N is the rule on
     # the public integrand, bit for bit.
+    gamma = IntegrandKind.GAMMA_RATIO
     misses = []
     for rel_tol in (1e-10, 1e-12):
         config = QuadratureConfig(rel_tol=rel_tol)
-        cases = [(n, I_n(n, config), 2.0) for n in _log_spaced_ints(1, 1030, 200)]
+        cases = [
+            (n, I_n(n, config), 2.0, IntegrandKind.LIMIT_KERNEL)
+            for n in _log_spaced_ints(1, 1030, 200)
+        ]
         cases += [
-            (n, p_quadrature_result(n, IntegrandKind.GAMMA_RATIO, config), 1.0 / math.pi)
+            (n, p_quadrature_result(n, gamma, config), 1.0 / math.pi, gamma)
             for n in _log_spaced_ints(60, 1030, 200)
         ]
-        for n, res, scale in cases:
+        cases += [
+            (n, p_quadrature_result(n, gamma, config), 1.0 / math.pi, gamma)
+            for n in _log_spaced_ints(1, 60, 201)[:-1]
+        ]
+        for n, res, scale, kind in cases:
             intervals = res.evaluations - 1
             assert intervals % 8 == 0
-            assert res.value == _kernel_trapezoid(n, intervals, scale), n
+            assert res.value == _kernel_trapezoid(n, intervals, scale, kind), n
             assert res.abs_error_estimate <= rel_tol * res.value
-            finer = _kernel_trapezoid(n, 4 * intervals, scale)
+            finer = _kernel_trapezoid(n, 4 * intervals, scale, kind)
             if abs(res.value - finer) > res.abs_error_estimate:
                 misses.append((n, rel_tol))
     assert misses == []
@@ -524,7 +536,14 @@ def test_kernel_convergence_errors_carry_the_best_estimate(monkeypatch):
     assert exc_info.value.best.evaluations == 65
 
 
+# The cache's worst case, as the analytic docstring and the README state
+# it: 32 kernel tables of 2^12 + 1 nodes at 16 bytes a node, and the six
+# series tables of N = 8, 16, ..., 48 intervals at 432 bytes a node.
+_TABLE_CACHE_MAX_BYTES = 32 * (2**12 + 1) * 16 + 432 * sum(n + 1 for n in range(8, 49, 8))
+
+
 def test_kernel_table_cache_stays_bounded():
+    assert _TABLE_CACHE_MAX_BYTES <= 2.2e6
     cached = analytic._cached_kernel_table
     cached.cache_clear()
     for intervals in range(8, 8 * (2 * analytic._KERNEL_TABLE_ENTRIES + 1), 8):
@@ -537,6 +556,24 @@ def test_kernel_table_cache_stays_bounded():
     big = analytic._KERNEL_TABLE_MAX_INTERVALS + 8
     assert analytic._kernel_table(big)[0].size == big + 1
     assert cached.cache_info() == info  # neither looked up nor stored
+    # Fill both caches with their largest tables and weigh them.
+    series = analytic._cached_series_table
+    series.cache_clear()
+    for intervals in range(8, 49, 8):
+        table = analytic._series_table(intervals)
+        assert table.shape == (54, intervals + 1)
+        with pytest.raises(ValueError):
+            table[0, 0] = 1.0
+    info = series.cache_info()
+    assert info.currsize == info.maxsize == analytic._SERIES_TABLE_ENTRIES
+    assert analytic._series_table(56).shape == (54, 57)
+    assert series.cache_info() == info  # neither looked up nor stored
+    kernel_sizes = range(big - 8 * analytic._KERNEL_TABLE_ENTRIES, big, 8)
+    weight = sum(a.nbytes for m in kernel_sizes for a in analytic._kernel_table(m))
+    weight += sum(analytic._series_table(m).nbytes for m in range(8, 49, 8))
+    assert cached.cache_info().currsize == analytic._KERNEL_TABLE_ENTRIES
+    assert series.cache_info().currsize == analytic._SERIES_TABLE_ENTRIES
+    assert weight <= _TABLE_CACHE_MAX_BYTES
 
 
 # ------------------------------------------------------------- I_n

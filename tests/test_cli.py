@@ -230,8 +230,8 @@ def test_table_deterministic_bytes(capsys):
 
 
 _TABLE_SHA256 = {
-    "csv": "179aa72f0f2c895e098cb899f7c28c8856fb73af7aa95a7c8b8b3876645be21d",
-    "json": "a17d3bebb01984783ccb487d5706d4e2c0849415f7edbdda5da61f6c55c7392e",
+    "csv": "831461c4751d300903c55be4452c44d0bc8833f9da8b2e7f7a0027ee3826ce43",
+    "json": "0d69509dda049dad75b6564d1fc5d816adc9900dc003bebd0f014a55ae07faaf",
 }
 
 

@@ -5,7 +5,6 @@ import pytest
 
 from cyclecollide import (
     CSV_COLUMNS,
-    EXACT_PRODUCT_AUTO_MAX,
     QuadratureConfig,
     ReportConfig,
     p_exact,
@@ -101,12 +100,6 @@ def test_eq2_column_is_kernel_integral_over_2pi():
     assert row.ratio_to_asymptotic == pytest.approx(
         row.p_eq2 / row.p_asymptotic, rel=1e-15
     )
-
-
-def test_boundary_crosscheck_runs():
-    n = EXACT_PRODUCT_AUTO_MAX
-    row, _ = single_row(n, ("quadrature",))
-    assert row.p_quadrature == pytest.approx(p_exact(n).approx, rel=1e-9)
 
 
 # ------------------------------------------------------- serialization
