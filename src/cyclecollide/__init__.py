@@ -28,11 +28,10 @@ _EXPORTS = {
         "IntegrandKind",
         "harmonic",
         "integrand",
-        "laplace_I",
-        "p_asymptotic",
         "p_quadrature",
         "p_quadrature_result",
     ),
+    "asymptotic": ("laplace_I", "p_asymptotic"),
     "exact": (
         "EXACT_ROUTE_CEILING",
         "CycleDistribution",

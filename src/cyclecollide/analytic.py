@@ -67,7 +67,9 @@ from typing import Callable
 
 import numpy as np
 
-from .gammafn import _CIRCLE_COEFFS, EULER_GAMMA, _check_theta, _circle_weight
+# p_asymptotic is not used here; it stays importable from this module.
+from .asymptotic import laplace_I, p_asymptotic
+from .gammafn import _CIRCLE_COEFFS, EULER_GAMMA, _blockwise, _check_theta, _circle_weight
 from .quadrature import (
     _FLOOR,
     _MAX_NODES,
@@ -218,12 +220,9 @@ def _circle_fn(n: float, delta: np.ndarray | None) -> Callable[[np.ndarray], np.
         series = None if delta is None else _build_series_table(theta)
         return _circle_values(log_n2, delta, *_build_node_table(theta), series)
 
-    def values(theta: np.ndarray) -> np.ndarray:
-        # In blocks of 2^12 nodes: the weight's power table and the series
-        # table take 1.3 kB a node while they live.
-        return np.concatenate([block(t) for t in np.split(theta, range(4096, theta.size, 4096))])
-
-    return values
+    # In blocks of 2^12 nodes: the weight's power table and the series
+    # table take 1.3 kB a node while they live.
+    return functools.partial(_blockwise, block)
 
 
 def _integrand_fn(kind: IntegrandKind, n: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -449,23 +448,3 @@ def p_quadrature(
     """Collision probability as the normalized mean of |g|^2 on the circle."""
     return p_quadrature_result(n, kind, config).value
 
-
-def laplace_I(n: float) -> float:
-    """Closed-form large-n value sqrt(pi / log n) of the kernel integral.
-
-    The kernel concentrates at theta = 0 where it is a Gaussian of width
-    1/sqrt(2 log n); integrating that Gaussian gives this expression.
-    """
-    if not n > 1:
-        raise ValueError(f"n must be > 1, got {n}")
-    return math.sqrt(math.pi / math.log(n))
-
-
-def p_asymptotic(n: float) -> float:
-    """Limiting collision probability 1 / (2 sqrt(pi log n)).
-
-    Identically laplace_I(n) / (2 pi).
-    """
-    if not n > 1:
-        raise ValueError(f"n must be > 1, got {n}")
-    return 1.0 / (2.0 * math.sqrt(math.pi * math.log(n)))

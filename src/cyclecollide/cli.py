@@ -131,7 +131,7 @@ def _cmd_collide(args: argparse.Namespace) -> int:
         print(f"p = {res.value / (2.0 * math.pi):.17g}")
         print(f"kernel integral = {res.value:.17g}")
     elif method == "asymptotic":
-        from .analytic import p_asymptotic
+        from .asymptotic import p_asymptotic
 
         print(f"p = {p_asymptotic(n):.17g}")
     elif method == "montecarlo":

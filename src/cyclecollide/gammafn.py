@@ -122,6 +122,21 @@ def log_gamma(z: complex | np.ndarray) -> complex | np.ndarray:
     return complex(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
+# Angles per block of the circle functions: their per-angle temporaries
+# (the 54-power table takes 864 bytes an angle) never exist for more.
+_BLOCK = 1 << 12
+
+
+def _blockwise(fn, x: np.ndarray) -> np.ndarray:
+    """fn over 1-D x in blocks of _BLOCK entries, concatenated.
+
+    A lone last entry joins the block before it: numpy takes a one-row
+    matrix product as a dot product, which rounds differently from the
+    same row in a larger product, so the values are those of one block.
+    """
+    return np.concatenate([fn(b) for b in np.split(x, range(_BLOCK, x.size - 1, _BLOCK))])
+
+
 def _check_theta(theta: np.ndarray) -> None:
     if np.any(theta < 0.0) or np.any(theta > 2.0 * math.pi):
         raise ValueError("theta must lie in [0, 2*pi]")
@@ -150,8 +165,7 @@ def recip_gamma_abs_sq(theta: float | np.ndarray) -> float | np.ndarray:
     """
     arr = np.asarray(theta, dtype=np.float64)
     _check_theta(arr)
-    t = arr.reshape(-1)
-    out = _circle_weight(np.cos(t) + 1j * np.sin(t))
+    out = _blockwise(lambda t: _circle_weight(np.cos(t) + 1j * np.sin(t)), arr.reshape(-1))
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 

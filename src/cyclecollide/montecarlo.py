@@ -3,8 +3,10 @@
 Two samplers draw the cycle count of a uniform random n-permutation:
 
 * PERMUTATION_DIRECT shuffles 0..n-1 with an unbiased shuffle and counts
-  the cycles of the result.  O(n) time and memory per draw; this is the
-  structural ground truth, for n up to PERMUTATION_MAX_N = 2**22.
+  the cycles of the result.  O(n) time per draw; this is the structural
+  ground truth, for n up to PERMUTATION_MAX_N = 2**22.  A batch runs in
+  cache-sized chunks of about 2^15 elements (rows x n), so its memory is
+  O(max(n, 2^15)) plus 8 bytes a draw for the counts.
 * BERNOULLI_SUM uses the classical fact that the cycle count of a uniform
   n-permutation is distributed as 1 + sum_{j=2..n} Bernoulli(1/j) (the
   Feller coupling: build the permutation by inserting letters one at a
@@ -31,15 +33,16 @@ import numpy as np
 
 # Ordered pairs per RNG block.  Fixed: changing it changes every estimate.
 BLOCK_PAIRS = 1 << 14
-# Element budget per chunk of batched permutations (rows x n).
-_PERM_CHUNK_ELEMS = 1 << 22
+# Elements (rows x n) per chunk of batched permutations: about 2^15, so
+# the chunk's int64 arrays (256 kB each) stay in cache.
+_PERM_CHUNK_ELEMS = 1 << 15
 
 # Largest n for BERNOULLI_SUM: every success index up to n must be an
 # exact double.
 BERNOULLI_MAX_N = 2**53
-# Largest n for PERMUTATION_DIRECT: one permutation fills a chunk.  Above
-# it the arrays outgrow memory (numpy fails to allocate them, or worse).
-PERMUTATION_MAX_N = _PERM_CHUNK_ELEMS
+# Largest n for PERMUTATION_DIRECT.  Above it the arrays of one
+# permutation outgrow memory (numpy fails to allocate them, or worse).
+PERMUTATION_MAX_N = 2**22
 
 
 class SamplerKind(Enum):
@@ -69,7 +72,7 @@ def _check_n(n: int, kind: SamplerKind) -> None:
     if kind is SamplerKind.PERMUTATION_DIRECT and n > PERMUTATION_MAX_N:
         raise ValueError(
             f"n={n} above PERMUTATION_MAX_N = 2**22, the largest n the "
-            f"{kind.value} sampler holds in one chunk"
+            f"{kind.value} sampler holds in memory"
         )
 
 
@@ -84,34 +87,53 @@ def _stream(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _count_cycles_rows(perms: np.ndarray) -> np.ndarray:
-    """Cycle count of each row of a batch of permutations of 0..n-1.
+def _chunk_indices(n: int, rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index arrays for `rows` permutations of 0..n-1 laid end to end.
 
+    Returns the identity rows (`base`, the input of the shuffle), the flat
+    positions 0..rows*n-1 and each position's row offset `flat - base`.
+    A chunk of fewer rows uses the leading rows*n entries of each.
+    """
+    base = np.tile(np.arange(n), rows)
+    flat = np.arange(rows * n)
+    return base, flat, flat - base
+
+
+def _count_cycles_rows(
+    perms: np.ndarray, flat: np.ndarray, offsets: np.ndarray
+) -> np.ndarray:
+    """Cycle count of each row of a (rows, n) batch of permutations of 0..n-1.
+
+    `flat` and `offsets` are the batch's entries of `_chunk_indices`.
     Pointer-doubling traversal: label every position with the minimum
-    index reachable in its cycle (doubling the stride each round), then
+    index reachable in its cycle, doubling the stride each round, then
     count the positions that are their own cycle minimum.  Rows are
-    offset by row * n and walked as one flat array, so each round is two
-    plain gathers and an in-place minimum.
+    offset by row * n and walked as one flat array, so a round is two
+    plain gathers and an in-place minimum.  The label starts at
+    min(i, pi(i)), so ceil(log2 n) - 1 rounds cover every cycle.
     """
     rows, n = perms.shape
-    flat = np.arange(rows * n)
-    ptr = (perms + flat[::n, None]).ravel()
-    label = flat.copy()
-    for _ in range(max(0, (n - 1).bit_length())):
-        np.minimum(label, label[ptr], out=label)
+    ptr = perms.reshape(-1) + offsets
+    label = np.minimum(flat, ptr)
+    for _ in range(max(0, (n - 1).bit_length() - 1)):
         ptr = ptr[ptr]
-    return (label == flat).reshape(rows, n).sum(axis=1)
+        np.minimum(label, label[ptr], out=label)
+    # One segment sum per row, read from the row starts.
+    return np.add.reduceat(label == flat, flat[::n], dtype=np.int64)
 
 
 def _permutation_batch(n: int, size: int, rng: np.random.Generator) -> np.ndarray:
+    # Each chunk shuffles its rows with one row-by-row `rng.permuted`
+    # call, so the draws and the stream position do not depend on the
+    # chunk size.
     counts = np.empty(size, dtype=np.int64)
-    rows_per_chunk = max(1, _PERM_CHUNK_ELEMS // n)
-    done = 0
-    while done < size:
+    rows_per_chunk = min(size, max(1, _PERM_CHUNK_ELEMS // n))
+    base, flat, offsets = _chunk_indices(n, rows_per_chunk)
+    for done in range(0, size, rows_per_chunk):
         rows = min(rows_per_chunk, size - done)
-        perms = rng.permuted(np.tile(np.arange(n), (rows, 1)), axis=1)
-        counts[done : done + rows] = _count_cycles_rows(perms)
-        done += rows
+        m = rows * n
+        perms = rng.permuted(base[:m].reshape(rows, n), axis=1)
+        counts[done : done + rows] = _count_cycles_rows(perms, flat[:m], offsets[:m])
     return counts
 
 

@@ -335,9 +335,14 @@ def test_sampler_choices_are_the_sampler_kinds():
             ("collide", "--n", "5", "--method", "exact"),
             "p = 0.30569444444444444\nexact = 2201/7200\n",
         ),
+        (
+            ("collide", "--n", "10", "--method", "asymptotic"),
+            "p = 0.1859033533216066\n",
+        ),
     ],
+    ids=["exact-row", "collide-exact", "collide-asymptotic"],
 )
-def test_exact_commands_do_not_load_numpy(argv, want):
+def test_closed_form_commands_do_not_load_numpy(argv, want):
     # -X importtime names every module the process imports on stderr.
     proc = subprocess.run(
         [sys.executable, "-X", "importtime", "-m", "cyclecollide", *argv],
@@ -345,7 +350,8 @@ def test_exact_commands_do_not_load_numpy(argv, want):
     )
     assert (proc.returncode, proc.stdout) == (0, want)
     imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]
-    assert "cyclecollide.exact" in imported
+    route = "cyclecollide.exact" if "exact" in argv else "cyclecollide.asymptotic"
+    assert route in imported
     assert not [name for name in imported if name.split(".")[0] == "numpy"]
 
 

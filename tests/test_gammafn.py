@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -126,6 +127,24 @@ def test_recip_gamma_endpoint_values():
     assert recip_gamma_abs_sq(0.0) == pytest.approx(1.0, abs=5e-15)
     assert recip_gamma_abs_sq(2 * math.pi) == pytest.approx(1.0, abs=5e-15)
     assert recip_gamma_abs_sq(math.pi) == 0.0  # exact: the pole factor is 0
+
+
+def test_recip_gamma_memory_is_bounded_per_block():
+    # Large arrays are evaluated in blocks of 2^12 angles: the power table
+    # (864 bytes an angle) never exists for the whole array, and the
+    # bytes are those of one unblocked evaluation.
+    theta = np.linspace(0.0, 2 * math.pi, 2**17 + 3)
+    tracemalloc.start()
+    try:
+        got = recip_gamma_abs_sq(theta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 100 * theta.size
+    t = theta[: 2**13 + 1]
+    whole = gammafn._circle_weight(np.cos(t) + 1j * np.sin(t))
+    assert recip_gamma_abs_sq(t).tobytes() == whole.tobytes()
+    assert got[: t.size].tobytes() == whole.tobytes()
 
 
 def test_recip_gamma_nonnegative_and_accurate():

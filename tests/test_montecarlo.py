@@ -21,6 +21,7 @@ from cyclecollide import (
 from cyclecollide.montecarlo import (
     BLOCK_PAIRS,
     PERMUTATION_MAX_N,
+    _chunk_indices,
     _count_cycles_rows,
     _stream,
 )
@@ -82,17 +83,43 @@ def test_single_draw_path_matches_exact_law(kind):
 
 
 def test_permutation_batch_chunking_is_consistent():
-    # chunk boundary inside the batch: distribution unaffected, law exact
-    draws = sample_cycle_counts(SamplerKind.PERMUTATION_DIRECT, 12, 3 * 10**4, _stream(5, 2))
-    assert chi_square_pvalue(draws, 12) >= 1e-6
+    # The batch spans several chunks: distribution unaffected, law exact.
+    n, size = 12, 3 * 10**4
+    assert size > montecarlo._PERM_CHUNK_ELEMS // n
+    draws = sample_cycle_counts(SamplerKind.PERMUTATION_DIRECT, n, size, _stream(5, 2))
+    assert chi_square_pvalue(draws, n) >= 1e-6
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 10, 257])
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 257, 2**15 - 1, 2**15 + 1])
 def test_cycle_counter_matches_plain_walk(n):
-    rng = np.random.default_rng(n)
-    perms = rng.permuted(np.tile(np.arange(n), (300, 1)), axis=1)
+    rows = 300 if n < 1000 else 3
+    base, flat, offsets = _chunk_indices(n, rows)
+    perms = np.random.default_rng(n).permuted(base.reshape(rows, n), axis=1)
     want = [count_cycles(tuple(p)) for p in perms.tolist()]
-    assert _count_cycles_rows(perms).tolist() == want
+    assert _count_cycles_rows(perms, flat, offsets).tolist() == want
+    # A batch of two chunks and one row more draws the rows that one
+    # row-by-row shuffle of the whole batch draws, and leaves the stream
+    # at the same position.
+    size = 2 * max(1, montecarlo._PERM_CHUNK_ELEMS // n) + 1
+    rng, ref = _stream(n, 0), _stream(n, 0)
+    got = sample_cycle_counts(SamplerKind.PERMUTATION_DIRECT, n, size, rng)
+    perms = ref.permuted(np.tile(np.arange(n), (size, 1)), axis=1)
+    assert got.tolist() == [count_cycles(tuple(p)) for p in perms.tolist()]
+    assert rng.random() == ref.random()
+
+
+def test_permutation_batch_memory_is_bounded_per_chunk():
+    # The working arrays are those of one chunk, a few int64 arrays of
+    # about _PERM_CHUNK_ELEMS entries; only the counts, 8 bytes a draw,
+    # grow with the batch.
+    size = 10**5
+    tracemalloc.start()
+    try:
+        sample_cycle_counts(SamplerKind.PERMUTATION_DIRECT, 12, size, _stream(0, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 8 * montecarlo._PERM_CHUNK_ELEMS + 8 * size
 
 
 def test_permutation_direct_counts_are_pinned():
