@@ -46,9 +46,14 @@ kernel), so the rule on N intervals of [0, pi] is within
 fixed grid of a, that meets half the tolerance laplace_I(n) / 2 would
 give (below the integral at every n measured), rounded up to a multiple
 of 8, and doubled only if the estimate then misses the computed value's
-tolerance.  The estimate is that bound plus the floor 64 eps h sum|f| of
-`quadrature`, and `evaluations` is N + 1.  EXACT_PRODUCT, and n = 1, run
-the halving ladder of `quadrature`.
+tolerance.  The walk over the grid stops where N starts to rise, which
+finds the smallest (see _STRIP_WIDTHS).  The sum over the nodes is
+math.fsum, exactly rounded, of the nonzero values: the values that
+underflow to 0 (46% of them at rel_tol 1e-10, log-uniform n in [2^60,
+1e308]) cost fsum time and do not change the sum.  The estimate is that
+bound plus the floor 64 eps h sum|f| of `quadrature`, and `evaluations`
+is N + 1.  EXACT_PRODUCT, and n = 1, run the halving ladder of
+`quadrature`.
 
 The tables are cached per process, read-only: cos(theta) - 1 and the
 weight, 16 bytes a node, for at most 32 N <= 2^12 (2.1 MB); and for
@@ -112,6 +117,8 @@ _EULER_MACLAURIN = np.array([
 _ODD_POWERS = np.arange(1.0, 12.0, 2.0)
 # n / (k - 1) for k >= 2 as n * this; 0 for k = 1.
 _LEADING = np.concatenate(([0.0], 1.0 / _K[:-1]))
+# d_k(n) / zeta(k, n) = 2 (-1)^k / k (and d_1 = -2 (log n - psi(n))).
+_SERIES_SCALE = 2.0 * (-1.0) ** _K / _K
 
 
 def _hurwitz_row(n: int) -> np.ndarray:
@@ -140,7 +147,7 @@ def _series_coeffs(n: int) -> np.ndarray | None:
     # d_1 = -2 (log n - psi(n)) = 2 (H_{n-1} - log n - gamma).
     if n >= _KERNEL_MIN_N:
         return None
-    return (2.0 * (-1.0) ** _K / _K) * _hurwitz_row(n)
+    return _SERIES_SCALE * _hurwitz_row(n)
 
 
 def harmonic(m: int) -> float:
@@ -209,7 +216,9 @@ def _circle_values(
     exponent = cos_m1 * log_n2
     if delta is not None:
         exponent += delta @ series
-    return np.exp(exponent) * w
+    np.exp(exponent, out=exponent)
+    exponent *= w
+    return exponent
 
 
 def _circle_fn(n: float, delta: np.ndarray | None) -> Callable[[np.ndarray], np.ndarray]:
@@ -248,7 +257,14 @@ def integrand(
 
     EXACT_PRODUCT and GAMMA_RATIO take integer n >= 1 and agree to
     ~1e-14 relative away from theta = pi (the product form is the oracle);
-    LIMIT_KERNEL takes real n > 1.
+    LIMIT_KERNEL takes real n > 1.  ValueError for an angle outside
+    [0, 2*pi], NaN included.
+
+    A scalar angle gives the bits of the same angle inside an array,
+    except for GAMMA_RATIO at small n: its series product sum_k d_k
+    (cos k theta - 1) rounds differently for different array lengths,
+    which moves the last bits at a third of the angles at n = 2 and at
+    about one in 300 near n = 100.
     """
     f = _integrand_fn(kind, n)
     arr = np.asarray(theta, dtype=np.float64)
@@ -259,9 +275,16 @@ def integrand(
 
 # The strip half-widths a for the node count (module docstring), 0.68
 # down to 0.0045 in steps of 1.4: between two of them N is within 2% of
-# its value at the best a, and the smallest is best up to log n ~ 1e6.
-# N is a multiple of 8, so that few tables exist.
+# its value at the best a.  need(a) = g(a) / 2a with g(a) = log(4 pi M(a)
+# / target) convex in a, so (need)' has the sign of a g' - g, which grows
+# with a: need falls to one minimum and then rises, and `_strip_choice`
+# walks from the widest a and stops at the first rise.  For n <= 2^1030
+# at rel_tol 1e-3 ... 1e-12 the best a is one of the five widest, 0.68
+# down to 0.177, so the walk takes at most six steps.  N is a multiple
+# of 8, so that few tables exist.
 _STRIP_WIDTHS = tuple(0.68 / 1.4**k for k in range(16))
+# The kernel's need(a) has no d_k term.
+_NO_EXTRA = (0.0,) * len(_STRIP_WIDTHS)
 _KERNEL_TABLE_ENTRIES = 32
 _KERNEL_TABLE_MAX_INTERVALS = 2**12
 _SERIES_TABLE_ENTRIES = 6
@@ -318,38 +341,63 @@ def _series_table(intervals: int) -> np.ndarray:
     return _cached_series_table(intervals)
 
 
-def _kernel_quadrature(
-    n: float, config: QuadratureConfig, delta: np.ndarray | None = None
-) -> QuadratureResult:
-    # The integral over [0, pi] of the kernel, or with delta of the
-    # GAMMA_RATIO integrand (module docstring).  laplace_I(n) / 2 is the
-    # guess of it: I_n / laplace_I is 1.997 at n = 2 and 1.034 at 1e8, and
-    # pi p(n) is above it too, by r(n) > 1.
-    log_n2 = 2.0 * math.log(n)
+def _strip_choice(
+    n: float, log_n2: float, config: QuadratureConfig, delta: np.ndarray | None
+) -> tuple[int, float, float]:
+    # (N, 1 / 2a, log(2 pi M(a))) at the strip width a with the smallest
+    # need(a), ties to the wider a: the min over every width, found by the
+    # walk that stops at need's first rise (_STRIP_WIDTHS).  laplace_I(n)
+    # / 2 is the guess of the integral over [0, pi]: I_n / laplace_I is
+    # 1.997 at n = 2 and 1.034 at 1e8, and pi p(n) is above it too, by
+    # r(n) > 1.
     guess = 0.5 * laplace_I(n)
     # No N takes the error below the rounding floor, about _FLOOR * value.
     target = 0.5 * max(config.abs_tol, (config.rel_tol + _FLOOR) * guess)
-    # Smallest N over the widths with 2aN >= log(2 pi M(a) / target) + log 2,
-    # which implies e^{2aN} - 1 >= 2 pi M(a) / target.
+    # need(a) is the N with 2aN = log(2 pi M(a) / target) + log 2, and
+    # 2aN >= that implies e^{2aN} - 1 >= 2 pi M(a) / target.
     shift = math.log(2.0 / target)
     rows, cosh_ka = _strip_table()
-    extra = [0.0] * len(rows) if delta is None else (cosh_ka @ np.abs(delta) - delta.sum()).tolist()
-    need, half_inv_a, log_m = min(
-        (
-            (shift + log_m0 + log_n2 * cosh_m1 + e) * half_inv_a,
-            half_inv_a,
-            log_m0 + log_n2 * cosh_m1 + e,
-        )
-        for (half_inv_a, cosh_m1, log_m0), e in zip(rows, extra)
-    )
-    intervals = min(max(8, 8 * math.ceil(need / 8)), _MAX_NODES - 1)
+    if delta is None:
+        extra = _NO_EXTRA
+    else:
+        extra = (cosh_ka @ np.abs(delta) - delta.sum()).tolist()
+    best = math.inf
+    for (half_inv_a, cosh_m1, log_m0), e in zip(rows, extra):
+        grow = log_n2 * cosh_m1
+        need = (shift + log_m0 + grow + e) * half_inv_a
+        if need < best:
+            best, best_half_inv_a, best_log_m = need, half_inv_a, log_m0 + grow + e
+        elif need > best:
+            break
+    intervals = min(max(8, 8 * math.ceil(best / 8)), _MAX_NODES - 1)
+    return intervals, best_half_inv_a, best_log_m
+
+
+def _exact_sum(y: np.ndarray) -> float:
+    # fsum is exactly rounded, so the exact zeros (exp underflow, theta =
+    # pi) are left out: it walks all its partials for each of them.
+    return math.fsum(y[y != 0.0].tolist())
+
+
+def _kernel_quadrature(
+    n: float, config: QuadratureConfig, delta: np.ndarray | None, scale: float
+) -> QuadratureResult:
+    # scale > 0 times the integral over [0, pi] of the kernel, or with
+    # delta of the GAMMA_RATIO integrand (module docstring): 2 for the
+    # full circle, 1/pi for the normalized mean.  The tolerance applies to
+    # the integral over [0, pi].
+    log_n2 = 2.0 * math.log(n)
+    intervals, half_inv_a, log_m = _strip_choice(n, log_n2, config, delta)
     cos_m1, w = _kernel_table(intervals)
     series = None if delta is None else _series_table(intervals)
-    ys, total_abs = _values(
+    y, total_abs = _values(
         _circle_values(log_n2, delta, cos_m1, w, series), cos_m1, 0.0, math.pi, 0.0
     )
-    total = math.fsum([0.5 * ys[0], *ys[1:-1], 0.5 * ys[-1]])
-    total_abs -= 0.5 * (abs(ys[0]) + abs(ys[-1]))
+    # The endpoints weigh 1/2, halved in place: y is this batch's own array.
+    first, last = float(y[0]), float(y[-1])
+    total_abs -= 0.5 * (abs(first) + abs(last))
+    y[0], y[-1] = 0.5 * first, 0.5 * last
+    total = _exact_sum(y)
     while True:
         h = math.pi / intervals
         value = h * total
@@ -358,36 +406,25 @@ def _kernel_quadrature(
         strip = math.exp(log_m - intervals / half_inv_a) / -math.expm1(-intervals / half_inv_a)
         error = strip + floor
         tolerance = max(config.abs_tol, config.rel_tol * abs(value))
-        result = QuadratureResult(value, error, intervals + 1)
         if error <= tolerance:
-            return result
+            return QuadratureResult(value * scale, error * scale, intervals + 1)
         if floor > tolerance or 2 * intervals + 1 > _MAX_NODES:
-            raise QuadratureConvergenceError(result, tolerance)
+            raise QuadratureConvergenceError(
+                QuadratureResult(value * scale, error * scale, intervals + 1),
+                tolerance * scale,
+            )
         intervals *= 2
         cos_m1, w = (arr[1::2] for arr in _kernel_table(intervals))
         series = None if delta is None else _series_table(intervals)[:, 1::2]
-        ys, total_abs = _values(
+        y, total_abs = _values(
             _circle_values(log_n2, delta, cos_m1, w, series), cos_m1, 0.0, math.pi, total_abs
         )
-        total += math.fsum(ys)
+        total += _exact_sum(y)
 
 
-def _half_range(
-    integrate: Callable[[], QuadratureResult], scale: float
-) -> QuadratureResult:
-    # Integrands are even about theta = pi: integrate [0, pi], then apply
-    # scale (2 for the full circle, 1/pi for the normalized mean).
-    def scaled(r: QuadratureResult) -> QuadratureResult:
-        return QuadratureResult(
-            r.value * scale, r.abs_error_estimate * abs(scale), r.evaluations
-        )
-
-    try:
-        return scaled(integrate())
-    except QuadratureConvergenceError as exc:
-        raise QuadratureConvergenceError(
-            scaled(exc.best), exc.tolerance * abs(scale)
-        ) from None
+def _scaled(r: QuadratureResult, scale: float) -> QuadratureResult:
+    # The ladder integrates [0, pi]; the integrands are even about pi.
+    return QuadratureResult(r.value * scale, r.abs_error_estimate * scale, r.evaluations)
 
 
 def I_n(n: float, config: QuadratureConfig = DEFAULT_CONFIG) -> QuadratureResult:
@@ -405,7 +442,7 @@ def I_n(n: float, config: QuadratureConfig = DEFAULT_CONFIG) -> QuadratureResult
     """
     if not n >= 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    return _half_range(lambda: _kernel_quadrature(n, config), 2.0)
+    return _kernel_quadrature(n, config, None, 2.0)
 
 
 def p_quadrature_result(
@@ -429,15 +466,19 @@ def p_quadrature_result(
     if kind is IntegrandKind.LIMIT_KERNEL:
         raise ValueError("LIMIT_KERNEL is not a collision-probability identity; "
                          "use I_n for the asymptotic kernel")
+    scale = 1.0 / math.pi
     if kind is None or kind is IntegrandKind.GAMMA_RATIO:
         if n > 1:
             n = int(n)
-            return _half_range(
-                lambda: _kernel_quadrature(n, config, _series_coeffs(n)), 1.0 / math.pi
-            )
+            return _kernel_quadrature(n, config, _series_coeffs(n), scale)
         kind = IntegrandKind.EXACT_PRODUCT
     f = _integrand_fn(kind, n)
-    return _half_range(lambda: quadrature(f, 0.0, math.pi, config), 1.0 / math.pi)
+    try:
+        return _scaled(quadrature(f, 0.0, math.pi, config), scale)
+    except QuadratureConvergenceError as exc:
+        raise QuadratureConvergenceError(
+            _scaled(exc.best, scale), exc.tolerance * scale
+        ) from None
 
 
 def p_quadrature(

@@ -130,15 +130,20 @@ _BLOCK = 1 << 12
 def _blockwise(fn, x: np.ndarray) -> np.ndarray:
     """fn over 1-D x in blocks of _BLOCK entries, concatenated.
 
-    A lone last entry joins the block before it: numpy takes a one-row
-    matrix product as a dot product, which rounds differently from the
-    same row in a larger product, so the values are those of one block.
+    No block has one row: numpy takes a one-row matrix product as a dot
+    product, which rounds differently from the same row in a larger
+    product.  A lone last entry joins the block before it, and a lone
+    angle is evaluated twice, as a block of two, so the values are those
+    of one block.
     """
+    if x.size == 1:
+        return fn(np.repeat(x, 2))[:1]
     return np.concatenate([fn(b) for b in np.split(x, range(_BLOCK, x.size - 1, _BLOCK))])
 
 
 def _check_theta(theta: np.ndarray) -> None:
-    if np.any(theta < 0.0) or np.any(theta > 2.0 * math.pi):
+    # Written so that NaN fails it.
+    if not np.all((theta >= 0.0) & (theta <= 2.0 * math.pi)):
         raise ValueError("theta must lie in [0, 2*pi]")
 
 

@@ -82,22 +82,23 @@ _FLOOR = 64.0 * float(np.finfo(np.float64).eps)
 
 def _values(
     y: np.ndarray, x: np.ndarray, a: float, b: float, acc: float
-) -> tuple[list[float], float]:
-    # The integrand values y = f(x) as Python floats, and acc + sum|y|: a
-    # finite sum means every value is finite, so one float is tested per
+) -> tuple[np.ndarray, float]:
+    # The integrand values y = f(x) as a float64 array, and acc + sum|y|:
+    # a finite sum means every value is finite, so one float is tested per
     # batch.
     y = np.asarray(y, dtype=np.float64)
     if y.shape != x.shape:
         raise ValueError(
             f"integrand must map a length-{x.size} array to a length-{x.size} array"
         )
+    # np.add.reduce is ndarray.sum without its Python wrapper: same bits.
     with np.errstate(over="ignore"):
-        acc += float(np.abs(y).sum())
+        acc += float(np.add.reduce(np.abs(y)))
     if not math.isfinite(acc):
         if not np.isfinite(y).all():
             raise ValueError(f"integrand not finite on [{a}, {b}]")
         raise ValueError(f"integrand sum overflows on [{a}, {b}]")
-    return y.tolist(), acc
+    return y, acc
 
 
 def quadrature(
@@ -127,18 +128,19 @@ def quadrature(
     # The bytes of np.linspace(a, b, intervals + 1) whenever h > 0.
     x = a + h * np.arange(intervals + 1)
     x[-1] = b
-    ys, total_abs = _values(f(x), x, a, b, 0.0)
+    y, total_abs = _values(f(x), x, a, b, 0.0)
     # fsum over Python floats: the same doubles, summed faster than as
     # numpy scalars.
+    ys = y.tolist()
     total = math.fsum([0.5 * ys[0], *ys[1:-1], 0.5 * ys[-1]])
     total_abs -= 0.5 * (abs(ys[0]) + abs(ys[-1]))
     value = h * total
     while True:
         h *= 0.5
         x = a + h * np.arange(1, 2 * intervals, 2)
-        ys, total_abs = _values(f(x), x, a, b, total_abs)
+        y, total_abs = _values(f(x), x, a, b, total_abs)
         intervals *= 2
-        total += math.fsum(ys)
+        total += math.fsum(y.tolist())
         floor = _FLOOR * h * total_abs
         previous, value = value, h * total
         error = abs(value - previous) + floor

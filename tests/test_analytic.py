@@ -139,6 +139,29 @@ def test_integrand_domain_errors():
         integrand(IntegrandKind.GAMMA_RATIO, 2.5, 1.0)
     with pytest.raises(ValueError):
         integrand(IntegrandKind.LIMIT_KERNEL, 1.0, 1.0)
+    for kind in IntegrandKind:
+        for theta in (math.nan, [0.5, math.nan]):
+            with pytest.raises(ValueError, match="theta"):
+                integrand(kind, 1000, theta)
+
+
+@pytest.mark.parametrize(
+    "kind, n",
+    [
+        (IntegrandKind.LIMIT_KERNEL, 3),
+        (IntegrandKind.LIMIT_KERNEL, 1000),
+        (IntegrandKind.LIMIT_KERNEL, 1e20),
+        (IntegrandKind.GAMMA_RATIO, 1000),
+        (IntegrandKind.GAMMA_RATIO, 10**20),
+    ],
+)
+def test_integrand_scalar_equals_array(kind, n):
+    # A lone angle is evaluated as a block of two, so it rounds as the same
+    # angle inside an array (GAMMA_RATIO at n = 3 does not: see integrand).
+    theta = np.random.default_rng(11).uniform(0.0, 2 * math.pi, 600)
+    want = integrand(kind, n, theta)
+    alone = [integrand(kind, n, float(t)) for t in theta]
+    assert np.array(alone).tobytes() == want.tobytes()
 
 
 # ------------------------------------------------------- p_quadrature
@@ -502,6 +525,61 @@ def test_kernel_routes_match_reference_integrals(n, rel_tol):
     if n >= 2**60:
         res = p_quadrature_result(n, IntegrandKind.GAMMA_RATIO, config)
         assert abs(res.value - want / (2 * mpmath.pi)) <= res.abs_error_estimate
+
+
+def _brute_force_strip_choice(n, log_n2, config, delta):
+    # The min over every strip width of the tuple (need, 1 / 2a, log M)
+    # that the module docstring describes; the tuple order breaks ties
+    # towards the wider a.
+    guess = 0.5 * analytic.laplace_I(n)
+    target = 0.5 * max(config.abs_tol, (config.rel_tol + analytic._FLOOR) * guess)
+    shift = math.log(2.0 / target)
+    rows, cosh_ka = analytic._strip_table()
+    extra = [0.0] * len(rows) if delta is None else (cosh_ka @ np.abs(delta) - delta.sum()).tolist()
+    need, half_inv_a, log_m = min(
+        (
+            (shift + log_m0 + log_n2 * cosh_m1 + e) * half_inv_a,
+            half_inv_a,
+            log_m0 + log_n2 * cosh_m1 + e,
+        )
+        for (half_inv_a, cosh_m1, log_m0), e in zip(rows, extra)
+    )
+    return min(max(8, 8 * math.ceil(need / 8)), analytic._MAX_NODES - 1), half_inv_a, log_m
+
+
+def test_strip_walk_equals_the_min_over_every_width():
+    # need(a) falls to one minimum and rises, so the walk that stops at
+    # the first rise picks what the min over all 16 widths picks: the same
+    # N, a and log M.  Also checked: the best a is one of the five widest
+    # at rel_tol 1e-10 and 1e-12, as the _STRIP_WIDTHS comment states.
+    ints = _log_spaced_ints(1, 1030, 400) + [2**60 - 1, 2**60, 2**60 + 1]
+    reals = [2.0 ** (1 + 1020 * j / 99) * 1.37 for j in range(100)] + [n + 0.5 for n in range(2, 65)]
+    abs_dominated = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-6)
+    configs = [QuadratureConfig(rel_tol=1e-10), TIGHT, abs_dominated]
+    fifth_widest = analytic._STRIP_WIDTHS[4]
+    for config in configs:
+        cases = [(n, None) for n in ints + reals]
+        cases += [(n, analytic._series_coeffs(n)) for n in ints if n < 2**60]
+        for n, delta in cases:
+            log_n2 = 2.0 * math.log(n)
+            got = analytic._strip_choice(n, log_n2, config, delta)
+            assert got == _brute_force_strip_choice(n, log_n2, config, delta), (n, config)
+            if config is not abs_dominated:
+                assert 0.5 / got[1] >= fifth_widest
+
+
+@pytest.mark.parametrize(
+    "needs", [(40, 24, 24, 32), (40, 24, 24, 16), (24, 24, 24), (8, 16, 32), (64, 32, 16, 8)]
+)
+def test_strip_walk_breaks_ties_towards_the_wider_width(monkeypatch, needs):
+    # With abs_tol 4 the shift log(2 / target) is exactly 0, and with
+    # log n^2 = 0 each need is log_m0 / 2a: exact here, so ties are real.
+    config = QuadratureConfig(rel_tol=1e-10, abs_tol=4.0)
+    rows = tuple((2.0**k, 0.0, need / 2.0**k) for k, need in enumerate(needs))
+    monkeypatch.setattr(analytic, "_strip_table", lambda: (rows, None))
+    got = analytic._strip_choice(2, 0.0, config, None)
+    assert got == _brute_force_strip_choice(2, 0.0, config, None)
+    assert got[1] == rows[needs.index(min(needs))][0]
 
 
 def test_kernel_node_count_doubles_until_the_bound_holds(monkeypatch):

@@ -165,6 +165,19 @@ def test_recip_gamma_theta_domain():
         recip_gamma_abs_sq(-0.1)
     with pytest.raises(ValueError):
         recip_gamma_abs_sq(2 * math.pi + 0.1)
+    for theta in (math.nan, np.array([0.5, math.nan]), np.array([[math.nan]])):
+        with pytest.raises(ValueError, match="theta"):
+            recip_gamma_abs_sq(theta)
+
+
+def test_recip_gamma_scalar_equals_array():
+    # A lone angle is evaluated as a block of two: numpy would take a
+    # one-row product as a dot product, which rounds differently.
+    theta = np.random.default_rng(7).uniform(0.0, 2 * math.pi, 600)
+    want = recip_gamma_abs_sq(theta)
+    alone = [recip_gamma_abs_sq(float(t)) for t in theta]
+    assert np.array(alone).tobytes() == want.tobytes()
+    assert recip_gamma_abs_sq(theta[:1]).tobytes() == want[:1].tobytes()
 
 
 # --------------------------------------------------- weierstrass_partial
