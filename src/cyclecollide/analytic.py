@@ -440,8 +440,8 @@ def I_n(n: float, config: QuadratureConfig = DEFAULT_CONFIG) -> QuadratureResult
     twice that bound plus twice the floor 64 eps h sum|f|, a proved upper
     bound on the error of the value.
     """
-    if not n >= 2:
-        raise ValueError(f"n must be >= 2, got {n}")
+    if not 2 <= n < math.inf:
+        raise ValueError(f"n must be finite and >= 2, got {n}")
     return _kernel_quadrature(n, config, None, 2.0)
 
 
@@ -461,7 +461,7 @@ def p_quadrature_result(
     value for every n, large or small, to within the returned
     abs_error_estimate.
     """
-    if n < 1 or int(n) != n:
+    if not 1 <= n < math.inf or int(n) != n:
         raise ValueError(f"n must be a positive integer, got {n}")
     if kind is IntegrandKind.LIMIT_KERNEL:
         raise ValueError("LIMIT_KERNEL is not a collision-probability identity; "

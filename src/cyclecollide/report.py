@@ -26,7 +26,7 @@ from fractions import Fraction
 from . import METHODS, VERSION
 from .analytic import I_n, p_asymptotic, p_quadrature_result
 from .exact import StirlingRow, exact_ceiling_error, stirling_rows
-from .montecarlo import estimate_collision
+from .montecarlo import _as_int, estimate_collision
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, QuadratureConvergenceError
 
 CSV_COLUMNS = (
@@ -88,12 +88,14 @@ class ReportConfig:
             raise ValueError("asymptotic and eq2 methods require all n >= 2")
         if self.mc_pairs < 1:
             raise ValueError("mc_pairs must be >= 1")
-        if not 0 <= self.seed < 2**64:
+        seed = _as_int("seed", self.seed)
+        if not 0 <= seed < 2**64:
             raise ValueError("seed must be a 64-bit unsigned integer")
         if self.output_format not in ("csv", "json"):
             raise ValueError("output_format must be 'csv' or 'json'")
         object.__setattr__(self, "n_values", n_values)
         object.__setattr__(self, "methods", methods)
+        object.__setattr__(self, "seed", seed)
 
 
 def _exact_decimal(value: Fraction, significant_digits: int = 20) -> str:

@@ -1,13 +1,18 @@
 """Independent brute-force oracles used across the test suite.
 
 Everything here counts or enumerates directly from definitions; nothing
-imports the recurrence/quadrature code paths under test.
+imports the recurrence/quadrature code paths under test.  The one
+exception is `bernoulli_batch_by_index`, the Monte Carlo batch as it was
+first written, kept as the reference the faster batch must equal bit for
+bit.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+
+import numpy as np
 
 
 def count_cycles(perm: tuple[int, ...]) -> int:
@@ -38,3 +43,22 @@ def collision_probability(n: int) -> Fraction:
     counts = [count_cycles(p) for p in itertools.permutations(range(n))]
     equal = sum(1 for a in counts for b in counts if a == b)
     return Fraction(equal, len(counts) ** 2)
+
+
+def bernoulli_batch_by_index(n: int, size: int, rng) -> np.ndarray:
+    """BERNOULLI_SUM cycle counts, tracking each running draw's index.
+
+    Success-to-success jumps of the Feller coupling: after a success at j
+    the next is at floor(j / U) + 1, U = 1 - rng.random() on (0, 1].  Each
+    round draws one uniform per running draw and adds one to the count
+    of every draw that goes on.
+    """
+    counts = np.ones(size, dtype=np.int64)
+    active = np.arange(size)
+    j = np.ones(size)
+    while active.size:
+        j = np.floor(j / (1.0 - rng.random(active.size)))  # next success - 1
+        alive = j < n
+        active, j = active[alive], j[alive] + 1.0
+        counts[active] += 1
+    return counts

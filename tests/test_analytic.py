@@ -677,6 +677,19 @@ def test_I_n_domain():
         I_n(1.5)
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, np.float64(math.inf)])
+def test_circle_routes_reject_non_finite_n(bad):
+    # A float infinity or NaN is the documented ValueError, not the
+    # OverflowError or numpy message of converting it to an int; an int
+    # above the double range is still a valid n.
+    with pytest.raises(ValueError, match="n must be"):
+        I_n(bad)
+    with pytest.raises(ValueError, match="n must be"):
+        p_quadrature_result(bad)
+    assert I_n(2**1030).value > 0
+    assert p_quadrature_result(2**1030).value > 0
+
+
 # ------------------------------------------------- closed-form pieces
 
 def test_laplace_values():

@@ -25,7 +25,7 @@ from cyclecollide.montecarlo import (
     _count_cycles_rows,
     _stream,
 )
-from oracles import count_cycles
+from oracles import bernoulli_batch_by_index, count_cycles
 
 
 def chi_square_pvalue(draws, n):
@@ -173,6 +173,53 @@ def test_serial_blocks_are_generated_lazily(monkeypatch):
     assert peak < 100_000
 
 
+@pytest.mark.parametrize(
+    "n", [1, 2, 3, 5, 9, 27, 1000, 2**40, BERNOULLI_MAX_N - 1, BERNOULLI_MAX_N]
+)
+def test_bernoulli_batch_matches_index_tracking_loop(n):
+    # The mask-replay batch draws what the index-tracking loop draws: the
+    # same int64 counts and the same stream position after them.
+    for size in (1, 2, 7, 2**14, 10**5):
+        for stream in range(3):
+            rng, ref = _stream(stream, n % 2**32), _stream(stream, n % 2**32)
+            got = montecarlo._bernoulli_batch(n, size, rng)
+            want = bernoulli_batch_by_index(n, size, ref)
+            assert got.dtype == want.dtype == np.int64
+            assert np.array_equal(got, want), (size, stream)
+            assert rng.random() == ref.random(), (size, stream)
+
+
+class _ZeroUniforms:
+    """A generator whose uniforms are all 0: every index is a success."""
+
+    def random(self, size):
+        return np.zeros(size)
+
+
+@pytest.mark.parametrize("n", [300, 2**15 + 3])
+def test_bernoulli_replay_counts_past_a_narrow_type(n):
+    # With U = 1 every index is a success, so each draw runs n rounds and
+    # its count is n; the replay must hold counts above 255 and 2^15.
+    got = montecarlo._bernoulli_batch(n, 3, _ZeroUniforms())
+    assert got.dtype == np.int64
+    assert got.tolist() == [n] * 3
+    assert bernoulli_batch_by_index(n, 3, _ZeroUniforms()).tolist() == [n] * 3
+
+
+@pytest.mark.parametrize("n", [10**12, BERNOULLI_MAX_N])
+def test_bernoulli_batch_memory_per_draw(n):
+    # The round masks take a byte per draw per round, H_n bytes a draw on
+    # average (37.4 at n = 2^53), beside the counts and the live indices.
+    size = 10**5
+    tracemalloc.start()
+    try:
+        sample_cycle_counts(SamplerKind.BERNOULLI_SUM, n, size, _stream(0, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * size
+
+
 def test_bernoulli_moments_at_huge_n():
     # Mean H_n and variance H_n - H_n^(2) of 1 + sum_{j=2..n} Bernoulli(1/j).
     n, size = 10**12, 10**5
@@ -268,6 +315,20 @@ def test_coverage_of_two_sigma_band():
 
 # ------------------------------------------------------------ validation
 
+@pytest.mark.parametrize("kind", ["permutation", "bernoulli", 1, SamplerKind])
+def test_unknown_sampler_kind_is_rejected(kind):
+    # Only a SamplerKind (or None for estimate_collision) picks a sampler;
+    # the kind's value string used to run BERNOULLI_SUM silently.
+    with pytest.raises(ValueError, match="unknown sampler kind"):
+        estimate_collision(7, 5000, kind=kind, seed=3)
+    with pytest.raises(ValueError, match="unknown sampler kind"):
+        estimate_collision(2**30, 10, kind=kind)
+    with pytest.raises(ValueError, match="unknown sampler kind"):
+        sample_cycle_counts(kind, 7, 10, _stream(0, 0))
+    with pytest.raises(ValueError, match="unknown sampler kind"):
+        sample_cycle_count(kind, 7, _stream(0, 0))
+
+
 def test_validation_errors():
     with pytest.raises(ValueError):
         estimate_collision(0, 10)
@@ -281,3 +342,33 @@ def test_validation_errors():
         sample_cycle_counts(SamplerKind.BERNOULLI_SUM, 5, 0, _stream(0, 0))
     with pytest.raises(ValueError):
         sample_cycle_count(SamplerKind.BERNOULLI_SUM, 0, _stream(0, 0))
+    # Non-integer arguments name themselves; NaN used to give p_hat = 1,
+    # n = 2.5 an estimate, seed = 1.5 the stream of seed 1.
+    for kind in SamplerKind:
+        for bad_n in (math.nan, math.inf, 2.5, "5"):
+            with pytest.raises(ValueError, match="n must be an integer"):
+                estimate_collision(bad_n, 10, kind)
+            with pytest.raises(ValueError, match="n must be an integer"):
+                sample_cycle_counts(kind, bad_n, 10, _stream(0, 0))
+            with pytest.raises(ValueError, match="n must be an integer"):
+                sample_cycle_count(kind, bad_n, _stream(0, 0))
+    for bad_seed in (1.5, math.nan, -math.inf):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            estimate_collision(5, 10, seed=bad_seed)
+    with pytest.raises(ValueError, match="pairs must be an integer"):
+        estimate_collision(5, 2.5)
+    with pytest.raises(ValueError, match="workers must be an integer"):
+        estimate_collision(5, 10, workers=1.5)
+    with pytest.raises(ValueError, match="size must be an integer"):
+        sample_cycle_counts(SamplerKind.BERNOULLI_SUM, 5, 2.5, _stream(0, 0))
+
+
+def test_integral_arguments_are_taken_as_ints():
+    # Integral floats and numpy ints draw what the plain ints draw.
+    want = estimate_collision(10, 3000, seed=3)
+    assert estimate_collision(10.0, 3000.0, seed=3.0) == want
+    assert estimate_collision(np.int64(10), np.int32(3000), seed=np.uint64(3)) == want
+    assert type(estimate_collision(10.0, 3000).n) is int
+    for kind in SamplerKind:
+        got = sample_cycle_counts(kind, 9.0, 2.0, _stream(1, 1))
+        assert got.tolist() == sample_cycle_counts(kind, 9, 2, _stream(1, 1)).tolist()
