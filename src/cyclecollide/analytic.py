@@ -16,7 +16,7 @@ Three integrands:
   N >= n/2 intervals of [0, pi].
 * LIMIT_KERNEL - K_n = exp(2(cos theta - 1) log n) w, w the weight
   1/|Gamma(e^{i theta})|^2, whose integral I(n) tends to sqrt(pi / log n).
-  cos theta - 1 is taken as -2 sin^2(theta/2), free of cancellation near
+  1 - cos theta is taken as 2 sin^2(theta/2), free of cancellation near
   theta = 0: within 2.8e-15 relative of mpmath up to n = 2^1030.
 * GAMMA_RATIO - the identity in O(1) per evaluation, as the kernel times
   a factor that tends to 1 (log|1 + z/j|^2 summed over j as cosine series):
@@ -47,15 +47,19 @@ fixed grid of a, that meets half the tolerance laplace_I(n) / 2 would
 give (below the integral at every n measured), rounded up to a multiple
 of 8, and doubled only if the estimate then misses the computed value's
 tolerance.  The walk over the grid stops where N starts to rise, which
-finds the smallest (see _STRIP_WIDTHS).  The sum over the nodes is
-math.fsum, exactly rounded, of the nonzero values: the values that
-underflow to 0 (46% of them at rel_tol 1e-10, log-uniform n in [2^60,
-1e308]) cost fsum time and do not change the sum.  The estimate is that
-bound plus the floor 64 eps h sum|f| of `quadrature`, and `evaluations`
-is N + 1.  EXACT_PRODUCT, and n = 1, run the halving ladder of
-`quadrature`.
+finds the smallest (see _STRIP_WIDTHS).  A batch evaluates only its head,
+the nodes where the exponent -(1 - cos theta) 2 log n is at least -746
+(one searchsorted, 1 - cos theta rising along the nodes): exp is +0.0
+below -745.14 and the weight finite, so the rest are +0.0, and up to
+log n = 186.5 (every n below 2^60) the head is every node.  Its values,
+in [0, 3.70] (the weight's peak; GAMMA_RATIO is at most 1), are checked,
+measured and summed in one pass: numpy's pairwise sum over all N + 1
+nodes is sum|f| and cannot overflow, and math.fsum of the head, exactly
+rounded, is the rule's sum.  The estimate is that bound plus the floor
+64 eps h sum|f| of `quadrature`, and `evaluations` is N + 1.
+EXACT_PRODUCT, and n = 1, run the halving ladder of `quadrature`.
 
-The tables are cached per process, read-only: cos(theta) - 1 and the
+The tables are cached per process, read-only: 1 - cos(theta) and the
 weight, 16 bytes a node, for at most 32 N <= 2^12 (2.1 MB); and for
 GAMMA_RATIO cos(k theta) - 1, k = 1..54, 432 bytes a node, for the six
 N <= 48 (75 kB), every N it took at rel_tol >= 1e-13 when measured.
@@ -82,7 +86,6 @@ from .quadrature import (
     QuadratureConfig,
     QuadratureConvergenceError,
     QuadratureResult,
-    _values,
     quadrature,
 )
 
@@ -189,13 +192,17 @@ def _exact_product_values(n: int, theta: np.ndarray) -> np.ndarray:
 
 
 def _build_node_table(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # cos(theta) - 1 and 1/|Gamma(e^{i theta})|^2 in its entire, pole-free
-    # form, exactly 0 at theta = pi.  cos(theta) - 1 is taken as
-    # -2 sin^2(theta / 2): np.cos(theta) - 1 cancels near theta = 0, where
+    # 1 - cos(theta) and 1/|Gamma(e^{i theta})|^2 in its entire, pole-free
+    # form, exactly 0 at theta = pi and finite, which a batch relies on to
+    # leave out the nodes where exp underflows.  1 - cos(theta) is taken as
+    # 2 sin^2(theta / 2): 1 - np.cos(theta) cancels near theta = 0, where
     # the kernel's exponent (cos(theta) - 1) 2 log n would carry an error
     # of eps 2 log n, 7.8e-14 relative to mpmath at n = 2^1030.
     half = np.sin(0.5 * theta)
-    return -2.0 * half * half, _circle_weight(np.cos(theta) + 1j * np.sin(theta))
+    w = _circle_weight(np.cos(theta) + 1j * np.sin(theta))
+    if not np.isfinite(w).all():
+        raise ValueError("circle weight not finite")
+    return 2.0 * half * half, w
 
 
 def _build_series_table(theta: np.ndarray) -> np.ndarray:
@@ -207,13 +214,14 @@ def _build_series_table(theta: np.ndarray) -> np.ndarray:
 def _circle_values(
     log_n2: float,
     delta: np.ndarray | None,
-    cos_m1: np.ndarray,
+    one_m_cos: np.ndarray,
     w: np.ndarray,
     series: np.ndarray | None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    # K_n exp(sum_k d_k (cos k theta - 1)), or the kernel K_n alone; log_n2
-    # is 2 log n, exact wherever the factor 2 is applied.
-    exponent = cos_m1 * log_n2
+    # K_n exp(sum_k d_k (cos k theta - 1)), or K_n alone, into `out` if
+    # given; log_n2 is 2 log n, exact wherever the factor 2 is applied.
+    exponent = np.multiply(one_m_cos, -log_n2, out)
     if delta is not None:
         exponent += delta @ series
     np.exp(exponent, out=exponent)
@@ -373,10 +381,24 @@ def _strip_choice(
     return intervals, best_half_inv_a, best_log_m
 
 
-def _exact_sum(y: np.ndarray) -> float:
-    # fsum is exactly rounded, so the exact zeros (exp underflow, theta =
-    # pi) are left out: it walks all its partials for each of them.
-    return math.fsum(y[y != 0.0].tolist())
+def _batch_sums(
+    log_n2: float, delta: np.ndarray | None, one_m_cos: np.ndarray, w: np.ndarray,
+    series: np.ndarray | None, acc: float, ends: bool = False,
+) -> tuple[float, float]:
+    # (sum f, acc + sum|f|) over one batch, `ends` at half weight in sum f.
+    # Only the head, exponent >= -746, is evaluated (module docstring).
+    head = one_m_cos.searchsorted(746.0 / log_n2, "right")
+    y = np.zeros(one_m_cos.size)
+    series = None if series is None else series[:, :head]
+    _circle_values(log_n2, delta, one_m_cos[:head], w[:head], series, y[:head])
+    acc += float(np.add.reduce(y))
+    if not math.isfinite(acc):
+        raise ValueError(f"integrand not finite on [0.0, {math.pi}]")
+    if ends:
+        first, last = float(y[0]), float(y[-1])
+        acc -= 0.5 * (first + last)
+        y[0], y[-1] = 0.5 * first, 0.5 * last
+    return math.fsum(y[:head].tolist()), acc
 
 
 def _kernel_quadrature(
@@ -388,16 +410,9 @@ def _kernel_quadrature(
     # the integral over [0, pi].
     log_n2 = 2.0 * math.log(n)
     intervals, half_inv_a, log_m = _strip_choice(n, log_n2, config, delta)
-    cos_m1, w = _kernel_table(intervals)
     series = None if delta is None else _series_table(intervals)
-    y, total_abs = _values(
-        _circle_values(log_n2, delta, cos_m1, w, series), cos_m1, 0.0, math.pi, 0.0
-    )
-    # The endpoints weigh 1/2, halved in place: y is this batch's own array.
-    first, last = float(y[0]), float(y[-1])
-    total_abs -= 0.5 * (abs(first) + abs(last))
-    y[0], y[-1] = 0.5 * first, 0.5 * last
-    total = _exact_sum(y)
+    table = _kernel_table(intervals)
+    total, total_abs = _batch_sums(log_n2, delta, *table, series, 0.0, ends=True)
     while True:
         h = math.pi / intervals
         value = h * total
@@ -414,12 +429,10 @@ def _kernel_quadrature(
                 tolerance * scale,
             )
         intervals *= 2
-        cos_m1, w = (arr[1::2] for arr in _kernel_table(intervals))
+        one_m_cos, w = (arr[1::2] for arr in _kernel_table(intervals))
         series = None if delta is None else _series_table(intervals)[:, 1::2]
-        y, total_abs = _values(
-            _circle_values(log_n2, delta, cos_m1, w, series), cos_m1, 0.0, math.pi, total_abs
-        )
-        total += _exact_sum(y)
+        more, total_abs = _batch_sums(log_n2, delta, one_m_cos, w, series, total_abs)
+        total += more
 
 
 def _scaled(r: QuadratureResult, scale: float) -> QuadratureResult:

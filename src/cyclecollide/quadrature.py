@@ -24,7 +24,7 @@ the EXACT_PRODUCT oracle only.  The circle routes (I_n and the
 Gamma-ratio identity) know an analytic bound on their integrand instead:
 `analytic` evaluates them in one batch of N + 1 nodes, N from the
 Trefethen-Weideman strip bound, and reports that bound plus the same
-floor, through the same value checks (`_values`) and the same errors.
+floor, checking and summing its bounded values in one pass of its own.
 """
 
 from __future__ import annotations

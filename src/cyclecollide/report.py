@@ -71,7 +71,7 @@ class ReportConfig:
     output_path: str | None = None
 
     def __post_init__(self) -> None:
-        n_values = tuple(int(n) for n in self.n_values)
+        n_values = tuple(_as_int("n", n) for n in self.n_values)
         if not n_values:
             raise ValueError("n_values must be nonempty")
         if any(b <= a for a, b in zip(n_values, n_values[1:])):
@@ -86,7 +86,8 @@ class ReportConfig:
             raise ValueError(f"unknown methods: {sorted(unknown)}")
         if ("asymptotic" in methods or "eq2" in methods) and n_values[0] < 2:
             raise ValueError("asymptotic and eq2 methods require all n >= 2")
-        if self.mc_pairs < 1:
+        mc_pairs = _as_int("mc_pairs", self.mc_pairs)
+        if mc_pairs < 1:
             raise ValueError("mc_pairs must be >= 1")
         seed = _as_int("seed", self.seed)
         if not 0 <= seed < 2**64:
@@ -95,6 +96,7 @@ class ReportConfig:
             raise ValueError("output_format must be 'csv' or 'json'")
         object.__setattr__(self, "n_values", n_values)
         object.__setattr__(self, "methods", methods)
+        object.__setattr__(self, "mc_pairs", mc_pairs)
         object.__setattr__(self, "seed", seed)
 
 

@@ -600,6 +600,128 @@ def test_kernel_node_count_doubles_until_the_bound_holds(monkeypatch):
     assert abs(res.value - want.value) <= res.abs_error_estimate + want.abs_error_estimate
 
 
+def _full_batch_reference(n, kind, config, scale):
+    # scale * the batch as it was before it skipped any node: every one of
+    # the N + 1 nodes, and of each doubling's midpoints, evaluated by the
+    # public integrand, sum|f| as numpy's pairwise sum and sum f by fsum.
+    log_n2 = 2.0 * math.log(n)
+    delta = analytic._series_coeffs(n) if kind is IntegrandKind.GAMMA_RATIO else None
+    intervals, half_inv_a, log_m = analytic._strip_choice(n, log_n2, config, delta)
+    y = integrand(kind, n, analytic._nodes(intervals))
+    total_abs = float(np.abs(y).sum()) - 0.5 * (abs(y[0]) + abs(y[-1]))
+    total = math.fsum([0.5 * y[0], *y[1:-1], 0.5 * y[-1]])
+    while True:
+        h = math.pi / intervals
+        value = h * total
+        strip = math.exp(log_m - intervals / half_inv_a) / -math.expm1(-intervals / half_inv_a)
+        error = strip + analytic._FLOOR * h * total_abs
+        if error <= max(config.abs_tol, config.rel_tol * abs(value)):
+            return value * scale, error * scale, intervals + 1
+        intervals *= 2
+        y = integrand(kind, n, analytic._nodes(intervals)[1::2])
+        total_abs += float(np.abs(y).sum())
+        total += math.fsum(y)
+
+
+# The first n with a node past the head: 1 - cos(pi) = 2 reaches
+# 746 / 2 log n at log n = 186.5.  exp underflows at theta = pi from
+# log n = 186.28 on, so in between the head ends in exact zeros.
+_HEAD_EDGE = math.exp(186.5)
+
+
+@pytest.mark.parametrize("doubling", [False, True])
+def test_kernel_batch_skips_only_zeros_and_keeps_the_bits(monkeypatch, doubling):
+    # Every node a batch leaves out of its head is +0.0 in the public
+    # integrand, and the batch gives the bits of the sums over every node.
+    # With `doubling` the guess of the integral is far too high, so every
+    # route runs doubling batches (test_kernel_node_count_doubles_...).
+    ints = _log_spaced_ints(1, 1030, 300)
+    ints += [int(_HEAD_EDGE * 2.0**k) for k in (-1.0, -0.3, -1e-3, 1e-3, 0.3, 1.0)]
+    reals = [2.0 ** (1 + 1020 * j / 99) * 1.37 for j in range(100)]
+    reals += [math.exp(186.2), math.exp(186.4)]
+    reals += [math.nextafter(_HEAD_EDGE, 0.0), _HEAD_EDGE, math.nextafter(_HEAD_EDGE, math.inf)]
+    if doubling:
+        monkeypatch.setattr(analytic, "laplace_I", lambda n: 1e6)
+    tables, heads = [], []
+    real_table, real_values = analytic._kernel_table, analytic._circle_values
+    monkeypatch.setattr(analytic, "_kernel_table", lambda m: tables.append(m) or real_table(m))
+
+    def values(log_n2, delta, one_m_cos, *rest, **kwargs):
+        heads.append(one_m_cos.size)
+        return real_values(log_n2, delta, one_m_cos, *rest, **kwargs)
+
+    monkeypatch.setattr(analytic, "_circle_values", values)
+    gamma, kernel = IntegrandKind.GAMMA_RATIO, IntegrandKind.LIMIT_KERNEL
+    cases = [(n, kernel, I_n, 2.0) for n in ints + reals]
+    cases += [(n, gamma, p_quadrature_result, 1.0 / math.pi) for n in ints]
+    skipped = 0
+    for rel_tol in (1e-10, 1e-12):
+        config = QuadratureConfig(rel_tol=rel_tol)
+        for n, kind, route, scale in cases:
+            tables.clear()
+            heads.clear()
+            res = route(n, config=config)
+            assert len(heads) == len(tables) >= 1 + doubling, n
+            for k, (intervals, head) in enumerate(zip(tables, heads)):
+                nodes = analytic._nodes(intervals)[1::2] if k else analytic._nodes(intervals)
+                past = integrand(kind, n, nodes[head:])
+                assert past.tobytes() == bytes(past.nbytes), (n, intervals)
+                skipped += past.size
+            want = _full_batch_reference(n, kind, config, scale)
+            assert (res.value, res.abs_error_estimate, res.evaluations) == want, (n, rel_tol)
+    assert skipped > 0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("doubling", [False, True])
+def test_kernel_batch_rejects_a_value_that_is_not_finite(monkeypatch, bad, doubling):
+    # A weight that is not finite at the first node after theta = 0, which
+    # is in every head: the first batch, or with `doubling` the first
+    # doubling batch, meets it and raises before any sum is used.
+    real_table = analytic._kernel_table
+    tables = []
+
+    def table(intervals):
+        one_m_cos, w = real_table(intervals)
+        tables.append(intervals)
+        if doubling and len(tables) == 1:
+            return one_m_cos, w
+        w = w.copy()
+        w[1] = bad
+        return one_m_cos, w
+
+    monkeypatch.setattr(analytic, "_kernel_table", table)
+    if doubling:
+        monkeypatch.setattr(analytic, "laplace_I", lambda n: 1e6)
+    routes = [
+        lambda: I_n(10**6, TIGHT),
+        lambda: I_n(10**300 + 0.5, TIGHT),
+        lambda: p_quadrature_result(10**6, None, TIGHT),
+        lambda: p_quadrature_result(2**1030, None, TIGHT),
+    ]
+    for route in routes:
+        tables.clear()
+        with pytest.raises(ValueError, match="not finite"):
+            route()
+        assert len(tables) == 1 + doubling
+
+
+def test_kernel_table_rejects_a_weight_that_is_not_finite(monkeypatch):
+    real_weight = analytic._circle_weight
+
+    def weight(z):
+        w = real_weight(z)
+        w[len(w) // 2] = math.nan
+        return w
+
+    monkeypatch.setattr(analytic, "_circle_weight", weight)
+    analytic._cached_kernel_table.cache_clear()
+    for intervals in (8, analytic._KERNEL_TABLE_MAX_INTERVALS + 8):
+        with pytest.raises(ValueError, match="not finite"):
+            analytic._kernel_table(intervals)
+    assert analytic._cached_kernel_table.cache_info().currsize == 0
+
+
 def test_kernel_convergence_errors_carry_the_best_estimate(monkeypatch):
     # rel_tol below the rounding floor fails at the first batch ...
     with pytest.raises(QuadratureConvergenceError) as exc_info:

@@ -205,6 +205,18 @@ def test_config_validation():
         with pytest.raises(ValueError, match="seed"):
             ReportConfig(n_values=(3,), methods=("montecarlo",), seed=bad)
     assert ReportConfig(n_values=(3,), methods=("exact",), seed=2.0).seed == 2
+    # So are a non-integer n and mc_pairs: n = 2.5 used to be truncated to
+    # a row for n = 2, and mc_pairs = 2.5 to give each row a Monte Carlo
+    # error instead of an estimate.
+    for bad in ((2.5, 7.9), (3, math.nan), (3, math.inf), ("3",)):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            ReportConfig(n_values=bad, methods=("exact",))
+    for bad in (2.5, math.nan, math.inf, "3"):
+        with pytest.raises(ValueError, match="mc_pairs"):
+            ReportConfig(n_values=(3,), methods=("montecarlo",), mc_pairs=bad)
+    config = ReportConfig(n_values=(2.0, 7.0), methods=("montecarlo",), mc_pairs=64.0)
+    assert config.n_values == (2, 7) and type(config.n_values[0]) is int
+    assert config.mc_pairs == 64 and type(config.mc_pairs) is int
     with pytest.raises(ValueError):
         ReportConfig(n_values=(3,), methods=("exact",), output_format="xml")
 
