@@ -51,11 +51,11 @@ finds the smallest (see _STRIP_WIDTHS).  A batch evaluates only its head,
 the nodes where the exponent -(1 - cos theta) 2 log n is at least -746
 (one searchsorted, 1 - cos theta rising along the nodes): exp is +0.0
 below -745.14 and the weight finite, so the rest are +0.0, and up to
-log n = 186.5 (every n below 2^60) the head is every node.  Its values,
-in [0, 3.70] (the weight's peak; GAMMA_RATIO is at most 1), are checked,
-measured and summed in one pass: numpy's pairwise sum over all N + 1
-nodes is sum|f| and cannot overflow, and math.fsum of the head, exactly
-rounded, is the rule's sum.  The estimate is that bound plus the floor
+log n = 186.5 (every n below 2^60) the head is every node.  Its values
+are in [0, 3.70] (the weight's peak; GAMMA_RATIO is at most 1), so one
+math.fsum of the head, exactly rounded and unable to overflow, is the
+rule's sum, and because f >= 0 also the sum|f| of the floor; it is not
+finite only if a value is not.  The estimate is that bound plus the floor
 64 eps h sum|f| of `quadrature`, and `evaluations` is N + 1.
 EXACT_PRODUCT, and n = 1, run the halving ladder of `quadrature`.
 
@@ -217,11 +217,10 @@ def _circle_values(
     one_m_cos: np.ndarray,
     w: np.ndarray,
     series: np.ndarray | None,
-    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    # K_n exp(sum_k d_k (cos k theta - 1)), or K_n alone, into `out` if
-    # given; log_n2 is 2 log n, exact wherever the factor 2 is applied.
-    exponent = np.multiply(one_m_cos, -log_n2, out)
+    # K_n exp(sum_k d_k (cos k theta - 1)), or K_n alone; log_n2 is
+    # 2 log n, exact wherever the factor 2 is applied.
+    exponent = one_m_cos * -log_n2
     if delta is not None:
         exponent += delta @ series
     np.exp(exponent, out=exponent)
@@ -381,24 +380,25 @@ def _strip_choice(
     return intervals, best_half_inv_a, best_log_m
 
 
-def _batch_sums(
+def _batch_sum(
     log_n2: float, delta: np.ndarray | None, one_m_cos: np.ndarray, w: np.ndarray,
-    series: np.ndarray | None, acc: float, ends: bool = False,
-) -> tuple[float, float]:
-    # (sum f, acc + sum|f|) over one batch, `ends` at half weight in sum f.
-    # Only the head, exponent >= -746, is evaluated (module docstring).
+    series: np.ndarray | None, ends: bool = False,
+) -> float:
+    # sum f over one batch, `ends` at half weight, exactly rounded.  Every
+    # f is in [0, 3.70], so this is also the batch's sum|f| and, on at most
+    # 2^16 + 1 nodes, not finite only if a value is not.  Only the head,
+    # exponent >= -746, is evaluated (module docstring).
     head = one_m_cos.searchsorted(746.0 / log_n2, "right")
-    y = np.zeros(one_m_cos.size)
     series = None if series is None else series[:, :head]
-    _circle_values(log_n2, delta, one_m_cos[:head], w[:head], series, y[:head])
-    acc += float(np.add.reduce(y))
-    if not math.isfinite(acc):
-        raise ValueError(f"integrand not finite on [0.0, {math.pi}]")
+    ys = _circle_values(log_n2, delta, one_m_cos[:head], w[:head], series).tolist()
     if ends:
-        first, last = float(y[0]), float(y[-1])
-        acc -= 0.5 * (first + last)
-        y[0], y[-1] = 0.5 * first, 0.5 * last
-    return math.fsum(y[:head].tolist()), acc
+        ys[0] *= 0.5
+        if head == one_m_cos.size:
+            ys[-1] *= 0.5
+    total = math.fsum(ys)
+    if not math.isfinite(total):
+        raise ValueError(f"integrand not finite on [0.0, {math.pi}]")
+    return total
 
 
 def _kernel_quadrature(
@@ -412,11 +412,11 @@ def _kernel_quadrature(
     intervals, half_inv_a, log_m = _strip_choice(n, log_n2, config, delta)
     series = None if delta is None else _series_table(intervals)
     table = _kernel_table(intervals)
-    total, total_abs = _batch_sums(log_n2, delta, *table, series, 0.0, ends=True)
+    total = _batch_sum(log_n2, delta, *table, series, ends=True)
     while True:
         h = math.pi / intervals
         value = h * total
-        floor = _FLOOR * h * total_abs
+        floor = _FLOOR * h * total
         # 2 pi M(a) / (e^{2aN} - 1), without overflow at large 2aN.
         strip = math.exp(log_m - intervals / half_inv_a) / -math.expm1(-intervals / half_inv_a)
         error = strip + floor
@@ -431,8 +431,7 @@ def _kernel_quadrature(
         intervals *= 2
         one_m_cos, w = (arr[1::2] for arr in _kernel_table(intervals))
         series = None if delta is None else _series_table(intervals)[:, 1::2]
-        more, total_abs = _batch_sums(log_n2, delta, one_m_cos, w, series, total_abs)
-        total += more
+        total += _batch_sum(log_n2, delta, one_m_cos, w, series)
 
 
 def _scaled(r: QuadratureResult, scale: float) -> QuadratureResult:

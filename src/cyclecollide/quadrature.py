@@ -24,7 +24,7 @@ the EXACT_PRODUCT oracle only.  The circle routes (I_n and the
 Gamma-ratio identity) know an analytic bound on their integrand instead:
 `analytic` evaluates them in one batch of N + 1 nodes, N from the
 Trefethen-Weideman strip bound, and reports that bound plus the same
-floor, checking and summing its bounded values in one pass of its own.
+floor, whose sum|f| there is the rule's exactly rounded sum (f >= 0).
 """
 
 from __future__ import annotations

@@ -165,12 +165,18 @@ def _chi2_sf(x: float, df: int) -> float:
     return min(sf, 1.0)
 
 
-def _chi_square_pvalue(draws: np.ndarray, n: int) -> float:
+def _chi_square_pvalue(counts: np.ndarray, n: int) -> float:
     probs = [float(p) for p in cycle_distribution(n).probs]
-    counts = np.bincount(draws, minlength=n + 1)[1:].astype(np.float64)
+    counts = counts[1:].astype(np.float64)
     expected = np.asarray(probs) * counts.sum()
     stat = float(((counts - expected) ** 2 / expected).sum())
     return _chi2_sf(stat, n - 1)
+
+
+def _cycle_counts(kind: SamplerKind, n: int) -> np.ndarray:
+    # Draws with k = 0..n cycles, counted per block: 10^6 never exist at once.
+    blocks = (sample_cycle_counts(kind, n, 10**5, _stream(0, b)) for b in range(10))
+    return sum(np.bincount(draws, minlength=n + 1) for draws in blocks)
 
 
 def check_monte_carlo() -> tuple[bool, str]:
@@ -182,13 +188,7 @@ def check_monte_carlo() -> tuple[bool, str]:
     pvals = []
     for n in (2, 6, 12):
         for kind in SamplerKind:
-            draws = np.concatenate(
-                [
-                    sample_cycle_counts(kind, n, 10**5, _stream(0, block))
-                    for block in range(10)
-                ]
-            )
-            pv = _chi_square_pvalue(draws, n)
+            pv = _chi_square_pvalue(_cycle_counts(kind, n), n)
             if pv < CHI2_SIGNIFICANCE:
                 return False, f"chi-square n={n} {kind.value}: p={pv:.2e} < 1e-6"
             pvals.append(pv)

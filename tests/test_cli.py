@@ -230,8 +230,8 @@ def test_table_deterministic_bytes(capsys):
 
 
 _TABLE_SHA256 = {
-    "csv": "831461c4751d300903c55be4452c44d0bc8833f9da8b2e7f7a0027ee3826ce43",
-    "json": "0d69509dda049dad75b6564d1fc5d816adc9900dc003bebd0f014a55ae07faaf",
+    "csv": "9f6471e9afb7a90a485c47f9defa1d2fe67cb9cfdc786173ce7b1428d481afa2",
+    "json": "8e33a6858185893f097b22b4c68095a0a52eb7bb4f685221dd4a5b28b7e7a905",
 }
 
 

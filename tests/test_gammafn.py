@@ -129,6 +129,26 @@ def test_recip_gamma_endpoint_values():
     assert recip_gamma_abs_sq(math.pi) == 0.0  # exact: the pole factor is 0
 
 
+@pytest.mark.parametrize(
+    "theta, want",
+    [(math.pi / 2, math.sinh(math.pi) / math.pi), (3 * math.pi / 2, math.sinh(math.pi) / math.pi)]
+    + [(k * math.pi / 3, math.cosh(math.pi * math.sqrt(3) / 2) / math.pi) for k in (1, 2, 4, 5)]
+    + [(0.0, 1.0), (2 * math.pi, 1.0)],
+)
+def test_recip_gamma_closed_forms(theta, want):
+    # 1/|Gamma(i)|^2 = sinh(pi)/pi; |Gamma(1/2 + iy)|^2 = pi/cosh(pi y),
+    # and Gamma(-1/2 + iy) = Gamma(1/2 + iy)/(-1/2 + iy) with |-1/2 + iy| = 1
+    # at y = sqrt(3)/2.
+    assert abs(recip_gamma_abs_sq(theta) - want) <= 1e-15 * want
+
+
+def test_recip_gamma_is_nonnegative_on_every_kernel_table():
+    # The circle batches rely on f >= 0: the weight is their only factor
+    # that is not an exp.
+    for intervals in range(8, 4097, 8):
+        assert analytic._kernel_table(intervals)[1].min() >= 0.0, intervals
+
+
 def test_recip_gamma_memory_is_bounded_per_block():
     # Large arrays are evaluated in blocks of 2^12 angles: the power table
     # (864 bytes an angle) never exists for the whole array, and the

@@ -1,13 +1,14 @@
 import io
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.stats import chi2
 
 import cyclecollide.verify as verify
-from cyclecollide import QuadratureConfig, StirlingRow
+from cyclecollide import QuadratureConfig, SamplerKind, StirlingRow, sample_cycle_counts
 
 
 def test_run_verify_prints_one_line_per_criterion():
@@ -74,6 +75,25 @@ def test_chi2_sf_matches_scipy():
             want = chi2.sf(x, df)
             assert verify._chi2_sf(float(x), df) == pytest.approx(want, rel=1e-12)
     assert verify._chi2_sf(0.0, 3) == 1.0
+
+
+@pytest.mark.parametrize("kind", list(SamplerKind))
+def test_chi_square_counts_are_streamed_per_block(kind):
+    # Criterion 7 counts each block of 10^5 draws as it comes: the same
+    # p-value as one count of all 10^6 draws, without holding them.
+    tracemalloc.start()
+    try:
+        counts = verify._cycle_counts(kind, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
+    draws = np.concatenate(
+        [sample_cycle_counts(kind, 2, 10**5, verify._stream(0, block)) for block in range(10)]
+    )
+    want = np.bincount(draws, minlength=3)
+    assert counts.tolist() == want.tolist()
+    assert verify._chi_square_pvalue(counts, 2) == verify._chi_square_pvalue(want, 2)
 
 
 # Imports every submodule: `import cyclecollide` alone loads none of them.
