@@ -47,16 +47,24 @@ fixed grid of a, that meets half the tolerance laplace_I(n) / 2 would
 give (below the integral at every n measured), rounded up to a multiple
 of 8, and doubled only if the estimate then misses the computed value's
 tolerance.  The walk over the grid stops where N starts to rise, which
-finds the smallest (see _STRIP_WIDTHS).  A batch evaluates only its head,
-the nodes where the exponent -(1 - cos theta) 2 log n is at least -746
-(one searchsorted, 1 - cos theta rising along the nodes): exp is +0.0
-below -745.14 and the weight finite, so the rest are +0.0, and up to
-log n = 186.5 (every n below 2^60) the head is every node.  Its values
-are in [0, 3.70] (the weight's peak; GAMMA_RATIO is at most 1), so one
-math.fsum of the head, exactly rounded and unable to overflow, is the
-rule's sum, and because f >= 0 also the sum|f| of the floor; it is not
-finite only if a value is not.  The estimate is that bound plus the floor
-64 eps h sum|f| of `quadrature`, and `evaluations` is N + 1.
+finds the smallest (see _STRIP_WIDTHS).  A batch, the first and each
+doubling's midpoints, evaluates only its head, the nodes where the
+kernel's exponent -(1 - cos theta) 2 log n is at least -C, C = 120 (one
+searchsorted, 1 - cos theta rising along the nodes); up to log n = C/4
+(n ~ 1.07e13) the head is every node.  On the real line cosh ka >= 1 >=
+|cos k theta|, so the weight times the d_k factor is at most e^L_w / 2 pi,
+L_w = log(2 pi M(a)) - 2 log n (cosh a - 1) at the chosen a, and every
+node left out is at most e^(L_w - C) / 2 pi.  Its values are in
+[0, 3.70] (the weight's peak; GAMMA_RATIO is at most 1), so one math.fsum
+of the head, exactly rounded and unable to overflow, is the rule's sum
+less the nodes left out, and because f >= 0 also the sum|f| of the
+floor; it is not finite only if a value is not.  The estimate is that
+bound plus the floor 64 eps h sum|f| of `quadrature` plus h e^(L_w - C)
+/ 2 pi for each node left out, and `evaluations` is N + 1.  With C = 120
+the last term is below 2^-101 h at every n and width (at most 2^16 + 1
+nodes, L_w - log 2 pi <= 11.61), under half an ulp of the floor since
+sum f >= f(0) / 2 = 1/2: it never moves the estimate's bits, and the
+mass left out is below 2^-100 of the sum.
 EXACT_PRODUCT, and n = 1, run the halving ladder of `quadrature`.
 
 The tables are cached per process, read-only: 1 - cos(theta) and the
@@ -296,6 +304,9 @@ _KERNEL_TABLE_ENTRIES = 32
 _KERNEL_TABLE_MAX_INTERVALS = 2**12
 _SERIES_TABLE_ENTRIES = 6
 _SERIES_TABLE_MAX_INTERVALS = 48
+# C of the head cut (module docstring): a batch leaves out the nodes where
+# the kernel's exponent is below -C.
+_HEAD_CUT = 120.0
 
 
 @functools.cache
@@ -350,9 +361,10 @@ def _series_table(intervals: int) -> np.ndarray:
 
 def _strip_choice(
     n: float, log_n2: float, config: QuadratureConfig, delta: np.ndarray | None
-) -> tuple[int, float, float]:
-    # (N, 1 / 2a, log(2 pi M(a))) at the strip width a with the smallest
-    # need(a), ties to the wider a: the min over every width, found by the
+) -> tuple[int, float, float, float]:
+    # (N, 1 / 2a, log(2 pi M(a)), L_w) at the strip width a with the
+    # smallest need(a), ties to the wider a, L_w the part of log(2 pi M(a))
+    # without the kernel's growth: the min over every width, found by the
     # walk that stops at need's first rise (_STRIP_WIDTHS).  laplace_I(n)
     # / 2 is the guess of the integral over [0, pi]: I_n / laplace_I is
     # 1.997 at n = 2 and 1.034 at 1e8, and pi p(n) is above it too, by
@@ -373,32 +385,37 @@ def _strip_choice(
         grow = log_n2 * cosh_m1
         need = (shift + log_m0 + grow + e) * half_inv_a
         if need < best:
-            best, best_half_inv_a, best_log_m = need, half_inv_a, log_m0 + grow + e
+            best, best_half_inv_a = need, half_inv_a
+            best_log_m0, best_grow, best_e = log_m0, grow, e
         elif need > best:
             break
     intervals = min(max(8, 8 * math.ceil(best / 8)), _MAX_NODES - 1)
-    return intervals, best_half_inv_a, best_log_m
+    return intervals, best_half_inv_a, best_log_m0 + best_grow + best_e, best_log_m0 + best_e
 
 
 def _batch_sum(
     log_n2: float, delta: np.ndarray | None, one_m_cos: np.ndarray, w: np.ndarray,
     series: np.ndarray | None, ends: bool = False,
-) -> float:
-    # sum f over one batch, `ends` at half weight, exactly rounded.  Every
-    # f is in [0, 3.70], so this is also the batch's sum|f| and, on at most
-    # 2^16 + 1 nodes, not finite only if a value is not.  Only the head,
-    # exponent >= -746, is evaluated (module docstring).
-    head = one_m_cos.searchsorted(746.0 / log_n2, "right")
+) -> tuple[float, int]:
+    # sum f over one batch's head, `ends` at half weight, exactly rounded,
+    # and the number of nodes left out.  Every f is in [0, 3.70], so this
+    # is also the head's sum|f| and, on at most 2^16 + 1 nodes, not finite
+    # only if a value is not.  The head is the nodes with the kernel's
+    # exponent >= -_HEAD_CUT (module docstring).
+    head = one_m_cos.searchsorted(_HEAD_CUT / log_n2, "right")
     series = None if series is None else series[:, :head]
     ys = _circle_values(log_n2, delta, one_m_cos[:head], w[:head], series).tolist()
+    # A Python int, from the list: numpy's would make the estimate a numpy
+    # float.
+    left_out = one_m_cos.size - len(ys)
     if ends:
         ys[0] *= 0.5
-        if head == one_m_cos.size:
+        if not left_out:
             ys[-1] *= 0.5
     total = math.fsum(ys)
     if not math.isfinite(total):
         raise ValueError(f"integrand not finite on [0.0, {math.pi}]")
-    return total
+    return total, left_out
 
 
 def _kernel_quadrature(
@@ -409,10 +426,10 @@ def _kernel_quadrature(
     # full circle, 1/pi for the normalized mean.  The tolerance applies to
     # the integral over [0, pi].
     log_n2 = 2.0 * math.log(n)
-    intervals, half_inv_a, log_m = _strip_choice(n, log_n2, config, delta)
+    intervals, half_inv_a, log_m, log_w = _strip_choice(n, log_n2, config, delta)
     series = None if delta is None else _series_table(intervals)
     table = _kernel_table(intervals)
-    total = _batch_sum(log_n2, delta, *table, series, ends=True)
+    total, left_out = _batch_sum(log_n2, delta, *table, series, ends=True)
     while True:
         h = math.pi / intervals
         value = h * total
@@ -420,6 +437,10 @@ def _kernel_quadrature(
         # 2 pi M(a) / (e^{2aN} - 1), without overflow at large 2aN.
         strip = math.exp(log_m - intervals / half_inv_a) / -math.expm1(-intervals / half_inv_a)
         error = strip + floor
+        if left_out:
+            # h times the most each node left out of a head can be (module
+            # docstring).
+            error += h * left_out * math.exp(log_w - _HEAD_CUT) / (2.0 * math.pi)
         tolerance = max(config.abs_tol, config.rel_tol * abs(value))
         if error <= tolerance:
             return QuadratureResult(value * scale, error * scale, intervals + 1)
@@ -431,7 +452,9 @@ def _kernel_quadrature(
         intervals *= 2
         one_m_cos, w = (arr[1::2] for arr in _kernel_table(intervals))
         series = None if delta is None else _series_table(intervals)[:, 1::2]
-        total += _batch_sum(log_n2, delta, one_m_cos, w, series)
+        more, more_left_out = _batch_sum(log_n2, delta, one_m_cos, w, series)
+        total += more
+        left_out += more_left_out
 
 
 def _scaled(r: QuadratureResult, scale: float) -> QuadratureResult:
@@ -449,8 +472,10 @@ def I_n(n: float, config: QuadratureConfig = DEFAULT_CONFIG) -> QuadratureResult
     One trapezoid batch on N intervals of [0, pi], N the smallest multiple
     of 8 that the kernel's strip bound certifies for half the tolerance
     laplace_I(n) would give; `evaluations` is N + 1.  abs_error_estimate is
-    twice that bound plus twice the floor 64 eps h sum|f|, a proved upper
-    bound on the error of the value.
+    twice that bound plus twice the floor 64 eps h sum|f| plus twice h
+    times a bound on each node too small to reach the sum, which the batch
+    leaves out (module docstring): a proved upper bound on the error of
+    the value.
     """
     if not 2 <= n < math.inf:
         raise ValueError(f"n must be finite and >= 2, got {n}")

@@ -24,7 +24,9 @@ the EXACT_PRODUCT oracle only.  The circle routes (I_n and the
 Gamma-ratio identity) know an analytic bound on their integrand instead:
 `analytic` evaluates them in one batch of N + 1 nodes, N from the
 Trefethen-Weideman strip bound, and reports that bound plus the same
-floor, whose sum|f| there is the rule's exactly rounded sum (f >= 0).
+floor, whose sum|f| there is the rule's exactly rounded sum (f >= 0),
+plus a bound on the nodes too small to reach that sum, which it leaves
+out.
 """
 
 from __future__ import annotations

@@ -528,23 +528,25 @@ def test_kernel_routes_match_reference_integrals(n, rel_tol):
 
 
 def _brute_force_strip_choice(n, log_n2, config, delta):
-    # The min over every strip width of the tuple (need, 1 / 2a, log M)
-    # that the module docstring describes; the tuple order breaks ties
+    # The min over every strip width of the tuple (need, 1 / 2a, log M,
+    # L_w) that the module docstring describes; the tuple order breaks ties
     # towards the wider a.
     guess = 0.5 * analytic.laplace_I(n)
     target = 0.5 * max(config.abs_tol, (config.rel_tol + analytic._FLOOR) * guess)
     shift = math.log(2.0 / target)
     rows, cosh_ka = analytic._strip_table()
     extra = [0.0] * len(rows) if delta is None else (cosh_ka @ np.abs(delta) - delta.sum()).tolist()
-    need, half_inv_a, log_m = min(
+    need, half_inv_a, log_m, log_w = min(
         (
             (shift + log_m0 + log_n2 * cosh_m1 + e) * half_inv_a,
             half_inv_a,
             log_m0 + log_n2 * cosh_m1 + e,
+            log_m0 + e,
         )
         for (half_inv_a, cosh_m1, log_m0), e in zip(rows, extra)
     )
-    return min(max(8, 8 * math.ceil(need / 8)), analytic._MAX_NODES - 1), half_inv_a, log_m
+    intervals = min(max(8, 8 * math.ceil(need / 8)), analytic._MAX_NODES - 1)
+    return intervals, half_inv_a, log_m, log_w
 
 
 def test_strip_walk_equals_the_min_over_every_width():
@@ -607,7 +609,7 @@ def _full_batch_reference(n, kind, config, scale):
     # sum is also the sum|f| of the floor.
     log_n2 = 2.0 * math.log(n)
     delta = analytic._series_coeffs(n) if kind is IntegrandKind.GAMMA_RATIO else None
-    intervals, half_inv_a, log_m = analytic._strip_choice(n, log_n2, config, delta)
+    intervals, half_inv_a, log_m, _ = analytic._strip_choice(n, log_n2, config, delta)
     y = integrand(kind, n, analytic._nodes(intervals))
     assert (y >= 0.0).all()
     total = math.fsum([0.5 * y[0], *y[1:-1], 0.5 * y[-1]])
@@ -625,22 +627,29 @@ def _full_batch_reference(n, kind, config, scale):
 
 
 # The first n with a node past the head: 1 - cos(pi) = 2 reaches
-# 746 / 2 log n at log n = 186.5.  exp underflows at theta = pi from
-# log n = 186.28 on, so in between the head ends in exact zeros.
+# C / 2 log n at log n = C / 4 (n ~ 1.07e13), below 2^60, so GAMMA_RATIO
+# batches skip nodes too.  Around _HEAD_EDGE the nodes past the head turn
+# into exact zeros: exp underflows at theta = pi from log n = 186.28 on.
+_CUT_EDGE = math.exp(analytic._HEAD_CUT / 4)
 _HEAD_EDGE = math.exp(186.5)
 
 
 @pytest.mark.parametrize("doubling", [False, True])
-def test_kernel_batch_skips_only_zeros_and_keeps_the_bits(monkeypatch, doubling):
-    # Every node a batch leaves out of its head is +0.0 in the public
-    # integrand, and the batch gives the bits of the sums over every node.
-    # With `doubling` the guess of the integral is far too high, so every
-    # route runs doubling batches (test_kernel_node_count_doubles_...).
+def test_kernel_batch_skips_only_negligible_nodes_and_keeps_the_bits(monkeypatch, doubling):
+    # Every node a batch leaves out of its head is at most
+    # e^(L_w - log 2 pi - C) in the public integrand, and the batch gives
+    # the bits of the sums over every node.  With `doubling` the guess of
+    # the integral is far too high, so every route runs doubling batches
+    # (test_kernel_node_count_doubles_...).
     ints = _log_spaced_ints(1, 1030, 300)
     ints += [int(_HEAD_EDGE * 2.0**k) for k in (-1.0, -0.3, -1e-3, 1e-3, 0.3, 1.0)]
+    ints += [int(_CUT_EDGE * 2.0**k) for k in (-1.0, -0.3, -1e-3, 1e-3, 0.3, 1.0)]
+    ints += [int(_CUT_EDGE) + k for k in (-1, 0, 1, 2)]
     reals = [2.0 ** (1 + 1020 * j / 99) * 1.37 for j in range(100)]
     reals += [math.exp(186.2), math.exp(186.4)]
     reals += [math.nextafter(_HEAD_EDGE, 0.0), _HEAD_EDGE, math.nextafter(_HEAD_EDGE, math.inf)]
+    reals += [math.exp(29.9), math.exp(30.1)]
+    reals += [math.nextafter(_CUT_EDGE, 0.0), _CUT_EDGE, math.nextafter(_CUT_EDGE, math.inf)]
     if doubling:
         monkeypatch.setattr(analytic, "laplace_I", lambda n: 1e6)
     tables, heads = [], []
@@ -663,14 +672,78 @@ def test_kernel_batch_skips_only_zeros_and_keeps_the_bits(monkeypatch, doubling)
             heads.clear()
             res = route(n, config=config)
             assert len(heads) == len(tables) >= 1 + doubling, n
+            delta = analytic._series_coeffs(n) if kind is gamma else None
+            log_w = analytic._strip_choice(n, 2.0 * math.log(n), config, delta)[3]
+            past_max = math.exp(log_w - math.log(2.0 * math.pi) - analytic._HEAD_CUT)
             for k, (intervals, head) in enumerate(zip(tables, heads)):
                 nodes = analytic._nodes(intervals)[1::2] if k else analytic._nodes(intervals)
                 past = integrand(kind, n, nodes[head:])
-                assert past.tobytes() == bytes(past.nbytes), (n, intervals)
+                assert (past <= past_max).all(), (n, intervals)
                 skipped += past.size
             want = _full_batch_reference(n, kind, config, scale)
             assert (res.value, res.abs_error_estimate, res.evaluations) == want, (n, rel_tol)
     assert skipped > 0
+
+
+def test_head_cut_is_deep_enough_to_keep_the_bits():
+    # At every strip width, for the kernel and for GAMMA_RATIO at n = 2,
+    # where every |d_k| is largest, 2^16 + 1 nodes of e^(L_w - log 2 pi - C)
+    # each stay below 2^-101.  The sum is at least f(0) / 2 = 1/2, so h
+    # times that is below half an ulp of the floor 64 eps h sum f: adding
+    # it never moves the estimate, and the mass left out is below 2^-100
+    # of the sum.
+    rows, cosh_ka = analytic._strip_table()
+    delta = analytic._series_coeffs(2)
+    extra = (cosh_ka @ np.abs(delta) - delta.sum()).tolist()
+    log_ws = [log_m0 for _, _, log_m0 in rows]
+    log_ws += [log_m0 + e for (_, _, log_m0), e in zip(rows, extra)]
+    assert len(log_ws) == 2 * len(analytic._STRIP_WIDTHS)
+    for log_w in log_ws:
+        past_max = math.exp(log_w - math.log(2.0 * math.pi) - analytic._HEAD_CUT)
+        assert analytic._MAX_NODES * past_max < 2.0**-101, log_w
+
+
+def test_kernel_estimate_bounds_the_nodes_a_shallow_cut_leaves_out(monkeypatch):
+    # With C = 20 the nodes left out carry mass far above the floor: the
+    # estimate still bounds the error, through its term for them, whether
+    # or not it then meets the tolerance.
+    monkeypatch.setattr(analytic, "_HEAD_CUT", 20.0)
+    for n in (10**6, 10**100, 2**1030):
+        want = mpmath.mpf(KERNEL_INTEGRALS[n])
+        routes = [(lambda: I_n(n), want)]
+        if n >= 2**60:
+            routes.append((lambda: p_quadrature_result(n), want / (2 * mpmath.pi)))
+        for route, ref in routes:
+            try:
+                res = route()
+            except QuadratureConvergenceError as exc:
+                res = exc.best
+            assert abs(res.value - ref) <= res.abs_error_estimate, n
+
+
+def test_results_are_python_scalars_on_every_route():
+    # value and abs_error_estimate are float and evaluations int, also
+    # where a count of nodes left out enters the estimate.
+    def check(res):
+        assert type(res.value) is float and type(res.abs_error_estimate) is float, res
+        assert type(res.evaluations) is int, res
+
+    for n in (10**6, 10**6 + 0.5, 2**1030):
+        check(I_n(n))
+    for n in (1, 10**6, 2**70, 2**1030):
+        check(p_quadrature_result(n))
+    check(p_quadrature_result(100, IntegrandKind.EXACT_PRODUCT))
+    unreachable = QuadratureConfig(rel_tol=1e-16, abs_tol=0.0)
+    routes = [
+        lambda: I_n(2**1030, unreachable),
+        lambda: p_quadrature_result(10**6, None, unreachable),
+        lambda: p_quadrature_result(100, IntegrandKind.EXACT_PRODUCT, unreachable),
+    ]
+    for route in routes:
+        with pytest.raises(QuadratureConvergenceError) as exc_info:
+            route()
+        check(exc_info.value.best)
+        assert type(exc_info.value.tolerance) is float
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
