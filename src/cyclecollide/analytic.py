@@ -67,11 +67,12 @@ sum f >= f(0) / 2 = 1/2: it never moves the estimate's bits, and the
 mass left out is below 2^-100 of the sum.
 EXACT_PRODUCT, and n = 1, run the halving ladder of `quadrature`.
 
-The tables are cached per process, read-only: 1 - cos(theta) and the
-weight, 16 bytes a node, for at most 32 N <= 2^12 (2.1 MB); and for
-GAMMA_RATIO cos(k theta) - 1, k = 1..54, 432 bytes a node, for the six
-N <= 48 (75 kB), every N it took at rel_tol >= 1e-13 when measured.
-Larger tables are built and not stored, so the cache holds at most 2.2 MB.
+Every circle function is built from one table, the powers z^k, k =
+1..54, of gammafn._circle_table: 1 - cos(theta), the weight and the rows
+cos(k theta) - 1.  It is cached per process, read-only, one per N, 448
+bytes a node, for every N <= 2^8: the 32 multiples of 8, and every N the
+routes took at rel_tol >= 1e-13 when measured (at most 168).  Larger
+tables are built and not stored, so the cache holds at most 1.9 MB.
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ import numpy as np
 
 # p_asymptotic is not used here; it stays importable from this module.
 from .asymptotic import laplace_I, p_asymptotic
-from .gammafn import _CIRCLE_COEFFS, EULER_GAMMA, _blockwise, _check_theta, _circle_weight
+from .gammafn import _CIRCLE_COEFFS, EULER_GAMMA, _blockwise, _check_theta, _circle_table
 from .quadrature import (
     _FLOOR,
     _MAX_NODES,
@@ -199,38 +200,18 @@ def _exact_product_values(n: int, theta: np.ndarray) -> np.ndarray:
     return np.exp(acc) / (float(n) * n)
 
 
-def _build_node_table(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # 1 - cos(theta) and 1/|Gamma(e^{i theta})|^2 in its entire, pole-free
-    # form, exactly 0 at theta = pi and finite, which a batch relies on to
-    # leave out the nodes where exp underflows.  1 - cos(theta) is taken as
-    # 2 sin^2(theta / 2): 1 - np.cos(theta) cancels near theta = 0, where
-    # the kernel's exponent (cos(theta) - 1) 2 log n would carry an error
-    # of eps 2 log n, 7.8e-14 relative to mpmath at n = 2^1030.
-    half = np.sin(0.5 * theta)
-    w = _circle_weight(np.cos(theta) + 1j * np.sin(theta))
-    if not np.isfinite(w).all():
-        raise ValueError("circle weight not finite")
-    return 2.0 * half * half, w
-
-
-def _build_series_table(theta: np.ndarray) -> np.ndarray:
-    # cos(k theta) - 1 = -2 sin^2(k theta / 2), one row per k = 1..54.
-    half = np.sin(np.multiply.outer(0.5 * _K, theta))
-    return -2.0 * half * half
-
-
 def _circle_values(
     log_n2: float,
     delta: np.ndarray | None,
     one_m_cos: np.ndarray,
     w: np.ndarray,
-    series: np.ndarray | None,
+    rows: np.ndarray,
 ) -> np.ndarray:
     # K_n exp(sum_k d_k (cos k theta - 1)), or K_n alone; log_n2 is
     # 2 log n, exact wherever the factor 2 is applied.
     exponent = one_m_cos * -log_n2
     if delta is not None:
-        exponent += delta @ series
+        exponent += rows @ delta
     np.exp(exponent, out=exponent)
     exponent *= w
     return exponent
@@ -241,26 +222,27 @@ def _circle_fn(n: float, delta: np.ndarray | None) -> Callable[[np.ndarray], np.
     log_n2 = 2.0 * math.log(n)
 
     def block(theta: np.ndarray) -> np.ndarray:
-        series = None if delta is None else _build_series_table(theta)
-        return _circle_values(log_n2, delta, *_build_node_table(theta), series)
+        return _circle_values(log_n2, delta, *_circle_table(theta))
 
-    # In blocks of 2^12 nodes: the weight's power table and the series
-    # table take 1.3 kB a node while they live.
+    # In blocks of 2^12 nodes: the power table and the rows take 1.3 kB a
+    # node while they live.
     return functools.partial(_blockwise, block)
 
 
 def _integrand_fn(kind: IntegrandKind, n: float) -> Callable[[np.ndarray], np.ndarray]:
+    # Each check is a chained comparison against inf, so that inf and NaN
+    # fail it before int() sees them; an int above the double range passes.
     if kind is IntegrandKind.EXACT_PRODUCT:
-        if n < 1 or int(n) != n:
+        if not 1 <= n < math.inf or int(n) != n:
             raise ValueError(f"EXACT_PRODUCT requires integer n >= 1, got {n}")
         return lambda t: _exact_product_values(int(n), t)
     if kind is IntegrandKind.GAMMA_RATIO:
-        if n < 1 or int(n) != n:
+        if not 1 <= n < math.inf or int(n) != n:
             raise ValueError(f"GAMMA_RATIO requires integer n >= 1, got {n}")
         return np.ones_like if n == 1 else _circle_fn(n, _series_coeffs(int(n)))
     if kind is IntegrandKind.LIMIT_KERNEL:
-        if not n > 1:
-            raise ValueError(f"LIMIT_KERNEL requires real n > 1, got {n}")
+        if not 1 < n < math.inf:
+            raise ValueError(f"LIMIT_KERNEL requires finite real n > 1, got {n}")
         return _circle_fn(n, None)
     raise ValueError(f"unknown integrand kind: {kind!r}")
 
@@ -278,8 +260,8 @@ def integrand(
     A scalar angle gives the bits of the same angle inside an array,
     except for GAMMA_RATIO at small n: its series product sum_k d_k
     (cos k theta - 1) rounds differently for different array lengths,
-    which moves the last bits at a third of the angles at n = 2 and at
-    about one in 300 near n = 100.
+    which moves the last bits at about half of the angles at n = 2 and
+    at about one in 100 near n = 20.
     """
     f = _integrand_fn(kind, n)
     arr = np.asarray(theta, dtype=np.float64)
@@ -300,10 +282,10 @@ def integrand(
 _STRIP_WIDTHS = tuple(0.68 / 1.4**k for k in range(16))
 # The kernel's need(a) has no d_k term.
 _NO_EXTRA = (0.0,) * len(_STRIP_WIDTHS)
-_KERNEL_TABLE_ENTRIES = 32
-_KERNEL_TABLE_MAX_INTERVALS = 2**12
-_SERIES_TABLE_ENTRIES = 6
-_SERIES_TABLE_MAX_INTERVALS = 48
+# The cached tables: every N <= 2^8, the 32 multiples of 8 (module
+# docstring).
+_TABLE_ENTRIES = 32
+_TABLE_MAX_INTERVALS = 2**8
 # C of the head cut (module docstring): a batch leaves out the nodes where
 # the kernel's exponent is below -C.
 _HEAD_CUT = 120.0
@@ -332,31 +314,25 @@ def _nodes(intervals: int) -> np.ndarray:
     return theta
 
 
-@functools.lru_cache(maxsize=_KERNEL_TABLE_ENTRIES)
-def _cached_kernel_table(intervals: int) -> tuple[np.ndarray, np.ndarray]:
-    table = _build_node_table(_nodes(intervals))
+def _new_node_table(intervals: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # The circle table at the N + 1 nodes, read-only.  A batch leaves out
+    # the nodes past its head unseen, so a weight that is not finite is
+    # rejected here, before any batch uses the table.
+    table = _circle_table(_nodes(intervals))
+    if not np.isfinite(table[1]).all():
+        raise ValueError("circle weight not finite")
     for arr in table:
         arr.flags.writeable = False
     return table
 
 
-def _kernel_table(intervals: int) -> tuple[np.ndarray, np.ndarray]:
-    if intervals > _KERNEL_TABLE_MAX_INTERVALS:
-        return _build_node_table(_nodes(intervals))
-    return _cached_kernel_table(intervals)
+_cached_node_table = functools.lru_cache(maxsize=_TABLE_ENTRIES)(_new_node_table)
 
 
-@functools.lru_cache(maxsize=_SERIES_TABLE_ENTRIES)
-def _cached_series_table(intervals: int) -> np.ndarray:
-    table = _build_series_table(_nodes(intervals))
-    table.flags.writeable = False
-    return table
-
-
-def _series_table(intervals: int) -> np.ndarray:
-    if intervals > _SERIES_TABLE_MAX_INTERVALS:
-        return _build_series_table(_nodes(intervals))
-    return _cached_series_table(intervals)
+def _node_table(intervals: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    if intervals > _TABLE_MAX_INTERVALS:
+        return _new_node_table(intervals)
+    return _cached_node_table(intervals)
 
 
 def _strip_choice(
@@ -395,7 +371,7 @@ def _strip_choice(
 
 def _batch_sum(
     log_n2: float, delta: np.ndarray | None, one_m_cos: np.ndarray, w: np.ndarray,
-    series: np.ndarray | None, ends: bool = False,
+    rows: np.ndarray, ends: bool = False,
 ) -> tuple[float, int]:
     # sum f over one batch's head, `ends` at half weight, exactly rounded,
     # and the number of nodes left out.  Every f is in [0, 3.70], so this
@@ -403,8 +379,7 @@ def _batch_sum(
     # only if a value is not.  The head is the nodes with the kernel's
     # exponent >= -_HEAD_CUT (module docstring).
     head = one_m_cos.searchsorted(_HEAD_CUT / log_n2, "right")
-    series = None if series is None else series[:, :head]
-    ys = _circle_values(log_n2, delta, one_m_cos[:head], w[:head], series).tolist()
+    ys = _circle_values(log_n2, delta, one_m_cos[:head], w[:head], rows[:head]).tolist()
     # A Python int, from the list: numpy's would make the estimate a numpy
     # float.
     left_out = one_m_cos.size - len(ys)
@@ -427,9 +402,7 @@ def _kernel_quadrature(
     # the integral over [0, pi].
     log_n2 = 2.0 * math.log(n)
     intervals, half_inv_a, log_m, log_w = _strip_choice(n, log_n2, config, delta)
-    series = None if delta is None else _series_table(intervals)
-    table = _kernel_table(intervals)
-    total, left_out = _batch_sum(log_n2, delta, *table, series, ends=True)
+    total, left_out = _batch_sum(log_n2, delta, *_node_table(intervals), ends=True)
     while True:
         h = math.pi / intervals
         value = h * total
@@ -450,9 +423,8 @@ def _kernel_quadrature(
                 tolerance * scale,
             )
         intervals *= 2
-        one_m_cos, w = (arr[1::2] for arr in _kernel_table(intervals))
-        series = None if delta is None else _series_table(intervals)[:, 1::2]
-        more, more_left_out = _batch_sum(log_n2, delta, one_m_cos, w, series)
+        midpoints = (arr[1::2] for arr in _node_table(intervals))
+        more, more_left_out = _batch_sum(log_n2, delta, *midpoints)
         total += more
         left_out += more_left_out
 

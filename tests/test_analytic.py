@@ -323,8 +323,7 @@ def _bits(r):
 @pytest.mark.parametrize("n, rel_tol, want_p, want_i", PINNED)
 def test_quadrature_bits_pinned(n, rel_tol, want_p, want_i):
     config = QuadratureConfig(rel_tol=rel_tol)
-    analytic._cached_kernel_table.cache_clear()
-    analytic._cached_series_table.cache_clear()
+    analytic._cached_node_table.cache_clear()
     for _ in range(2):  # a cold cache, then a warm one
         assert _bits(p_quadrature_result(n, None, config)) == want_p
         assert _bits(p_quadrature_result(n, IntegrandKind.GAMMA_RATIO, config)) == want_p
@@ -334,10 +333,11 @@ def test_quadrature_bits_pinned(n, rel_tol, want_p, want_i):
 # sha256 over the _bits of every quadrature route on a fixed grid: every
 # route at n = 1..64 and at n = 1023..1026, ~100 log-spaced n to 1e300,
 # both sides of n = 2^60, where GAMMA_RATIO becomes the kernel, and 2^1030;
-# I_n also at non-integer n.  Measured once GAMMA_RATIO took its node
-# count from the strip bound at every n; I_n and every result from
-# n = 2^60 on kept their bits through that change.
-QUADRATURE_DIGEST = "c0ea4ea2058a1dffbb86dc846c17dcf351c7aae1da53d90608126d0cd61e1e9a"
+# I_n also at non-integer n.  Measured once GAMMA_RATIO took its
+# cos(k theta) - 1 rows from the power table of the weight; I_n,
+# EXACT_PRODUCT and every result from n = 2^60 on kept their bits
+# through that change, and GAMMA_RATIO at n = 7 moved by one ulp.
+QUADRATURE_DIGEST = "3e22e5a90ce157ca8c7072ab5bf3ff475f88bf50cd933db1c5372532beedd2f1"
 
 
 def test_quadrature_digest_pinned():
@@ -591,9 +591,9 @@ def test_kernel_node_count_doubles_until_the_bound_holds(monkeypatch):
     want = I_n(10**6, TIGHT)
     monkeypatch.setattr(analytic, "laplace_I", lambda n: 1e6)
     seen = []
-    real_table = analytic._kernel_table
+    real_table = analytic._node_table
     monkeypatch.setattr(
-        analytic, "_kernel_table", lambda m: seen.append(m) or real_table(m)
+        analytic, "_node_table", lambda m: seen.append(m) or real_table(m)
     )
     res = I_n(10**6, TIGHT)
     assert len(seen) >= 2 and seen == [seen[0] * 2**k for k in range(len(seen))]
@@ -653,8 +653,8 @@ def test_kernel_batch_skips_only_negligible_nodes_and_keeps_the_bits(monkeypatch
     if doubling:
         monkeypatch.setattr(analytic, "laplace_I", lambda n: 1e6)
     tables, heads = [], []
-    real_table, real_values = analytic._kernel_table, analytic._circle_values
-    monkeypatch.setattr(analytic, "_kernel_table", lambda m: tables.append(m) or real_table(m))
+    real_table, real_values = analytic._node_table, analytic._circle_values
+    monkeypatch.setattr(analytic, "_node_table", lambda m: tables.append(m) or real_table(m))
 
     def values(log_n2, delta, one_m_cos, *rest, **kwargs):
         heads.append(one_m_cos.size)
@@ -752,19 +752,19 @@ def test_kernel_batch_rejects_a_value_that_is_not_finite(monkeypatch, bad, doubl
     # A weight that is not finite at the first node after theta = 0, which
     # is in every head: the first batch, or with `doubling` the first
     # doubling batch, meets it and raises before any sum is used.
-    real_table = analytic._kernel_table
+    real_table = analytic._node_table
     tables = []
 
     def table(intervals):
-        one_m_cos, w = real_table(intervals)
+        one_m_cos, w, rows = real_table(intervals)
         tables.append(intervals)
         if doubling and len(tables) == 1:
-            return one_m_cos, w
+            return one_m_cos, w, rows
         w = w.copy()
         w[1] = bad
-        return one_m_cos, w
+        return one_m_cos, w, rows
 
-    monkeypatch.setattr(analytic, "_kernel_table", table)
+    monkeypatch.setattr(analytic, "_node_table", table)
     if doubling:
         monkeypatch.setattr(analytic, "laplace_I", lambda n: 1e6)
     routes = [
@@ -792,19 +792,19 @@ def test_kernel_estimate_holds_the_rounding_floor():
 
 
 def test_kernel_table_rejects_a_weight_that_is_not_finite(monkeypatch):
-    real_weight = analytic._circle_weight
+    real_table = analytic._circle_table
 
-    def weight(z):
-        w = real_weight(z)
+    def table(theta):
+        one_m_cos, w, rows = real_table(theta)
         w[len(w) // 2] = math.nan
-        return w
+        return one_m_cos, w, rows
 
-    monkeypatch.setattr(analytic, "_circle_weight", weight)
-    analytic._cached_kernel_table.cache_clear()
-    for intervals in (8, analytic._KERNEL_TABLE_MAX_INTERVALS + 8):
+    monkeypatch.setattr(analytic, "_circle_table", table)
+    analytic._cached_node_table.cache_clear()
+    for intervals in (8, analytic._TABLE_MAX_INTERVALS + 8):
         with pytest.raises(ValueError, match="not finite"):
-            analytic._kernel_table(intervals)
-    assert analytic._cached_kernel_table.cache_info().currsize == 0
+            analytic._node_table(intervals)
+    assert analytic._cached_node_table.cache_info().currsize == 0
 
 
 def test_kernel_convergence_errors_carry_the_best_estimate(monkeypatch):
@@ -822,42 +822,31 @@ def test_kernel_convergence_errors_carry_the_best_estimate(monkeypatch):
 
 
 # The cache's worst case, as the analytic docstring and the README state
-# it: 32 kernel tables of 2^12 + 1 nodes at 16 bytes a node, and the six
-# series tables of N = 8, 16, ..., 48 intervals at 432 bytes a node.
-_TABLE_CACHE_MAX_BYTES = 32 * (2**12 + 1) * 16 + 432 * sum(n + 1 for n in range(8, 49, 8))
+# it: the 32 tables of N = 8, 16, ..., 256 intervals, at 448 bytes a node
+# (1 - cos theta, the weight and 54 rows).
+_TABLE_CACHE_MAX_BYTES = 448 * sum(n + 1 for n in range(8, 257, 8))
 
 
 def test_kernel_table_cache_stays_bounded():
-    assert _TABLE_CACHE_MAX_BYTES <= 2.2e6
-    cached = analytic._cached_kernel_table
+    assert _TABLE_CACHE_MAX_BYTES <= 1.95e6
+    cached = analytic._cached_node_table
     cached.cache_clear()
-    for intervals in range(8, 8 * (2 * analytic._KERNEL_TABLE_ENTRIES + 1), 8):
-        for array in analytic._kernel_table(intervals):
-            assert array.size == intervals + 1
+    sizes = range(8, analytic._TABLE_MAX_INTERVALS + 1, 8)
+    for intervals in sizes:
+        one_m_cos, w, rows = analytic._node_table(intervals)
+        assert one_m_cos.shape == w.shape == (intervals + 1,)
+        assert rows.shape == (intervals + 1, 54)
+        for array in (one_m_cos, w, rows):
             with pytest.raises(ValueError):
                 array[0] = 1.0
     info = cached.cache_info()
-    assert info.currsize == analytic._KERNEL_TABLE_ENTRIES
-    big = analytic._KERNEL_TABLE_MAX_INTERVALS + 8
-    assert analytic._kernel_table(big)[0].size == big + 1
+    assert info.currsize == info.maxsize == analytic._TABLE_ENTRIES == len(sizes)
+    big = analytic._TABLE_MAX_INTERVALS + 8
+    assert analytic._node_table(big)[2].shape == (big + 1, 54)
     assert cached.cache_info() == info  # neither looked up nor stored
-    # Fill both caches with their largest tables and weigh them.
-    series = analytic._cached_series_table
-    series.cache_clear()
-    for intervals in range(8, 49, 8):
-        table = analytic._series_table(intervals)
-        assert table.shape == (54, intervals + 1)
-        with pytest.raises(ValueError):
-            table[0, 0] = 1.0
-    info = series.cache_info()
-    assert info.currsize == info.maxsize == analytic._SERIES_TABLE_ENTRIES
-    assert analytic._series_table(56).shape == (54, 57)
-    assert series.cache_info() == info  # neither looked up nor stored
-    kernel_sizes = range(big - 8 * analytic._KERNEL_TABLE_ENTRIES, big, 8)
-    weight = sum(a.nbytes for m in kernel_sizes for a in analytic._kernel_table(m))
-    weight += sum(analytic._series_table(m).nbytes for m in range(8, 49, 8))
-    assert cached.cache_info().currsize == analytic._KERNEL_TABLE_ENTRIES
-    assert series.cache_info().currsize == analytic._SERIES_TABLE_ENTRIES
+    weight = sum(a.nbytes for m in sizes for a in analytic._node_table(m))
+    assert cached.cache_info().currsize == analytic._TABLE_ENTRIES
+    assert cached.cache_info().misses == info.misses  # every table was cached
     assert weight <= _TABLE_CACHE_MAX_BYTES
 
 
@@ -893,6 +882,9 @@ def test_circle_routes_reject_non_finite_n(bad):
         I_n(bad)
     with pytest.raises(ValueError, match="n must be"):
         p_quadrature_result(bad)
+    for kind in IntegrandKind:
+        with pytest.raises(ValueError, match="requires"):
+            integrand(kind, bad, 0.5)
     assert I_n(2**1030).value > 0
     assert p_quadrature_result(2**1030).value > 0
 

@@ -55,8 +55,10 @@ def test_zeta_table_matches_mpmath():
 
 
 def test_circle_series_matches_loggamma():
+    # Re log Gamma(2 + z) = sum_k a_k Re z^k, from the rows Re z^k - 1.
     thetas = np.linspace(0.0, 2 * math.pi, 257)
-    got = gammafn._circle_log_gamma2(np.cos(thetas) + 1j * np.sin(thetas))
+    coeffs = gammafn._CIRCLE_COEFFS
+    got = gammafn._circle_table(thetas)[2] @ coeffs + coeffs.sum()
     want = [float(mpmath.re(mpmath.loggamma(2 + mpmath.expj(mpmath.mpf(t))))) for t in thetas]
     assert np.max(np.abs(got - want)) <= 1e-15
 
@@ -146,13 +148,13 @@ def test_recip_gamma_is_nonnegative_on_every_kernel_table():
     # The circle batches rely on f >= 0: the weight is their only factor
     # that is not an exp.
     for intervals in range(8, 4097, 8):
-        assert analytic._kernel_table(intervals)[1].min() >= 0.0, intervals
+        assert analytic._node_table(intervals)[1].min() >= 0.0, intervals
 
 
 def test_recip_gamma_memory_is_bounded_per_block():
     # Large arrays are evaluated in blocks of 2^12 angles: the power table
-    # (864 bytes an angle) never exists for the whole array, and the
-    # bytes are those of one unblocked evaluation.
+    # and its rows (1.3 kB an angle) never exist for the whole array, and
+    # the bytes are those of one unblocked evaluation.
     theta = np.linspace(0.0, 2 * math.pi, 2**17 + 3)
     tracemalloc.start()
     try:
@@ -162,7 +164,7 @@ def test_recip_gamma_memory_is_bounded_per_block():
         tracemalloc.stop()
     assert peak <= 100 * theta.size
     t = theta[: 2**13 + 1]
-    whole = gammafn._circle_weight(np.cos(t) + 1j * np.sin(t))
+    whole = gammafn._circle_table(t)[1]
     assert recip_gamma_abs_sq(t).tobytes() == whole.tobytes()
     assert got[: t.size].tobytes() == whole.tobytes()
 
@@ -178,6 +180,16 @@ def test_recip_gamma_nonnegative_and_accurate():
         z = mpmath.mpc(math.cos(theta), math.sin(theta))
         want = float(1 / abs(mpmath.gamma(z)) ** 2)
         assert recip_gamma_abs_sq(theta) == pytest.approx(want, rel=1e-12)
+
+
+def test_recip_gamma_dense_accuracy():
+    # Within 1e-15 of the weight's peak (3.70) everywhere on the circle.
+    thetas = np.linspace(0.01, 2 * math.pi - 0.01, 400)
+    got = recip_gamma_abs_sq(thetas)
+    want = np.array([
+        float(1 / abs(mpmath.gamma(mpmath.expj(mpmath.mpf(float(t))))) ** 2) for t in thetas
+    ])
+    assert np.max(np.abs(got - want)) <= 1e-15 * want.max()
 
 
 def test_recip_gamma_theta_domain():
