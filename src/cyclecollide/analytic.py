@@ -21,14 +21,34 @@ Three integrands:
 * GAMMA_RATIO - the identity in O(1) per evaluation, as the kernel times
   a factor that tends to 1 (log|1 + z/j|^2 summed over j as cosine series):
 
-      f_n = K_n exp(sum_{k=1}^{54} d_k(n) (cos k theta - 1)),
+      f_n = K_n exp(sum_{k=1}^{K(n)} d_k(n) (cos k theta - 1)),
       d_1 = 2 (H_{n-1} - log n - gamma),  d_k = 2 (-1)^k zeta(k, n) / k,
 
-  with the Hurwitz zeta(k, n) from Euler-Maclaurin for n >= 64 and from a
-  table built once by zeta(k, m) = zeta(k, m+1) + m^-k below.  From
-  n = 2^60 on every d_k is below double resolution and f_n is the kernel,
-  bit for bit; f_1 is the constant 1.  Within 1.1e-14 relative of mpmath
-  for n <= 1e6 (3.2e-14 near 2^60) away from theta = pi.
+  with the Hurwitz zeta(k, n) from Euler-Maclaurin in floats for n >= 64
+  and from a table built once by zeta(k, m) = zeta(k, m+1) + m^-k below.
+  The d_1 term is taken with the kernel's, as -(1 - cos theta) 2 psi(n)
+  (2 psi(n) = 2 log n + d_1): one product per node, as exact as the
+  kernel's, and one more for d_2; a matrix product on the rows
+  cos(k theta) - 1 adds d_2..d_K when K > 2.  f_1 is the constant 1.
+
+  K(n) is the fewest leading terms whose tail moves the exponent by at
+  most 2^-58: as |cos k theta - 1| <= 2 and |d_k| <= (2/k) (n^-k +
+  n^{1-k} / (k - 1)) for k >= 2, bounds that fall by 1/n or more, the
+  tail past K is at most 4 (n + K) / (K (K + 1) (n - 1) n^K), compared
+  with 2^-58 in integers.  K is 54 (all the table has) at n = 2, where
+  that tail is 2^-57.8; 35, 17, 9, 6, 3, 2 at n = 3, 10, 64, 1e3, 1e6,
+  1e9; 1 from 2^59 + 2; and 0 from 2^60, where f_n is the kernel bit for
+  bit, dropping d_1 and d_2, each about 1/n.
+  The rule integrates the K-term function f_K, for which the strip bound
+  below is exact; on the real line f_K is within 2^-58 (about eps/64) of
+  f_n relative, so the rule's sum moves by at most 2^-58 h sum f, which
+  the floor 64 eps h sum|f| = 2^-46 h sum f covers 4096 times over, as it
+  covers the rounding of the values.  Against mpmath, on 117 equally
+  spaced angles in [0, 2 pi] less the three within 0.1 of pi, f_n is
+  within 1e-14 relative for n <= 1e3, 2e-14 at 1e6, 4e-14 at 2^58 and
+  6e-14 at 2^59 and 2^60 - 1 (measured 8.1e-15, 1.5e-14, 2.8e-14, 4.6e-14
+  and 4.1e-14), where the rounding of an exponent up to 4 log n in size
+  sets the error.
 
 All integrands are 2 pi-periodic and even about theta = pi, so integration
 is done on [0, pi], endpoints included, and doubled.
@@ -38,7 +58,7 @@ the strip bound of Trefethen & Weideman (Thm 3.2): on |Im theta| <= a <
 ln 2 the integrand is at most
 
     M(a) = exp(2 log n (cosh a - 1)) (2 + 2 cosh a) exp(2 sum_k |a_k| cosh ka)
-           exp(sum_k (|d_k| cosh ka - d_k))
+           exp(sum_{k<=K} (|d_k| cosh ka - d_k))
 
 (a_k the weight's coefficients, gammafn; the last factor is 1 for the
 kernel), so the rule on N intervals of [0, pi] is within
@@ -81,7 +101,7 @@ import functools
 import math
 import operator
 from enum import Enum
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -112,54 +132,106 @@ class IntegrandKind(Enum):
 
 
 # k = 1..54, the terms of the weight's series and of d_k(n).
-_K = np.arange(1.0, _CIRCLE_COEFFS.size + 1)
-# From here on every d_k(n) is below double resolution (d_1 ~ -1/n).
+_TERMS = _CIRCLE_COEFFS.size
+_K = np.arange(1.0, _TERMS + 1)
+# From here on every d_k(n) is below double resolution (d_1 ~ -1/n): K(n) = 0.
 _KERNEL_MIN_N = 2**60
 # Euler-Maclaurin for zeta(k, n) from here on; a table below.
 _EULER_MACLAURIN_MIN_N = 64
-# B_2j / (2j)! (k)_{2j-1}, j = 1..6 (rows) and k = 1..54 (columns), with
-# (k)_m the rising factorial: zeta(k, n) = n^{1-k} / (k - 1) + n^-k / 2
-# + sum_j row_j[k] n^{-k-2j+1}, where for k = 1 the first term is replaced
-# by -log n, giving -psi(n).  The first omitted term is below 5e-12 of
-# zeta(k, 64) at k = 54 and far smaller at lower k.
-_EULER_MACLAURIN = np.array([
-    [b / math.factorial(2 * j) * math.prod(range(k, k + 2 * j - 1)) for k in range(1, 55)]
-    for j, b in enumerate((1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730), start=1)
-])
-_ODD_POWERS = np.arange(1.0, 12.0, 2.0)
-# n / (k - 1) for k >= 2 as n * this; 0 for k = 1.
-_LEADING = np.concatenate(([0.0], 1.0 / _K[:-1]))
+# The d_k left out move the exponent by at most 2^-_SERIES_TAIL_BITS
+# (module docstring); the tail bound read in floats decides K(n) outside
+# [_TAIL_LOW, _TAIL_HIGH] (_euler_maclaurin).
+_SERIES_TAIL_BITS = 58
+_TAIL_LOW = 2.0**-_SERIES_TAIL_BITS * (1.0 - 2.0**-40)
+_TAIL_HIGH = 2.0**-_SERIES_TAIL_BITS * (1.0 + 2.0**-40)
 # d_k(n) / zeta(k, n) = 2 (-1)^k / k (and d_1 = -2 (log n - psi(n))).
-_SERIES_SCALE = 2.0 * (-1.0) ** _K / _K
+_SERIES_SCALE = tuple(2.0 * (-1.0) ** k / k for k in range(1, _TERMS + 1))
+# Row k - 1, k = 1..54: B_2j / (2j)! (k)_{2j-1}, j = 1..6, with (k)_m the
+# rising factorial.
+_EULER_MACLAURIN = tuple(
+    tuple(
+        b / math.factorial(2 * j) * math.prod(range(k, k + 2 * j - 1))
+        for j, b in enumerate((1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730), start=1)
+    )
+    for k in range(1, _TERMS + 1)
+)
 
 
-def _hurwitz_row(n: int) -> np.ndarray:
-    # log n - psi(n), then zeta(k, n) for k = 2..54; n >= 2.
-    if n < _EULER_MACLAURIN_MIN_N:
-        row = _small_hurwitz_table()[n - 1].copy()
-        row[0] += math.log(n)
-        return row
+def _tail_exceeds(k: int, n: int) -> bool:
+    # Whether the bound 4 (n + k) / (k (k + 1) (n - 1) n^k) on what
+    # d_{k+1}, d_{k+2}, ... move the exponent exceeds 2^-_SERIES_TAIL_BITS
+    # (module docstring), in integers, so exactly.
+    return (n + k) << _SERIES_TAIL_BITS + 2 > k * (k + 1) * (n - 1) * n**k
+
+
+def _euler_maclaurin(n: int, terms: int | None) -> list[float]:
+    # d_k(n) for k = 1..terms, n >= 64, by Euler-Maclaurin in floats:
+    # zeta(k, n) = n^{1-k} / (k - 1) + n^-k / 2 + sum_j row_j[k] n^{-k-2j+1},
+    # where for k = 1 the first term is replaced by -log n, giving
+    # log n - psi(n).  The first omitted term is below 5e-12 of zeta(k, 64)
+    # at k = 54 and far smaller at lower k.
+    # With terms None, k = 1..K(n), n < 2^60: the tail bound of
+    # _tail_exceeds, taken in floats from n^-k, is within 2^-48 of its
+    # value (at most 20 roundings, no libm), so it decides alone unless it
+    # is within 2^-40 of the threshold, where the integers decide.
     inv = 1.0 / n
-    return inv**_K * (n * _LEADING + 0.5 + inv**_ODD_POWERS @ _EULER_MACLAURIN)
+    x = inv * inv
+    nf = float(n)
+    out = []
+    power = 1.0
+    for k, scale, (c1, c2, c3, c4, c5, c6) in zip(
+        range(1, (terms or _TERMS) + 1), _SERIES_SCALE, _EULER_MACLAURIN
+    ):
+        power *= inv
+        lead = n / (k - 1) + 0.5 if k > 1 else 0.5
+        corr = inv * (c1 + x * (c2 + x * (c3 + x * (c4 + x * (c5 + x * c6)))))
+        out.append(scale * power * (lead + corr))
+        if terms is None:
+            tail = 4.0 * (nf + k) / (k * (k + 1) * (nf - 1.0)) * power
+            if tail < _TAIL_LOW or tail <= _TAIL_HIGH and not _tail_exceeds(k, n):
+                break
+    return out
 
 
 @functools.cache
-def _small_hurwitz_table() -> np.ndarray:
-    # Row m - 1, m = 1..64: -psi(m), then zeta(k, m) for k = 2..54, by
-    # zeta(k, m) = zeta(k, m + 1) + m^-k down from m = 64 (psi follows the
-    # same recurrence with k = 1), adding the smallest terms first.
-    top = _hurwitz_row(_EULER_MACLAURIN_MIN_N)
-    top[0] -= math.log(_EULER_MACLAURIN_MIN_N)
-    steps = (1.0 / np.arange(_EULER_MACLAURIN_MIN_N - 1, 0, -1))[:, None] ** _K
-    return np.cumsum(np.vstack([top, steps]), axis=0)[::-1]
+def _small_series_table() -> np.ndarray:
+    # Row m - 1, m = 1..64: 2 psi(m) = d_1(m) + 2 log m, then d_k(m) for
+    # k = 2..54, read-only.  d_k(m) = d_k(m + 1) + 2 (-1)^k m^-k / k down
+    # from m = 64, adding the smallest terms first; 2 psi(m) follows with
+    # step -2 / m.
+    top = _euler_maclaurin(_EULER_MACLAURIN_MIN_N, _TERMS)
+    top[0] += 2.0 * math.log(_EULER_MACLAURIN_MIN_N)
+    steps = (1.0 / np.arange(_EULER_MACLAURIN_MIN_N - 1, 0, -1))[:, None] ** _K * _SERIES_SCALE
+    table = np.cumsum(np.vstack([top, steps]), axis=0)[::-1]
+    table.flags.writeable = False
+    return table
 
 
-def _series_coeffs(n: int) -> np.ndarray | None:
-    # d_k(n) of the GAMMA_RATIO integrand, n >= 2; None from n = 2^60 on.
-    # d_1 = -2 (log n - psi(n)) = 2 (H_{n-1} - log n - gamma).
+def _series_terms(n: int) -> int:
+    # K(n), n >= 2: the fewest leading d_k whose tail bound does not exceed
+    # 2^-_SERIES_TAIL_BITS (_tail_exceeds); at most 54, and 0 from n = 2^60
+    # on.  For k <= 54 the bound is above 4 / ((k + 1) (n - 1) n^k)
+    # > 2^-3.79 / ((n - 1) n^k), so no k below
+    # (_SERIES_TAIL_BITS - 4 - log2(n - 1)) / log2 n meets it: the loop
+    # takes at most 4 steps.
+    if n >= _KERNEL_MIN_N:
+        return 0
+    k = int((_SERIES_TAIL_BITS - 4 - math.log2(n - 1)) / math.log2(n)) or 1
+    while k < _TERMS and _tail_exceeds(k, n):
+        k += 1
+    return k
+
+
+def _series_coeffs(n: int) -> Sequence[float] | None:
+    # d_1..d_K(n) of the GAMMA_RATIO integrand, n >= 2; None from n = 2^60
+    # on.  d_1 = -2 (log n - psi(n)) = 2 (H_{n-1} - log n - gamma).
     if n >= _KERNEL_MIN_N:
         return None
-    return _SERIES_SCALE * _hurwitz_row(n)
+    if n < _EULER_MACLAURIN_MIN_N:
+        delta = _small_series_table()[n - 1, : _series_terms(n)].tolist()
+        delta[0] -= 2.0 * math.log(n)
+        return delta
+    return _euler_maclaurin(n, None)
 
 
 def harmonic(m: int) -> float:
@@ -181,7 +253,7 @@ def harmonic(m: int) -> float:
         return math.fsum(1.0 / r for r in range(1, m + 1))
     if m >= _KERNEL_MIN_N:
         return math.log(m) + EULER_GAMMA
-    return math.log(m) + EULER_GAMMA + (1.0 / m - float(_hurwitz_row(m)[0]))
+    return math.log(m) + EULER_GAMMA + (1.0 / m + 0.5 * _euler_maclaurin(m, 1)[0])
 
 
 def _exact_product_values(n: int, theta: np.ndarray) -> np.ndarray:
@@ -202,22 +274,30 @@ def _exact_product_values(n: int, theta: np.ndarray) -> np.ndarray:
 
 def _circle_values(
     log_n2: float,
-    delta: np.ndarray | None,
+    delta: Sequence[float] | None,
     one_m_cos: np.ndarray,
     w: np.ndarray,
     rows: np.ndarray,
 ) -> np.ndarray:
-    # K_n exp(sum_k d_k (cos k theta - 1)), or K_n alone; log_n2 is
-    # 2 log n, exact wherever the factor 2 is applied.
-    exponent = one_m_cos * -log_n2
-    if delta is not None:
-        exponent += rows @ delta
+    # K_n exp(sum_{k<=K} d_k (cos k theta - 1)), or K_n alone; log_n2 is
+    # 2 log n, exact wherever the factor 2 is applied.  The d_1 term joins
+    # the kernel's, as -(1 - cos theta) (2 log n + d_1), 2 log n + d_1
+    # = 2 psi(n); one more d_k takes a product per node, which costs less
+    # than the matrix product that more take.
+    if delta is None:
+        exponent = one_m_cos * -log_n2
+    else:
+        exponent = one_m_cos * -(log_n2 + delta[0])
+        if len(delta) == 2:
+            exponent += rows[:, 1] * delta[1]
+        elif len(delta) > 2:
+            exponent += rows[:, 1 : len(delta)] @ delta[1:]
     np.exp(exponent, out=exponent)
     exponent *= w
     return exponent
 
 
-def _circle_fn(n: float, delta: np.ndarray | None) -> Callable[[np.ndarray], np.ndarray]:
+def _circle_fn(n: float, delta: Sequence[float] | None) -> Callable[[np.ndarray], np.ndarray]:
     # math.log takes n as given, so an int n above the double range works.
     log_n2 = 2.0 * math.log(n)
 
@@ -258,10 +338,10 @@ def integrand(
     [0, 2*pi], NaN included.
 
     A scalar angle gives the bits of the same angle inside an array,
-    except for GAMMA_RATIO at small n: its series product sum_k d_k
-    (cos k theta - 1) rounds differently for different array lengths,
-    which moves the last bits at about half of the angles at n = 2 and
-    at about one in 100 near n = 20.
+    except for GAMMA_RATIO below n = 438353266, where K(n) > 2: its matrix
+    product sum_{k=2}^K d_k (cos k theta - 1) rounds differently for
+    different array lengths, which moved the last bits at 230, 83, 2, 1
+    and 0 of 600 uniform random angles at n = 2, 3, 20, 100 and 1000.
     """
     f = _integrand_fn(kind, n)
     arr = np.asarray(theta, dtype=np.float64)
@@ -292,9 +372,10 @@ _HEAD_CUT = 120.0
 
 
 @functools.cache
-def _strip_table() -> tuple[tuple[tuple[float, float, float], ...], np.ndarray]:
+def _strip_table() -> tuple[tuple[tuple[float, float, float], ...], list[list[float]]]:
     # Per width a: (1 / 2a, cosh a - 1, log(2 pi M(a)) at log n = 0 for the
-    # kernel), and cosh(k a) for the d_k factor, one row per a.
+    # kernel), and (-1)^k cosh(k a) - 1, k = 1..54, for the d_k factor, one
+    # list per a.
     rows = tuple(
         (
             0.5 / a,
@@ -304,7 +385,8 @@ def _strip_table() -> tuple[tuple[tuple[float, float, float], ...], np.ndarray]:
         )
         for a in _STRIP_WIDTHS
     )
-    return rows, np.cosh(np.multiply.outer(_STRIP_WIDTHS, _K))
+    signs = (-1.0) ** _K
+    return rows, (signs * np.cosh(np.multiply.outer(_STRIP_WIDTHS, _K)) - 1.0).tolist()
 
 
 def _nodes(intervals: int) -> np.ndarray:
@@ -336,7 +418,7 @@ def _node_table(intervals: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _strip_choice(
-    n: float, log_n2: float, config: QuadratureConfig, delta: np.ndarray | None
+    n: float, log_n2: float, config: QuadratureConfig, delta: Sequence[float] | None
 ) -> tuple[int, float, float, float]:
     # (N, 1 / 2a, log(2 pi M(a)), L_w) at the strip width a with the
     # smallest need(a), ties to the wider a, L_w the part of log(2 pi M(a))
@@ -351,11 +433,14 @@ def _strip_choice(
     # need(a) is the N with 2aN = log(2 pi M(a) / target) + log 2, and
     # 2aN >= that implies e^{2aN} - 1 >= 2 pi M(a) / target.
     shift = math.log(2.0 / target)
-    rows, cosh_ka = _strip_table()
+    rows, signed_rows = _strip_table()
     if delta is None:
         extra = _NO_EXTRA
     else:
-        extra = (cosh_ka @ np.abs(delta) - delta.sum()).tolist()
+        # sum_k (|d_k| cosh ka - d_k) = sum_k d_k ((-1)^k cosh ka - 1), since
+        # d_k has the sign of (-1)^k (zeta(k, n) > 0 and psi(n) < log n),
+        # over the K kept terms, formed only at the widths the walk reaches.
+        extra = (math.fsum(map(operator.mul, row, delta)) for row in signed_rows)
     best = math.inf
     for (half_inv_a, cosh_m1, log_m0), e in zip(rows, extra):
         grow = log_n2 * cosh_m1
@@ -370,7 +455,7 @@ def _strip_choice(
 
 
 def _batch_sum(
-    log_n2: float, delta: np.ndarray | None, one_m_cos: np.ndarray, w: np.ndarray,
+    log_n2: float, delta: Sequence[float] | None, one_m_cos: np.ndarray, w: np.ndarray,
     rows: np.ndarray, ends: bool = False,
 ) -> tuple[float, int]:
     # sum f over one batch's head, `ends` at half weight, exactly rounded,
@@ -394,7 +479,7 @@ def _batch_sum(
 
 
 def _kernel_quadrature(
-    n: float, config: QuadratureConfig, delta: np.ndarray | None, scale: float
+    n: float, config: QuadratureConfig, delta: Sequence[float] | None, scale: float
 ) -> QuadratureResult:
     # scale > 0 times the integral over [0, pi] of the kernel, or with
     # delta of the GAMMA_RATIO integrand (module docstring): 2 for the
@@ -472,15 +557,15 @@ def p_quadrature_result(
     """
     if not 1 <= n < math.inf or int(n) != n:
         raise ValueError(f"n must be a positive integer, got {n}")
-    if kind is IntegrandKind.LIMIT_KERNEL:
-        raise ValueError("LIMIT_KERNEL is not a collision-probability identity; "
-                         "use I_n for the asymptotic kernel")
     scale = 1.0 / math.pi
     if kind is None or kind is IntegrandKind.GAMMA_RATIO:
         if n > 1:
             n = int(n)
             return _kernel_quadrature(n, config, _series_coeffs(n), scale)
         kind = IntegrandKind.EXACT_PRODUCT
+    elif kind is IntegrandKind.LIMIT_KERNEL:
+        raise ValueError("LIMIT_KERNEL is not a collision-probability identity; "
+                         "use I_n for the asymptotic kernel")
     f = _integrand_fn(kind, n)
     try:
         return _scaled(quadrature(f, 0.0, math.pi, config), scale)

@@ -67,10 +67,93 @@ def _mp_series_coeffs(n):
 def test_series_coeffs_match_hurwitz_zeta(n):
     # An absolute error of 8 eps in the exponent is 8 eps relative in the
     # integrand; 1e-11 relative covers the Euler-Maclaurin truncation at
-    # k = 54, n = 64.
+    # k = 54, n = 64.  The kept prefix d_1..d_K(n) is compared.
     got = analytic._series_coeffs(n)
-    want = _mp_series_coeffs(n)
+    want = _mp_series_coeffs(n)[: len(got)]
     assert np.all(np.abs(got - want) <= 8 * np.finfo(np.float64).eps + 1e-11 * np.abs(want))
+
+
+def _series_terms_steps():
+    # The smallest n with K(n) <= j, j = 1..53, by bisection on [2, 2^60):
+    # every n where K(n) changes.
+    steps = []
+    for j in range(1, 54):
+        lo, hi = 2, 2**60 - 1
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if analytic._series_terms(mid) <= j:
+                hi = mid
+            else:
+                lo = mid
+        steps.append(hi)
+    return steps
+
+
+def _mp_series_tail(n, terms):
+    # sum_{k > terms} 2 |d_k(n)| = sum_k 4 zeta(k, n) / k, k <= 120, for
+    # terms >= 1.  The terms fall by at least 1/n, so once one is below
+    # 2^-80 of the sum the rest is smaller still.
+    total = mpmath.mpf(0)
+    for k in range(terms + 1, 121):
+        with mpmath.workdps(30 + int(k * math.log10(n))):
+            term = 4 * mpmath.zeta(k, n) / k
+        total += term
+        if term < total * mpmath.mpf(2) ** -80:
+            break
+    return total
+
+
+def test_series_terms_never_increase_and_vanish_from_2_to_the_60():
+    steps = _series_terms_steps()
+    ns = {*range(2, 3000), *_log_spaced_ints(1, 60, 201)[:-1], 2**60 - 1}
+    ns |= {s + d for s in steps for d in (-1, 0, 1)}
+    terms = [analytic._series_terms(n) for n in sorted(ns)]
+    assert terms[0] == 54 and min(terms) == 1
+    assert terms == sorted(terms, reverse=True)
+    # From n = 64 on the Euler-Maclaurin loop finds K(n) on its own.
+    assert [len(analytic._series_coeffs(n)) for n in sorted(ns)] == terms
+    for n in (2**60, 2**60 + 1, 10**100, 2**1030):
+        assert analytic._series_terms(n) == 0 and analytic._series_coeffs(n) is None
+
+
+def test_series_terms_leave_out_at_most_2_to_the_minus_58():
+    # The d_k left out move the exponent by at most sum_{k > K} 2 |d_k(n)|,
+    # as |cos k theta - 1| <= 2.  K(n) is capped at the table's 54 terms,
+    # which binds only at n = 2, where the tail is 2^-57.8.
+    ns = {*_log_spaced_ints(1, 60, 201)[:-1], 63, 64, 65, 2**60 - 1}
+    ns |= {s + d for s in _series_terms_steps() for d in (-1, 0, 1)}
+    for n in sorted(ns):
+        terms = analytic._series_terms(n)
+        tail = _mp_series_tail(n, terms)
+        if n == 2:
+            assert terms == 54 and tail <= mpmath.mpf(2) ** -57.8
+        else:
+            assert terms < 54 and tail <= mpmath.mpf(2) ** -58, (n, terms, tail)
+
+
+# Relative error of the GAMMA_RATIO integrand against mpmath, as the
+# analytic module docstring documents it, on 117 equally spaced angles in
+# [0, 2 pi] less the three within 0.1 of pi.
+GAMMA_RATIO_ACCURACY = {
+    10: 1e-14, 1000: 1e-14, 10**6: 2e-14, 2**58: 4e-14, 2**59: 6e-14, 2**60 - 1: 6e-14,
+}
+
+
+@pytest.mark.parametrize("n", GAMMA_RATIO_ACCURACY)
+def test_gamma_ratio_accuracy_is_as_documented(n):
+    theta = np.linspace(0.0, 2 * math.pi, 117)
+    theta = theta[np.abs(theta - math.pi) >= 0.1]
+    assert theta.size == 114
+    got = integrand(IntegrandKind.GAMMA_RATIO, n, theta)
+    worst = 0.0
+    with mpmath.workdps(30 + int(math.log10(n))):
+        log_fact = mpmath.loggamma(n + 1)
+        for t, value in zip(theta.tolist(), got.tolist()):
+            z = mpmath.expj(t)
+            want = mpmath.exp(2 * mpmath.re(mpmath.loggamma(z + n) - log_fact))
+            want *= abs(mpmath.rgamma(z)) ** 2
+            worst = max(worst, abs(value / want - 1))
+    assert worst <= GAMMA_RATIO_ACCURACY[n]
 
 
 # ---------------------------------------------------------- integrand
@@ -333,11 +416,12 @@ def test_quadrature_bits_pinned(n, rel_tol, want_p, want_i):
 # sha256 over the _bits of every quadrature route on a fixed grid: every
 # route at n = 1..64 and at n = 1023..1026, ~100 log-spaced n to 1e300,
 # both sides of n = 2^60, where GAMMA_RATIO becomes the kernel, and 2^1030;
-# I_n also at non-integer n.  Measured once GAMMA_RATIO took its
-# cos(k theta) - 1 rows from the power table of the weight; I_n,
-# EXACT_PRODUCT and every result from n = 2^60 on kept their bits
-# through that change, and GAMMA_RATIO at n = 7 moved by one ulp.
-QUADRATURE_DIGEST = "3e22e5a90ce157ca8c7072ab5bf3ff475f88bf50cd933db1c5372532beedd2f1"
+# I_n also at non-integer n.  Measured once GAMMA_RATIO kept only its first
+# K(n) terms, with the d_1 term taken with the kernel's; I_n, EXACT_PRODUCT
+# and every result from n = 2^60 on kept their bits through that change,
+# GAMMA_RATIO values below 2^60 moved by at most 2 ulps and estimates by at
+# most 2.2e-8 relative (n = 3), and no node count moved.
+QUADRATURE_DIGEST = "4b6fbd6d249025b16638283ac080c00a3786952cda2ed07cac6f9cc17a609eca"
 
 
 def test_quadrature_digest_pinned():
@@ -534,8 +618,12 @@ def _brute_force_strip_choice(n, log_n2, config, delta):
     guess = 0.5 * analytic.laplace_I(n)
     target = 0.5 * max(config.abs_tol, (config.rel_tol + analytic._FLOOR) * guess)
     shift = math.log(2.0 / target)
-    rows, cosh_ka = analytic._strip_table()
-    extra = [0.0] * len(rows) if delta is None else (cosh_ka @ np.abs(delta) - delta.sum()).tolist()
+    rows, signed_rows = analytic._strip_table()
+    if delta is None:
+        extra = [0.0] * len(rows)
+    else:
+        # The d_k term over the kept columns, rounded as the walk rounds it.
+        extra = [math.fsum(c * d for c, d in zip(row, delta)) for row in signed_rows]
     need, half_inv_a, log_m, log_w = min(
         (
             (shift + log_m0 + log_n2 * cosh_m1 + e) * half_inv_a,
@@ -692,9 +780,9 @@ def test_head_cut_is_deep_enough_to_keep_the_bits():
     # times that is below half an ulp of the floor 64 eps h sum f: adding
     # it never moves the estimate, and the mass left out is below 2^-100
     # of the sum.
-    rows, cosh_ka = analytic._strip_table()
+    rows, signed_rows = analytic._strip_table()
     delta = analytic._series_coeffs(2)
-    extra = (cosh_ka @ np.abs(delta) - delta.sum()).tolist()
+    extra = (signed_rows @ np.array(delta)).tolist()
     log_ws = [log_m0 for _, _, log_m0 in rows]
     log_ws += [log_m0 + e for (_, _, log_m0), e in zip(rows, extra)]
     assert len(log_ws) == 2 * len(analytic._STRIP_WIDTHS)

@@ -230,8 +230,8 @@ def test_table_deterministic_bytes(capsys):
 
 
 _TABLE_SHA256 = {
-    "csv": "9f6471e9afb7a90a485c47f9defa1d2fe67cb9cfdc786173ce7b1428d481afa2",
-    "json": "8e33a6858185893f097b22b4c68095a0a52eb7bb4f685221dd4a5b28b7e7a905",
+    "csv": "8ae48d353b516b9aae4e2ce8f9e147f66da2615f04bc6ec906c87f85558fc145",
+    "json": "a63f33d50566e93c59b3499fdbbad49541b1ba9e1c58ebefa19edf8d2537bcc4",
 }
 
 
