@@ -28,8 +28,8 @@ Three integrands:
   and from a table built once by zeta(k, m) = zeta(k, m+1) + m^-k below.
   The d_1 term is taken with the kernel's, as -(1 - cos theta) 2 psi(n)
   (2 psi(n) = 2 log n + d_1): one product per node, as exact as the
-  kernel's, and one more for d_2; a matrix product on the rows
-  cos(k theta) - 1 adds d_2..d_K when K > 2.  f_1 is the constant 1.
+  kernel's; a matrix product on the rows cos(k theta) - 1 adds d_2..d_K.
+  f_1 is the constant 1.
 
   K(n) is the fewest leading terms whose tail moves the exponent by at
   most 2^-58: as |cos k theta - 1| <= 2 and |d_k| <= (2/k) (n^-k +
@@ -101,7 +101,7 @@ import functools
 import math
 import operator
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -139,11 +139,8 @@ _KERNEL_MIN_N = 2**60
 # Euler-Maclaurin for zeta(k, n) from here on; a table below.
 _EULER_MACLAURIN_MIN_N = 64
 # The d_k left out move the exponent by at most 2^-_SERIES_TAIL_BITS
-# (module docstring); the tail bound read in floats decides K(n) outside
-# [_TAIL_LOW, _TAIL_HIGH] (_euler_maclaurin).
+# (module docstring).
 _SERIES_TAIL_BITS = 58
-_TAIL_LOW = 2.0**-_SERIES_TAIL_BITS * (1.0 - 2.0**-40)
-_TAIL_HIGH = 2.0**-_SERIES_TAIL_BITS * (1.0 + 2.0**-40)
 # d_k(n) / zeta(k, n) = 2 (-1)^k / k (and d_1 = -2 (log n - psi(n))).
 _SERIES_SCALE = tuple(2.0 * (-1.0) ** k / k for k in range(1, _TERMS + 1))
 # Row k - 1, k = 1..54: B_2j / (2j)! (k)_{2j-1}, j = 1..6, with (k)_m the
@@ -157,81 +154,67 @@ _EULER_MACLAURIN = tuple(
 )
 
 
-def _tail_exceeds(k: int, n: int) -> bool:
-    # Whether the bound 4 (n + k) / (k (k + 1) (n - 1) n^k) on what
-    # d_{k+1}, d_{k+2}, ... move the exponent exceeds 2^-_SERIES_TAIL_BITS
-    # (module docstring), in integers, so exactly.
-    return (n + k) << _SERIES_TAIL_BITS + 2 > k * (k + 1) * (n - 1) * n**k
-
-
-def _euler_maclaurin(n: int, terms: int | None) -> list[float]:
+def _euler_maclaurin(n: int, terms: int) -> list[float]:
     # d_k(n) for k = 1..terms, n >= 64, by Euler-Maclaurin in floats:
     # zeta(k, n) = n^{1-k} / (k - 1) + n^-k / 2 + sum_j row_j[k] n^{-k-2j+1},
     # where for k = 1 the first term is replaced by -log n, giving
     # log n - psi(n).  The first omitted term is below 5e-12 of zeta(k, 64)
     # at k = 54 and far smaller at lower k.
-    # With terms None, k = 1..K(n), n < 2^60: the tail bound of
-    # _tail_exceeds, taken in floats from n^-k, is within 2^-48 of its
-    # value (at most 20 roundings, no libm), so it decides alone unless it
-    # is within 2^-40 of the threshold, where the integers decide.
     inv = 1.0 / n
     x = inv * inv
-    nf = float(n)
     out = []
     power = 1.0
     for k, scale, (c1, c2, c3, c4, c5, c6) in zip(
-        range(1, (terms or _TERMS) + 1), _SERIES_SCALE, _EULER_MACLAURIN
+        range(1, terms + 1), _SERIES_SCALE, _EULER_MACLAURIN
     ):
         power *= inv
         lead = n / (k - 1) + 0.5 if k > 1 else 0.5
         corr = inv * (c1 + x * (c2 + x * (c3 + x * (c4 + x * (c5 + x * c6)))))
         out.append(scale * power * (lead + corr))
-        if terms is None:
-            tail = 4.0 * (nf + k) / (k * (k + 1) * (nf - 1.0)) * power
-            if tail < _TAIL_LOW or tail <= _TAIL_HIGH and not _tail_exceeds(k, n):
-                break
     return out
 
 
-@functools.cache
-def _small_series_table() -> np.ndarray:
-    # Row m - 1, m = 1..64: 2 psi(m) = d_1(m) + 2 log m, then d_k(m) for
-    # k = 2..54, read-only.  d_k(m) = d_k(m + 1) + 2 (-1)^k m^-k / k down
-    # from m = 64, adding the smallest terms first; 2 psi(m) follows with
-    # step -2 / m.
-    top = _euler_maclaurin(_EULER_MACLAURIN_MIN_N, _TERMS)
-    top[0] += 2.0 * math.log(_EULER_MACLAURIN_MIN_N)
-    steps = (1.0 / np.arange(_EULER_MACLAURIN_MIN_N - 1, 0, -1))[:, None] ** _K * _SERIES_SCALE
-    table = np.cumsum(np.vstack([top, steps]), axis=0)[::-1]
-    table.flags.writeable = False
-    return table
-
-
 def _series_terms(n: int) -> int:
-    # K(n), n >= 2: the fewest leading d_k whose tail bound does not exceed
-    # 2^-_SERIES_TAIL_BITS (_tail_exceeds); at most 54, and 0 from n = 2^60
-    # on.  For k <= 54 the bound is above 4 / ((k + 1) (n - 1) n^k)
-    # > 2^-3.79 / ((n - 1) n^k), so no k below
-    # (_SERIES_TAIL_BITS - 4 - log2(n - 1)) / log2 n meets it: the loop
-    # takes at most 4 steps.
+    # K(n), n >= 2: the fewest leading d_k whose bound
+    # 4 (n + k) / (k (k + 1) (n - 1) n^k) on what d_{k+1}, d_{k+2}, ...
+    # move the exponent (module docstring) does not exceed
+    # 2^-_SERIES_TAIL_BITS, checked in integers, so exactly; at most 54, and
+    # 0 from n = 2^60 on.  For k <= 54, k (k + 1) <= 2970 < 2^11.6, so the
+    # bound exceeds 4 / (2^11.6 n^k) and no k with
+    # k log2 n < _SERIES_TAIL_BITS + 2 - 11.6 meets it: the check starts
+    # at the first k not below that, K(n) or one short of it from n = 30.
     if n >= _KERNEL_MIN_N:
         return 0
-    k = int((_SERIES_TAIL_BITS - 4 - math.log2(n - 1)) / math.log2(n)) or 1
-    while k < _TERMS and _tail_exceeds(k, n):
+    k = math.ceil((_SERIES_TAIL_BITS + 2 - 11.6) / math.log2(n))
+    while k < _TERMS and (n + k) << _SERIES_TAIL_BITS + 2 > k * (k + 1) * (n - 1) * n**k:
         k += 1
     return k
 
 
-def _series_coeffs(n: int) -> Sequence[float] | None:
-    # d_1..d_K(n) of the GAMMA_RATIO integrand, n >= 2; None from n = 2^60
-    # on.  d_1 = -2 (log n - psi(n)) = 2 (H_{n-1} - log n - gamma).
+@functools.cache
+def _small_series_table() -> np.ndarray:
+    # Row n - 2, n = 2..63: d_k(n), k = 1..54, read-only.  2 psi(m) and
+    # d_k(m), k >= 2, run down from m = 64 by
+    # d_k(m) = d_k(m + 1) + 2 (-1)^k m^-k / k, adding the smallest terms
+    # first; 2 psi(m) follows with step -2 / m, and d_1 = 2 psi(m) - 2 log m.
+    top = _euler_maclaurin(_EULER_MACLAURIN_MIN_N, _TERMS)
+    top[0] += 2.0 * math.log(_EULER_MACLAURIN_MIN_N)
+    steps = (1.0 / np.arange(_EULER_MACLAURIN_MIN_N - 1, 1, -1))[:, None] ** _K * _SERIES_SCALE
+    table = np.cumsum(np.vstack([top, steps]), axis=0)[:0:-1]
+    table[:, 0] -= [2.0 * math.log(n) for n in range(2, _EULER_MACLAURIN_MIN_N)]
+    table.flags.writeable = False
+    return table
+
+
+def _series_coeffs(n: int) -> np.ndarray | None:
+    # d_1..d_K(n) of the GAMMA_RATIO integrand, n >= 2, read-only below
+    # n = 64; None from n = 2^60 on.
+    # d_1 = -2 (log n - psi(n)) = 2 (H_{n-1} - log n - gamma).
     if n >= _KERNEL_MIN_N:
         return None
     if n < _EULER_MACLAURIN_MIN_N:
-        delta = _small_series_table()[n - 1, : _series_terms(n)].tolist()
-        delta[0] -= 2.0 * math.log(n)
-        return delta
-    return _euler_maclaurin(n, None)
+        return _small_series_table()[n - 2, : _series_terms(n)]
+    return np.array(_euler_maclaurin(n, _series_terms(n)))
 
 
 def harmonic(m: int) -> float:
@@ -274,7 +257,7 @@ def _exact_product_values(n: int, theta: np.ndarray) -> np.ndarray:
 
 def _circle_values(
     log_n2: float,
-    delta: Sequence[float] | None,
+    delta: np.ndarray | None,
     one_m_cos: np.ndarray,
     w: np.ndarray,
     rows: np.ndarray,
@@ -282,22 +265,19 @@ def _circle_values(
     # K_n exp(sum_{k<=K} d_k (cos k theta - 1)), or K_n alone; log_n2 is
     # 2 log n, exact wherever the factor 2 is applied.  The d_1 term joins
     # the kernel's, as -(1 - cos theta) (2 log n + d_1), 2 log n + d_1
-    # = 2 psi(n); one more d_k takes a product per node, which costs less
-    # than the matrix product that more take.
+    # = 2 psi(n).
     if delta is None:
         exponent = one_m_cos * -log_n2
     else:
         exponent = one_m_cos * -(log_n2 + delta[0])
-        if len(delta) == 2:
-            exponent += rows[:, 1] * delta[1]
-        elif len(delta) > 2:
+        if len(delta) > 1:
             exponent += rows[:, 1 : len(delta)] @ delta[1:]
     np.exp(exponent, out=exponent)
     exponent *= w
     return exponent
 
 
-def _circle_fn(n: float, delta: Sequence[float] | None) -> Callable[[np.ndarray], np.ndarray]:
+def _circle_fn(n: float, delta: np.ndarray | None) -> Callable[[np.ndarray], np.ndarray]:
     # math.log takes n as given, so an int n above the double range works.
     log_n2 = 2.0 * math.log(n)
 
@@ -339,9 +319,10 @@ def integrand(
 
     A scalar angle gives the bits of the same angle inside an array,
     except for GAMMA_RATIO below n = 438353266, where K(n) > 2: its matrix
-    product sum_{k=2}^K d_k (cos k theta - 1) rounds differently for
-    different array lengths, which moved the last bits at 230, 83, 2, 1
-    and 0 of 600 uniform random angles at n = 2, 3, 20, 100 and 1000.
+    product sum_{k=2}^K d_k (cos k theta - 1), of two or more terms,
+    rounds differently for different array lengths, which moved the last
+    bits at 220, 99, 2, 0 and 0 of 600 uniform random angles at n = 2, 3,
+    20, 100 and 1000.
     """
     f = _integrand_fn(kind, n)
     arr = np.asarray(theta, dtype=np.float64)
@@ -372,10 +353,10 @@ _HEAD_CUT = 120.0
 
 
 @functools.cache
-def _strip_table() -> tuple[tuple[tuple[float, float, float], ...], list[list[float]]]:
+def _strip_table() -> tuple[tuple[tuple[float, float, float], ...], np.ndarray]:
     # Per width a: (1 / 2a, cosh a - 1, log(2 pi M(a)) at log n = 0 for the
     # kernel), and (-1)^k cosh(k a) - 1, k = 1..54, for the d_k factor, one
-    # list per a.
+    # row per a, read-only.
     rows = tuple(
         (
             0.5 / a,
@@ -385,8 +366,9 @@ def _strip_table() -> tuple[tuple[tuple[float, float, float], ...], list[list[fl
         )
         for a in _STRIP_WIDTHS
     )
-    signs = (-1.0) ** _K
-    return rows, (signs * np.cosh(np.multiply.outer(_STRIP_WIDTHS, _K)) - 1.0).tolist()
+    signed_rows = (-1.0) ** _K * np.cosh(np.multiply.outer(_STRIP_WIDTHS, _K)) - 1.0
+    signed_rows.flags.writeable = False
+    return rows, signed_rows
 
 
 def _nodes(intervals: int) -> np.ndarray:
@@ -418,7 +400,7 @@ def _node_table(intervals: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _strip_choice(
-    n: float, log_n2: float, config: QuadratureConfig, delta: Sequence[float] | None
+    n: float, log_n2: float, config: QuadratureConfig, delta: np.ndarray | None
 ) -> tuple[int, float, float, float]:
     # (N, 1 / 2a, log(2 pi M(a)), L_w) at the strip width a with the
     # smallest need(a), ties to the wider a, L_w the part of log(2 pi M(a))
@@ -434,13 +416,13 @@ def _strip_choice(
     # 2aN >= that implies e^{2aN} - 1 >= 2 pi M(a) / target.
     shift = math.log(2.0 / target)
     rows, signed_rows = _strip_table()
+    # sum_k (|d_k| cosh ka - d_k) = sum_k d_k ((-1)^k cosh ka - 1), since
+    # d_k has the sign of (-1)^k (zeta(k, n) > 0 and psi(n) < log n), over
+    # the K kept terms.
     if delta is None:
         extra = _NO_EXTRA
     else:
-        # sum_k (|d_k| cosh ka - d_k) = sum_k d_k ((-1)^k cosh ka - 1), since
-        # d_k has the sign of (-1)^k (zeta(k, n) > 0 and psi(n) < log n),
-        # over the K kept terms, formed only at the widths the walk reaches.
-        extra = (math.fsum(map(operator.mul, row, delta)) for row in signed_rows)
+        extra = (signed_rows[:, : len(delta)] @ delta).tolist()
     best = math.inf
     for (half_inv_a, cosh_m1, log_m0), e in zip(rows, extra):
         grow = log_n2 * cosh_m1
@@ -455,7 +437,7 @@ def _strip_choice(
 
 
 def _batch_sum(
-    log_n2: float, delta: Sequence[float] | None, one_m_cos: np.ndarray, w: np.ndarray,
+    log_n2: float, delta: np.ndarray | None, one_m_cos: np.ndarray, w: np.ndarray,
     rows: np.ndarray, ends: bool = False,
 ) -> tuple[float, int]:
     # sum f over one batch's head, `ends` at half weight, exactly rounded,
@@ -479,7 +461,7 @@ def _batch_sum(
 
 
 def _kernel_quadrature(
-    n: float, config: QuadratureConfig, delta: Sequence[float] | None, scale: float
+    n: float, config: QuadratureConfig, delta: np.ndarray | None, scale: float
 ) -> QuadratureResult:
     # scale > 0 times the integral over [0, pi] of the kernel, or with
     # delta of the GAMMA_RATIO integrand (module docstring): 2 for the
@@ -557,15 +539,15 @@ def p_quadrature_result(
     """
     if not 1 <= n < math.inf or int(n) != n:
         raise ValueError(f"n must be a positive integer, got {n}")
+    if kind is IntegrandKind.LIMIT_KERNEL:
+        raise ValueError("LIMIT_KERNEL is not a collision-probability identity; "
+                         "use I_n for the asymptotic kernel")
     scale = 1.0 / math.pi
     if kind is None or kind is IntegrandKind.GAMMA_RATIO:
         if n > 1:
             n = int(n)
             return _kernel_quadrature(n, config, _series_coeffs(n), scale)
         kind = IntegrandKind.EXACT_PRODUCT
-    elif kind is IntegrandKind.LIMIT_KERNEL:
-        raise ValueError("LIMIT_KERNEL is not a collision-probability identity; "
-                         "use I_n for the asymptotic kernel")
     f = _integrand_fn(kind, n)
     try:
         return _scaled(quadrature(f, 0.0, math.pi, config), scale)

@@ -110,7 +110,7 @@ def test_series_terms_never_increase_and_vanish_from_2_to_the_60():
     terms = [analytic._series_terms(n) for n in sorted(ns)]
     assert terms[0] == 54 and min(terms) == 1
     assert terms == sorted(terms, reverse=True)
-    # From n = 64 on the Euler-Maclaurin loop finds K(n) on its own.
+    # The series has K(n) terms.
     assert [len(analytic._series_coeffs(n)) for n in sorted(ns)] == terms
     for n in (2**60, 2**60 + 1, 10**100, 2**1030):
         assert analytic._series_terms(n) == 0 and analytic._series_coeffs(n) is None
@@ -235,12 +235,14 @@ def test_integrand_domain_errors():
         (IntegrandKind.LIMIT_KERNEL, 1000),
         (IntegrandKind.LIMIT_KERNEL, 1e20),
         (IntegrandKind.GAMMA_RATIO, 1000),
+        (IntegrandKind.GAMMA_RATIO, 10**9),
         (IntegrandKind.GAMMA_RATIO, 10**20),
     ],
 )
 def test_integrand_scalar_equals_array(kind, n):
     # A lone angle is evaluated as a block of two, so it rounds as the same
     # angle inside an array (GAMMA_RATIO at n = 3 does not: see integrand).
+    # At n = 1e9, K(n) = 2: the series product has one term.
     theta = np.random.default_rng(11).uniform(0.0, 2 * math.pi, 600)
     want = integrand(kind, n, theta)
     alone = [integrand(kind, n, float(t)) for t in theta]
@@ -623,7 +625,7 @@ def _brute_force_strip_choice(n, log_n2, config, delta):
         extra = [0.0] * len(rows)
     else:
         # The d_k term over the kept columns, rounded as the walk rounds it.
-        extra = [math.fsum(c * d for c, d in zip(row, delta)) for row in signed_rows]
+        extra = (signed_rows[:, : len(delta)] @ delta).tolist()
     need, half_inv_a, log_m, log_w = min(
         (
             (shift + log_m0 + log_n2 * cosh_m1 + e) * half_inv_a,
@@ -649,7 +651,7 @@ def test_strip_walk_equals_the_min_over_every_width():
     fifth_widest = analytic._STRIP_WIDTHS[4]
     for config in configs:
         cases = [(n, None) for n in ints + reals]
-        cases += [(n, analytic._series_coeffs(n)) for n in ints if n < 2**60]
+        cases += [(n, analytic._series_coeffs(n)) for n in ints + [*range(2, 64)] if n < 2**60]
         for n, delta in cases:
             log_n2 = 2.0 * math.log(n)
             got = analytic._strip_choice(n, log_n2, config, delta)
@@ -782,7 +784,7 @@ def test_head_cut_is_deep_enough_to_keep_the_bits():
     # of the sum.
     rows, signed_rows = analytic._strip_table()
     delta = analytic._series_coeffs(2)
-    extra = (signed_rows @ np.array(delta)).tolist()
+    extra = (signed_rows @ delta).tolist()
     log_ws = [log_m0 for _, _, log_m0 in rows]
     log_ws += [log_m0 + e for (_, _, log_m0), e in zip(rows, extra)]
     assert len(log_ws) == 2 * len(analytic._STRIP_WIDTHS)
