@@ -103,6 +103,12 @@ def _mp_series_tail(n, terms):
     return total
 
 
+def _series_tail_bound(n, k):
+    # The bound on what d_{k+1}, d_{k+2}, ... move the exponent (analytic
+    # module docstring), exactly.
+    return Fraction(4 * (n + k), k * (k + 1) * (n - 1) * n**k)
+
+
 def test_series_terms_never_increase_and_vanish_from_2_to_the_60():
     steps = _series_terms_steps()
     ns = {*range(2, 3000), *_log_spaced_ints(1, 60, 201)[:-1], 2**60 - 1}
@@ -110,6 +116,10 @@ def test_series_terms_never_increase_and_vanish_from_2_to_the_60():
     terms = [analytic._series_terms(n) for n in sorted(ns)]
     assert terms[0] == 54 and min(terms) == 1
     assert terms == sorted(terms, reverse=True)
+    # K(n) is the fewest terms whose bound meets 2^-58 (54 at most).
+    for n, k in zip(sorted(ns), terms):
+        assert k == 54 or _series_tail_bound(n, k) <= Fraction(1, 2**58), n
+        assert k == 1 or _series_tail_bound(n, k - 1) > Fraction(1, 2**58), n
     # The series has K(n) terms.
     assert [len(analytic._series_coeffs(n)) for n in sorted(ns)] == terms
     for n in (2**60, 2**60 + 1, 10**100, 2**1030):
