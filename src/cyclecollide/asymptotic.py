@@ -16,8 +16,8 @@ def laplace_I(n: float) -> float:
     The kernel concentrates at theta = 0 where it is a Gaussian of width
     1/sqrt(2 log n); integrating that Gaussian gives this expression.
     """
-    if not n > 1:
-        raise ValueError(f"n must be > 1, got {n}")
+    if not 1 < n < math.inf:
+        raise ValueError(f"n must be finite and > 1, got {n}")
     return math.sqrt(math.pi / math.log(n))
 
 
@@ -26,6 +26,6 @@ def p_asymptotic(n: float) -> float:
 
     Identically laplace_I(n) / (2 pi).
     """
-    if not n > 1:
-        raise ValueError(f"n must be > 1, got {n}")
+    if not 1 < n < math.inf:
+        raise ValueError(f"n must be finite and > 1, got {n}")
     return 1.0 / (2.0 * math.sqrt(math.pi * math.log(n)))

@@ -24,10 +24,11 @@ Two samplers draw the cycle count of a uniform random n-permutation:
   round, H_n bytes a draw on average (at most 37.4): a batch of 10^5
   peaks near 24 bytes a draw at n = 12 and 51 at n = 2^53 (tracemalloc).
 
-Randomness comes from counter-based Philox streams keyed by
-(seed, block index), with trials sharded into fixed-size blocks.  The
-result for a given (n, pairs, kind, seed) is therefore reproducible
-bit-for-bit no matter how many workers process the blocks.
+Trials are sharded into fixed-size blocks, and block b draws from an
+SFC64 generator seeded by child b of `SeedSequence(seed)` (numpy's
+spawn_key derivation), so each block has its own stream.  The result
+for a given (n, pairs, kind, seed) is therefore reproducible bit-for-bit
+no matter how many workers process the blocks.
 """
 
 from __future__ import annotations
@@ -108,9 +109,10 @@ def _check_seed(seed: int) -> int:
 
 
 def _stream(seed: int, block: int) -> np.random.Generator:
-    """Philox stream for one block; (seed, block) is the 128-bit key."""
-    key = np.array([seed, block], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    """SFC64 stream for one block: child `block` of `SeedSequence(seed)`,
+    the stream of `SeedSequence(seed).spawn(block + 1)[block]`."""
+    seq = np.random.SeedSequence(seed, spawn_key=(block,))
+    return np.random.Generator(np.random.SFC64(seq))
 
 
 def _chunk_indices(n: int, rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -224,10 +226,9 @@ def sample_cycle_count(kind: SamplerKind, n: int, rng: np.random.Generator) -> i
 
 def _block_collisions(args: tuple[int, int, SamplerKind, int, int]) -> int:
     n, pairs, kind, seed, block = args
-    rng = _stream(seed, block)
-    first = sample_cycle_counts(kind, n, pairs, rng)
-    second = sample_cycle_counts(kind, n, pairs, rng)
-    return int((first == second).sum())
+    # One call of 2 * pairs draws; pair i is draws i and pairs + i.
+    draws = sample_cycle_counts(kind, n, 2 * pairs, _stream(seed, block))
+    return int((draws[:pairs] == draws[pairs:]).sum())
 
 
 def estimate_collision(
@@ -240,8 +241,10 @@ def estimate_collision(
     """Estimate the collision probability from `pairs` ordered pairs.
 
     Each pair is two independent draws, matching the definition of the
-    probability being estimated.  `kind=None` means BERNOULLI_SUM.  The
-    estimate is a deterministic function of (n, pairs, kind, seed);
+    probability being estimated: a block of p pairs draws 2p counts in
+    one call from its own stream, and pair i is draws i and p + i.
+    `kind=None` means BERNOULLI_SUM.  The estimate is a deterministic
+    function of (n, pairs, kind, seed);
     `workers` only changes how the fixed blocks are scheduled, never the
     result.  Time is linear in `pairs`; serially the blocks are generated
     one at a time, so memory does not grow with `pairs`.  n, pairs, seed

@@ -1018,9 +1018,17 @@ def test_asymptotic_is_scaled_laplace(n):
     assert abs(p_asymptotic(n) * 2.0 * math.pi - laplace_I(n)) <= 1e-15 * laplace_I(n)
 
 
-@pytest.mark.parametrize("bad", [1.0, 0.5, 0.0, -3.0])
+# inf used to give 0.0, which is not a probability.
+@pytest.mark.parametrize("bad", [1.0, 0.5, 0.0, -3.0, 1, math.inf, -math.inf, math.nan])
 def test_asymptotic_domain(bad):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="finite and > 1"):
         laplace_I(bad)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="finite and > 1"):
         p_asymptotic(bad)
+
+
+def test_asymptotic_takes_huge_int_n():
+    # The quadrature oracle calls both at integer n up to 2^1030, above
+    # the largest double.
+    assert p_asymptotic(2**1030) == 0.010557564056247457
+    assert laplace_I(2**1030) == 0.06633513135782133

@@ -230,8 +230,8 @@ def test_table_deterministic_bytes(capsys):
 
 
 _TABLE_SHA256 = {
-    "csv": "8ae48d353b516b9aae4e2ce8f9e147f66da2615f04bc6ec906c87f85558fc145",
-    "json": "a63f33d50566e93c59b3499fdbbad49541b1ba9e1c58ebefa19edf8d2537bcc4",
+    "csv": "851f7999988487784b2bd8c409034173e8229a81c44de6bcd53ba855cdc4f323",
+    "json": "da492dc7e6dd3ff542e5d97491016e420b7a03d9e606ab39366698c25a5c275f",
 }
 
 

@@ -123,36 +123,39 @@ def test_permutation_batch_memory_is_bounded_per_chunk():
 
 
 def test_permutation_direct_counts_are_pinned():
-    # Measured before the flat-gather counter; the stream and counts must
-    # stay bit-identical.
+    # Pins the SFC64 block streams, the one call of 2p draws per block
+    # and its halves pairing, and the shuffle and cycle counter, over 4
+    # and 2 blocks, each with a short last block.
     kind = SamplerKind.PERMUTATION_DIRECT
-    assert estimate_collision(10, 50000, kind, seed=3).collisions == 12144
-    assert estimate_collision(257, 20000, kind, seed=4).collisions == 2688
+    assert estimate_collision(10, 50000, kind, seed=3).collisions == 11917
+    assert estimate_collision(257, 20000, kind, seed=4).collisions == 2624
 
 
 def test_default_sampler_counts_are_pinned():
-    # Measured before the serial blocks became lazy.
-    assert estimate_collision(10, 3 * BLOCK_PAIRS + 17, seed=5).collisions == 11737
-    assert estimate_collision(10**9, 2 * BLOCK_PAIRS + 1, seed=6).collisions == 2075
+    # Pins the SFC64 block streams, the halves pairing and the jump
+    # sampler, with a short last block in both cases.
+    assert estimate_collision(10, 3 * BLOCK_PAIRS + 17, seed=5).collisions == 11857
+    assert estimate_collision(10**9, 2 * BLOCK_PAIRS + 1, seed=6).collisions == 2056
 
 
-# (kind, n) -> sha256 prefix of 300 single draws from _stream(1, 2), and
-# the next rng.random() after them, which pins the stream position.
+# (kind, n) -> sha256 prefix of 300 single draws from the SFC64 stream
+# _stream(1, 2), and the next rng.random() after them, which pins the
+# stream position.
 _SINGLE_DRAW_PINS = {
-    (SamplerKind.PERMUTATION_DIRECT, 1): ("6e7601f602122027", "0x1.3cbd0c4ed54dap-2"),
-    (SamplerKind.PERMUTATION_DIRECT, 5): ("08e03932004cbe9c", "0x1.950f6a801485ep-1"),
-    (SamplerKind.PERMUTATION_DIRECT, 1000): ("a7d6a22cf02cfd3b", "0x1.6f8f23834e184p-2"),
-    (SamplerKind.BERNOULLI_SUM, 1): ("6e7601f602122027", "0x1.394557f2d85b3p-1"),
-    (SamplerKind.BERNOULLI_SUM, 5): ("c8e58b0b7a3775f8", "0x1.7ab8ee9e169e6p-1"),
-    (SamplerKind.BERNOULLI_SUM, 1000): ("e941875bc0680cb2", "0x1.00cba9b37a076p-2"),
-    (SamplerKind.BERNOULLI_SUM, 2**40): ("8de440b3f1b6ece5", "0x1.42bcd23607edcp-3"),
+    (SamplerKind.PERMUTATION_DIRECT, 1): ("6e7601f602122027", "0x1.62bec232c86c0p-2"),
+    (SamplerKind.PERMUTATION_DIRECT, 5): ("4bcdabb34c1c8fbf", "0x1.9b54ee66725bap-1"),
+    (SamplerKind.PERMUTATION_DIRECT, 1000): ("869b33ee8aaf3265", "0x1.11f860bccf931p-1"),
+    (SamplerKind.BERNOULLI_SUM, 1): ("6e7601f602122027", "0x1.7771b03fcf1f6p-1"),
+    (SamplerKind.BERNOULLI_SUM, 5): ("3a6461edf2492a40", "0x1.53a0a54cc7c74p-1"),
+    (SamplerKind.BERNOULLI_SUM, 1000): ("523299fd4a65434f", "0x1.8ef20ed57875cp-3"),
+    (SamplerKind.BERNOULLI_SUM, 2**40): ("f97c9ac73d001d27", "0x1.66074ad6d777ep-1"),
 }
 
 
 @pytest.mark.parametrize("kind, n", list(_SINGLE_DRAW_PINS))
 def test_single_draw_counts_are_pinned(kind, n):
-    # Measured while sample_cycle_count still had its own scalar
-    # samplers; the batch of one gives the same draws and stream position.
+    # The batch of one: its draws, and how many uniforms each draw takes
+    # from the stream, for both samplers.
     rng = _stream(1, 2)
     draws = [sample_cycle_count(kind, n, rng) for _ in range(300)]
     digest = hashlib.sha256(repr(draws).encode()).hexdigest()[:16]
@@ -289,6 +292,38 @@ def test_estimate_deterministic_and_worker_invariant():
     assert base == again == threaded
 
 
+@pytest.mark.parametrize("kind", SamplerKind)
+def test_block_pairs_are_the_halves_of_one_call(kind):
+    # Block b draws its p pairs as one call of 2p counts from
+    # _stream(seed, b), and pair i is draws i and p + i.
+    n, seed, pairs = 7, 21, 3 * BLOCK_PAIRS + 17
+    want = 0
+    for block, start in enumerate(range(0, pairs, BLOCK_PAIRS)):
+        p = min(BLOCK_PAIRS, pairs - start)
+        d = sample_cycle_counts(kind, n, 2 * p, _stream(seed, block))
+        want += int((d[:p] == d[p:]).sum())
+    assert estimate_collision(n, pairs, kind, seed=seed).collisions == want
+
+
+@pytest.mark.parametrize("seed, block", [(0, 0), (9, 3), (2**64 - 1, 0), (2**64 - 1, 5)])
+def test_block_stream_is_a_seed_sequence_child(seed, block):
+    # numpy's documented child-stream derivation: block b is SFC64 on
+    # child b of SeedSequence(seed).
+    child = np.random.SeedSequence(seed).spawn(block + 1)[block]
+    want = np.random.Generator(np.random.SFC64(child))
+    got = _stream(seed, block)
+    assert type(got.bit_generator) is np.random.SFC64
+    assert got.random(8).tolist() == want.random(8).tolist()
+    assert got.integers(2**63, size=8).tolist() == want.integers(2**63, size=8).tolist()
+
+
+def test_block_streams_are_distinct():
+    # Seeds and blocks both in 0..3, so swapping them is covered too.
+    seeds = (0, 1, 2, 3, 2**64 - 1)
+    firsts = {_stream(seed, block).random() for seed in seeds for block in range(4)}
+    assert len(firsts) == len(seeds) * 4
+
+
 def test_estimate_seed_sensitivity():
     a = estimate_collision(6, 10**4, seed=0)
     b = estimate_collision(6, 10**4, seed=1)
@@ -338,6 +373,7 @@ def test_validation_errors():
         estimate_collision(5, 10, seed=-1)
     with pytest.raises(ValueError):
         estimate_collision(5, 10, seed=2**64)
+    assert estimate_collision(5, 10, seed=2**64 - 1).samples == 10
     with pytest.raises(ValueError):
         sample_cycle_counts(SamplerKind.BERNOULLI_SUM, 5, 0, _stream(0, 0))
     with pytest.raises(ValueError):

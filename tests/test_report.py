@@ -199,8 +199,8 @@ def test_config_validation():
         ReportConfig(n_values=(3,), methods=("exact",), mc_pairs=0)
     with pytest.raises(ValueError):
         ReportConfig(n_values=(3,), methods=("exact",), seed=-1)
-    # A non-integer seed is an error, not truncated by the Philox key; an
-    # integral float is taken as its int.
+    # A non-integer seed is an error, not truncated to the seed of the
+    # block streams; an integral float is taken as its int.
     for bad in (1.5, math.nan, math.inf, "3"):
         with pytest.raises(ValueError, match="seed"):
             ReportConfig(n_values=(3,), methods=("montecarlo",), seed=bad)
