@@ -226,7 +226,6 @@ def sample_cycle_count(kind: SamplerKind, n: int, rng: np.random.Generator) -> i
 
 def _block_collisions(args: tuple[int, int, SamplerKind, int, int]) -> int:
     n, pairs, kind, seed, block = args
-    # One call of 2 * pairs draws; pair i is draws i and pairs + i.
     draws = sample_cycle_counts(kind, n, 2 * pairs, _stream(seed, block))
     return int((draws[:pairs] == draws[pairs:]).sum())
 
