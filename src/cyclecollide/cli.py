@@ -77,8 +77,10 @@ def _exact_row(n: int) -> StirlingRow:
 def _cmd_exact(args: argparse.Namespace) -> int:
     n = args.n
     row = _exact_row(n)
-    f_val = row.square_sum()
     prob = row.collision_probability()
+    # p(n) is f(n) / (n!)^2 reduced, so its denominator divides (n!)^2 and
+    # f(n) follows without squaring the row a second time.
+    f_val = prob.numerator * (row.row_sum() ** 2 // prob.denominator)
     if args.json:
         fields = [
             f'"n": {n}',

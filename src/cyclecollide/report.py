@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
-from fractions import Fraction
 
 from . import METHODS, VERSION
 from .analytic import I_n, p_asymptotic, p_quadrature_result
@@ -100,10 +99,10 @@ class ReportConfig:
         object.__setattr__(self, "seed", seed)
 
 
-def _exact_decimal(value: Fraction, significant_digits: int = 20) -> str:
+def _exact_decimal(numerator: int, denominator: int, significant_digits: int = 20) -> str:
     with localcontext() as ctx:
         ctx.prec = significant_digits
-        return str(Decimal(value.numerator) / Decimal(value.denominator))
+        return str(Decimal(numerator) / Decimal(denominator))
 
 
 def _compute_row(
@@ -146,7 +145,7 @@ def _compute_row(
 
     if stirling is not None:
         exact = stirling.collision_probability()
-        fields["p_exact"] = _exact_decimal(exact.fraction)
+        fields["p_exact"] = _exact_decimal(exact.numerator, exact.denominator)
         best_p = exact.approx
     elif "exact" in methods:
         errors.append(f"exact: {exact_ceiling_error(n)}")

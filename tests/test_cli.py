@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from cyclecollide import METHODS, SamplerKind, cli
 from cyclecollide.cli import build_parser, main, parse_n_values
+from cyclecollide.exact import StirlingRow
 
 
 def run_cli(capsys, *argv):
@@ -87,6 +88,22 @@ def test_exact_invalid_n(capsys):
     code, _, err = run_cli(capsys, "exact", "--n", "0")
     assert code == 1
     assert "error" in err
+
+
+def test_exact_squares_the_row_once(capsys, monkeypatch):
+    calls = []
+    square_sum = StirlingRow.square_sum
+
+    def counted(row):
+        calls.append(row.n)
+        return square_sum(row)
+
+    monkeypatch.setattr(StirlingRow, "square_sum", counted)
+    code, out, _ = run_cli(capsys, "exact", "--n", "50", "--row")
+    assert code == 0
+    assert calls == [50]
+    coeffs = [int(c) for c in out.splitlines()[3].removeprefix("row: ").split()]
+    assert f"f(n) = {sum(c * c for c in coeffs)}\n" in out
 
 
 # --------------------------------------------------------------- collide

@@ -1,6 +1,8 @@
 import math
+from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +15,8 @@ from cyclecollide import (
     stirling_row,
     stirling_rows,
 )
+from cyclecollide import exact
+from cyclecollide.exact import _PACKED_MAX
 from oracles import collision_probability, cycle_histogram
 
 
@@ -58,6 +62,43 @@ def test_ascending_walk_matches_from_scratch_rows(n_values):
     for row in rows:
         assert list(row.coeffs) == rising_factorial_coeffs(row.n)
         assert row == stirling_row(row.n)
+
+
+@pytest.fixture(scope="module")
+def rows_to_twice_the_cap():
+    """rising_factorial_coeffs(n) for n = 1..2 * _PACKED_MAX, kept at each
+    step of one pass of its product."""
+    rows, poly = {}, [1]
+    for j in range(2 * _PACKED_MAX):
+        poly = [j * a + b for a, b in zip(poly + [0], [0] + poly)]
+        rows[j + 1] = poly[1:]
+    assert rows[2 * _PACKED_MAX] == rising_factorial_coeffs(2 * _PACKED_MAX)
+    return rows
+
+
+def test_packed_start_matches_from_scratch_rows(rows_to_twice_the_cap):
+    # Up to the cap the row is the packed product alone; above it the
+    # list recurrence continues from the packed row at the cap.
+    for n, coeffs in rows_to_twice_the_cap.items():
+        assert list(stirling_row(n).coeffs) == coeffs, n
+
+
+@pytest.mark.parametrize("first", [_PACKED_MAX - 1, _PACKED_MAX, _PACKED_MAX + 1])
+def test_walk_from_either_side_of_the_packed_cap(first, rows_to_twice_the_cap):
+    n_values = range(first, first + 9)
+    rows = list(stirling_rows(n_values))
+    assert [row.n for row in rows] == list(n_values)
+    assert [list(row.coeffs) for row in rows] == [rows_to_twice_the_cap[n] for n in n_values]
+
+
+def test_packed_rows_in_the_tightest_slots(rows_to_twice_the_cap, monkeypatch):
+    # bits(n!) a multiple of 8: the largest coefficient may fill its slot.
+    # With the cap doubled every such row is the packed product alone.
+    monkeypatch.setattr(exact, "_PACKED_MAX", 2 * _PACKED_MAX)
+    tight = [n for n in rows_to_twice_the_cap if math.factorial(n).bit_length() % 8 == 0]
+    assert tight[0] < _PACKED_MAX < tight[-1]
+    for n in tight:
+        assert list(stirling_row(n).coeffs) == rows_to_twice_the_cap[n], n
 
 
 @pytest.mark.parametrize("n_values", [(3, 3), (5, 2), (2, 9, 9), (0, 1), (-1,)])
@@ -165,3 +206,35 @@ def test_distribution_prob_bounds():
 def test_nonpositive_n_rejected(op, bad):
     with pytest.raises(ValueError):
         op(bad)
+
+
+# The exact column of ROADMAP item 17's table as it stands: a single
+# contract for every public entry point will replace this test.
+_EXACT_ENTRY_POINTS = [
+    p_exact, stirling_row, lambda n: list(stirling_rows((n,))),
+    cycle_distribution, f_exact,
+]
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [5.0, np.float64(5), Fraction(5), Decimal(5), 5.5, math.nan, math.inf, "5", 5 + 0j],
+    ids=repr,
+)
+@pytest.mark.parametrize("op", _EXACT_ENTRY_POINTS)
+def test_exact_entry_points_reject_non_integers(op, bad):
+    with pytest.raises(TypeError):
+        op(bad)
+
+
+@pytest.mark.parametrize("bad", [0, -1])
+@pytest.mark.parametrize("op", _EXACT_ENTRY_POINTS)
+def test_exact_entry_points_reject_nonpositive_n(op, bad):
+    with pytest.raises(ValueError):
+        op(bad)
+
+
+@pytest.mark.parametrize("n, same", [(True, 1), (np.int64(5), 5)], ids=repr)
+@pytest.mark.parametrize("op", _EXACT_ENTRY_POINTS)
+def test_exact_entry_points_take_bool_and_numpy_ints(op, n, same):
+    assert op(n) == op(same)
