@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
+from decimal import ROUND_HALF_EVEN, Context, Decimal
 
 from . import METHODS, VERSION
 from .analytic import I_n, p_asymptotic, p_quadrature_result
@@ -99,10 +99,14 @@ class ReportConfig:
         object.__setattr__(self, "seed", seed)
 
 
-def _exact_decimal(numerator: int, denominator: int, significant_digits: int = 20) -> str:
-    with localcontext() as ctx:
-        ctx.prec = significant_digits
-        return str(Decimal(numerator) / Decimal(denominator))
+# The p_exact column's own context, so its digits do not follow the
+# caller's decimal context (rounding, traps, capitals).
+_EXACT_DIGITS = Context(prec=20, rounding=ROUND_HALF_EVEN)
+
+
+def _exact_decimal(numerator: int, denominator: int) -> str:
+    ctx = _EXACT_DIGITS
+    return ctx.to_sci_string(ctx.divide(Decimal(numerator), Decimal(denominator)))
 
 
 def _compute_row(

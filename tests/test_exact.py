@@ -16,7 +16,7 @@ from cyclecollide import (
     stirling_rows,
 )
 from cyclecollide import exact
-from cyclecollide.exact import _PACKED_MAX
+from cyclecollide.exact import _PACKED_MAX, _PASS_BELOW
 from oracles import collision_probability, cycle_histogram
 
 
@@ -54,7 +54,8 @@ def rising_factorial_coeffs(n):
 
 
 @pytest.mark.parametrize(
-    "n_values", [(1, 2, 7, 8, 64, 300), (7, 8, 64, 300), (300,)]
+    "n_values",
+    [(1, 2, 7, 8, 64, 300), (7, 8, 64, 300), (300,), (1, 5, 9, 203, 207, 211, 400)],
 )
 def test_ascending_walk_matches_from_scratch_rows(n_values):
     rows = list(stirling_rows(n_values))
@@ -89,6 +90,32 @@ def test_walk_from_either_side_of_the_packed_cap(first, rows_to_twice_the_cap):
     rows = list(stirling_rows(n_values))
     assert [row.n for row in rows] == list(n_values)
     assert [list(row.coeffs) for row in rows] == [rows_to_twice_the_cap[n] for n in n_values]
+
+
+@pytest.mark.parametrize("first", [1, _PACKED_MAX - 1, _PACKED_MAX, _PACKED_MAX + 1])
+def test_walk_over_gaps_of_every_residue(first, rows_to_twice_the_cap):
+    # Gaps of 1..9 factors: each residue mod 3 three times, so every gap
+    # ends in zero, one or two single steps after its three-factor passes.
+    n_values = [first]
+    for gap in range(1, 10):
+        n_values.append(n_values[-1] + gap)
+    rows = list(stirling_rows(n_values))
+    assert [row.n for row in rows] == n_values
+    assert [list(row.coeffs) for row in rows] == [rows_to_twice_the_cap[n] for n in n_values]
+
+
+@pytest.mark.parametrize("pass_below", [_PASS_BELOW, 2 * _PASS_BELOW])
+def test_walk_across_the_pass_cap(pass_below, monkeypatch):
+    # From m = 1024 on, a pass's m(m+1)(m+2) needs two 30-bit digits: the
+    # walk stops its passes there, and with the cap raised they go on.
+    monkeypatch.setattr(exact, "_PASS_BELOW", pass_below)
+    n_values = (1019, 1023, 1024, 1025, 1027, 1031, 1034)
+    want, poly = {}, [1]
+    for j in range(n_values[-1]):
+        poly = [j * a + b for a, b in zip(poly + [0], [0] + poly)]
+        if j + 1 in n_values:
+            want[j + 1] = poly[1:]
+    assert [list(row.coeffs) for row in stirling_rows(n_values)] == [want[n] for n in n_values]
 
 
 def test_packed_rows_in_the_tightest_slots(rows_to_twice_the_cap, monkeypatch):
@@ -225,6 +252,18 @@ _EXACT_ENTRY_POINTS = [
 def test_exact_entry_points_reject_non_integers(op, bad):
     with pytest.raises(TypeError):
         op(bad)
+
+
+@pytest.mark.parametrize("bad", [5.0, np.float64(5), 5.5, math.inf], ids=repr)
+def test_walk_rejects_non_integers_before_any_row(bad, monkeypatch):
+    def no_row(m):
+        raise AssertionError(f"a row was started for n = {bad!r}")
+
+    monkeypatch.setattr(math, "factorial", no_row)
+    with pytest.raises(TypeError):
+        stirling_row(bad)
+    with pytest.raises(TypeError):
+        next(stirling_rows(iter((1, 2, bad))))
 
 
 @pytest.mark.parametrize("bad", [0, -1])

@@ -1,3 +1,4 @@
+import decimal
 import json
 import math
 
@@ -174,6 +175,17 @@ def test_report_deterministic_bytes():
     ja = render_json(run_report(config), config)
     jb = render_json(run_report(config), config)
     assert ja == jb
+
+
+def test_exact_column_ignores_the_callers_decimal_context():
+    config = ReportConfig(n_values=tuple(range(1, 60)), methods=("exact",))
+    rows = run_report(config)
+    want = render_csv(rows), render_json(rows, config)
+    with decimal.localcontext() as ctx:
+        ctx.rounding = decimal.ROUND_DOWN
+        ctx.traps[decimal.Inexact] = True
+        rows = run_report(config)
+        assert (render_csv(rows), render_json(rows, config)) == want
 
 
 # ---------------------------------------------------------- validation
