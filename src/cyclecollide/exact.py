@@ -31,7 +31,7 @@ recurrence gives, entry for entry.  The big-int work per factor is the
 same while m(m+1)(m+2) fits one digit; what a pass saves is the
 per-entry interpreter cost of two of its three steps.  Every other
 factor takes the single-factor step c(m+1, k) = m c(m, k) + c(m, k-1),
-also one list comprehension: the factors past m = 1024, the last
+also one list comprehension: the factors from m = 1024 on, the last
 one or two before a requested row, so that a pass never steps over
 one, and the steps between consecutive rows of a sweep.
 """
@@ -58,9 +58,9 @@ EXACT_ROUTE_CEILING = 20000
 # a packed factor costs more than a list step.
 _PACKED_MAX = 200
 
-# Rows below m = 1024 take three factors a pass (module docstring); there
-# the pass's m(m+1)(m+2) fits one 30-bit CPython digit, and from 1024 on
-# it takes two, so each big-int product costs two.  36 factors from row
+# Rows below m = 1024 take three factors a pass (module docstring).  There
+# the pass's m(m+1)(m+2) fits one 30-bit CPython digit; from 1024 on it
+# takes two, and a product by it costs as much as two.  36 factors from row
 # m, timed against the single-factor step (median ratio of 41 interleaved
 # runs, Python 3.11.7) with 2 / 3 / 4 factors a pass: 0.99 / 0.96 / 0.99
 # at m = 300, 1.00 / 0.93 / 0.99 at 600, 0.99 / 0.93 / 1.11 at 900,
