@@ -239,6 +239,13 @@ def harmonic(m: int) -> float:
     return math.log(m) + EULER_GAMMA + (1.0 / m + 0.5 * _euler_maclaurin(m, 1)[0])
 
 
+# Factors per chunk of the product, and elements per angles-by-factors
+# block of its log1p terms: 128 KiB of float64 a temporary at any n and
+# any number of angles.  The chunks start at j = 1, 1 + 2^14, ..., so an
+# angle sums the same chunks alone as inside an array.
+_PRODUCT_CHUNK = 1 << 14
+
+
 def _exact_product_values(n: int, theta: np.ndarray) -> np.ndarray:
     # |prod_{j=0}^{n-1} (e^{i theta} + j)|^2 / (n!)^2
     #     = n^-2 prod_{j=1}^{n-1} (1 + 2 cos(theta) / j + 1 / j^2),
@@ -247,11 +254,14 @@ def _exact_product_values(n: int, theta: np.ndarray) -> np.ndarray:
     # log1p(-1) = -inf gives the exact 0.
     ct2 = 2.0 * np.cos(theta)
     acc = np.zeros_like(theta)
-    chunk = max(1, (1 << 22) // max(1, theta.size))
+    rows = _PRODUCT_CHUNK // max(1, min(n - 1, _PRODUCT_CHUNK))
     with np.errstate(divide="ignore"):
-        for start in range(1, n, chunk):
-            r = 1.0 / np.arange(start, min(n, start + chunk), dtype=np.float64)
-            acc += np.log1p(np.multiply.outer(ct2, r) + r * r).sum(axis=-1)
+        for start in range(1, n, _PRODUCT_CHUNK):
+            r = 1.0 / np.arange(start, min(n, start + _PRODUCT_CHUNK), dtype=np.float64)
+            r2 = r * r
+            for a in range(0, theta.size, rows):
+                block = np.multiply.outer(ct2[a : a + rows], r) + r2
+                acc[a : a + rows] += np.log1p(block).sum(axis=-1)
     return np.exp(acc) / (float(n) * n)
 
 
@@ -317,12 +327,15 @@ def integrand(
     LIMIT_KERNEL takes real n > 1.  ValueError for an angle outside
     [0, 2*pi], NaN included.
 
-    A scalar angle gives the bits of the same angle inside an array,
-    except for GAMMA_RATIO below n = 438353266, where K(n) > 2: its matrix
-    product sum_{k=2}^K d_k (cos k theta - 1), of two or more terms,
-    rounds differently for different array lengths, which moved the last
-    bits at 220, 99, 2, 0 and 0 of 600 uniform random angles at n = 2, 3,
-    20, 100 and 1000.
+    A scalar angle gives the bits of the same angle inside an array.  For
+    EXACT_PRODUCT this holds at every n, as it sums the factors in chunks
+    of 2^14 from j = 1 however many angles it is given, and no temporary
+    outgrows 2^14 elements.  The exception is GAMMA_RATIO below
+    n = 438353266, where K(n) > 2: its matrix product
+    sum_{k=2}^K d_k (cos k theta - 1), of two or more terms, rounds
+    differently for different array lengths, which moved the last bits
+    at 220, 99, 2, 0 and 0 of 600 uniform random angles at n = 2, 3, 20,
+    100 and 1000.
     """
     f = _integrand_fn(kind, n)
     arr = np.asarray(theta, dtype=np.float64)

@@ -24,7 +24,9 @@ All functions accept scalars or numpy arrays and are pure.
 
 from __future__ import annotations
 
+import cmath
 import math
+import operator
 
 import numpy as np
 
@@ -180,23 +182,40 @@ def recip_gamma_abs_sq(theta: float | np.ndarray) -> float | np.ndarray:
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
+# Factors per chunk of the Weierstrass product: its complex temporaries
+# take 256 KiB each, at most three at a time, at any number of terms.
+_WEIERSTRASS_CHUNK = 1 << 14
+
+
 def weierstrass_partial(z: complex, terms: int) -> complex:
     """Truncated everywhere-convergent product for the reciprocal Gamma:
 
         z * prod_{r=1..terms} (1 + z/r) e^{-z/r}
 
     As terms grows this converges to e^{-gamma z} / Gamma(z), with error
-    O(|z|^2 / terms).
+    O(|z|^2 / terms).  ValueError for a z that is zero or not finite and
+    for terms < 1; TypeError naming terms for a terms that is not an
+    integer (`operator.index`).
     """
-    if z == 0:
-        raise ValueError("z must be nonzero")
+    try:
+        terms = operator.index(terms)
+    except TypeError:
+        raise TypeError(f"terms must be an integer, got {terms!r}") from None
+    zc = complex(z)
+    if zc == 0 or not cmath.isfinite(zc):
+        raise ValueError(f"z must be finite and nonzero, got {z!r}")
     if terms < 1:
         raise ValueError("terms must be >= 1")
-    zc = complex(z)
-    acc = complex(zc)
-    # Chunked so huge term counts do not allocate one giant array.
-    chunk = 1 << 20
-    for start in range(1, terms + 1, chunk):
-        r = np.arange(start, min(terms, start + chunk - 1) + 1, dtype=np.float64)
-        acc *= complex(np.prod((1.0 + zc / r) * np.exp(-zc / r)))
+    acc = zc
+    for start in range(1, terms + 1, _WEIERSTRASS_CHUNK):
+        acc *= _weierstrass_factors(zc, start, min(terms + 1, start + _WEIERSTRASS_CHUNK))
     return acc
+
+
+def _weierstrass_factors(zc: complex, start: int, stop: int) -> complex:
+    # prod_{r=start}^{stop-1} (1 + z/r) e^{-z/r}.  Its arrays end with the
+    # call, so no chunk's live beside the next one's.
+    w = zc / np.arange(start, stop, dtype=np.float64)
+    e = np.exp(-w)
+    w += 1.0
+    return complex(np.prod(w * e))

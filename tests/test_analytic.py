@@ -259,6 +259,30 @@ def test_integrand_scalar_equals_array(kind, n):
     assert np.array(alone).tobytes() == want.tobytes()
 
 
+def test_exact_product_memory_is_bounded_per_chunk():
+    # 10^6 factors at two angles: blocks of 2^14 log1p terms, against
+    # 46 MB for one chunk of 2^21 factors an angle.
+    tracemalloc.start()
+    try:
+        integrand(IntegrandKind.EXACT_PRODUCT, 10**6, np.array([1.0, 2.0]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("n", [2, 513, 16385, 2**15 + 3, 200001])
+def test_exact_product_scalar_equals_array_at_any_length(n):
+    # The factor chunks do not depend on the number of angles, so an
+    # angle keeps its bits alone and inside arrays of 32 and 257 angles.
+    theta = np.random.default_rng(12).uniform(0.0, 2 * math.pi, 257)
+    want = integrand(IntegrandKind.EXACT_PRODUCT, n, theta)
+    short = integrand(IntegrandKind.EXACT_PRODUCT, n, theta[:32])
+    assert short.tobytes() == want[:32].tobytes()
+    alone = [integrand(IntegrandKind.EXACT_PRODUCT, n, float(t)) for t in theta[::8]]
+    assert np.array(alone).tobytes() == want[::8].tobytes()
+
+
 # ------------------------------------------------------- p_quadrature
 
 def test_p_quadrature_identity_small():

@@ -245,3 +245,30 @@ def test_weierstrass_rejects_bad_input():
         weierstrass_partial(0j, 10)
     with pytest.raises(ValueError):
         weierstrass_partial(1.0 + 0j, 0)
+
+
+def test_weierstrass_rejects_an_infinite_z():
+    with pytest.raises(ValueError, match="finite"):
+        weierstrass_partial(complex("inf"), 10)
+
+
+def test_weierstrass_rejects_a_nan_z():
+    with pytest.raises(ValueError, match="finite"):
+        weierstrass_partial(complex(math.nan, 0.5), 10)
+
+
+def test_weierstrass_rejects_terms_that_are_not_integers():
+    with pytest.raises(TypeError, match="terms"):
+        weierstrass_partial(1.0 + 0j, 2.5)
+
+
+def test_weierstrass_memory_is_bounded_per_chunk():
+    # 10^6 terms in chunks of 2^14: three complex temporaries of 256 KiB
+    # at a time, against 53 MB for chunks of 2^20.
+    tracemalloc.start()
+    try:
+        weierstrass_partial(0.5 + 0.8j, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
