@@ -214,7 +214,7 @@ def weierstrass_partial(z: complex, terms: int) -> complex:
 
 def _weierstrass_factors(zc: complex, start: int, stop: int) -> complex:
     # prod_{r=start}^{stop-1} (1 + z/r) e^{-z/r}.  Its arrays end with the
-    # call, so no chunk's live beside the next one's.
+    # call, so no chunk's arrays live beside the next chunk's.
     w = zc / np.arange(start, stop, dtype=np.float64)
     e = np.exp(-w)
     w += 1.0

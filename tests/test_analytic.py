@@ -260,8 +260,8 @@ def test_integrand_scalar_equals_array(kind, n):
 
 
 def test_exact_product_memory_is_bounded_per_chunk():
-    # 10^6 factors at two angles: blocks of 2^14 log1p terms, against
-    # 46 MB for one chunk of 2^21 factors an angle.
+    # 10^6 factors at two angles, in blocks of 2^14 log1p terms: a few
+    # temporaries of 128 KiB at a time.
     tracemalloc.start()
     try:
         integrand(IntegrandKind.EXACT_PRODUCT, 10**6, np.array([1.0, 2.0]))

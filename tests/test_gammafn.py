@@ -263,8 +263,8 @@ def test_weierstrass_rejects_terms_that_are_not_integers():
 
 
 def test_weierstrass_memory_is_bounded_per_chunk():
-    # 10^6 terms in chunks of 2^14: three complex temporaries of 256 KiB
-    # at a time, against 53 MB for chunks of 2^20.
+    # 10^6 terms in chunks of 2^14: at most three complex temporaries of
+    # 256 KiB at a time.
     tracemalloc.start()
     try:
         weierstrass_partial(0.5 + 0.8j, 10**6)

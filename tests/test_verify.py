@@ -26,8 +26,7 @@ def test_run_verify_prints_one_line_per_criterion():
 
 def test_run_verify_traced_memory_is_bounded():
     # Every criterion's kernels work in fixed chunks; the largest piece
-    # left is criterion 7's block of 10^5 draws.  3.0-3.8 MiB measured,
-    # 5.35 MiB or more with chunks that grew with the input.
+    # left is criterion 7's block of 10^5 draws (3.0-3.8 MiB traced).
     tracemalloc.start()
     try:
         code = verify.run_verify(stream=io.StringIO())
