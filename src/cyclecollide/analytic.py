@@ -99,11 +99,12 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from enum import Enum
 from typing import Callable
 
 import numpy as np
+
+from . import _args
 
 # p_asymptotic is not used here; it stays importable from this module.
 from .asymptotic import laplace_I, p_asymptotic
@@ -223,15 +224,10 @@ def harmonic(m: int) -> float:
     Exact-rounded summation below m = 64; from there the Euler-Maclaurin
     expansion H_m = log m + gamma + 1/m - (log m - psi(m)) that the
     GAMMA_RATIO integrand uses, within 1e-15 relative; from m = 2^60 on,
-    log m + gamma, also above the double range.  ValueError for a
-    negative or non-integer m.
+    log m + gamma, also above the double range.  m follows the package's
+    integer contract (README, "Inputs").
     """
-    try:
-        m = operator.index(m)
-    except TypeError:
-        raise ValueError(f"m must be an integer, got {m!r}") from None
-    if m < 0:
-        raise ValueError(f"m must be >= 0, got {m}")
+    m = _args.integer("m", m, 0)
     if m < _EULER_MACLAURIN_MIN_N:
         return math.fsum(1.0 / r for r in range(1, m + 1))
     if m >= _KERNEL_MIN_N:
@@ -300,20 +296,14 @@ def _circle_fn(n: float, delta: np.ndarray | None) -> Callable[[np.ndarray], np.
 
 
 def _integrand_fn(kind: IntegrandKind, n: float) -> Callable[[np.ndarray], np.ndarray]:
-    # Each check is a chained comparison against inf, so that inf and NaN
-    # fail it before int() sees them; an int above the double range passes.
     if kind is IntegrandKind.EXACT_PRODUCT:
-        if not 1 <= n < math.inf or int(n) != n:
-            raise ValueError(f"EXACT_PRODUCT requires integer n >= 1, got {n}")
-        return lambda t: _exact_product_values(int(n), t)
+        n = _args.integer("n", n, 1)
+        return lambda t: _exact_product_values(n, t)
     if kind is IntegrandKind.GAMMA_RATIO:
-        if not 1 <= n < math.inf or int(n) != n:
-            raise ValueError(f"GAMMA_RATIO requires integer n >= 1, got {n}")
-        return np.ones_like if n == 1 else _circle_fn(n, _series_coeffs(int(n)))
+        n = _args.integer("n", n, 1)
+        return np.ones_like if n == 1 else _circle_fn(n, _series_coeffs(n))
     if kind is IntegrandKind.LIMIT_KERNEL:
-        if not 1 < n < math.inf:
-            raise ValueError(f"LIMIT_KERNEL requires finite real n > 1, got {n}")
-        return _circle_fn(n, None)
+        return _circle_fn(_args.real_n(n), None)
     raise ValueError(f"unknown integrand kind: {kind!r}")
 
 
@@ -529,8 +519,9 @@ def I_n(n: float, config: QuadratureConfig = DEFAULT_CONFIG) -> QuadratureResult
     leaves out (module docstring): a proved upper bound on the error of
     the value.
     """
-    if not 2 <= n < math.inf:
-        raise ValueError(f"n must be finite and >= 2, got {n}")
+    n = _args.real_n(n)
+    if n < 2:
+        raise ValueError(f"n must be finite and >= 2, got {n!r}")
     return _kernel_quadrature(n, config, None, 2.0)
 
 
@@ -550,15 +541,13 @@ def p_quadrature_result(
     value for every n, large or small, to within the returned
     abs_error_estimate.
     """
-    if not 1 <= n < math.inf or int(n) != n:
-        raise ValueError(f"n must be a positive integer, got {n}")
+    n = _args.integer("n", n, 1)
     if kind is IntegrandKind.LIMIT_KERNEL:
         raise ValueError("LIMIT_KERNEL is not a collision-probability identity; "
                          "use I_n for the asymptotic kernel")
     scale = 1.0 / math.pi
     if kind is None or kind is IntegrandKind.GAMMA_RATIO:
         if n > 1:
-            n = int(n)
             return _kernel_quadrature(n, config, _series_coeffs(n), scale)
         kind = IntegrandKind.EXACT_PRODUCT
     f = _integrand_fn(kind, n)

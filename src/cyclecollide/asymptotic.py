@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 
+from . import _args
+
 
 def laplace_I(n: float) -> float:
     """Closed-form large-n value sqrt(pi / log n) of the kernel integral.
@@ -16,9 +18,7 @@ def laplace_I(n: float) -> float:
     The kernel concentrates at theta = 0 where it is a Gaussian of width
     1/sqrt(2 log n); integrating that Gaussian gives this expression.
     """
-    if not 1 < n < math.inf:
-        raise ValueError(f"n must be finite and > 1, got {n}")
-    return math.sqrt(math.pi / math.log(n))
+    return math.sqrt(math.pi / math.log(_args.real_n(n)))
 
 
 def p_asymptotic(n: float) -> float:
@@ -26,6 +26,4 @@ def p_asymptotic(n: float) -> float:
 
     Identically laplace_I(n) / (2 pi).
     """
-    if not 1 < n < math.inf:
-        raise ValueError(f"n must be finite and > 1, got {n}")
-    return 1.0 / (2.0 * math.sqrt(math.pi * math.log(n)))
+    return 1.0 / (2.0 * math.sqrt(math.pi * math.log(_args.real_n(n))))

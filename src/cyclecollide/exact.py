@@ -44,6 +44,8 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import _args
+
 # Practical ceiling for the exact route: the point past which row
 # construction (O(n^2) big-int adds on entries with tens of thousands of
 # digits) stops being worth the wait and callers should switch to the
@@ -85,9 +87,7 @@ class StirlingRow:
 
     def coeff(self, k: int) -> int:
         """Number of permutations of n letters with exactly k cycles."""
-        if not 1 <= k <= self.n:
-            raise ValueError(f"k must be in 1..{self.n}, got {k}")
-        return self.coeffs[k - 1]
+        return self.coeffs[_index(k, self.n)]
 
     def row_sum(self) -> int:
         """Total count over all cycle numbers; equals n!."""
@@ -134,14 +134,15 @@ class CycleDistribution:
     probs: tuple[Fraction, ...]
 
     def prob(self, k: int) -> Fraction:
-        if not 1 <= k <= self.n:
-            raise ValueError(f"k must be in 1..{self.n}, got {k}")
-        return self.probs[k - 1]
+        return self.probs[_index(k, self.n)]
 
 
-def _require_positive(n: int) -> None:
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
+def _index(k: int, n: int) -> int:
+    # The tuple index of cycle count k in a row of n entries.
+    k = _args.integer("k", k, 1)
+    if k > n:
+        raise ValueError(f"k must be in 1..{n}, got {k}")
+    return k - 1
 
 
 def exact_ceiling_error(n: int) -> str | None:
@@ -169,14 +170,13 @@ def stirling_rows(n_values: Iterable[int]) -> Iterator[StirlingRow]:
     steps over a requested row; the steps between consecutive n of a
     sweep are single factors.
 
-    The sequence is read and checked before any row is built: TypeError
-    for an n that is not an integer (`operator.index`), ValueError for
-    an n < 1 or a non-increasing step.
+    The sequence is read and checked before any row is built: each n
+    follows the package's integer contract (README, "Inputs"), and a
+    non-increasing step is a ValueError.
     """
-    targets = tuple(map(operator.index, n_values))
+    targets = tuple(_args.integer("n", n, 1) for n in n_values)
     if not targets:
         return
-    _require_positive(targets[0])
     if any(b <= a for a, b in zip(targets, targets[1:])):
         raise ValueError(f"n values must be strictly increasing, got {targets}")
     # Row m as the base-2^B digits of the rising factorial at X = 2^B.
@@ -210,8 +210,8 @@ def stirling_rows(n_values: Iterable[int]) -> Iterator[StirlingRow]:
 def stirling_row(n: int) -> StirlingRow:
     """Counts of permutations of n letters by number of cycles.
 
-    Raises ValueError for n < 1; the n = 0 row is deliberately undefined
-    here rather than adopting an empty-product convention.
+    n >= 1: the n = 0 row is deliberately undefined here rather than
+    adopting an empty-product convention.
     """
     return next(stirling_rows((n,)))
 
@@ -222,7 +222,7 @@ def rising_factorial_eval(n: int, x: Fraction | int) -> Fraction:
     Identical to sum_k c(n, k) x^k, which makes it an independent check on
     `stirling_row`.
     """
-    _require_positive(n)
+    n = _args.integer("n", n, 1)
     acc = Fraction(x)
     for j in range(1, n):
         acc *= x + j
@@ -247,4 +247,4 @@ def cycle_distribution(n: int) -> CycleDistribution:
     """Exact cycle-count law of a uniform random n-permutation."""
     row = stirling_row(n)
     fact = row.row_sum()
-    return CycleDistribution(n, tuple(Fraction(c, fact) for c in row.coeffs))
+    return CycleDistribution(row.n, tuple(Fraction(c, fact) for c in row.coeffs))

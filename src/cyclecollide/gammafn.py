@@ -26,9 +26,10 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
 
 import numpy as np
+
+from . import _args
 
 # Euler-Mascheroni constant, 50 decimal digits.  Stored as text and parsed
 # once; never computed at runtime.
@@ -193,19 +194,14 @@ def weierstrass_partial(z: complex, terms: int) -> complex:
         z * prod_{r=1..terms} (1 + z/r) e^{-z/r}
 
     As terms grows this converges to e^{-gamma z} / Gamma(z), with error
-    O(|z|^2 / terms).  ValueError for a z that is zero or not finite and
-    for terms < 1; TypeError naming terms for a terms that is not an
-    integer (`operator.index`).
+    O(|z|^2 / terms).  terms follows the package's integer contract
+    (README, "Inputs"), with terms >= 1; ValueError also for a z that is
+    zero or not finite.
     """
-    try:
-        terms = operator.index(terms)
-    except TypeError:
-        raise TypeError(f"terms must be an integer, got {terms!r}") from None
+    terms = _args.integer("terms", terms, 1)
     zc = complex(z)
     if zc == 0 or not cmath.isfinite(zc):
         raise ValueError(f"z must be finite and nonzero, got {z!r}")
-    if terms < 1:
-        raise ValueError("terms must be >= 1")
     acc = zc
     for start in range(1, terms + 1, _WEIERSTRASS_CHUNK):
         acc *= _weierstrass_factors(zc, start, min(terms + 1, start + _WEIERSTRASS_CHUNK))

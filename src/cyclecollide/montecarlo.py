@@ -39,6 +39,8 @@ from enum import Enum
 
 import numpy as np
 
+from . import _args
+
 # Ordered pairs per RNG block.  Fixed: changing it changes every estimate.
 BLOCK_PAIRS = 1 << 14
 # Elements (rows x n) per chunk of batched permutations: about 2^13, so
@@ -72,25 +74,11 @@ class McEstimate:
     std_err: float
 
 
-def _as_int(name: str, value) -> int:
-    """`value` as an int: an int, a numpy int or an integral float is taken
-    as its int, anything else is a ValueError naming the argument."""
-    try:
-        as_int = int(value)
-    except (TypeError, ValueError, OverflowError):
-        as_int = None
-    if as_int is None or as_int != value:
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return as_int
-
-
 def _check_n(n: int, kind: SamplerKind) -> int:
     """n as an int, in range for the sampler `kind`."""
     if not isinstance(kind, SamplerKind):
         raise ValueError(f"unknown sampler kind: {kind!r}")
-    n = _as_int("n", n)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = _args.integer("n", n, 1)
     if kind is SamplerKind.BERNOULLI_SUM and n > BERNOULLI_MAX_N:
         raise ValueError(
             f"n={n} above BERNOULLI_MAX_N = 2**53, the largest n the "
@@ -105,8 +93,8 @@ def _check_n(n: int, kind: SamplerKind) -> int:
 
 
 def _check_seed(seed: int) -> int:
-    seed = _as_int("seed", seed)
-    if not 0 <= seed < 2**64:
+    seed = _args.integer("seed", seed, 0)
+    if seed >= 2**64:
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
     return seed
 
@@ -204,15 +192,13 @@ def sample_cycle_counts(
 ) -> np.ndarray:
     """Draw `size` independent cycle counts; values lie in 1..n.
 
-    Raises ValueError for a `kind` that is not a SamplerKind, for a
-    non-integer n or size, for BERNOULLI_SUM above BERNOULLI_MAX_N and for
-    PERMUTATION_DIRECT above PERMUTATION_MAX_N.  Integral floats are taken
-    as their int.
+    n and size follow the package's integer contract (README, "Inputs");
+    ValueError also for a `kind` that is not a SamplerKind, for
+    BERNOULLI_SUM above BERNOULLI_MAX_N and for PERMUTATION_DIRECT above
+    PERMUTATION_MAX_N.
     """
     n = _check_n(n, kind)
-    size = _as_int("size", size)
-    if size < 1:
-        raise ValueError(f"size must be >= 1, got {size}")
+    size = _args.integer("size", size, 1)
     if kind is SamplerKind.PERMUTATION_DIRECT:
         return _permutation_batch(n, size, rng)
     return _bernoulli_batch(n, size, rng)
@@ -249,19 +235,17 @@ def estimate_collision(
     function of (n, pairs, kind, seed);
     `workers` only changes how the fixed blocks are scheduled, never the
     result.  Time is linear in `pairs`; serially the blocks are generated
-    one at a time, so memory does not grow with `pairs`.  n, pairs, seed
-    and workers are integers (integral floats are taken as their int);
-    ValueError for anything else and for a `kind` that is neither a
+    one at a time, so memory does not grow with `pairs`.  n, pairs,
+    seed (below 2**64) and workers follow the package's integer contract
+    (README, "Inputs"); ValueError also for a `kind` that is neither a
     SamplerKind nor None.
     """
     if kind is None:
         kind = SamplerKind.BERNOULLI_SUM
     n = _check_n(n, kind)
     seed = _check_seed(seed)
-    pairs = _as_int("pairs", pairs)
-    workers = _as_int("workers", workers)
-    if pairs < 1:
-        raise ValueError(f"pairs must be >= 1, got {pairs}")
+    pairs = _args.integer("pairs", pairs, 1)
+    workers = _args.integer("workers", workers, 1)
 
     tasks = (
         (n, min(BLOCK_PAIRS, pairs - start), kind, seed, block)

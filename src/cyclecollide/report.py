@@ -22,10 +22,10 @@ import math
 from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Context, Decimal
 
-from . import METHODS, VERSION
+from . import METHODS, VERSION, _args
 from .analytic import I_n, p_asymptotic, p_quadrature_result
 from .exact import StirlingRow, exact_ceiling_error, stirling_rows
-from .montecarlo import _as_int, estimate_collision
+from .montecarlo import _check_seed, estimate_collision
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, QuadratureConvergenceError
 
 CSV_COLUMNS = (
@@ -70,13 +70,11 @@ class ReportConfig:
     output_path: str | None = None
 
     def __post_init__(self) -> None:
-        n_values = tuple(_as_int("n", n) for n in self.n_values)
+        n_values = tuple(_args.integer("n", n, 1) for n in self.n_values)
         if not n_values:
             raise ValueError("n_values must be nonempty")
         if any(b <= a for a, b in zip(n_values, n_values[1:])):
             raise ValueError("n_values must be strictly increasing")
-        if n_values[0] < 1:
-            raise ValueError("n_values must be positive")
         methods = tuple(m for m in METHODS if m in set(self.methods))
         if not methods:
             raise ValueError(f"methods must be a nonempty subset of {METHODS}")
@@ -85,12 +83,8 @@ class ReportConfig:
             raise ValueError(f"unknown methods: {sorted(unknown)}")
         if ("asymptotic" in methods or "eq2" in methods) and n_values[0] < 2:
             raise ValueError("asymptotic and eq2 methods require all n >= 2")
-        mc_pairs = _as_int("mc_pairs", self.mc_pairs)
-        if mc_pairs < 1:
-            raise ValueError("mc_pairs must be >= 1")
-        seed = _as_int("seed", self.seed)
-        if not 0 <= seed < 2**64:
-            raise ValueError("seed must be a 64-bit unsigned integer")
+        mc_pairs = _args.integer("mc_pairs", self.mc_pairs, 1)
+        seed = _check_seed(self.seed)
         if self.output_format not in ("csv", "json"):
             raise ValueError("output_format must be 'csv' or 'json'")
         object.__setattr__(self, "n_values", n_values)
@@ -194,10 +188,12 @@ def render_csv(rows: list[CollisionReportRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
+# What JSON escapes in a string: the quote, the backslash and U+0000-U+001F.
+_JSON_ESCAPES = {c: f"\\u{c:04x}" for c in range(0x20)} | {ord('"'): '\\"', ord("\\"): "\\\\"}
+
+
 def _json_str(s: str) -> str:
-    # The schema only ever carries printable ASCII; escape the two
-    # characters JSON requires.
-    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    return '"' + s.translate(_JSON_ESCAPES) + '"'
 
 
 def _render_row_json(row: CollisionReportRow) -> str:

@@ -147,6 +147,18 @@ def test_row_coeff_bounds():
         row.coeff(5)
 
 
+def test_coeff_and_prob_read_k_as_an_integer():
+    # k = 2.5 and 5.0 used to pass the range check and fail at the tuple
+    # index with a bare TypeError.
+    row, dist = stirling_row(5), cycle_distribution(5)
+    assert row.coeff(5.0) == row.coeff(5) == 1
+    assert dist.prob(5.0) == dist.prob(5) == Fraction(1, 120)
+    with pytest.raises(ValueError, match="k must be an integer"):
+        row.coeff(2.5)
+    with pytest.raises(ValueError, match="k must be an integer"):
+        dist.prob(2.5)
+
+
 # ------------------------------------------------- rising factorial
 
 def test_rising_factorial_examples():
@@ -235,8 +247,6 @@ def test_nonpositive_n_rejected(op, bad):
         op(bad)
 
 
-# The exact column of ROADMAP item 17's table as it stands: a single
-# contract for every public entry point will replace this test.
 _EXACT_ENTRY_POINTS = [
     p_exact, stirling_row, lambda n: list(stirling_rows((n,))),
     cycle_distribution, f_exact,
@@ -250,19 +260,23 @@ _EXACT_ENTRY_POINTS = [
 )
 @pytest.mark.parametrize("op", _EXACT_ENTRY_POINTS)
 def test_exact_entry_points_reject_non_integers(op, bad):
-    with pytest.raises(TypeError):
-        op(bad)
+    # An integral value is an integer, taken as its int (README, "Inputs").
+    if bad == 5 and not isinstance(bad, complex):
+        assert op(bad) == op(5)
+    else:
+        with pytest.raises(ValueError, match="n must be an integer"):
+            op(bad)
 
 
-@pytest.mark.parametrize("bad", [5.0, np.float64(5), 5.5, math.inf], ids=repr)
+@pytest.mark.parametrize("bad", [5.5, math.inf, math.nan, "5", Decimal("NaN")], ids=repr)
 def test_walk_rejects_non_integers_before_any_row(bad, monkeypatch):
     def no_row(m):
         raise AssertionError(f"a row was started for n = {bad!r}")
 
     monkeypatch.setattr(math, "factorial", no_row)
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError):
         stirling_row(bad)
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError):
         next(stirling_rows(iter((1, 2, bad))))
 
 

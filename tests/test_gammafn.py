@@ -258,7 +258,7 @@ def test_weierstrass_rejects_a_nan_z():
 
 
 def test_weierstrass_rejects_terms_that_are_not_integers():
-    with pytest.raises(TypeError, match="terms"):
+    with pytest.raises(ValueError, match="terms must be an integer"):
         weierstrass_partial(1.0 + 0j, 2.5)
 
 

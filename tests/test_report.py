@@ -148,6 +148,18 @@ def test_json_errors_field():
 
 
 @pytest.mark.parametrize(
+    "path", ["a\tb.json", "a\nb.json", "\x00\x1f\x7f.json", 'q"\\.json', "n\u00e9.json"], ids=repr
+)
+def test_json_round_trips_any_output_path(path):
+    # A tab or a newline in the path used to go into the document raw,
+    # which json.loads rejects as an invalid control character.
+    config = ReportConfig(n_values=(3,), methods=("exact",), output_format="json",
+                          output_path=path)
+    doc = json.loads(render_json(run_report(config), config))
+    assert doc["config"]["output_path"] == path
+
+
+@pytest.mark.parametrize(
     "n_values", [(1, 2, 3, 50, 51, 200), (3, 50, 400, 20001, 10**6)]
 )
 def test_sweep_renders_like_single_n_reports(n_values):
@@ -198,8 +210,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ReportConfig(n_values=(5, 3), methods=("exact",))
     with pytest.raises(ValueError):
-        ReportConfig(n_values=(0, 3), methods=("exact",))
-    with pytest.raises(ValueError):
         ReportConfig(n_values=(3,), methods=())
     with pytest.raises(ValueError):
         ReportConfig(n_values=(3,), methods=("exactly",))
@@ -207,28 +217,10 @@ def test_config_validation():
         ReportConfig(n_values=(1, 5), methods=("asymptotic",))
     with pytest.raises(ValueError):
         ReportConfig(n_values=(1, 5), methods=("eq2",))
-    with pytest.raises(ValueError):
-        ReportConfig(n_values=(3,), methods=("exact",), mc_pairs=0)
-    with pytest.raises(ValueError):
-        ReportConfig(n_values=(3,), methods=("exact",), seed=-1)
-    # A non-integer seed is an error, not truncated to the seed of the
-    # block streams; an integral float is taken as its int.
-    for bad in (1.5, math.nan, math.inf, "3"):
-        with pytest.raises(ValueError, match="seed"):
-            ReportConfig(n_values=(3,), methods=("montecarlo",), seed=bad)
-    assert ReportConfig(n_values=(3,), methods=("exact",), seed=2.0).seed == 2
-    # So are a non-integer n and mc_pairs: n = 2.5 used to be truncated to
-    # a row for n = 2, and mc_pairs = 2.5 to give each row a Monte Carlo
-    # error instead of an estimate.
-    for bad in ((2.5, 7.9), (3, math.nan), (3, math.inf), ("3",)):
-        with pytest.raises(ValueError, match="n must be an integer"):
-            ReportConfig(n_values=bad, methods=("exact",))
-    for bad in (2.5, math.nan, math.inf, "3"):
-        with pytest.raises(ValueError, match="mc_pairs"):
-            ReportConfig(n_values=(3,), methods=("montecarlo",), mc_pairs=bad)
-    config = ReportConfig(n_values=(2.0, 7.0), methods=("montecarlo",), mc_pairs=64.0)
-    assert config.n_values == (2, 7) and type(config.n_values[0]) is int
-    assert config.mc_pairs == 64 and type(config.mc_pairs) is int
+    # Each n, mc_pairs and seed follow the integer contract
+    # (tests/test_args.py), the seed below 2**64.
+    with pytest.raises(ValueError, match="64-bit"):
+        ReportConfig(n_values=(3,), methods=("montecarlo",), seed=2**64)
     with pytest.raises(ValueError):
         ReportConfig(n_values=(3,), methods=("exact",), output_format="xml")
 
