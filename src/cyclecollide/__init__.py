@@ -26,7 +26,6 @@ _EXPORTS = {
     "analytic": (
         "I_n",
         "IntegrandKind",
-        "harmonic",
         "integrand",
         "p_quadrature",
         "p_quadrature_result",
@@ -40,7 +39,6 @@ _EXPORTS = {
         "cycle_distribution",
         "f_exact",
         "p_exact",
-        "rising_factorial_eval",
         "stirling_row",
         "stirling_rows",
     ),
@@ -57,7 +55,6 @@ _EXPORTS = {
         "McEstimate",
         "SamplerKind",
         "estimate_collision",
-        "sample_cycle_count",
         "sample_cycle_counts",
     ),
     "quadrature": (

@@ -1,6 +1,7 @@
 """The two argument contracts of the public entry points (README, "Inputs"):
 an integer for n of p(n) and for every count, a real n for the closed forms
-I(n) and 1/(2 sqrt(pi log n)).  Plain Python: no route loads numpy for them."""
+I(n) and 1/(2 sqrt(pi log n)); and the sequences that hold such values.
+Plain Python: no route loads numpy for them."""
 
 import math
 
@@ -33,3 +34,11 @@ def real_n(value) -> int | float:
         if 1 < n < math.inf:
             return n
     raise ValueError(f"n must be finite and > 1, got {value!r}")
+
+
+def items(name: str, value) -> tuple:
+    """The items of an iterable `value` as a tuple."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an iterable, got {value!r}") from None

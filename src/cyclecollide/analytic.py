@@ -108,7 +108,7 @@ from . import _args
 
 # p_asymptotic is not used here; it stays importable from this module.
 from .asymptotic import laplace_I, p_asymptotic
-from .gammafn import _CIRCLE_COEFFS, EULER_GAMMA, _blockwise, _check_theta, _circle_table
+from .gammafn import _CIRCLE_COEFFS, _blockwise, _check_theta, _circle_table
 from .quadrature import (
     _FLOOR,
     _MAX_NODES,
@@ -216,23 +216,6 @@ def _series_coeffs(n: int) -> np.ndarray | None:
     if n < _EULER_MACLAURIN_MIN_N:
         return _small_series_table()[n - 2, : _series_terms(n)]
     return np.array(_euler_maclaurin(n, _series_terms(n)))
-
-
-def harmonic(m: int) -> float:
-    """Harmonic number H_m = 1 + 1/2 + ... + 1/m (H_0 = 0) for integer m >= 0.
-
-    Exact-rounded summation below m = 64; from there the Euler-Maclaurin
-    expansion H_m = log m + gamma + 1/m - (log m - psi(m)) that the
-    GAMMA_RATIO integrand uses, within 1e-15 relative; from m = 2^60 on,
-    log m + gamma, also above the double range.  m follows the package's
-    integer contract (README, "Inputs").
-    """
-    m = _args.integer("m", m, 0)
-    if m < _EULER_MACLAURIN_MIN_N:
-        return math.fsum(1.0 / r for r in range(1, m + 1))
-    if m >= _KERNEL_MIN_N:
-        return math.log(m) + EULER_GAMMA
-    return math.log(m) + EULER_GAMMA + (1.0 / m + 0.5 * _euler_maclaurin(m, 1)[0])
 
 
 # Factors per chunk of the product, and elements per angles-by-factors

@@ -172,9 +172,10 @@ def stirling_rows(n_values: Iterable[int]) -> Iterator[StirlingRow]:
 
     The sequence is read and checked before any row is built: each n
     follows the package's integer contract (README, "Inputs"), and a
-    non-increasing step is a ValueError.
+    non-increasing step or an `n_values` that is not iterable is a
+    ValueError.
     """
-    targets = tuple(_args.integer("n", n, 1) for n in n_values)
+    targets = tuple(_args.integer("n", n, 1) for n in _args.items("n_values", n_values))
     if not targets:
         return
     if any(b <= a for a, b in zip(targets, targets[1:])):
@@ -214,19 +215,6 @@ def stirling_row(n: int) -> StirlingRow:
     adopting an empty-product convention.
     """
     return next(stirling_rows((n,)))
-
-
-def rising_factorial_eval(n: int, x: Fraction | int) -> Fraction:
-    """Exact value of x (x+1) ... (x+n-1) for rational x.
-
-    Identical to sum_k c(n, k) x^k, which makes it an independent check on
-    `stirling_row`.
-    """
-    n = _args.integer("n", n, 1)
-    acc = Fraction(x)
-    for j in range(1, n):
-        acc *= x + j
-    return acc
 
 
 def f_exact(n: int) -> int:

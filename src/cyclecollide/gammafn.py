@@ -196,10 +196,13 @@ def weierstrass_partial(z: complex, terms: int) -> complex:
     As terms grows this converges to e^{-gamma z} / Gamma(z), with error
     O(|z|^2 / terms).  terms follows the package's integer contract
     (README, "Inputs"), with terms >= 1; ValueError also for a z that is
-    zero or not finite.
+    text, is not a number complex() takes, or is zero or not finite.
     """
     terms = _args.integer("terms", terms, 1)
-    zc = complex(z)
+    try:
+        zc = cmath.nan if isinstance(z, str) else complex(z)
+    except (TypeError, ValueError, ArithmeticError):
+        zc = cmath.nan
     if zc == 0 or not cmath.isfinite(zc):
         raise ValueError(f"z must be finite and nonzero, got {z!r}")
     acc = zc

@@ -204,15 +204,6 @@ def sample_cycle_counts(
     return _bernoulli_batch(n, size, rng)
 
 
-def sample_cycle_count(kind: SamplerKind, n: int, rng: np.random.Generator) -> int:
-    """Cycle count of one uniform random n-permutation.
-
-    The batch of one: the same draw, and the same stream position after
-    it, as `sample_cycle_counts(kind, n, 1, rng)`.
-    """
-    return int(sample_cycle_counts(kind, n, 1, rng)[0])
-
-
 def _block_collisions(args: tuple[int, int, SamplerKind, int, int]) -> int:
     n, pairs, kind, seed, block = args
     draws = sample_cycle_counts(kind, n, 2 * pairs, _stream(seed, block))

@@ -38,15 +38,24 @@ from typing import Callable
 import numpy as np
 
 
+def _finite(value) -> bool:
+    # math.isfinite, and False for what it cannot read as a float (text,
+    # None, complex, an int past the double range).
+    try:
+        return math.isfinite(value)
+    except (TypeError, ValueError, ArithmeticError):
+        return False
+
+
 @dataclass(frozen=True)
 class QuadratureConfig:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-14
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.rel_tol) and self.rel_tol > 0):
+        if not (_finite(self.rel_tol) and self.rel_tol > 0):
             raise ValueError(f"rel_tol must be finite and > 0, got {self.rel_tol}")
-        if not (math.isfinite(self.abs_tol) and self.abs_tol >= 0):
+        if not (_finite(self.abs_tol) and self.abs_tol >= 0):
             raise ValueError(f"abs_tol must be finite and >= 0, got {self.abs_tol}")
 
 

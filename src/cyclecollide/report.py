@@ -70,15 +70,16 @@ class ReportConfig:
     output_path: str | None = None
 
     def __post_init__(self) -> None:
-        n_values = tuple(_args.integer("n", n, 1) for n in self.n_values)
+        n_values = tuple(_args.integer("n", n, 1) for n in _args.items("n_values", self.n_values))
         if not n_values:
             raise ValueError("n_values must be nonempty")
         if any(b <= a for a, b in zip(n_values, n_values[1:])):
             raise ValueError("n_values must be strictly increasing")
-        methods = tuple(m for m in METHODS if m in set(self.methods))
+        requested = set(_args.items("methods", self.methods))
+        methods = tuple(m for m in METHODS if m in requested)
         if not methods:
             raise ValueError(f"methods must be a nonempty subset of {METHODS}")
-        unknown = set(self.methods) - set(METHODS)
+        unknown = requested - set(METHODS)
         if unknown:
             raise ValueError(f"unknown methods: {sorted(unknown)}")
         if ("asymptotic" in methods or "eq2" in methods) and n_values[0] < 2:

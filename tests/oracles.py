@@ -10,6 +10,7 @@ bit.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -43,6 +44,14 @@ def collision_probability(n: int) -> Fraction:
     counts = [count_cycles(p) for p in itertools.permutations(range(n))]
     equal = sum(1 for a in counts for b in counts if a == b)
     return Fraction(equal, len(counts) ** 2)
+
+
+def rising_factorial(n: int, x: Fraction | int) -> Fraction:
+    """x (x+1) ... (x+n-1), exactly, for n >= 1 and a rational x: the
+    generating polynomial sum_k c(n, k) x^k of row n evaluated at x."""
+    if not isinstance(x, (Fraction, int)):
+        raise TypeError(f"x must be a Fraction or an int, got {x!r}")
+    return math.prod((Fraction(x) + j for j in range(n)), start=Fraction(1))
 
 
 def bernoulli_batch_by_index(n: int, size: int, rng) -> np.ndarray:

@@ -14,7 +14,6 @@ from cyclecollide import (
     IntegrandKind,
     QuadratureConfig,
     QuadratureConvergenceError,
-    harmonic,
     integrand,
     laplace_I,
     p_asymptotic,
@@ -29,27 +28,6 @@ from cyclecollide import analytic
 mpmath.mp.dps = 40
 
 TIGHT = QuadratureConfig(rel_tol=1e-12)
-
-
-# ----------------------------------------------------------- harmonic
-
-def test_harmonic_small():
-    assert harmonic(0) == 0.0
-    assert harmonic(1) == 1.0
-    assert harmonic(3) == pytest.approx(11.0 / 6.0, rel=1e-15)
-
-
-@pytest.mark.parametrize("m", [10, 63, 64, 65, 999, 10**6, 10**6 + 7, 10**9, 10**400])
-def test_harmonic_vs_reference(m):
-    want = float(mpmath.harmonic(m))
-    assert harmonic(m) == pytest.approx(want, rel=1e-13)
-
-
-def test_harmonic_rejects_negative():
-    with pytest.raises(ValueError):
-        harmonic(-1)
-    with pytest.raises(ValueError):
-        harmonic(2.5)
 
 
 def _mp_series_coeffs(n):

@@ -19,19 +19,17 @@ from hypothesis import strategies as st
 from cyclecollide import (
     I_n,
     IntegrandKind,
+    QuadratureConfig,
     ReportConfig,
     SamplerKind,
     cycle_distribution,
     estimate_collision,
     f_exact,
-    harmonic,
     integrand,
     laplace_I,
     p_asymptotic,
     p_exact,
     p_quadrature_result,
-    rising_factorial_eval,
-    sample_cycle_count,
     sample_cycle_counts,
     stirling_row,
     stirling_rows,
@@ -51,7 +49,6 @@ INTEGER_ENTRY_POINTS = [
     ("stirling_rows", lambda n: list(stirling_rows((n,))), 1, False),
     ("f_exact", f_exact, 1, False),
     ("cycle_distribution", cycle_distribution, 1, False),
-    ("rising_factorial_eval", lambda n: rising_factorial_eval(n, Fraction(1, 3)), 1, False),
     ("coeff", ROW.coeff, 1, True),
     ("prob", DIST.prob, 1, True),
     ("p_quadrature_result", p_quadrature_result, 1, True),
@@ -59,7 +56,6 @@ INTEGER_ENTRY_POINTS = [
     ("p_quadrature_result-EP", lambda n: p_quadrature_result(n, EP), 1, False),
     ("integrand-GR", lambda n: integrand(GR, n, 0.5), 1, True),
     ("integrand-EP", lambda n: integrand(EP, n, 0.5), 1, False),
-    ("harmonic", harmonic, 0, True),
     ("estimate_collision-n", lambda n: estimate_collision(n, 50, seed=1), 1, True),
     ("estimate_collision-n-PERM", lambda n: estimate_collision(n, 50, PERM, seed=1), 1, True),
     ("estimate_collision-pairs", lambda p: estimate_collision(7, p, seed=1), 1, False),
@@ -68,8 +64,6 @@ INTEGER_ENTRY_POINTS = [
     ("sample_cycle_counts-n", lambda n: sample_cycle_counts(BERN, n, 3, _stream(0, 0)), 1, True),
     ("sample_cycle_counts-n-PERM", lambda n: sample_cycle_counts(PERM, n, 3, _stream(0, 0)), 1, True),
     ("sample_cycle_counts-size", lambda s: sample_cycle_counts(PERM, 9, s, _stream(0, 0)), 1, False),
-    ("sample_cycle_count", lambda n: sample_cycle_count(BERN, n, _stream(0, 0)), 1, True),
-    ("sample_cycle_count-PERM", lambda n: sample_cycle_count(PERM, n, _stream(0, 0)), 1, True),
     ("ReportConfig-n", lambda n: ReportConfig((n,), ("quadrature",)), 1, True),
     ("ReportConfig-mc_pairs", lambda p: ReportConfig((3,), ("montecarlo",), mc_pairs=p), 1, True),
     ("ReportConfig-seed", lambda s: ReportConfig((3,), ("montecarlo",), seed=s), 0, True),
@@ -188,3 +182,27 @@ def test_entry_points_follow_their_contract(value):
                 op(value)
             except ValueError as exc:
                 assert message not in str(exc)
+
+
+# Arguments that no contract reads, each once a TypeError: a tolerance, z of
+# weierstrass_partial, and the sequences of n and of methods.
+OUTSIDE_CONTRACTS = [
+    ("rel_tol-text", lambda: QuadratureConfig(rel_tol="x"), "rel_tol must be finite"),
+    ("rel_tol-None", lambda: QuadratureConfig(rel_tol=None), "rel_tol must be finite"),
+    ("abs_tol-text", lambda: QuadratureConfig(abs_tol="x"), "abs_tol must be finite"),
+    ("z-None", lambda: weierstrass_partial(None, 10), "z must be finite"),
+    ("z-text", lambda: weierstrass_partial("0.5", 10), "z must be finite"),
+    ("n_values-int", lambda: ReportConfig(5, ("exact",)), "n_values must be an iterable"),
+    ("methods-None", lambda: ReportConfig((5,), None), "methods must be an iterable"),
+    ("stirling_rows-int", lambda: list(stirling_rows(5)), "n_values must be an iterable"),
+]
+
+
+@pytest.mark.parametrize(
+    "op, message",
+    [case[1:] for case in OUTSIDE_CONTRACTS],
+    ids=[case[0] for case in OUTSIDE_CONTRACTS],
+)
+def test_arguments_outside_the_contracts_are_value_errors(op, message):
+    with pytest.raises(ValueError, match=message):
+        op()

@@ -11,13 +11,12 @@ from cyclecollide import (
     cycle_distribution,
     f_exact,
     p_exact,
-    rising_factorial_eval,
     stirling_row,
     stirling_rows,
 )
 from cyclecollide import exact
 from cyclecollide.exact import _PACKED_MAX, _PASS_BELOW
-from oracles import collision_probability, cycle_histogram
+from oracles import collision_probability, cycle_histogram, rising_factorial
 
 
 # ---------------------------------------------------------------- rows
@@ -162,9 +161,13 @@ def test_coeff_and_prob_read_k_as_an_integer():
 # ------------------------------------------------- rising factorial
 
 def test_rising_factorial_examples():
-    assert rising_factorial_eval(4, 1) == 24
-    assert rising_factorial_eval(3, 2) == 24
-    assert rising_factorial_eval(3, Fraction(1, 2)) == Fraction(15, 8)
+    # The oracle itself: exact values, and no float arithmetic.
+    assert rising_factorial(4, 1) == 24
+    assert rising_factorial(3, 2) == 24
+    assert rising_factorial(3, Fraction(1, 2)) == Fraction(15, 8)
+    assert type(rising_factorial(3, 2)) is Fraction
+    with pytest.raises(TypeError):
+        rising_factorial(3, 1.5)
 
 
 @pytest.mark.parametrize("x", [1, 2, 3, Fraction(1, 2), Fraction(5, 3)])
@@ -172,7 +175,7 @@ def test_rising_factorial_examples():
 def test_rising_factorial_matches_row_polynomial(n, x):
     row = stirling_row(n)
     poly = sum(Fraction(c) * Fraction(x) ** k for k, c in enumerate(row.coeffs, start=1))
-    assert rising_factorial_eval(n, x) == poly
+    assert rising_factorial(n, x) == poly
 
 
 # ---------------------------------------------------------- f and p
@@ -239,8 +242,7 @@ def test_distribution_prob_bounds():
 
 @pytest.mark.parametrize("bad", [0, -1, -7])
 @pytest.mark.parametrize(
-    "op", [stirling_row, f_exact, p_exact, cycle_distribution,
-           lambda n: rising_factorial_eval(n, 1)],
+    "op", [stirling_row, f_exact, p_exact, cycle_distribution],
 )
 def test_nonpositive_n_rejected(op, bad):
     with pytest.raises(ValueError):

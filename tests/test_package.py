@@ -56,6 +56,59 @@ def test_public_names_resolve_to_their_modules(first):
     assert _run(_NAMES_CHECK.replace("FIRST", first)) == "ok"
 
 
+# The public surface.  Adding or dropping a public name means editing this
+# list.
+PUBLIC_NAMES = [
+    "BERNOULLI_MAX_N",
+    "CSV_COLUMNS",
+    "CollisionReportRow",
+    "CycleDistribution",
+    "DEFAULT_CONFIG",
+    "EULER_GAMMA",
+    "EULER_GAMMA_DIGITS",
+    "EXACT_ROUTE_CEILING",
+    "ExactProbability",
+    "I_n",
+    "IntegrandKind",
+    "METHODS",
+    "McEstimate",
+    "PERMUTATION_MAX_N",
+    "QuadratureConfig",
+    "QuadratureConvergenceError",
+    "QuadratureResult",
+    "ReportConfig",
+    "SamplerKind",
+    "StirlingRow",
+    "VERSION",
+    "cycle_distribution",
+    "estimate_collision",
+    "f_exact",
+    "integrand",
+    "laplace_I",
+    "log_gamma",
+    "p_asymptotic",
+    "p_exact",
+    "p_quadrature",
+    "p_quadrature_result",
+    "quadrature",
+    "recip_gamma_abs_sq",
+    "render_csv",
+    "render_json",
+    "run_report",
+    "run_verify",
+    "sample_cycle_counts",
+    "stirling_row",
+    "stirling_rows",
+    "weierstrass_partial",
+]
+
+
+def test_public_names_are_pinned():
+    import cyclecollide
+
+    assert cyclecollide.__all__ == PUBLIC_NAMES
+
+
 def test_unknown_name_is_an_attribute_error():
     import cyclecollide
 
