@@ -1,7 +1,8 @@
 """The two argument contracts of the public entry points (README, "Inputs"):
-an integer for n of p(n) and for every count, a real n for the closed forms
-I(n) and 1/(2 sqrt(pi log n)); and the sequences that hold such values.
-Plain Python: no route loads numpy for them."""
+an integer for n of p(n), for every count and, below 2**64, for a seed; a
+real n for the closed forms I(n) and 1/(2 sqrt(pi log n)); and the
+sequences that hold such values.  Plain Python: no route loads numpy for
+them."""
 
 import math
 
@@ -18,6 +19,14 @@ def integer(name: str, value, minimum: int) -> int:
     if not ok:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
     return as_int
+
+
+def seed(value) -> int:
+    """`value` as a Monte Carlo seed: an integer in 0..2**64 - 1."""
+    value = integer("seed", value, 0)
+    if value >= 2**64:
+        raise ValueError(f"seed must be a 64-bit unsigned integer, got {value}")
+    return value
 
 
 def real_n(value) -> int | float:

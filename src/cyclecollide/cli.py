@@ -7,7 +7,8 @@ Subcommands:
     verify   - run the built-in verification suite
 
 Each handler imports the route modules it uses, so `exact` and
-`collide --method exact` run without importing numpy.
+`collide --method exact` run without importing numpy, and `collide` by
+any other method without importing the exact route.
 
 Exit codes: 0 success, 1 computation/validation failure, 2 usage error,
 130 interrupted (SIGINT).
@@ -22,9 +23,9 @@ import sys
 from typing import TYPE_CHECKING
 
 from . import METHODS
-from .exact import StirlingRow, exact_ceiling_error, stirling_row
 
 if TYPE_CHECKING:
+    from .exact import StirlingRow
     from .quadrature import QuadratureConfig
 
 # The values of montecarlo.SamplerKind.
@@ -68,6 +69,8 @@ def _quad_config(tol: float | None) -> QuadratureConfig:
 
 def _exact_row(n: int) -> StirlingRow:
     """Row n for the exact route; ValueError above its ceiling."""
+    from .exact import exact_ceiling_error, stirling_row
+
     error = exact_ceiling_error(n)
     if error is not None:
         raise ValueError(error)

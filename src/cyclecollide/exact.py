@@ -8,7 +8,9 @@ of the triangle is built from the additive recurrence
 
 which is equivalent to reading off the coefficients of the rising
 factorial x (x+1) ... (x+n-1).  Everything in this module is exact:
-Python integers for the counts, ``fractions.Fraction`` for probabilities.
+Python integers for the counts and for each probability's reduced
+numerator and denominator, and ``fractions.Fraction`` where the API
+returns one, so that only those calls import it.
 
 A walk up the triangle starts from one packed product (Kronecker
 substitution).  The rising factorial to row m is evaluated at X = 2^B,
@@ -42,9 +44,12 @@ import math
 import operator
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from . import _args
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 # Practical ceiling for the exact route: the point past which row
 # construction (O(n^2) big-int adds on entries with tens of thousands of
@@ -98,10 +103,14 @@ class StirlingRow:
         return sum(map(operator.mul, self.coeffs, self.coeffs))
 
     def collision_probability(self) -> "ExactProbability":
-        """sum_k c(n, k)^2 / (n!)^2, reduced; the row sums to n!."""
-        return ExactProbability.from_fraction(
-            Fraction(self.square_sum(), self.row_sum() ** 2)
-        )
+        """sum_k c(n, k)^2 / (n!)^2, reduced, the row summing to n!; the
+        float is the int quotient, rounded correctly as float(Fraction)."""
+        num, den = self.square_sum(), self.row_sum() ** 2
+        if not 0 < num <= den:
+            raise ValueError(f"probability out of (0, 1]: {num}/{den}")
+        g = math.gcd(num, den)
+        num, den = num // g, den // g
+        return ExactProbability(num, den, num / den)
 
 
 @dataclass(frozen=True)
@@ -112,14 +121,10 @@ class ExactProbability:
     denominator: int
     approx: float
 
-    @classmethod
-    def from_fraction(cls, value: Fraction) -> "ExactProbability":
-        if not 0 < value.numerator <= value.denominator:
-            raise ValueError(f"probability out of (0, 1]: {value}")
-        return cls(value.numerator, value.denominator, float(value))
-
     @property
     def fraction(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self.numerator, self.denominator)
 
 
@@ -233,6 +238,8 @@ def p_exact(n: int) -> ExactProbability:
 
 def cycle_distribution(n: int) -> CycleDistribution:
     """Exact cycle-count law of a uniform random n-permutation."""
+    from fractions import Fraction
+
     row = stirling_row(n)
     fact = row.row_sum()
     return CycleDistribution(row.n, tuple(Fraction(c, fact) for c in row.coeffs))

@@ -25,7 +25,6 @@ from decimal import ROUND_HALF_EVEN, Context, Decimal
 from . import METHODS, VERSION, _args
 from .analytic import I_n, p_asymptotic, p_quadrature_result
 from .exact import StirlingRow, exact_ceiling_error, stirling_rows
-from .montecarlo import _check_seed, estimate_collision
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, QuadratureConvergenceError
 
 CSV_COLUMNS = (
@@ -75,17 +74,20 @@ class ReportConfig:
             raise ValueError("n_values must be nonempty")
         if any(b <= a for a, b in zip(n_values, n_values[1:])):
             raise ValueError("n_values must be strictly increasing")
-        requested = set(_args.items("methods", self.methods))
+        # Compared, not hashed: an unhashable item is an unknown method.
+        requested = _args.items("methods", self.methods)
         methods = tuple(m for m in METHODS if m in requested)
         if not methods:
             raise ValueError(f"methods must be a nonempty subset of {METHODS}")
-        unknown = requested - set(METHODS)
+        unknown = [m for m in requested if m not in METHODS]
         if unknown:
-            raise ValueError(f"unknown methods: {sorted(unknown)}")
+            raise ValueError(f"unknown methods: {unknown}")
         if ("asymptotic" in methods or "eq2" in methods) and n_values[0] < 2:
             raise ValueError("asymptotic and eq2 methods require all n >= 2")
+        if not isinstance(self.quad, QuadratureConfig):
+            raise ValueError(f"quad must be a QuadratureConfig, got {self.quad!r}")
         mc_pairs = _args.integer("mc_pairs", self.mc_pairs, 1)
-        seed = _check_seed(self.seed)
+        seed = _args.seed(self.seed)
         if self.output_format not in ("csv", "json"):
             raise ValueError("output_format must be 'csv' or 'json'")
         object.__setattr__(self, "n_values", n_values)
@@ -113,6 +115,8 @@ def _compute_row(
     best_p: float | None = None
 
     if "montecarlo" in methods:
+        from .montecarlo import estimate_collision
+
         try:
             est = estimate_collision(n, config.mc_pairs, kind=None, seed=config.seed)
         except ValueError as exc:  # n above the sampler limit

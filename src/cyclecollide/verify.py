@@ -26,7 +26,7 @@ from .analytic import (
     p_asymptotic,
     p_quadrature,
 )
-from .exact import cycle_distribution, p_exact, stirling_rows
+from .exact import p_exact, stirling_row, stirling_rows
 from .gammafn import EULER_GAMMA, log_gamma, weierstrass_partial
 from .montecarlo import SamplerKind, _stream, estimate_collision, sample_cycle_counts
 from .quadrature import QuadratureConfig
@@ -166,7 +166,9 @@ def _chi2_sf(x: float, df: int) -> float:
 
 
 def _chi_square_pvalue(counts: np.ndarray, n: int) -> float:
-    probs = [float(p) for p in cycle_distribution(n).probs]
+    # c(n, k) / n! as int quotients: the floats of cycle_distribution(n).
+    fact = math.factorial(n)
+    probs = [c / fact for c in stirling_row(n).coeffs]
     counts = counts[1:].astype(np.float64)
     expected = np.asarray(probs) * counts.sum()
     stat = float(((counts - expected) ** 2 / expected).sum())

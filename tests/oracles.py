@@ -30,6 +30,16 @@ def count_cycles(perm: tuple[int, ...]) -> int:
     return cycles
 
 
+def count_records(perm: tuple[int, ...]) -> int:
+    """Left-to-right minima of a sequence: the entries below every entry
+    before them."""
+    records, low = 0, math.inf
+    for x in perm:
+        if x < low:
+            records, low = records + 1, x
+    return records
+
+
 def cycle_histogram(n: int) -> list[int]:
     """Histogram of cycle counts over all n! permutations."""
     hist = [0] * n

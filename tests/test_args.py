@@ -184,8 +184,9 @@ def test_entry_points_follow_their_contract(value):
                 assert message not in str(exc)
 
 
-# Arguments that no contract reads, each once a TypeError: a tolerance, z of
-# weierstrass_partial, and the sequences of n and of methods.
+# Arguments that no contract reads, each once a TypeError or, for `quad`, an
+# AttributeError in run_report: a tolerance, z of weierstrass_partial, the
+# sequences of n and of methods, and the quadrature config of a report.
 OUTSIDE_CONTRACTS = [
     ("rel_tol-text", lambda: QuadratureConfig(rel_tol="x"), "rel_tol must be finite"),
     ("rel_tol-None", lambda: QuadratureConfig(rel_tol=None), "rel_tol must be finite"),
@@ -195,6 +196,9 @@ OUTSIDE_CONTRACTS = [
     ("n_values-int", lambda: ReportConfig(5, ("exact",)), "n_values must be an iterable"),
     ("methods-None", lambda: ReportConfig((5,), None), "methods must be an iterable"),
     ("stirling_rows-int", lambda: list(stirling_rows(5)), "n_values must be an iterable"),
+    ("methods-unhashable", lambda: ReportConfig((5,), [["exact"]]), "methods must be a nonempty"),
+    ("methods-unhashable-item", lambda: ReportConfig((5,), ["exact", {}]), "unknown methods"),
+    ("quad-None", lambda: ReportConfig((5,), ("quadrature",), quad=None), "quad must be a Quad"),
 ]
 
 

@@ -370,6 +370,23 @@ def test_closed_form_commands_do_not_load_numpy(argv, want):
     route = "cyclecollide.exact" if "exact" in argv else "cyclecollide.asymptotic"
     assert route in imported
     assert not [name for name in imported if name.split(".")[0] == "numpy"]
+    # p(n) is the quotient of two ints, with no Fraction on the way, and
+    # only the exact route's handlers import that route.
+    assert "fractions" not in imported
+    assert ("cyclecollide.exact" in imported) == (route == "cyclecollide.exact")
+
+
+def test_table_without_montecarlo_does_not_load_the_sampler():
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "cyclecollide",
+         "table", "--n", "5,10", "--methods", "quadrature,asymptotic"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("n,p_exact,p_quadrature,")
+    imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]
+    assert "cyclecollide.report" in imported
+    assert "cyclecollide.montecarlo" not in imported
 
 
 def test_module_entry_point():

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import tracemalloc
 
@@ -16,15 +17,10 @@ from cyclecollide import (
     montecarlo,
     p_exact,
     sample_cycle_counts,
+    stirling_row,
 )
-from cyclecollide.montecarlo import (
-    BLOCK_PAIRS,
-    PERMUTATION_MAX_N,
-    _chunk_indices,
-    _count_cycles_rows,
-    _stream,
-)
-from oracles import bernoulli_batch_by_index, count_cycles
+from cyclecollide.montecarlo import BLOCK_PAIRS, PERMUTATION_MAX_N, _stream
+from oracles import bernoulli_batch_by_index, count_records
 
 
 def draw_one(kind, n, rng):
@@ -95,21 +91,28 @@ def test_permutation_batch_chunking_is_consistent():
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 10, 257, 2**15 - 1, 2**15 + 1])
-def test_cycle_counter_matches_plain_walk(n):
-    rows = 300 if n < 1000 else 3
-    base, flat, offsets = _chunk_indices(n, rows)
-    perms = np.random.default_rng(n).permuted(base.reshape(rows, n), axis=1)
-    want = [count_cycles(tuple(p)) for p in perms.tolist()]
-    assert _count_cycles_rows(perms, flat, offsets).tolist() == want
-    # A batch of two chunks and one row more draws the rows that one
-    # row-by-row shuffle of the whole batch draws, and leaves the stream
-    # at the same position.
+def test_record_counter_matches_reference(n):
+    # A batch of two chunks and one draw more draws the permutations that
+    # one column-by-column shuffle of the whole batch draws, which are
+    # those of a row-by-row shuffle, counts the left-to-right minima of
+    # each, and leaves the stream at the same position.
     size = 2 * max(1, montecarlo._PERM_CHUNK_ELEMS // n) + 1
-    rng, ref = _stream(n, 0), _stream(n, 0)
+    rng, ref, rows = _stream(n, 0), _stream(n, 0), _stream(n, 0)
     got = sample_cycle_counts(SamplerKind.PERMUTATION_DIRECT, n, size, rng)
-    perms = ref.permuted(np.tile(np.arange(n), (size, 1)), axis=1)
-    assert got.tolist() == [count_cycles(tuple(p)) for p in perms.tolist()]
-    assert rng.random() == ref.random()
+    perms = ref.permuted(np.tile(np.arange(n)[:, None], (1, size)), axis=0).T
+    assert np.array_equal(perms, rows.permuted(np.tile(np.arange(n), (size, 1)), axis=1))
+    assert got.tolist() == [count_records(p) for p in perms.tolist()]
+    assert rng.random() == ref.random() == rows.random()
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_record_law_is_the_cycle_law(n):
+    # Foata's bijection: over all n! arrangements, as many have k
+    # left-to-right minima as have k cycles, c(n, k).
+    hist = [0] * n
+    for perm in itertools.permutations(range(n)):
+        hist[count_records(perm) - 1] += 1
+    assert hist == list(stirling_row(n).coeffs)
 
 
 def test_permutation_batch_memory_is_bounded_per_chunk():
@@ -128,11 +131,11 @@ def test_permutation_batch_memory_is_bounded_per_chunk():
 
 def test_permutation_direct_counts_are_pinned():
     # Pins the SFC64 block streams, the one call of 2p draws per block
-    # and its halves pairing, and the shuffle and cycle counter, over 4
+    # and its halves pairing, and the shuffle and record counter, over 4
     # and 2 blocks, each with a short last block.
     kind = SamplerKind.PERMUTATION_DIRECT
-    assert estimate_collision(10, 50000, kind, seed=3).collisions == 11917
-    assert estimate_collision(257, 20000, kind, seed=4).collisions == 2624
+    assert estimate_collision(10, 50000, kind, seed=3).collisions == 11787
+    assert estimate_collision(257, 20000, kind, seed=4).collisions == 2695
 
 
 def test_default_sampler_counts_are_pinned():
@@ -147,8 +150,8 @@ def test_default_sampler_counts_are_pinned():
 # stream position.
 _SINGLE_DRAW_PINS = {
     (SamplerKind.PERMUTATION_DIRECT, 1): ("6e7601f602122027", "0x1.62bec232c86c0p-2"),
-    (SamplerKind.PERMUTATION_DIRECT, 5): ("4bcdabb34c1c8fbf", "0x1.9b54ee66725bap-1"),
-    (SamplerKind.PERMUTATION_DIRECT, 1000): ("869b33ee8aaf3265", "0x1.11f860bccf931p-1"),
+    (SamplerKind.PERMUTATION_DIRECT, 5): ("08bdca3318ef1e49", "0x1.9b54ee66725bap-1"),
+    (SamplerKind.PERMUTATION_DIRECT, 1000): ("df0bbc8caed4078a", "0x1.11f860bccf931p-1"),
     (SamplerKind.BERNOULLI_SUM, 1): ("6e7601f602122027", "0x1.7771b03fcf1f6p-1"),
     (SamplerKind.BERNOULLI_SUM, 5): ("3a6461edf2492a40", "0x1.53a0a54cc7c74p-1"),
     (SamplerKind.BERNOULLI_SUM, 1000): ("523299fd4a65434f", "0x1.8ef20ed57875cp-3"),

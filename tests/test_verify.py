@@ -8,7 +8,13 @@ import pytest
 from scipy.stats import chi2
 
 import cyclecollide.verify as verify
-from cyclecollide import QuadratureConfig, SamplerKind, StirlingRow, sample_cycle_counts
+from cyclecollide import (
+    QuadratureConfig,
+    SamplerKind,
+    StirlingRow,
+    cycle_distribution,
+    sample_cycle_counts,
+)
 
 
 def test_run_verify_prints_one_line_per_criterion():
@@ -107,6 +113,25 @@ def test_chi_square_counts_are_streamed_per_block(kind):
     want = np.bincount(draws, minlength=3)
     assert counts.tolist() == want.tolist()
     assert verify._chi_square_pvalue(counts, 2) == verify._chi_square_pvalue(want, 2)
+
+
+def test_chi_square_pvalue_is_that_of_the_exact_law():
+    # The probabilities c(n, k) / n! are int quotients: the floats of the
+    # cycle_distribution(n) Fractions, so the p-value is bit for bit the
+    # one computed from the exact law.
+    def from_distribution(counts, n):
+        probs = [float(p) for p in cycle_distribution(n).probs]
+        counts = counts[1:].astype(np.float64)
+        expected = np.asarray(probs) * counts.sum()
+        stat = float(((counts - expected) ** 2 / expected).sum())
+        return verify._chi2_sf(stat, n - 1)
+
+    for n in (2, 6, 12, 50):
+        for kind in SamplerKind:
+            draws = sample_cycle_counts(kind, n, 10**4, verify._stream(n, 0))
+            counts = np.bincount(draws, minlength=n + 1)
+            got = verify._chi_square_pvalue(counts, n)
+            assert got.hex() == from_distribution(counts, n).hex(), (n, kind)
 
 
 # Imports every submodule: `import cyclecollide` alone loads none of them.
