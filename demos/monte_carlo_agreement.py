@@ -31,7 +31,7 @@ for kind in SamplerKind:
     draws = sample_cycle_counts(kind, N, DRAWS, _stream(0, 0))
     hists[kind] = np.bincount(draws, minlength=N + 1)[1:] / DRAWS
 for k in range(1, N + 1):
-    exact = float(dist.prob(k))
+    exact = float(dist.probs[k - 1])
     print(f"{k:>3}  {exact:>9.5f}  "
           f"{hists[SamplerKind.PERMUTATION_DIRECT][k - 1]:>11.5f}  "
           f"{hists[SamplerKind.BERNOULLI_SUM][k - 1]:>11.5f}")

@@ -13,8 +13,6 @@ access (PEP 562), so the exact route runs without importing numpy.
 """
 
 import importlib
-import sys
-import types
 
 VERSION = "0.1.0"
 __version__ = VERSION
@@ -37,14 +35,12 @@ _EXPORTS = {
         "ExactProbability",
         "StirlingRow",
         "cycle_distribution",
-        "f_exact",
         "p_exact",
         "stirling_row",
         "stirling_rows",
     ),
     "gammafn": (
         "EULER_GAMMA",
-        "EULER_GAMMA_DIGITS",
         "log_gamma",
         "recip_gamma_abs_sq",
         "weierstrass_partial",
@@ -62,7 +58,6 @@ _EXPORTS = {
         "QuadratureConfig",
         "QuadratureConvergenceError",
         "QuadratureResult",
-        "quadrature",
     ),
     "report": (
         "CSV_COLUMNS",
@@ -91,14 +86,3 @@ def __getattr__(name: str):
 def __dir__() -> list[str]:
     return sorted(set(globals()) | set(__all__))
 
-
-class _Package(types.ModuleType):
-    def __setattr__(self, name: str, value) -> None:
-        # Loading a submodule binds it on its package.  `quadrature` is
-        # the public function, so its module must not take the name.
-        if name in _ORIGIN and isinstance(value, types.ModuleType):
-            return
-        super().__setattr__(name, value)
-
-
-sys.modules[__name__].__class__ = _Package

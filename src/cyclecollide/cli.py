@@ -132,6 +132,7 @@ def _cmd_collide(args: argparse.Namespace) -> int:
             res = I_n(n, _quad_config(args.tol))
         except QuadratureConvergenceError as exc:
             print(f"error: {exc}", file=sys.stderr)
+            print(f"p = {exc.best.value / (2.0 * math.pi):.17g} (not converged)")
             return 1
         print(f"p = {res.value / (2.0 * math.pi):.17g}")
         print(f"kernel integral = {res.value:.17g}")

@@ -90,10 +90,6 @@ class StirlingRow:
         if len(self.coeffs) != self.n:
             raise ValueError("row must have exactly n entries")
 
-    def coeff(self, k: int) -> int:
-        """Number of permutations of n letters with exactly k cycles."""
-        return self.coeffs[_index(k, self.n)]
-
     def row_sum(self) -> int:
         """Total count over all cycle numbers; equals n!."""
         return sum(self.coeffs)
@@ -137,17 +133,6 @@ class CycleDistribution:
 
     n: int
     probs: tuple[Fraction, ...]
-
-    def prob(self, k: int) -> Fraction:
-        return self.probs[_index(k, self.n)]
-
-
-def _index(k: int, n: int) -> int:
-    # The tuple index of cycle count k in a row of n entries.
-    k = _args.integer("k", k, 1)
-    if k > n:
-        raise ValueError(f"k must be in 1..{n}, got {k}")
-    return k - 1
 
 
 def exact_ceiling_error(n: int) -> str | None:
@@ -220,14 +205,6 @@ def stirling_row(n: int) -> StirlingRow:
     adopting an empty-product convention.
     """
     return next(stirling_rows((n,)))
-
-
-def f_exact(n: int) -> int:
-    """Sum of the squared row entries, sum_k c(n, k)^2.
-
-    This is the numerator of the collision probability before reduction.
-    """
-    return stirling_row(n).square_sum()
 
 
 def p_exact(n: int) -> ExactProbability:

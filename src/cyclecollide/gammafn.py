@@ -33,8 +33,8 @@ from . import _args
 
 # Euler-Mascheroni constant, 50 decimal digits.  Stored as text and parsed
 # once; never computed at runtime.
-EULER_GAMMA_DIGITS = "0.57721566490153286060651209008240243104215933593992"
-EULER_GAMMA = float(EULER_GAMMA_DIGITS)
+_EULER_GAMMA_DIGITS = "0.57721566490153286060651209008240243104215933593992"
+EULER_GAMMA = float(_EULER_GAMMA_DIGITS)
 
 _LOG_SQRT_2PI = 0.9189385332046727417803297364056176398
 

@@ -20,7 +20,8 @@ the convergence factor; the second term is a floor for the rounding
 error of integrand values accurate to a few ulps and of the sum.
 
 `quadrature` runs this ladder for any integrand; the package runs it for
-the EXACT_PRODUCT oracle only.  The circle routes (I_n and the
+the EXACT_PRODUCT oracle only, and does not re-export it: it is
+`cyclecollide.quadrature.quadrature`.  The circle routes (I_n and the
 Gamma-ratio identity) know an analytic bound on their integrand instead:
 `analytic` evaluates them in one batch of N + 1 nodes, N from the
 Trefethen-Weideman strip bound, and reports that bound plus the same

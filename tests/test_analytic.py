@@ -20,10 +20,10 @@ from cyclecollide import (
     p_exact,
     p_quadrature,
     p_quadrature_result,
-    quadrature,
     recip_gamma_abs_sq,
 )
 from cyclecollide import analytic
+from cyclecollide.quadrature import quadrature
 
 mpmath.mp.dps = 40
 

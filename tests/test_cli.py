@@ -167,6 +167,17 @@ def test_collide_non_finite_tol_exits_1(capsys, tol):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("method, want", [("quadrature", 0.5), ("eq2", 0.6767958785141814)])
+def test_collide_not_converged_prints_best_estimate(capsys, method, want):
+    # rel_tol 1e-16 is below the evaluation-error floor at n = 2.
+    code, out, err = run_cli(capsys, "collide", "--n", "2", "--method", method, "--tol", "1e-16")
+    assert code == 1
+    assert err.startswith("error: quadrature did not converge") and err.count("\n") == 1
+    value, note = out.removeprefix("p = ").split(" ", 1)
+    assert note == "(not converged)\n"
+    assert float(value) == pytest.approx(want, rel=1e-14)
+
+
 def test_interrupt_exits_130_without_traceback(capsys, monkeypatch):
     def interrupted():
         raise KeyboardInterrupt

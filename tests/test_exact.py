@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from cyclecollide import (
     cycle_distribution,
-    f_exact,
     p_exact,
     stirling_row,
     stirling_rows,
@@ -37,10 +36,10 @@ def test_row_structure(n):
     row = stirling_row(n)
     assert len(row.coeffs) == n
     assert row.row_sum() == math.factorial(n)
-    assert row.coeff(n) == 1
-    assert row.coeff(1) == math.factorial(n - 1)
+    assert row.coeffs[n - 1] == 1
+    assert row.coeffs[0] == math.factorial(n - 1)
     if n >= 2:
-        assert row.coeff(n - 1) == n * (n - 1) // 2
+        assert row.coeffs[n - 2] == n * (n - 1) // 2
     assert all(c > 0 for c in row.coeffs)
 
 
@@ -138,26 +137,6 @@ def test_walk_over_nothing_is_empty():
     assert list(stirling_rows(())) == []
 
 
-def test_row_coeff_bounds():
-    row = stirling_row(4)
-    with pytest.raises(ValueError):
-        row.coeff(0)
-    with pytest.raises(ValueError):
-        row.coeff(5)
-
-
-def test_coeff_and_prob_read_k_as_an_integer():
-    # k = 2.5 and 5.0 used to pass the range check and fail at the tuple
-    # index with a bare TypeError.
-    row, dist = stirling_row(5), cycle_distribution(5)
-    assert row.coeff(5.0) == row.coeff(5) == 1
-    assert dist.prob(5.0) == dist.prob(5) == Fraction(1, 120)
-    with pytest.raises(ValueError, match="k must be an integer"):
-        row.coeff(2.5)
-    with pytest.raises(ValueError, match="k must be an integer"):
-        dist.prob(2.5)
-
-
 # ------------------------------------------------- rising factorial
 
 def test_rising_factorial_examples():
@@ -180,18 +159,18 @@ def test_rising_factorial_matches_row_polynomial(n, x):
 
 # ---------------------------------------------------------- f and p
 
-def test_f_exact_values():
-    assert f_exact(1) == 1
-    assert f_exact(3) == 14  # 4 + 9 + 1 from row (2, 3, 1)
-    assert f_exact(4) == 194  # 36 + 121 + 36 + 1 from row (6, 11, 6, 1)
+def test_square_sum_values():
+    assert stirling_row(1).square_sum() == 1
+    assert stirling_row(3).square_sum() == 14  # 4 + 9 + 1 from row (2, 3, 1)
+    assert stirling_row(4).square_sum() == 194  # 36 + 121 + 36 + 1 from row (6, 11, 6, 1)
 
 
 @given(st.integers(min_value=1, max_value=60))
 @settings(max_examples=30)
-def test_f_exact_is_square_sum_of_row(n):
-    assert f_exact(n) == sum(c * c for c in stirling_row(n).coeffs)
-    assert stirling_row(n).square_sum() == f_exact(n)
-    assert stirling_row(n).collision_probability() == p_exact(n)
+def test_square_sum_is_sum_of_squared_row(n):
+    row = stirling_row(n)
+    assert row.square_sum() == sum(c * c for c in row.coeffs)
+    assert row.collision_probability() == p_exact(n)
 
 
 def test_p_exact_small_cases():
@@ -233,16 +212,11 @@ def test_cycle_distribution_sums_to_one(n):
     assert all(p > 0 for p in dist.probs)
 
 
-def test_distribution_prob_bounds():
-    with pytest.raises(ValueError):
-        cycle_distribution(3).prob(4)
-
-
 # ------------------------------------------------------------ errors
 
 @pytest.mark.parametrize("bad", [0, -1, -7])
 @pytest.mark.parametrize(
-    "op", [stirling_row, f_exact, p_exact, cycle_distribution],
+    "op", [stirling_row, p_exact, cycle_distribution],
 )
 def test_nonpositive_n_rejected(op, bad):
     with pytest.raises(ValueError):
@@ -251,7 +225,7 @@ def test_nonpositive_n_rejected(op, bad):
 
 _EXACT_ENTRY_POINTS = [
     p_exact, stirling_row, lambda n: list(stirling_rows((n,))),
-    cycle_distribution, f_exact,
+    cycle_distribution,
 ]
 
 

@@ -9,8 +9,8 @@ from cyclecollide import (
     QuadratureConvergenceError,
     QuadratureResult,
     integrand,
-    quadrature,
 )
+from cyclecollide.quadrature import quadrature
 
 
 def test_cosine_over_full_period_is_zero():

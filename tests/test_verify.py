@@ -1,4 +1,5 @@
 import io
+import math
 import subprocess
 import sys
 import tracemalloc
@@ -116,22 +117,54 @@ def test_chi_square_counts_are_streamed_per_block(kind):
 
 
 def test_chi_square_pvalue_is_that_of_the_exact_law():
-    # The probabilities c(n, k) / n! are int quotients: the floats of the
-    # cycle_distribution(n) Fractions, so the p-value is bit for bit the
-    # one computed from the exact law.
+    # The pooled statistic from the cycle_distribution(n) Fractions: each
+    # tail's cells expecting fewer than 5 draws join the nearest cell
+    # toward the mode that expects 5 or more.  A cell expects its exact
+    # probability times the draws, rounded once, as verify's int quotient
+    # is, so the p-value is the same bits.
     def from_distribution(counts, n):
-        probs = [float(p) for p in cycle_distribution(n).probs]
-        counts = counts[1:].astype(np.float64)
-        expected = np.asarray(probs) * counts.sum()
-        stat = float(((counts - expected) ** 2 / expected).sum())
-        return verify._chi2_sf(stat, n - 1)
+        observed = counts[1:]
+        draws = int(observed.sum())
+        expected = [p * draws for p in cycle_distribution(n).probs]
+        full = [k for k, e in enumerate(expected) if e >= 5]
+        lo, hi = full[0], full[-1]
+        cells = [(0, lo + 1), *((k, k + 1) for k in range(lo + 1, hi)), (hi, n)]
+        obs = np.array([float(observed[a:b].sum()) for a, b in cells])
+        exp = np.array([float(sum(expected[a:b])) for a, b in cells])
+        stat = float(((obs - exp) ** 2 / exp).sum())
+        return verify._chi2_sf(stat, len(cells) - 1)
 
-    for n in (2, 6, 12, 50):
+    for n in (2, 6, 12, 50, 200):
         for kind in SamplerKind:
             draws = sample_cycle_counts(kind, n, 10**4, verify._stream(n, 0))
             counts = np.bincount(draws, minlength=n + 1)
             got = verify._chi_square_pvalue(counts, n)
             assert got.hex() == from_distribution(counts, n).hex(), (n, kind)
+
+
+@pytest.mark.parametrize(
+    "kind, drawn_at, passes",
+    [
+        (SamplerKind.BERNOULLI_SUM, 200, True),
+        (SamplerKind.PERMUTATION_DIRECT, 200, True),
+        (SamplerKind.BERNOULLI_SUM, 190, False),
+        (SamplerKind.BERNOULLI_SUM, 150, False),
+    ],
+)
+def test_chi_square_at_n_200_is_finite_and_tells_the_laws_apart(kind, drawn_at, passes):
+    # Past n ~ 170, c(n, n) / n! underflows to 0.0: a cell expecting 0
+    # draws made the statistic NaN, which no cut rejects.
+    draws = sample_cycle_counts(kind, drawn_at, 10**5, verify._stream(0, 0))
+    pv = verify._chi_square_pvalue(np.bincount(draws, minlength=201), 200)
+    assert math.isfinite(pv)
+    assert (pv >= verify.CHI2_SIGNIFICANCE) == passes, pv
+
+
+def test_nan_chi_square_pvalue_fails_criterion(monkeypatch):
+    monkeypatch.setattr(verify, "_chi_square_pvalue", lambda counts, n: math.nan)
+    passed, detail = verify.check_monte_carlo()
+    assert not passed
+    assert "p=nan" in detail
 
 
 # Imports every submodule: `import cyclecollide` alone loads none of them.
