@@ -11,13 +11,13 @@ mean over the circle of |Gamma(z+n) / (Gamma(z) n!)|^2, z = e^{i theta}.
 Three integrands:
 
 * EXACT_PRODUCT - n^-2 prod_{j=1}^{n-1} (1 + 2 cos(theta)/j + 1/j^2) as
-  log1p terms, O(n) per evaluation: the oracle.  A trigonometric
+  log1p terms in numpy, O(n) per evaluation: the oracle.  A trigonometric
   polynomial of degree n - 1, integrated exactly by the trapezoid rule on
   N >= n/2 intervals of [0, pi].
 * LIMIT_KERNEL - K_n = exp(2(cos theta - 1) log n) w, w the weight
   1/|Gamma(e^{i theta})|^2, whose integral I(n) tends to sqrt(pi / log n).
   1 - cos theta is taken as 2 sin^2(theta/2), free of cancellation near
-  theta = 0: within 2.8e-15 relative of mpmath up to n = 2^1030.
+  theta = 0: within 3.6e-15 relative of mpmath up to n = 2^1030.
 * GAMMA_RATIO - the identity in O(1) per evaluation, as the kernel times
   a factor that tends to 1 (log|1 + z/j|^2 summed over j as cosine series):
 
@@ -28,8 +28,9 @@ Three integrands:
   and from a table built once by zeta(k, m) = zeta(k, m+1) + m^-k below.
   The d_1 term is taken with the kernel's, as -(1 - cos theta) 2 psi(n)
   (2 psi(n) = 2 log n + d_1): one product per node, as exact as the
-  kernel's; a matrix product on the rows cos(k theta) - 1 adds d_2..d_K.
-  f_1 is the constant 1.
+  kernel's.  d_K (cos K theta - 1) + ... + d_2 (cos 2 theta - 1) is summed
+  from the smallest term, one pass over the nodes a kept d_k, and added
+  to that exponent.  f_1 is the constant 1.
 
   K(n) is the fewest leading terms whose tail moves the exponent by at
   most 2^-58: as |cos k theta - 1| <= 2 and |d_k| <= (2/k) (n^-k +
@@ -46,7 +47,7 @@ Three integrands:
   covers the rounding of the values.  Against mpmath, on 117 equally
   spaced angles in [0, 2 pi] less the three within 0.1 of pi, f_n is
   within 1e-14 relative for n <= 1e3, 2e-14 at 1e6, 4e-14 at 2^58 and
-  6e-14 at 2^59 and 2^60 - 1 (measured 8.1e-15, 1.5e-14, 2.8e-14, 4.6e-14
+  6e-14 at 2^59 and 2^60 - 1 (measured 7.8e-15, 1.4e-14, 2.8e-14, 4.5e-14
   and 4.1e-14), where the rounding of an exponent up to 4 log n in size
   sets the error.
 
@@ -70,7 +71,7 @@ tolerance.  The walk over the grid stops where N starts to rise, which
 finds the smallest (see _STRIP_WIDTHS).  A batch, the first and each
 doubling's midpoints, evaluates only its head, the nodes where the
 kernel's exponent -(1 - cos theta) 2 log n is at least -C, C = 120 (one
-searchsorted, 1 - cos theta rising along the nodes); up to log n = C/4
+bisection, 1 - cos theta rising along the nodes); up to log n = C/4
 (n ~ 1.07e13) the head is every node.  On the real line cosh ka >= 1 >=
 |cos k theta|, so the weight times the d_k factor is at most e^L_w / 2 pi,
 L_w = log(2 pi M(a)) - 2 log n (cosh a - 1) at the chosen a, and every
@@ -85,30 +86,44 @@ the last term is below 2^-101 h at every n and width (at most 2^16 + 1
 nodes, L_w - log 2 pi <= 11.61), under half an ulp of the floor since
 sum f >= f(0) / 2 = 1/2: it never moves the estimate's bits, and the
 mass left out is below 2^-100 of the sum.
-EXACT_PRODUCT, and n = 1, run the halving ladder of `quadrature`.
+EXACT_PRODUCT, and n = 1, run the halving ladder of `quadrature`, which
+imports numpy.
 
-Every circle function is built from one table, the powers z^k, k =
-1..54, of gammafn._circle_table: 1 - cos(theta), the weight and the rows
-cos(k theta) - 1.  It is cached per process, read-only, one per N, 448
-bytes a node, for every N <= 2^8: the 32 multiples of 8, and every N the
-routes took at rel_tol >= 1e-13 when measured (at most 168).  Larger
-tables are built and not stored, so the cache holds at most 1.9 MB.
+The circle routes are Python floats and `math`: I_n, GAMMA_RATIO and
+`integrand` never import numpy for them.  `integrand` evaluates each
+angle alone, cos(k theta) - 1 as -2 sin^2(k theta / 2) and the weight
+from cos(k theta) (gammafn).  A batch reads the same quantities at the
+nodes theta_j = pi j / N from a table per N: cos(k theta_j) =
+cos(pi m / N) at m = k j, of period 2N and even about m = N, so two
+tuples of 54 N + 1 slots hold cos(pi m / N) - 1 = -2 sin^2(pi m / 2N) and
+cos(pi m / N) at slot m, the values at m = 0..N repeated, and d_k's pass
+takes every k-th slot.  The weight of a node is computed from its slots
+when a head first reaches it, and kept with its cos theta_j - 1 as a
+pair in the table's list, which holds the nodes 0, 1, ... as far as a
+head has reached; the kernel's pass reads only that list.  Tables are
+cached per process, one per N, for every N <= 2^8: the 32 multiples of
+8, and every N the routes took at rel_tol >= 1e-13 when measured (at
+most 168).  With every weight built a table takes at most 1001 N + 337
+bytes (its tuples hold 8-byte references to the 2 (N + 1) floats at
+m = 0..N), so the cache holds at most 4.3 MB.  Larger tables are built
+and not stored.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
+import itertools
 import math
+import operator
 from enum import Enum
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from . import _args
 
 # p_asymptotic is not used here; it stays importable from this module.
 from .asymptotic import laplace_I, p_asymptotic
-from .gammafn import _CIRCLE_COEFFS, _blockwise, _check_theta, _circle_table
+from .gammafn import _CIRCLE_COEFFS, _circle_weight, _on_angles, _weight
 from .quadrature import (
     _FLOOR,
     _MAX_NODES,
@@ -118,6 +133,9 @@ from .quadrature import (
     QuadratureResult,
     quadrature,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # No code in this package reads this constant.  It stays only because the
 # benchmark in bench/ imports it; ROADMAP item 6 moves it there.
@@ -133,8 +151,7 @@ class IntegrandKind(Enum):
 
 
 # k = 1..54, the terms of the weight's series and of d_k(n).
-_TERMS = _CIRCLE_COEFFS.size
-_K = np.arange(1.0, _TERMS + 1)
+_TERMS = len(_CIRCLE_COEFFS)
 # From here on every d_k(n) is below double resolution (d_1 ~ -1/n): K(n) = 0.
 _KERNEL_MIN_N = 2**60
 # Euler-Maclaurin for zeta(k, n) from here on; a table below.
@@ -193,29 +210,29 @@ def _series_terms(n: int) -> int:
 
 
 @functools.cache
-def _small_series_table() -> np.ndarray:
-    # Row n - 2, n = 2..63: d_k(n), k = 1..54, read-only.  2 psi(m) and
-    # d_k(m), k >= 2, run down from m = 64 by
-    # d_k(m) = d_k(m + 1) + 2 (-1)^k m^-k / k, adding the smallest terms
-    # first; 2 psi(m) follows with step -2 / m, and d_1 = 2 psi(m) - 2 log m.
-    top = _euler_maclaurin(_EULER_MACLAURIN_MIN_N, _TERMS)
-    top[0] += 2.0 * math.log(_EULER_MACLAURIN_MIN_N)
-    steps = (1.0 / np.arange(_EULER_MACLAURIN_MIN_N - 1, 1, -1))[:, None] ** _K * _SERIES_SCALE
-    table = np.cumsum(np.vstack([top, steps]), axis=0)[:0:-1]
-    table[:, 0] -= [2.0 * math.log(n) for n in range(2, _EULER_MACLAURIN_MIN_N)]
-    table.flags.writeable = False
-    return table
+def _small_series_table() -> tuple[tuple[float, ...], ...]:
+    # Row n - 2, n = 2..63: d_k(n), k = 1..54.  2 psi(m) and d_k(m),
+    # k >= 2, run down from m = 64 by d_k(m) = d_k(m + 1) + 2 (-1)^k m^-k / k,
+    # adding the smallest terms first; 2 psi(m) follows with step -2 / m,
+    # and d_1 = 2 psi(m) - 2 log m.
+    row = _euler_maclaurin(_EULER_MACLAURIN_MIN_N, _TERMS)
+    row[0] += 2.0 * math.log(_EULER_MACLAURIN_MIN_N)
+    rows = []
+    for m in range(_EULER_MACLAURIN_MIN_N - 1, 1, -1):
+        r = 1.0 / m
+        row = [d + r**k * scale for k, d, scale in zip(range(1, _TERMS + 1), row, _SERIES_SCALE)]
+        rows.append((row[0] - 2.0 * math.log(m), *row[1:]))
+    return tuple(reversed(rows))
 
 
-def _series_coeffs(n: int) -> np.ndarray | None:
-    # d_1..d_K(n) of the GAMMA_RATIO integrand, n >= 2, read-only below
-    # n = 64; None from n = 2^60 on.
-    # d_1 = -2 (log n - psi(n)) = 2 (H_{n-1} - log n - gamma).
+def _series_coeffs(n: int) -> Sequence[float] | None:
+    # d_1..d_K(n) of the GAMMA_RATIO integrand, n >= 2; None from n = 2^60
+    # on.  d_1 = -2 (log n - psi(n)) = 2 (H_{n-1} - log n - gamma).
     if n >= _KERNEL_MIN_N:
         return None
     if n < _EULER_MACLAURIN_MIN_N:
-        return _small_series_table()[n - 2, : _series_terms(n)]
-    return np.array(_euler_maclaurin(n, _series_terms(n)))
+        return _small_series_table()[n - 2][: _series_terms(n)]
+    return _euler_maclaurin(n, _series_terms(n))
 
 
 # Factors per chunk of the product, and elements per angles-by-factors
@@ -231,6 +248,9 @@ def _exact_product_values(n: int, theta: np.ndarray) -> np.ndarray:
     # summed as log1p terms, so no sum of size log n! is cancelled.  The
     # j = 1 factor is 2 + 2 cos, exactly 0 at theta = pi, where
     # log1p(-1) = -inf gives the exact 0.
+    import numpy as np
+
+    theta = np.asarray(theta, dtype=np.float64)
     ct2 = 2.0 * np.cos(theta)
     acc = np.zeros_like(theta)
     rows = _PRODUCT_CHUNK // max(1, min(n - 1, _PRODUCT_CHUNK))
@@ -244,50 +264,27 @@ def _exact_product_values(n: int, theta: np.ndarray) -> np.ndarray:
     return np.exp(acc) / (float(n) * n)
 
 
-def _circle_values(
-    log_n2: float,
-    delta: np.ndarray | None,
-    one_m_cos: np.ndarray,
-    w: np.ndarray,
-    rows: np.ndarray,
-) -> np.ndarray:
-    # K_n exp(sum_{k<=K} d_k (cos k theta - 1)), or K_n alone; log_n2 is
-    # 2 log n, exact wherever the factor 2 is applied.  The d_1 term joins
-    # the kernel's, as -(1 - cos theta) (2 log n + d_1), 2 log n + d_1
-    # = 2 psi(n).
-    if delta is None:
-        exponent = one_m_cos * -log_n2
-    else:
-        exponent = one_m_cos * -(log_n2 + delta[0])
-        if len(delta) > 1:
-            exponent += rows[:, 1 : len(delta)] @ delta[1:]
-    np.exp(exponent, out=exponent)
-    exponent *= w
-    return exponent
-
-
-def _circle_fn(n: float, delta: np.ndarray | None) -> Callable[[np.ndarray], np.ndarray]:
+def _circle_fn(n: float, delta: Sequence[float] | None) -> Callable[[float], float]:
+    # K_n exp(sum_{k<=K} d_k (cos k theta - 1)), or K_n alone, at one angle,
+    # with cos(k theta) - 1 = -2 sin^2(k theta / 2), free of cancellation
+    # near theta = 0; the d_k terms for k >= 2 are summed from k = K down,
+    # the smallest first, and then added to the kernel's exponent: the
+    # formulas of the batch (_batch_sum), with the angles of one node.
     # math.log takes n as given, so an int n above the double range works.
     log_n2 = 2.0 * math.log(n)
+    psi2 = log_n2 if delta is None else log_n2 + delta[0]
+    terms = tuple(enumerate(delta, start=1))[:0:-1] if delta else ()
 
-    def block(theta: np.ndarray) -> np.ndarray:
-        return _circle_values(log_n2, delta, *_circle_table(theta))
+    def f(theta: float) -> float:
+        half = 0.5 * theta
+        s = math.sin(half)
+        extra = 0.0
+        for k, d in terms:
+            t = math.sin(k * half)
+            extra += d * (-2.0 * t * t)
+        return math.exp(-2.0 * s * s * psi2 + extra) * _circle_weight(theta)
 
-    # In blocks of 2^12 nodes: the power table and the rows take 1.3 kB a
-    # node while they live.
-    return functools.partial(_blockwise, block)
-
-
-def _integrand_fn(kind: IntegrandKind, n: float) -> Callable[[np.ndarray], np.ndarray]:
-    if kind is IntegrandKind.EXACT_PRODUCT:
-        n = _args.integer("n", n, 1)
-        return lambda t: _exact_product_values(n, t)
-    if kind is IntegrandKind.GAMMA_RATIO:
-        n = _args.integer("n", n, 1)
-        return np.ones_like if n == 1 else _circle_fn(n, _series_coeffs(n))
-    if kind is IntegrandKind.LIMIT_KERNEL:
-        return _circle_fn(_args.real_n(n), None)
-    raise ValueError(f"unknown integrand kind: {kind!r}")
+    return f
 
 
 def integrand(
@@ -297,24 +294,26 @@ def integrand(
 
     EXACT_PRODUCT and GAMMA_RATIO take integer n >= 1 and agree to
     ~1e-14 relative away from theta = pi (the product form is the oracle);
-    LIMIT_KERNEL takes real n > 1.  ValueError for an angle outside
-    [0, 2*pi], NaN included.
+    LIMIT_KERNEL takes real n > 1.  ValueError for an angle that is text,
+    bytes, complex or outside [0, 2*pi], NaN included.
 
-    A scalar angle gives the bits of the same angle inside an array.  For
-    EXACT_PRODUCT this holds at every n, as it sums the factors in chunks
-    of 2^14 from j = 1 however many angles it is given, and no temporary
-    outgrows 2^14 elements.  The exception is GAMMA_RATIO below
-    n = 438353266, where K(n) > 2: its matrix product
-    sum_{k=2}^K d_k (cos k theta - 1), of two or more terms, rounds
-    differently for different array lengths, which moved the last bits
-    at 220, 99, 2, 0 and 0 of 600 uniform random angles at n = 2, 3, 20,
-    100 and 1000.
+    A scalar angle gives the bits of the same angle inside an array, at
+    every n: GAMMA_RATIO and LIMIT_KERNEL evaluate each angle alone, in
+    plain `math`, and EXACT_PRODUCT sums the factors in chunks of 2^14
+    from j = 1 however many angles it is given, so no temporary outgrows
+    2^14 elements.
     """
-    f = _integrand_fn(kind, n)
-    arr = np.asarray(theta, dtype=np.float64)
-    _check_theta(arr)
-    out = f(arr.reshape(-1))
-    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+    if kind is IntegrandKind.EXACT_PRODUCT:
+        n = _args.integer("n", n, 1)
+        return _on_angles(lambda angles: _exact_product_values(n, angles), theta)
+    if kind is IntegrandKind.GAMMA_RATIO:
+        n = _args.integer("n", n, 1)
+        f = (lambda angle: 1.0) if n == 1 else _circle_fn(n, _series_coeffs(n))
+    elif kind is IntegrandKind.LIMIT_KERNEL:
+        f = _circle_fn(_args.real_n(n), None)
+    else:
+        raise ValueError(f"unknown integrand kind: {kind!r}")
+    return _on_angles(lambda angles: map(f, angles), theta)
 
 
 # The strip half-widths a for the node count (module docstring), 0.68
@@ -327,8 +326,6 @@ def integrand(
 # down to 0.177, so the walk takes at most six steps.  N is a multiple
 # of 8, so that few tables exist.
 _STRIP_WIDTHS = tuple(0.68 / 1.4**k for k in range(16))
-# The kernel's need(a) has no d_k term.
-_NO_EXTRA = (0.0,) * len(_STRIP_WIDTHS)
 # The cached tables: every N <= 2^8, the 32 multiples of 8 (module
 # docstring).
 _TABLE_ENTRIES = 32
@@ -339,54 +336,23 @@ _HEAD_CUT = 120.0
 
 
 @functools.cache
-def _strip_table() -> tuple[tuple[tuple[float, float, float], ...], np.ndarray]:
-    # Per width a: (1 / 2a, cosh a - 1, log(2 pi M(a)) at log n = 0 for the
-    # kernel), and (-1)^k cosh(k a) - 1, k = 1..54, for the d_k factor, one
-    # row per a, read-only.
-    rows = tuple(
+def _strip_table() -> tuple[tuple[float, float, float, tuple[float, ...]], ...]:
+    # Per width a: 1 / 2a, cosh a - 1, log(2 pi M(a)) at log n = 0 for the
+    # kernel, and (-1)^k cosh(k a) - 1, k = 1..54, for the d_k factor.
+    return tuple(
         (
             0.5 / a,
             math.cosh(a) - 1.0,
             math.log(2.0 * math.pi * (2.0 + 2.0 * math.cosh(a)))
-            + 2.0 * float(np.abs(_CIRCLE_COEFFS) @ np.cosh(_K * a)),
+            + 2.0 * math.fsum(abs(c) * math.cosh(k * a) for k, c in enumerate(_CIRCLE_COEFFS, 1)),
+            tuple((-1.0) ** k * math.cosh(a * k) - 1.0 for k in range(1, _TERMS + 1)),
         )
         for a in _STRIP_WIDTHS
     )
-    signed_rows = (-1.0) ** _K * np.cosh(np.multiply.outer(_STRIP_WIDTHS, _K)) - 1.0
-    signed_rows.flags.writeable = False
-    return rows, signed_rows
-
-
-def _nodes(intervals: int) -> np.ndarray:
-    # The bytes of np.linspace(0, pi, intervals + 1).
-    theta = (math.pi / intervals) * np.arange(intervals + 1)
-    theta[-1] = math.pi
-    return theta
-
-
-def _new_node_table(intervals: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # The circle table at the N + 1 nodes, read-only.  A batch leaves out
-    # the nodes past its head unseen, so a weight that is not finite is
-    # rejected here, before any batch uses the table.
-    table = _circle_table(_nodes(intervals))
-    if not np.isfinite(table[1]).all():
-        raise ValueError("circle weight not finite")
-    for arr in table:
-        arr.flags.writeable = False
-    return table
-
-
-_cached_node_table = functools.lru_cache(maxsize=_TABLE_ENTRIES)(_new_node_table)
-
-
-def _node_table(intervals: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    if intervals > _TABLE_MAX_INTERVALS:
-        return _new_node_table(intervals)
-    return _cached_node_table(intervals)
 
 
 def _strip_choice(
-    n: float, log_n2: float, config: QuadratureConfig, delta: np.ndarray | None
+    n: float, log_n2: float, config: QuadratureConfig, delta: Sequence[float] | None
 ) -> tuple[int, float, float, float]:
     # (N, 1 / 2a, log(2 pi M(a)), L_w) at the strip width a with the
     # smallest need(a), ties to the wider a, L_w the part of log(2 pi M(a))
@@ -401,17 +367,13 @@ def _strip_choice(
     # need(a) is the N with 2aN = log(2 pi M(a) / target) + log 2, and
     # 2aN >= that implies e^{2aN} - 1 >= 2 pi M(a) / target.
     shift = math.log(2.0 / target)
-    rows, signed_rows = _strip_table()
-    # sum_k (|d_k| cosh ka - d_k) = sum_k d_k ((-1)^k cosh ka - 1), since
-    # d_k has the sign of (-1)^k (zeta(k, n) > 0 and psi(n) < log n), over
-    # the K kept terms.
-    if delta is None:
-        extra = _NO_EXTRA
-    else:
-        extra = (signed_rows[:, : len(delta)] @ delta).tolist()
     best = math.inf
-    for (half_inv_a, cosh_m1, log_m0), e in zip(rows, extra):
+    for half_inv_a, cosh_m1, log_m0, signed in _strip_table():
         grow = log_n2 * cosh_m1
+        # sum_k (|d_k| cosh ka - d_k) = sum_k d_k ((-1)^k cosh ka - 1), as
+        # d_k has the sign of (-1)^k (zeta(k, n) > 0 and psi(n) < log n),
+        # over the K kept terms.
+        e = 0.0 if delta is None else math.fsum(map(operator.mul, signed, delta))
         need = (shift + log_m0 + grow + e) * half_inv_a
         if need < best:
             best, best_half_inv_a = need, half_inv_a
@@ -422,21 +384,93 @@ def _strip_choice(
     return intervals, best_half_inv_a, best_log_m0 + best_grow + best_e, best_log_m0 + best_e
 
 
+def _new_node_table(intervals: int) -> tuple[tuple[float, ...], tuple[float, ...], list]:
+    # For the nodes theta_j = pi j / N, j = 0..N: cos(k theta_j) - 1 and
+    # cos(k theta_j) at slot m = k j of two tuples of 54 N + 1 slots, and
+    # the list of the pairs (cos theta_j - 1, weight at theta_j) of nodes
+    # 0, 1, ..., as far as a batch's head has reached.  cos(pi m / N) has
+    # period 2N in m and is even about m = N, so the slots repeat the
+    # values at m = 0..N: cos(pi m / N) - 1 as -2 sin^2(pi m / 2N), free of
+    # cancellation near m = 0 and rising in size along the nodes, and
+    # cos(pi m / N) by math.cos.
+    half_step = math.pi / (2 * intervals)
+    sines = [math.sin(half_step * m) for m in range(intervals + 1)]
+    cos_m1 = [-2.0 * s * s for s in sines]
+    cosines = [math.cos(2.0 * half_step * m) for m in range(intervals + 1)]
+    periods = _TERMS // 2
+    return (
+        tuple((cos_m1 + cos_m1[-2:0:-1]) * periods + cos_m1[:1]),
+        tuple((cosines + cosines[-2:0:-1]) * periods + cosines[:1]),
+        [],
+    )
+
+
+def _node_weight(cosines: tuple[float, ...], j: int) -> float:
+    # The weight at node j, from cos(k theta_j) at the slots k j, k = 1..54.
+    return _weight(cosines[j : _TERMS * j + 1 : j] if j else cosines[:1] * _TERMS)
+
+
+_cached_node_table = functools.lru_cache(maxsize=_TABLE_ENTRIES)(_new_node_table)
+
+
+def _node_table(intervals: int) -> tuple[tuple[float, ...], tuple[float, ...], list]:
+    if intervals > _TABLE_MAX_INTERVALS:
+        return _new_node_table(intervals)
+    return _cached_node_table(intervals)
+
+
 def _batch_sum(
-    log_n2: float, delta: np.ndarray | None, one_m_cos: np.ndarray, w: np.ndarray,
-    rows: np.ndarray, ends: bool = False,
+    psi2: float, delta: Sequence[float] | None, table, log_n2: float, odd: bool = False
 ) -> tuple[float, int]:
-    # sum f over one batch's head, `ends` at half weight, exactly rounded,
-    # and the number of nodes left out.  Every f is in [0, 3.70], so this
-    # is also the head's sum|f| and, on at most 2^16 + 1 nodes, not finite
-    # only if a value is not.  The head is the nodes with the kernel's
-    # exponent >= -_HEAD_CUT (module docstring).
-    head = one_m_cos.searchsorted(_HEAD_CUT / log_n2, "right")
-    ys = _circle_values(log_n2, delta, one_m_cos[:head], w[:head], rows[:head]).tolist()
-    # A Python int, from the list: numpy's would make the estimate a numpy
-    # float.
-    left_out = one_m_cos.size - len(ys)
-    if ends:
+    # sum f over one batch's head, exactly rounded, and the number of nodes
+    # left out: every node of the table with its ends at half weight, or
+    # with `odd` its odd nodes, the midpoints of the table of half as many
+    # intervals.  f = exp((cos theta - 1) psi2 + sum_{k=K..2} d_k
+    # (cos k theta - 1)) w, psi2 = 2 log n + d_1 = 2 psi(n) (2 log n for
+    # the kernel).  Every f is in [0, 3.70], so this is also the head's sum|f|
+    # and, on at most 2^16 + 1 nodes, not finite only if a value is not.
+    # The head is the nodes with the kernel's exponent
+    # -(1 - cos theta) 2 log n >= -_HEAD_CUT (module docstring), found by
+    # one bisection, 1 - cos theta rising along the nodes.
+    cos_m1, cosines, nodes = table
+    intervals = (len(cos_m1) - 1) // _TERMS
+    # 1 - cos theta <= 2, so up to log n = C / 4 the head is every node.
+    limit = _HEAD_CUT / log_n2
+    if limit >= 2.0:
+        cut = intervals + 1
+    else:
+        cut = bisect.bisect_right(cos_m1, limit, 0, intervals + 1, key=operator.neg)
+    have = len(nodes)
+    if cut > have:
+        new = []
+        for j in range(have, cut):
+            w = _node_weight(cosines, j)
+            # Never stored, so a cached table holds finite weights only.
+            if not math.isfinite(w):
+                raise ValueError("circle weight not finite")
+            new.append((cos_m1[j], w))
+        # One slice assignment, atomic, of the pairs any thread would store
+        # there: threads may share a table.
+        nodes[have:cut] = new
+    start, step = (1, 2) if odd else (0, 1)
+    head = nodes[start:cut:step]
+    exp = math.exp
+    if delta is None or len(delta) == 1:
+        ys = [exp(c * psi2) * w for c, w in head]
+    else:
+        # One list pass a kept d_k, k = K down to 2, the smallest first; the
+        # pass of d_2 also takes the exp.
+        extra = itertools.repeat(0.0)
+        for k in range(len(delta), 2, -1):
+            d = delta[k - 1]
+            extra = [e + d * c for e, c in zip(extra, cos_m1[k * start : k * cut : k * step])]
+        d = delta[1]
+        ys = [
+            exp(c * psi2 + (e + d * c2)) * w
+            for (c, w), e, c2 in zip(head, extra, cos_m1[2 * start : 2 * cut : 2 * step])
+        ]
+    left_out = (intervals // 2 if odd else intervals + 1) - len(ys)
+    if not odd:
         ys[0] *= 0.5
         if not left_out:
             ys[-1] *= 0.5
@@ -447,15 +481,17 @@ def _batch_sum(
 
 
 def _kernel_quadrature(
-    n: float, config: QuadratureConfig, delta: np.ndarray | None, scale: float
+    n: float, config: QuadratureConfig, delta: Sequence[float] | None, scale: float
 ) -> QuadratureResult:
     # scale > 0 times the integral over [0, pi] of the kernel, or with
     # delta of the GAMMA_RATIO integrand (module docstring): 2 for the
     # full circle, 1/pi for the normalized mean.  The tolerance applies to
     # the integral over [0, pi].
     log_n2 = 2.0 * math.log(n)
+    # The d_1 term is taken with the kernel's: 2 log n + d_1 = 2 psi(n).
+    psi2 = log_n2 if delta is None else log_n2 + delta[0]
     intervals, half_inv_a, log_m, log_w = _strip_choice(n, log_n2, config, delta)
-    total, left_out = _batch_sum(log_n2, delta, *_node_table(intervals), ends=True)
+    total, left_out = _batch_sum(psi2, delta, _node_table(intervals), log_n2)
     while True:
         h = math.pi / intervals
         value = h * total
@@ -476,8 +512,7 @@ def _kernel_quadrature(
                 tolerance * scale,
             )
         intervals *= 2
-        midpoints = (arr[1::2] for arr in _node_table(intervals))
-        more, more_left_out = _batch_sum(log_n2, delta, *midpoints)
+        more, more_left_out = _batch_sum(psi2, delta, _node_table(intervals), log_n2, odd=True)
         total += more
         left_out += more_left_out
 
@@ -532,10 +567,12 @@ def p_quadrature_result(
     if kind is None or kind is IntegrandKind.GAMMA_RATIO:
         if n > 1:
             return _kernel_quadrature(n, config, _series_coeffs(n), scale)
-        kind = IntegrandKind.EXACT_PRODUCT
-    f = _integrand_fn(kind, n)
+    elif kind is not IntegrandKind.EXACT_PRODUCT:
+        raise ValueError(f"unknown integrand kind: {kind!r}")
     try:
-        return _scaled(quadrature(f, 0.0, math.pi, config), scale)
+        return _scaled(
+            quadrature(functools.partial(_exact_product_values, n), 0.0, math.pi, config), scale
+        )
     except QuadratureConvergenceError as exc:
         raise QuadratureConvergenceError(
             _scaled(exc.best, scale), exc.tolerance * scale

@@ -15,9 +15,16 @@ through it.  It needs only Re log Gamma(2 + e^{i theta}), and
     log Gamma(2 + z) = (1 - gamma) z + sum_{k>=2} (-1)^k (zeta(k) - 1) z^k / k
 
 is analytic for |z| < 2, so on the circle it is the real cosine series
-sum_k a_k cos(k theta) with |a_k| ~ 2^-k / k.  Its first 54 terms are
-within 6e-16 absolute of a 40-digit reference (1001 theta in [0, 2 pi]),
-against 9e-15 through `log_gamma`.
+sum_k a_k cos(k theta) with |a_k| ~ 2^-k / k.  Its first 54 terms, from
+math.cos(k theta) and summed by math.fsum, are within 2e-16 absolute of
+a 40-digit reference (1001 theta in [0, 2 pi]; measured 1.7e-16),
+against 9e-15 through `log_gamma`.  The weight's absolute error is then
+at most 3e-16 times its peak 3.70 (measured 2.8e-16 times, on the same
+angles).
+
+`recip_gamma_abs_sq` evaluates one angle at a time in `math`, so a real
+angle loads no numpy; `log_gamma` and `weierstrass_partial` import numpy
+where they run.
 
 All functions accept scalars or numpy arrays and are pure.
 """
@@ -26,10 +33,13 @@ from __future__ import annotations
 
 import cmath
 import math
-
-import numpy as np
+import operator
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from . import _args
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Euler-Mascheroni constant, 50 decimal digits.  Stored as text and parsed
 # once; never computed at runtime.
@@ -64,9 +74,8 @@ _ZETA_MINUS_ONE_DIGITS = (
 # a_k of Re log Gamma(2 + e^{i theta}) = sum_{k>=1} a_k cos(k theta):
 # a_1 = 1 - gamma, a_k = (-1)^k (zeta(k) - 1) / k.  The first omitted
 # term is below 1e-18.
-_CIRCLE_COEFFS = np.array(
-    [1.0 - EULER_GAMMA]
-    + [(-1) ** k * float(d) / k for k, d in enumerate(_ZETA_MINUS_ONE_DIGITS, start=2)]
+_CIRCLE_COEFFS = (1.0 - EULER_GAMMA,) + tuple(
+    (-1) ** k * float(d) / k for k, d in enumerate(_ZETA_MINUS_ONE_DIGITS, start=2)
 )
 
 # B_{2k} / ((2k)(2k-1)) for k = 1..8: coefficients of w^-(2k-1) in the
@@ -99,6 +108,8 @@ def _stirling_series_tail(w: np.ndarray | float) -> np.ndarray | float:
 
 
 def _log_gamma_array(z: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     w = z.astype(np.complex128, copy=True)
     shift = np.zeros_like(w)
     # At most 12 unit shifts are ever needed from Re z > -1.
@@ -117,6 +128,8 @@ def log_gamma(z: complex | np.ndarray) -> complex | np.ndarray:
     Raises ValueError at the poles (z a nonpositive real integer).  On the
     negative real axis the value is the limit from the upper half-plane.
     """
+    import numpy as np
+
     arr = np.asarray(z, dtype=np.complex128)
     poles = (arr.imag == 0.0) & (arr.real <= 0.0) & (arr.real == np.floor(arr.real))
     if np.any(poles):
@@ -125,47 +138,55 @@ def log_gamma(z: complex | np.ndarray) -> complex | np.ndarray:
     return complex(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
-# Angles per block of the circle functions: their per-angle temporaries
-# (the 54-power table, 864 bytes an angle, and the rows taken from it,
-# 432) never exist for more.
-_BLOCK = 1 << 12
+def _angle(value) -> float:
+    # A real angle in [0, 2 pi] as a float; written so that NaN fails.
+    if not isinstance(value, (str, bytes, bytearray, complex)):
+        try:
+            theta = float(value)
+        except (TypeError, ValueError, ArithmeticError):
+            theta = math.nan
+        if 0.0 <= theta <= 2.0 * math.pi:
+            return theta
+    raise ValueError(f"theta must be a real number in [0, 2*pi], got {value!r}")
 
 
-def _blockwise(fn, x: np.ndarray) -> np.ndarray:
-    """fn over 1-D x in blocks of _BLOCK entries, concatenated.
+def _on_angles(
+    values: Callable[[list[float]], Iterable[float]], theta
+) -> float | np.ndarray:
+    """`values` at the angles of theta: a float for a real number, else an
+    array of theta's shape.  Every angle is checked before any is
+    evaluated; text, bytes, complex values and angles outside [0, 2*pi]
+    raise ValueError.  numpy is imported only for a theta that is not a
+    Python real number."""
+    if isinstance(theta, (int, float)):
+        (value,) = values([_angle(theta)])
+        return float(value)
+    if isinstance(theta, (str, bytes, bytearray, complex)):
+        _angle(theta)
+    import numpy as np
 
-    No block has one row: numpy takes a one-row matrix product as a dot
-    product, which rounds differently from the same row in a larger
-    product.  A lone last entry joins the block before it, and a lone
-    angle is evaluated twice, as a block of two, so the values are those
-    of one block.
-    """
-    if x.size == 1:
-        return fn(np.repeat(x, 2))[:1]
-    return np.concatenate([fn(b) for b in np.split(x, range(_BLOCK, x.size - 1, _BLOCK))])
+    arr = np.asarray(theta)
+    if arr.dtype.kind not in "biufO":
+        raise ValueError(f"theta must be real numbers in [0, 2*pi], got dtype {arr.dtype}")
+    angles = [_angle(t) for t in arr.reshape(-1).tolist()]
+    if arr.ndim == 0:
+        (value,) = values(angles)
+        return float(value)
+    return np.fromiter(values(angles), np.float64, len(angles)).reshape(arr.shape)
 
 
-def _check_theta(theta: np.ndarray) -> None:
-    # Written so that NaN fails it.
-    if not np.all((theta >= 0.0) & (theta <= 2.0 * math.pi)):
-        raise ValueError("theta must lie in [0, 2*pi]")
+def _weight(cosines) -> float:
+    # 1 / |Gamma(z)|^2, z = e^{i theta}, from cos(k theta), k = 1..54, as
+    # |z + 1|^2 / |Gamma(z + 2)|^2 with Re log Gamma(2 + z) = sum_k a_k
+    # cos(k theta): entire, pole-free, exactly 0 at theta = pi (cos theta =
+    # -1) and finite.
+    front = max(2.0 + 2.0 * cosines[0], 0.0)
+    return front * math.exp(-2.0 * math.fsum(map(operator.mul, _CIRCLE_COEFFS, cosines)))
 
 
-def _circle_table(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # Every circle function at 1-D theta, from the powers z^k, z = e^{i
-    # theta}, k = 1..54: 1 - cos(theta), the weight w = 1 / |Gamma(z)|^2
-    # and the rows Re z^k - 1 = cos(k theta) - 1, one row per angle.
-    # 1 - cos(theta) is taken as 2 sin^2(theta / 2): 1 - np.cos(theta)
-    # cancels near theta = 0, where the kernel's exponent (cos(theta) - 1)
-    # 2 log n would carry an error of eps 2 log n, 7.8e-14 relative to
-    # mpmath at n = 2^1030.  w is |z + 1|^2 / |Gamma(z + 2)|^2 with
-    # Re log Gamma(2 + z) = sum_k a_k Re z^k: entire, pole-free, exactly 0
-    # at theta = pi and finite.
-    z = np.cos(theta) + 1j * np.sin(theta)
-    powers = np.cumprod(np.broadcast_to(z[:, None], (z.size, _CIRCLE_COEFFS.size)), axis=1).real
-    front = np.maximum(2.0 + 2.0 * z.real, 0.0)
-    half = np.sin(0.5 * theta)
-    return 2.0 * half * half, front * np.exp(-2.0 * (powers @ _CIRCLE_COEFFS)), powers - 1.0
+def _circle_weight(theta: float) -> float:
+    # The weight at one angle, from cos(k theta) by math.cos.
+    return _weight([math.cos(k * theta) for k in range(1, len(_CIRCLE_COEFFS) + 1)])
 
 
 def recip_gamma_abs_sq(theta: float | np.ndarray) -> float | np.ndarray:
@@ -176,11 +197,11 @@ def recip_gamma_abs_sq(theta: float | np.ndarray) -> float | np.ndarray:
     taken from its zeta(k) series; the prefactor |z+1|^2 = 2 + 2 cos(theta)
     vanishes exactly at theta = pi, where e^{i theta} lands on the Gamma
     pole at -1, so the value there is an exact 0.0 rather than an overflow.
+    Each angle is evaluated alone, so an angle has the same bits alone and
+    inside an array.  ValueError for an angle that is text, bytes, complex
+    or outside [0, 2*pi], NaN included.
     """
-    arr = np.asarray(theta, dtype=np.float64)
-    _check_theta(arr)
-    out = _blockwise(lambda t: _circle_table(t)[1], arr.reshape(-1))
-    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+    return _on_angles(lambda angles: map(_circle_weight, angles), theta)
 
 
 # Factors per chunk of the Weierstrass product: its complex temporaries
@@ -214,6 +235,8 @@ def weierstrass_partial(z: complex, terms: int) -> complex:
 def _weierstrass_factors(zc: complex, start: int, stop: int) -> complex:
     # prod_{r=start}^{stop-1} (1 + z/r) e^{-z/r}.  Its arrays end with the
     # call, so no chunk's arrays live beside the next chunk's.
+    import numpy as np
+
     w = zc / np.arange(start, stop, dtype=np.float64)
     e = np.exp(-w)
     w += 1.0

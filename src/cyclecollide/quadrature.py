@@ -19,24 +19,28 @@ Under geometric convergence the difference exceeds the error of T_N by
 the convergence factor; the second term is a floor for the rounding
 error of integrand values accurate to a few ulps and of the sum.
 
-`quadrature` runs this ladder for any integrand; the package runs it for
-the EXACT_PRODUCT oracle only, and does not re-export it: it is
+`quadrature` runs this ladder for any integrand of numpy arrays, and
+imports numpy when it runs; the package runs it for the EXACT_PRODUCT
+oracle and the constant n = 1 only, and does not re-export it: it is
 `cyclecollide.quadrature.quadrature`.  The circle routes (I_n and the
 Gamma-ratio identity) know an analytic bound on their integrand instead:
-`analytic` evaluates them in one batch of N + 1 nodes, N from the
-Trefethen-Weideman strip bound, and reports that bound plus the same
-floor, whose sum|f| there is the rule's exactly rounded sum (f >= 0),
-plus a bound on the nodes too small to reach that sum, which it leaves
-out.
+`analytic` evaluates them in one batch of N + 1 nodes in Python floats,
+N from the Trefethen-Weideman strip bound, and reports that bound plus
+the same floor, whose sum|f| there is the rule's exactly rounded sum
+(f >= 0), plus a bound on the nodes too small to reach that sum, which
+it leaves out.  This module loads no numpy on import, so those routes
+never do.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def _finite(value) -> bool:
@@ -89,7 +93,7 @@ class QuadratureConvergenceError(RuntimeError):
 
 _START_INTERVALS = 8
 _MAX_NODES = 2**16 + 1
-_FLOOR = 64.0 * float(np.finfo(np.float64).eps)
+_FLOOR = 64.0 * sys.float_info.epsilon
 
 
 def _values(
@@ -98,6 +102,8 @@ def _values(
     # The integrand values y = f(x) as a float64 array, and acc + sum|y|:
     # a finite sum means every value is finite, so one float is tested per
     # batch.
+    import numpy as np
+
     y = np.asarray(y, dtype=np.float64)
     if y.shape != x.shape:
         raise ValueError(
@@ -131,6 +137,8 @@ def quadrature(
     raised if f is not finite at a node, or if sum|f| over the nodes
     overflows, which would make the floor infinite.
     """
+    import numpy as np
+
     if not a < b:
         raise ValueError(f"need a < b, got [{a}, {b}]")
 

@@ -1,5 +1,9 @@
 import hashlib
 import math
+import operator
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 import tracemalloc
 from fractions import Fraction
 
@@ -185,9 +189,9 @@ def test_integrand_vectorized_shape():
 
 
 def test_integrand_memory_is_bounded_per_block():
-    # Large arrays are evaluated in blocks: the transient tables (about
-    # 1.3 kB a node) never exist for the whole array, and the values are
-    # those of each block on its own.
+    # Each angle is evaluated alone: no per-angle table exists for the
+    # whole array, only the angles and the values, and the values are
+    # those of any part of the array on its own.
     theta = np.linspace(0.0, math.pi, 2**16 + 3)
     for kind in (IntegrandKind.GAMMA_RATIO, IntegrandKind.LIMIT_KERNEL):
         tracemalloc.start()
@@ -210,10 +214,12 @@ def test_integrand_domain_errors():
         integrand(IntegrandKind.GAMMA_RATIO, 2.5, 1.0)
     with pytest.raises(ValueError):
         integrand(IntegrandKind.LIMIT_KERNEL, 1.0, 1.0)
+    bad = (math.nan, [0.5, math.nan], "1", b"1", [0.5, "2"], np.array(["0.5"]), 1 + 0j,
+           np.array([0.5 + 0j]), np.complex64(1))
     for kind in IntegrandKind:
-        for theta in (math.nan, [0.5, math.nan]):
+        for theta in bad:
             with pytest.raises(ValueError, match="theta"):
-                integrand(kind, 1000, theta)
+                integrand(kind, 10, theta)
 
 
 @pytest.mark.parametrize(
@@ -222,15 +228,18 @@ def test_integrand_domain_errors():
         (IntegrandKind.LIMIT_KERNEL, 3),
         (IntegrandKind.LIMIT_KERNEL, 1000),
         (IntegrandKind.LIMIT_KERNEL, 1e20),
+        (IntegrandKind.EXACT_PRODUCT, 3),
+        (IntegrandKind.EXACT_PRODUCT, 1000),
+        (IntegrandKind.GAMMA_RATIO, 2),
+        (IntegrandKind.GAMMA_RATIO, 3),
         (IntegrandKind.GAMMA_RATIO, 1000),
         (IntegrandKind.GAMMA_RATIO, 10**9),
         (IntegrandKind.GAMMA_RATIO, 10**20),
     ],
 )
 def test_integrand_scalar_equals_array(kind, n):
-    # A lone angle is evaluated as a block of two, so it rounds as the same
-    # angle inside an array (GAMMA_RATIO at n = 3 does not: see integrand).
-    # At n = 1e9, K(n) = 2: the series product has one term.
+    # Each angle is evaluated alone, so it rounds as the same angle inside
+    # an array at every n, also where K(n) is 54 (n = 2) and 35 (n = 3).
     theta = np.random.default_rng(11).uniform(0.0, 2 * math.pi, 600)
     want = integrand(kind, n, theta)
     alone = [integrand(kind, n, float(t)) for t in theta]
@@ -377,12 +386,12 @@ def test_p_quadrature_rejects_limit_kernel():
 # (value.hex(), abs_error_estimate.hex(), evaluations) of p_quadrature_result
 # (auto, which is GAMMA_RATIO) and of I_n.  Every entry comes from the
 # strip-bound node count; from n = 2^60 on GAMMA_RATIO is the kernel.  The
-# elementary functions come from numpy, so another numpy build or CPU may
-# differ in the last bits.
+# elementary functions come from the C library through `math`, so another
+# libm may differ in the last bits; numpy does not enter these routes.
 PINNED = [
     (1025, 1e-10,
      ("0x1.e098eeae61a1ep-4", "0x1.13f9bd344d932p-47", 33),
-     ("0x1.7980f398d6facp-1", "0x1.b06a722030f0dp-45", 33)),
+     ("0x1.7980f398d6fadp-1", "0x1.b06a722030f0dp-45", 33)),
     (10**6, 1e-10,
      ("0x1.44fe4740e374cp-4", "0x1.71df725f5203cp-43", 33),
      ("0x1.fe7f8eb46a438p-2", "0x1.227f1a135919ap-40", 33)),
@@ -397,7 +406,7 @@ PINNED = [
      ("0x1.0fef96168e8b1p-4", "0x1.7f2ab2fbc559ap-43", 161)),
     (1025, 1e-12,
      ("0x1.e098eeae61a1ep-4", "0x1.13f9bd344d932p-47", 33),
-     ("0x1.7980f398d6facp-1", "0x1.b06a722030f0dp-45", 33)),
+     ("0x1.7980f398d6fadp-1", "0x1.b06a722030f0dp-45", 33)),
     (10**6, 1e-12,
      ("0x1.44fe4740e374bp-4", "0x1.45e0f1d18c434p-50", 41),
      ("0x1.fe7f8eb46a438p-2", "0x1.ffe39a5155dbap-48", 41)),
@@ -405,8 +414,8 @@ PINNED = [
      ("0x1.6b91780704792p-5", "0x1.8065de28579e0p-51", 49),
      ("0x1.1d8bbb43aca2dp-2", "0x1.2de7c9afe2f79p-48", 49)),
     (10**100, 1e-12,
-     ("0x1.31601728a7393p-6", "0x1.97772a7c7cb02p-50", 97),
-     ("0x1.dfaeb73b021eap-4", "0x1.4005cc54c3f59p-47", 97)),
+     ("0x1.31601728a7394p-6", "0x1.97772a7c7cb02p-50", 97),
+     ("0x1.dfaeb73b021ebp-4", "0x1.4005cc54c3f59p-47", 97)),
     (2**1030, 1e-12,
      ("0x1.5a3d5140100fep-7", "0x1.7d0915d7c22d7p-51", 169),
      ("0x1.0fef96168e8afp-4", "0x1.2b43bb19bd2dbp-48", 169)),
@@ -434,8 +443,11 @@ def test_quadrature_bits_pinned(n, rel_tol, want_p, want_i):
 # K(n) terms, with the d_1 term taken with the kernel's; I_n, EXACT_PRODUCT
 # and every result from n = 2^60 on kept their bits through that change,
 # GAMMA_RATIO values below 2^60 moved by at most 2 ulps and estimates by at
-# most 2.2e-8 relative (n = 3), and no node count moved.
-QUADRATURE_DIGEST = "4b6fbd6d249025b16638283ac080c00a3786952cda2ed07cac6f9cc17a609eca"
+# most 2.2e-8 relative (n = 3), and no node count moved.  Re-pinned when
+# the circle batch moved from numpy to Python floats (`math`): values moved
+# by at most 4.9e-16 relative and estimates by 3.9e-16, and no node count
+# moved; EXACT_PRODUCT kept its bits.
+QUADRATURE_DIGEST = "b3da3b4f19fb482d823335680a099da3a5ca94ed6db40b7af8ef88e481a35f65"
 
 
 def test_quadrature_digest_pinned():
@@ -632,12 +644,6 @@ def _brute_force_strip_choice(n, log_n2, config, delta):
     guess = 0.5 * analytic.laplace_I(n)
     target = 0.5 * max(config.abs_tol, (config.rel_tol + analytic._FLOOR) * guess)
     shift = math.log(2.0 / target)
-    rows, signed_rows = analytic._strip_table()
-    if delta is None:
-        extra = [0.0] * len(rows)
-    else:
-        # The d_k term over the kept columns, rounded as the walk rounds it.
-        extra = (signed_rows[:, : len(delta)] @ delta).tolist()
     need, half_inv_a, log_m, log_w = min(
         (
             (shift + log_m0 + log_n2 * cosh_m1 + e) * half_inv_a,
@@ -645,7 +651,9 @@ def _brute_force_strip_choice(n, log_n2, config, delta):
             log_m0 + log_n2 * cosh_m1 + e,
             log_m0 + e,
         )
-        for (half_inv_a, cosh_m1, log_m0), e in zip(rows, extra)
+        for half_inv_a, cosh_m1, log_m0, signed in analytic._strip_table()
+        # The d_k term over the kept columns, rounded as the walk rounds it.
+        for e in [0.0 if delta is None else math.fsum(map(operator.mul, signed, delta))]
     )
     intervals = min(max(8, 8 * math.ceil(need / 8)), analytic._MAX_NODES - 1)
     return intervals, half_inv_a, log_m, log_w
@@ -679,8 +687,8 @@ def test_strip_walk_breaks_ties_towards_the_wider_width(monkeypatch, needs):
     # With abs_tol 4 the shift log(2 / target) is exactly 0, and with
     # log n^2 = 0 each need is log_m0 / 2a: exact here, so ties are real.
     config = QuadratureConfig(rel_tol=1e-10, abs_tol=4.0)
-    rows = tuple((2.0**k, 0.0, need / 2.0**k) for k, need in enumerate(needs))
-    monkeypatch.setattr(analytic, "_strip_table", lambda: (rows, None))
+    rows = tuple((2.0**k, 0.0, need / 2.0**k, ()) for k, need in enumerate(needs))
+    monkeypatch.setattr(analytic, "_strip_table", lambda: rows)
     got = analytic._strip_choice(2, 0.0, config, None)
     assert got == _brute_force_strip_choice(2, 0.0, config, None)
     assert got[1] == rows[needs.index(min(needs))][0]
@@ -704,28 +712,9 @@ def test_kernel_node_count_doubles_until_the_bound_holds(monkeypatch):
     assert abs(res.value - want.value) <= res.abs_error_estimate + want.abs_error_estimate
 
 
-def _full_batch_reference(n, kind, config, scale):
-    # scale * the batch as it was before it skipped any node: every one of
-    # the N + 1 nodes, and of each doubling's midpoints, evaluated by the
-    # public integrand and summed by fsum.  Every value is >= 0, so that
-    # sum is also the sum|f| of the floor.
-    log_n2 = 2.0 * math.log(n)
-    delta = analytic._series_coeffs(n) if kind is IntegrandKind.GAMMA_RATIO else None
-    intervals, half_inv_a, log_m, _ = analytic._strip_choice(n, log_n2, config, delta)
-    y = integrand(kind, n, analytic._nodes(intervals))
-    assert (y >= 0.0).all()
-    total = math.fsum([0.5 * y[0], *y[1:-1], 0.5 * y[-1]])
-    while True:
-        h = math.pi / intervals
-        value = h * total
-        strip = math.exp(log_m - intervals / half_inv_a) / -math.expm1(-intervals / half_inv_a)
-        error = strip + analytic._FLOOR * h * total
-        if error <= max(config.abs_tol, config.rel_tol * abs(value)):
-            return value * scale, error * scale, intervals + 1
-        intervals *= 2
-        y = integrand(kind, n, analytic._nodes(intervals)[1::2])
-        assert (y >= 0.0).all()
-        total += math.fsum(y)
+def _nodes(intervals):
+    # The N + 1 nodes pi j / N of the rule on [0, pi].
+    return np.linspace(0.0, math.pi, intervals + 1)
 
 
 # The first n with a node past the head: 1 - cos(pi) = 2 reaches
@@ -740,8 +729,9 @@ _HEAD_EDGE = math.exp(186.5)
 def test_kernel_batch_skips_only_negligible_nodes_and_keeps_the_bits(monkeypatch, doubling):
     # Every node a batch leaves out of its head is at most
     # e^(L_w - log 2 pi - C) in the public integrand, and the batch gives
-    # the bits of the sums over every node.  With `doubling` the guess of
-    # the integral is far too high, so every route runs doubling batches
+    # the bits of the same batches over every node (C = inf), which leave
+    # no node out.  With `doubling` the guess of the integral is far too
+    # high, so every route runs doubling batches
     # (test_kernel_node_count_doubles_...).
     ints = _log_spaced_ints(1, 1030, 300)
     ints += [int(_HEAD_EDGE * 2.0**k) for k in (-1.0, -0.3, -1e-3, 1e-3, 0.3, 1.0)]
@@ -754,36 +744,41 @@ def test_kernel_batch_skips_only_negligible_nodes_and_keeps_the_bits(monkeypatch
     reals += [math.nextafter(_CUT_EDGE, 0.0), _CUT_EDGE, math.nextafter(_CUT_EDGE, math.inf)]
     if doubling:
         monkeypatch.setattr(analytic, "laplace_I", lambda n: 1e6)
-    tables, heads = [], []
-    real_table, real_values = analytic._node_table, analytic._circle_values
-    monkeypatch.setattr(analytic, "_node_table", lambda m: tables.append(m) or real_table(m))
+    # (N, odd, nodes left out) of every batch: the nodes of the table on N
+    # intervals, or with `odd` its midpoints, past the head.
+    batches = []
+    real_batch = analytic._batch_sum
 
-    def values(log_n2, delta, one_m_cos, *rest, **kwargs):
-        heads.append(one_m_cos.size)
-        return real_values(log_n2, delta, one_m_cos, *rest, **kwargs)
+    def batch(psi2, delta, table, log_n2, odd=False):
+        total, left_out = real_batch(psi2, delta, table, log_n2, odd)
+        batches.append(((len(table[0]) - 1) // 54, odd, left_out))
+        return total, left_out
 
-    monkeypatch.setattr(analytic, "_circle_values", values)
+    monkeypatch.setattr(analytic, "_batch_sum", batch)
     gamma, kernel = IntegrandKind.GAMMA_RATIO, IntegrandKind.LIMIT_KERNEL
-    cases = [(n, kernel, I_n, 2.0) for n in ints + reals]
-    cases += [(n, gamma, p_quadrature_result, 1.0 / math.pi) for n in ints]
+    cases = [(n, kernel, I_n) for n in ints + reals]
+    cases += [(n, gamma, p_quadrature_result) for n in ints]
     skipped = 0
     for rel_tol in (1e-10, 1e-12):
         config = QuadratureConfig(rel_tol=rel_tol)
-        for n, kind, route, scale in cases:
-            tables.clear()
-            heads.clear()
+        for n, kind, route in cases:
+            batches.clear()
             res = route(n, config=config)
-            assert len(heads) == len(tables) >= 1 + doubling, n
+            assert len(batches) >= 1 + doubling, n
             delta = analytic._series_coeffs(n) if kind is gamma else None
             log_w = analytic._strip_choice(n, 2.0 * math.log(n), config, delta)[3]
             past_max = math.exp(log_w - math.log(2.0 * math.pi) - analytic._HEAD_CUT)
-            for k, (intervals, head) in enumerate(zip(tables, heads)):
-                nodes = analytic._nodes(intervals)[1::2] if k else analytic._nodes(intervals)
-                past = integrand(kind, n, nodes[head:])
+            for intervals, odd, left_out in batches:
+                nodes = _nodes(intervals)[1::2] if odd else _nodes(intervals)
+                past = integrand(kind, n, nodes[nodes.size - left_out :])
                 assert (past <= past_max).all(), (n, intervals)
-                skipped += past.size
-            want = _full_batch_reference(n, kind, config, scale)
-            assert (res.value, res.abs_error_estimate, res.evaluations) == want, (n, rel_tol)
+                skipped += left_out
+            batches.clear()
+            with monkeypatch.context() as every_node:
+                every_node.setattr(analytic, "_HEAD_CUT", math.inf)
+                want = route(n, config=config)
+            assert [left_out for _, _, left_out in batches] == [0] * len(batches)
+            assert _bits(res) == _bits(want), (n, rel_tol)
     assert skipped > 0
 
 
@@ -794,11 +789,10 @@ def test_head_cut_is_deep_enough_to_keep_the_bits():
     # times that is below half an ulp of the floor 64 eps h sum f: adding
     # it never moves the estimate, and the mass left out is below 2^-100
     # of the sum.
-    rows, signed_rows = analytic._strip_table()
+    rows = analytic._strip_table()
     delta = analytic._series_coeffs(2)
-    extra = (signed_rows @ delta).tolist()
-    log_ws = [log_m0 for _, _, log_m0 in rows]
-    log_ws += [log_m0 + e for (_, _, log_m0), e in zip(rows, extra)]
+    log_ws = [log_m0 for _, _, log_m0, _ in rows]
+    log_ws += [log_m0 + math.fsum(map(operator.mul, signed, delta)) for _, _, log_m0, signed in rows]
     assert len(log_ws) == 2 * len(analytic._STRIP_WIDTHS)
     for log_w in log_ws:
         past_max = math.exp(log_w - math.log(2.0 * math.pi) - analytic._HEAD_CUT)
@@ -858,13 +852,13 @@ def test_kernel_batch_rejects_a_value_that_is_not_finite(monkeypatch, bad, doubl
     tables = []
 
     def table(intervals):
-        one_m_cos, w, rows = real_table(intervals)
+        cos_m1, cosines, nodes = real_table(intervals)
         tables.append(intervals)
         if doubling and len(tables) == 1:
-            return one_m_cos, w, rows
-        w = w.copy()
-        w[1] = bad
-        return one_m_cos, w, rows
+            return cos_m1, cosines, nodes
+        nodes = [(cos_m1[j], analytic._node_weight(cosines, j)) for j in range(intervals + 1)]
+        nodes[1] = (cos_m1[1], bad)
+        return cos_m1, cosines, nodes
 
     monkeypatch.setattr(analytic, "_node_table", table)
     if doubling:
@@ -894,19 +888,24 @@ def test_kernel_estimate_holds_the_rounding_floor():
 
 
 def test_kernel_table_rejects_a_weight_that_is_not_finite(monkeypatch):
-    real_table = analytic._circle_table
-
-    def table(theta):
-        one_m_cos, w, rows = real_table(theta)
-        w[len(w) // 2] = math.nan
-        return one_m_cos, w, rows
-
-    monkeypatch.setattr(analytic, "_circle_table", table)
+    # A node's weight is computed when a batch's head first reaches it, and
+    # one that is not finite raises before the batch stores any: a cached
+    # table never holds one, and serves the next batch.
+    real_weight = analytic._node_weight
+    monkeypatch.setattr(
+        analytic, "_node_weight", lambda cosines, j: math.nan if j == 4 else real_weight(cosines, j)
+    )
     analytic._cached_node_table.cache_clear()
     for intervals in (8, analytic._TABLE_MAX_INTERVALS + 8):
+        table = analytic._node_table(intervals)
+        # log n^2 = 1: every node is in the head.
         with pytest.raises(ValueError, match="not finite"):
-            analytic._node_table(intervals)
-    assert analytic._cached_node_table.cache_info().currsize == 0
+            analytic._batch_sum(1.0, None, table, 1.0)
+        assert table[2] == []
+    assert analytic._cached_node_table.cache_info().currsize == 1
+    monkeypatch.undo()
+    total, left_out = analytic._batch_sum(1.0, None, analytic._node_table(8), 1.0)
+    assert math.isfinite(total) and left_out == 0
 
 
 def test_kernel_convergence_errors_carry_the_best_estimate(monkeypatch):
@@ -924,32 +923,80 @@ def test_kernel_convergence_errors_carry_the_best_estimate(monkeypatch):
 
 
 # The cache's worst case, as the analytic docstring and the README state
-# it: the 32 tables of N = 8, 16, ..., 256 intervals, at 448 bytes a node
-# (1 - cos theta, the weight and 54 rows).
-_TABLE_CACHE_MAX_BYTES = 448 * sum(n + 1 for n in range(8, 257, 8))
+# it: the 32 tables of N = 8, 16, ..., 256 intervals, each two tuples of
+# 54 N + 1 slots (8 bytes a slot, 40 a tuple), 3 (N + 1) floats of 24
+# bytes (the values at m = 0..N of both tuples, and the weights), N + 1
+# pairs (cos theta - 1, weight) of 56 bytes, and their list (56 bytes,
+# and at most 9 (N + 1) / 8 + 6 slots of 8 bytes, as appends
+# over-allocate): 1001 N + 337 bytes a table.
+_TABLE_CACHE_MAX_BYTES = sum(1001 * n + 337 for n in range(8, 257, 8))
+
+
+def _table_bytes(table):
+    # The bytes of a table's tuples, list, pairs and distinct floats.
+    parts = {id(x): x for part in table for x in part}
+    parts.update({id(x): x for pair in table[2] for x in pair})
+    return sum(map(sys.getsizeof, table)) + sum(map(sys.getsizeof, parts.values()))
 
 
 def test_kernel_table_cache_stays_bounded():
-    assert _TABLE_CACHE_MAX_BYTES <= 1.95e6
+    assert _TABLE_CACHE_MAX_BYTES <= 4.3e6
     cached = analytic._cached_node_table
     cached.cache_clear()
     sizes = range(8, analytic._TABLE_MAX_INTERVALS + 1, 8)
+    weight = 0
     for intervals in sizes:
-        one_m_cos, w, rows = analytic._node_table(intervals)
-        assert one_m_cos.shape == w.shape == (intervals + 1,)
-        assert rows.shape == (intervals + 1, 54)
-        for array in (one_m_cos, w, rows):
-            with pytest.raises(ValueError):
-                array[0] = 1.0
+        table = analytic._node_table(intervals)
+        cos_m1, cosines, nodes = table
+        assert len(cos_m1) == len(cosines) == 54 * intervals + 1
+        for part in (cos_m1, cosines):
+            with pytest.raises(TypeError):
+                part[0] = 1.0
+        # log n^2 = 1: every node is in the head, so every weight is built.
+        analytic._batch_sum(1.0, None, table, 1.0)
+        assert [c for c, _ in nodes] == list(cos_m1[: intervals + 1])
+        weight += _table_bytes(table)
     info = cached.cache_info()
     assert info.currsize == info.maxsize == analytic._TABLE_ENTRIES == len(sizes)
     big = analytic._TABLE_MAX_INTERVALS + 8
-    assert analytic._node_table(big)[2].shape == (big + 1, 54)
+    assert len(analytic._node_table(big)[0]) == 54 * big + 1
     assert cached.cache_info() == info  # neither looked up nor stored
-    weight = sum(a.nbytes for m in sizes for a in analytic._node_table(m))
+    for intervals in sizes:
+        analytic._node_table(intervals)
     assert cached.cache_info().currsize == analytic._TABLE_ENTRIES
     assert cached.cache_info().misses == info.misses  # every table was cached
     assert weight <= _TABLE_CACHE_MAX_BYTES
+
+
+def test_threads_share_the_node_tables():
+    # Four threads start batches together on empty tables, which they
+    # extend at once, with heads of different lengths (n past 1.07e13
+    # leaves nodes out): every result keeps its serial bits, and every
+    # table its nodes in order.
+    ns = [2**44, 2**46, 2**50, 2**56, 2**58, 10**6, 2**40, 3]
+    routes = (I_n, p_quadrature_result)
+    want = [_bits(route(n)) for n in ns for route in routes]
+    barrier = threading.Barrier(4)
+
+    def run(shift):
+        barrier.wait(timeout=60)
+        return [_bits(route(n)) for n in ns[shift:] + ns[:shift] for route in routes]
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            for _ in range(40):
+                analytic._cached_node_table.cache_clear()
+                futures = [pool.submit(run, shift) for shift in range(4)]
+                for shift, future in enumerate(futures):
+                    got = future.result(timeout=120)
+                    assert got == want[2 * shift :] + want[: 2 * shift]
+                for intervals in range(8, analytic._TABLE_MAX_INTERVALS + 1, 8):
+                    cos_m1, _, nodes = analytic._node_table(intervals)
+                    assert [c for c, _ in nodes] == list(cos_m1[: len(nodes)])
+    finally:
+        sys.setswitchinterval(switch)
 
 
 # ------------------------------------------------------------- I_n

@@ -29,6 +29,7 @@ from cyclecollide import (
     p_asymptotic,
     p_exact,
     p_quadrature_result,
+    recip_gamma_abs_sq,
     sample_cycle_counts,
     stirling_row,
     stirling_rows,
@@ -182,6 +183,8 @@ def test_entry_points_follow_their_contract(value):
 # Arguments that no contract reads, each once a TypeError or, for `quad`, an
 # AttributeError in run_report: a tolerance, z of weierstrass_partial, the
 # sequences of n and of methods, and the quadrature config of a report.
+# An angle theta that is text was parsed as a number, and a complex one
+# was a TypeError.
 OUTSIDE_CONTRACTS = [
     ("rel_tol-text", lambda: QuadratureConfig(rel_tol="x"), "rel_tol must be finite"),
     ("rel_tol-None", lambda: QuadratureConfig(rel_tol=None), "rel_tol must be finite"),
@@ -194,6 +197,11 @@ OUTSIDE_CONTRACTS = [
     ("methods-unhashable", lambda: ReportConfig((5,), [["exact"]]), "methods must be a nonempty"),
     ("methods-unhashable-item", lambda: ReportConfig((5,), ["exact", {}]), "unknown methods"),
     ("quad-None", lambda: ReportConfig((5,), ("quadrature",), quad=None), "quad must be a Quad"),
+    ("integrand-theta-text", lambda: integrand(GR, 10, "1"), "theta must be"),
+    ("integrand-theta-text-item", lambda: integrand(LK, 10, [0.5, "2"]), "theta must be"),
+    ("integrand-theta-complex", lambda: integrand(EP, 10, 1 + 0j), "theta must be"),
+    ("recip_gamma_abs_sq-theta-text", lambda: recip_gamma_abs_sq(np.array(["0.5"])), "theta must be"),
+    ("recip_gamma_abs_sq-theta-complex", lambda: recip_gamma_abs_sq(1 + 0j), "theta must be"),
 ]
 
 

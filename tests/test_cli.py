@@ -257,9 +257,11 @@ def test_table_deterministic_bytes(capsys):
     assert "" != out1
 
 
+# The quadrature and eq2 columns come from `math` (libm), the montecarlo
+# column from numpy's generators.
 _TABLE_SHA256 = {
-    "csv": "851f7999988487784b2bd8c409034173e8229a81c44de6bcd53ba855cdc4f323",
-    "json": "da492dc7e6dd3ff542e5d97491016e420b7a03d9e606ab39366698c25a5c275f",
+    "csv": "332a3a81bda285fff1d2621de6cbab82e125387bee81cb97ec7f7d2322b35d87",
+    "json": "35dff7718c7797563802fcd4bc2f149c56d0dc98957e337b1ed76f8df629646e",
 }
 
 
@@ -367,10 +369,31 @@ def test_sampler_choices_are_the_sampler_kinds():
             ("collide", "--n", "10", "--method", "asymptotic"),
             "p = 0.1859033533216066\n",
         ),
+        (
+            ("collide", "--n", "10", "--method", "quadrature"),
+            "p = 0.24005636572585648\nerror estimate = 4.337e-15\nevaluations = 33\n",
+        ),
+        (
+            ("collide", "--n", "10", "--method", "eq2"),
+            "p = 0.24864367868641352\nkernel integral = 1.5622743086455555\n",
+        ),
+        (
+            ("table", "--n", "5,10", "--methods", "exact,quadrature,eq2,asymptotic"),
+            "n,p_exact,p_quadrature,quad_error_estimate,p_eq2,p_asymptotic,"
+            "ratio_to_asymptotic,mc_p_hat,mc_std_err\n"
+            "5,0.30569444444444444444,0.3056944444444446,5.3721817949240683e-15,"
+            "0.33463012803344688,0.22236065990957299,1.3747685609889837,,\n"
+            "10,0.24005636572585638622,0.24005636572585648,4.3374686678542132e-15,"
+            "0.24864367868641352,0.1859033533216066,1.2912965873755213,,\n",
+        ),
     ],
-    ids=["exact-row", "collide-exact", "collide-asymptotic"],
+    ids=["exact-row", "collide-exact", "collide-asymptotic", "collide-quadrature",
+         "collide-eq2", "table-without-montecarlo"],
 )
-def test_closed_form_commands_do_not_load_numpy(argv, want):
+def test_commands_without_sampler_or_ladder_do_not_load_numpy(argv, want):
+    # Every command but the montecarlo method, a table with a montecarlo
+    # column and verify.  The quadrature commands at n = 1, where p is the
+    # constant 1 and runs the halving ladder, may load numpy too.
     # -X importtime names every module the process imports on stderr.
     proc = subprocess.run(
         [sys.executable, "-X", "importtime", "-m", "cyclecollide", *argv],
@@ -378,13 +401,15 @@ def test_closed_form_commands_do_not_load_numpy(argv, want):
     )
     assert (proc.returncode, proc.stdout) == (0, want)
     imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]
-    route = "cyclecollide.exact" if "exact" in argv else "cyclecollide.asymptotic"
+    routes = {"exact": "cyclecollide.exact", "asymptotic": "cyclecollide.asymptotic",
+              "quadrature": "cyclecollide.analytic", "eq2": "cyclecollide.analytic"}
+    route = routes[argv[-1] if argv[0] == "collide" else "exact"]
     assert route in imported
     assert not [name for name in imported if name.split(".")[0] == "numpy"]
     # p(n) is the quotient of two ints, with no Fraction on the way, and
-    # only the exact route's handlers import that route.
+    # only the handlers that need the exact route import it.
     assert "fractions" not in imported
-    assert ("cyclecollide.exact" in imported) == (route == "cyclecollide.exact")
+    assert ("cyclecollide.exact" in imported) == ("exact" in argv or argv[0] == "table")
 
 
 def test_table_without_montecarlo_does_not_load_the_sampler():

@@ -54,12 +54,13 @@ def test_zeta_table_matches_mpmath():
 
 
 def test_circle_series_matches_loggamma():
-    # Re log Gamma(2 + z) = sum_k a_k Re z^k, from the rows Re z^k - 1.
-    thetas = np.linspace(0.0, 2 * math.pi, 257)
+    # Re log Gamma(2 + z) = sum_k a_k cos(k theta), summed as the weight
+    # sums it: math.fsum of a_k times math.cos(k theta).
+    thetas = np.linspace(0.0, 2 * math.pi, 257).tolist()
     coeffs = gammafn._CIRCLE_COEFFS
-    got = gammafn._circle_table(thetas)[2] @ coeffs + coeffs.sum()
+    got = [math.fsum(a * math.cos(k * t) for k, a in enumerate(coeffs, start=1)) for t in thetas]
     want = [float(mpmath.re(mpmath.loggamma(2 + mpmath.expj(mpmath.mpf(t))))) for t in thetas]
-    assert np.max(np.abs(got - want)) <= 1e-15
+    assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-15
 
 
 def test_circle_integrands_avoid_general_log_gamma(monkeypatch):
@@ -145,15 +146,17 @@ def test_recip_gamma_closed_forms(theta, want):
 
 def test_recip_gamma_is_nonnegative_on_every_kernel_table():
     # The circle batches rely on f >= 0: the weight is their only factor
-    # that is not an exp.
+    # that is not an exp.  Every node's weight, as a batch computes it.
     for intervals in range(8, 4097, 8):
-        assert analytic._node_table(intervals)[1].min() >= 0.0, intervals
+        cosines = analytic._node_table(intervals)[1]
+        weights = [analytic._node_weight(cosines, j) for j in range(intervals + 1)]
+        assert min(weights) >= 0.0, intervals
 
 
 def test_recip_gamma_memory_is_bounded_per_block():
-    # Large arrays are evaluated in blocks of 2^12 angles: the power table
-    # and its rows (1.3 kB an angle) never exist for the whole array, and
-    # the bytes are those of one unblocked evaluation.
+    # Each angle is evaluated alone: no per-angle table exists for the
+    # whole array, only the angles and the values, and the bytes are those
+    # of each angle on its own.
     theta = np.linspace(0.0, 2 * math.pi, 2**17 + 3)
     tracemalloc.start()
     try:
@@ -163,9 +166,9 @@ def test_recip_gamma_memory_is_bounded_per_block():
         tracemalloc.stop()
     assert peak <= 100 * theta.size
     t = theta[: 2**13 + 1]
-    whole = gammafn._circle_table(t)[1]
-    assert recip_gamma_abs_sq(t).tobytes() == whole.tobytes()
-    assert got[: t.size].tobytes() == whole.tobytes()
+    alone = np.array([recip_gamma_abs_sq(x) for x in t.tolist()])
+    assert recip_gamma_abs_sq(t).tobytes() == alone.tobytes()
+    assert got[: t.size].tobytes() == alone.tobytes()
 
 
 def test_recip_gamma_nonnegative_and_accurate():
@@ -196,14 +199,15 @@ def test_recip_gamma_theta_domain():
         recip_gamma_abs_sq(-0.1)
     with pytest.raises(ValueError):
         recip_gamma_abs_sq(2 * math.pi + 0.1)
-    for theta in (math.nan, np.array([0.5, math.nan]), np.array([[math.nan]])):
+    for theta in (math.nan, np.array([0.5, math.nan]), np.array([[math.nan]]), "0.5",
+                  np.array(["0.5"]), [0.5, b"1"], 1 + 0j, np.array([1 + 0j])):
         with pytest.raises(ValueError, match="theta"):
             recip_gamma_abs_sq(theta)
 
 
 def test_recip_gamma_scalar_equals_array():
-    # A lone angle is evaluated as a block of two: numpy would take a
-    # one-row product as a dot product, which rounds differently.
+    # Each angle is evaluated alone, so a lone angle has its bits inside
+    # an array.
     theta = np.random.default_rng(7).uniform(0.0, 2 * math.pi, 600)
     want = recip_gamma_abs_sq(theta)
     alone = [recip_gamma_abs_sq(float(t)) for t in theta]
