@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Sample cycle counts two ways and compare against the exact law.
 
-The direct sampler shuffles and counts cycles; the Bernoulli sampler uses
-the classical representation of the cycle count as 1 + a sum of
-independent Bernoulli(1/j) indicators.  Both histograms should sit on the
+The direct sampler counts the left-to-right minima of n random keys,
+which Foata's bijection makes the cycle count of a uniform permutation;
+the Bernoulli sampler uses the classical representation of the cycle
+count as 1 + a sum of independent Bernoulli(1/j) indicators.  Both histograms should sit on the
 exact distribution c(n,k)/n!, and the paired collision estimate should
 land within a few standard errors of the exact p(n).
 """

@@ -10,8 +10,9 @@ Each handler imports the route modules it uses, so `exact` and
 `collide --method exact` run without importing numpy, and `collide` by
 any other method without importing the exact route.
 
-Exit codes: 0 success, 1 computation/validation failure, 2 usage error,
-130 interrupted (SIGINT).
+Exit codes: 0 success, 1 computation/validation failure (or a command
+that needs numpy run without it), 2 usage error, 130 interrupted
+(SIGINT).
 """
 
 from __future__ import annotations
@@ -247,6 +248,16 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.flush()
     except _failures() as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except ModuleNotFoundError as exc:
+        # The samplers, verify and the ladder need numpy; the rest of the
+        # CLI runs without it.  Any other missing module is a bug.
+        if exc.name != "numpy":
+            raise
+        what = args.command
+        if what == "collide":
+            what += f" --method {args.method}"
+        print(f"error: {what} needs numpy", file=sys.stderr)
         return 1
     except BrokenPipeError:
         # The reader went away (e.g. `| head`).  Point stdout at devnull

@@ -31,11 +31,11 @@ def count_cycles(perm: tuple[int, ...]) -> int:
 
 
 def count_records(perm: tuple[int, ...]) -> int:
-    """Left-to-right minima of a sequence: the entries below every entry
-    before them."""
+    """Left-to-right minima of a sequence: the entries at or below every
+    entry before them (a tie with the running minimum counts again)."""
     records, low = 0, math.inf
     for x in perm:
-        if x < low:
+        if x <= low:
             records, low = records + 1, x
     return records
 

@@ -190,9 +190,11 @@ def test_integrand_vectorized_shape():
 
 def test_integrand_memory_is_bounded_per_block():
     # Each angle is evaluated alone: no per-angle table exists for the
-    # whole array, only the angles and the values, and the values are
-    # those of any part of the array on its own.
-    theta = np.linspace(0.0, math.pi, 2**16 + 3)
+    # whole array, only the angles and the values (about 40 bytes an
+    # angle), and the values are those of any part of the array on its
+    # own.  2^12 + 3 angles put the fixed cost near 1 byte an angle and
+    # leave a short second part.
+    theta = np.linspace(0.0, math.pi, 2**12 + 3)
     for kind in (IntegrandKind.GAMMA_RATIO, IntegrandKind.LIMIT_KERNEL):
         tracemalloc.start()
         got = integrand(kind, 1000, theta)

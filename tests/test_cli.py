@@ -412,6 +412,50 @@ def test_commands_without_sampler_or_ladder_do_not_load_numpy(argv, want):
     assert ("cyclecollide.exact" in imported) == ("exact" in argv or argv[0] == "table")
 
 
+# Runs the CLI in a child in which `import numpy` fails.
+_WITHOUT_NUMPY = (
+    "import sys; sys.modules['numpy'] = None; "
+    "from cyclecollide.cli import main; sys.exit(main(sys.argv[1:]))"
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("collide", "--n", "10", "--method", "montecarlo", "--pairs", "100"),
+        ("verify",),
+        ("collide", "--n", "1", "--method", "quadrature"),
+    ],
+    ids=["collide-montecarlo", "verify", "collide-quadrature-n1"],
+)
+def test_a_missing_numpy_is_an_error_line(argv):
+    proc = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_NUMPY, *argv], capture_output=True, text=True
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and "numpy" in errors[0]
+
+
+def test_a_numpy_free_command_runs_without_numpy():
+    proc = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_NUMPY, "collide", "--n", "10", "--method", "quadrature"],
+        capture_output=True, text=True,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("p = 0.24005636572585648\n")
+
+
+def test_another_missing_module_still_raises(monkeypatch):
+    def missing(args):
+        raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
+
+    monkeypatch.setattr(cli, "_cmd_verify", missing)
+    with pytest.raises(ModuleNotFoundError):
+        main(["verify"])
+
+
 def test_table_without_montecarlo_does_not_load_the_sampler():
     proc = subprocess.run(
         [sys.executable, "-X", "importtime", "-m", "cyclecollide",

@@ -155,9 +155,11 @@ def test_recip_gamma_is_nonnegative_on_every_kernel_table():
 
 def test_recip_gamma_memory_is_bounded_per_block():
     # Each angle is evaluated alone: no per-angle table exists for the
-    # whole array, only the angles and the values, and the bytes are those
-    # of each angle on its own.
-    theta = np.linspace(0.0, 2 * math.pi, 2**17 + 3)
+    # whole array, only the angles and the values (about 40 bytes an
+    # angle), and the bytes are those of each angle on its own.  2^13 + 3
+    # angles put the fixed cost near 1 byte an angle, and the angles
+    # checked one by one are a proper prefix.
+    theta = np.linspace(0.0, 2 * math.pi, 2**13 + 3)
     tracemalloc.start()
     try:
         got = recip_gamma_abs_sq(theta)

@@ -90,19 +90,54 @@ def test_permutation_batch_chunking_is_consistent():
     assert chi_square_pvalue(draws, n) >= 1e-6
 
 
+def records_of_raw_words(bits, n, size):
+    # Draw d counts the left-to-right minima of words d*n .. d*n + n - 1.
+    words = bits.random_raw(size * n).tolist()
+    return [count_records(words[d * n : (d + 1) * n]) for d in range(size)]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 10, 257, 2**15 - 1, 2**15 + 1])
 def test_record_counter_matches_reference(n):
-    # A batch of two chunks and one draw more draws the permutations that
-    # one column-by-column shuffle of the whole batch draws, which are
-    # those of a row-by-row shuffle, counts the left-to-right minima of
-    # each, and leaves the stream at the same position.
+    # A batch of two chunks and one draw more counts the left-to-right
+    # minima of consecutive n-word slices of the stream's raw words, draw
+    # d on words d*n .. d*n + n - 1, and leaves the stream at the same
+    # position.
     size = 2 * max(1, montecarlo._PERM_CHUNK_ELEMS // n) + 1
-    rng, ref, rows = _stream(n, 0), _stream(n, 0), _stream(n, 0)
+    rng, ref = _stream(n, 0), _stream(n, 0)
     got = sample_cycle_counts(SamplerKind.PERMUTATION_DIRECT, n, size, rng)
-    perms = ref.permuted(np.tile(np.arange(n)[:, None], (1, size)), axis=0).T
-    assert np.array_equal(perms, rows.permuted(np.tile(np.arange(n), (size, 1)), axis=1))
-    assert got.tolist() == [count_records(p) for p in perms.tolist()]
-    assert rng.random() == ref.random() == rows.random()
+    assert got.tolist() == records_of_raw_words(ref.bit_generator, n, size)
+    assert rng.random() == ref.random()
+
+
+class _RawWords:
+    """A generator whose bit generator returns the given raw words."""
+
+    def __init__(self, words):
+        self.bit_generator = self
+        self._words = iter(words)
+
+    def random_raw(self, size):
+        return np.array([next(self._words) for _ in range(size)], dtype=np.uint64)
+
+
+def test_a_key_that_ties_the_running_minimum_is_a_record():
+    # The module docstring's tie rule: equal words are all records, and a
+    # word equal to the running minimum counts again.
+    kind = SamplerKind.PERMUTATION_DIRECT
+    assert sample_cycle_counts(kind, 6, 3, _RawWords([7] * 18)).tolist() == [6] * 3
+    words = [5, 5, 3, 3, 9, 2**64 - 1, 0, 2**64 - 1, 0, 1]
+    assert sample_cycle_counts(kind, 5, 2, _RawWords(words)).tolist() == [4, 3]
+    assert [count_records(words[:5]), count_records(words[5:])] == [4, 3]
+
+
+@pytest.mark.parametrize("n", [1, 2, 10, 257])
+def test_permutation_draws_depend_on_the_bit_generator_alone(n):
+    # The counts are those of the raw words of a bare SFC64 BitGenerator
+    # on the block's seed sequence: no Generator method draws them.
+    seed, block, size = 8, 3, 2 * montecarlo._PERM_CHUNK_ELEMS // n + 5
+    got = sample_cycle_counts(SamplerKind.PERMUTATION_DIRECT, n, size, _stream(seed, block))
+    bits = np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(block,)))
+    assert got.tolist() == records_of_raw_words(bits, n, size)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -116,7 +151,7 @@ def test_record_law_is_the_cycle_law(n):
 
 
 def test_permutation_batch_memory_is_bounded_per_chunk():
-    # The working arrays are those of one chunk, a few int64 arrays of
+    # The working arrays are those of one chunk, a few 64-bit arrays of
     # about _PERM_CHUNK_ELEMS entries; only the counts, 8 bytes a draw,
     # grow with the batch.
     size = 10**5
@@ -131,11 +166,11 @@ def test_permutation_batch_memory_is_bounded_per_chunk():
 
 def test_permutation_direct_counts_are_pinned():
     # Pins the SFC64 block streams, the one call of 2p draws per block
-    # and its halves pairing, and the shuffle and record counter, over 4
-    # and 2 blocks, each with a short last block.
+    # and its halves pairing, and the raw-key record counter, over 4 and 2
+    # blocks, each with a short last block.
     kind = SamplerKind.PERMUTATION_DIRECT
-    assert estimate_collision(10, 50000, kind, seed=3).collisions == 11787
-    assert estimate_collision(257, 20000, kind, seed=4).collisions == 2695
+    assert estimate_collision(10, 50000, kind, seed=3).collisions == 11954
+    assert estimate_collision(257, 20000, kind, seed=4).collisions == 2738
 
 
 def test_default_sampler_counts_are_pinned():
@@ -149,9 +184,9 @@ def test_default_sampler_counts_are_pinned():
 # _stream(1, 2), and the next rng.random() after them, which pins the
 # stream position.
 _SINGLE_DRAW_PINS = {
-    (SamplerKind.PERMUTATION_DIRECT, 1): ("6e7601f602122027", "0x1.62bec232c86c0p-2"),
-    (SamplerKind.PERMUTATION_DIRECT, 5): ("08bdca3318ef1e49", "0x1.9b54ee66725bap-1"),
-    (SamplerKind.PERMUTATION_DIRECT, 1000): ("df0bbc8caed4078a", "0x1.11f860bccf931p-1"),
+    (SamplerKind.PERMUTATION_DIRECT, 1): ("6e7601f602122027", "0x1.7771b03fcf1f6p-1"),
+    (SamplerKind.PERMUTATION_DIRECT, 5): ("6eae292fcd35f8a5", "0x1.c79a80b5bc636p-1"),
+    (SamplerKind.PERMUTATION_DIRECT, 1000): ("a4394a315f16602e", "0x1.c65874430ce82p-1"),
     (SamplerKind.BERNOULLI_SUM, 1): ("6e7601f602122027", "0x1.7771b03fcf1f6p-1"),
     (SamplerKind.BERNOULLI_SUM, 5): ("3a6461edf2492a40", "0x1.53a0a54cc7c74p-1"),
     (SamplerKind.BERNOULLI_SUM, 1000): ("523299fd4a65434f", "0x1.8ef20ed57875cp-3"),
@@ -161,8 +196,8 @@ _SINGLE_DRAW_PINS = {
 
 @pytest.mark.parametrize("kind, n", list(_SINGLE_DRAW_PINS))
 def test_single_draw_counts_are_pinned(kind, n):
-    # The batch of one: its draws, and how many uniforms each draw takes
-    # from the stream, for both samplers.
+    # The batch of one: its draws, and how much of the stream each draw
+    # takes, for both samplers.
     rng = _stream(1, 2)
     draws = [draw_one(kind, n, rng) for _ in range(300)]
     digest = hashlib.sha256(repr(draws).encode()).hexdigest()[:16]
