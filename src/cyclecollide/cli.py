@@ -6,9 +6,10 @@ Subcommands:
     table    - multi-method convergence table as CSV or JSON
     verify   - run the built-in verification suite
 
-Each handler imports the route modules it uses, so `exact` and
-`collide --method exact` run without importing numpy, and `collide` by
-any other method without importing the exact route.
+`collide` and `table` reach every method through one dispatch, the
+package's `_route`, which imports only the route module of the method it
+runs: `exact` and `collide --method exact` run without importing numpy,
+and `collide` by any other method without importing the exact route.
 
 Exit codes: 0 success, 1 computation/validation failure (or a command
 that needs numpy run without it), 2 usage error, 130 interrupted
@@ -18,15 +19,13 @@ that needs numpy run without it), 2 usage error, 130 interrupted
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from typing import TYPE_CHECKING
 
-from . import METHODS
+from . import METHODS, _exact_row, _route
 
 if TYPE_CHECKING:
-    from .exact import StirlingRow
     from .quadrature import QuadratureConfig
 
 # The values of montecarlo.SamplerKind.
@@ -68,16 +67,6 @@ def _quad_config(tol: float | None) -> QuadratureConfig:
     return QuadratureConfig(rel_tol=tol)
 
 
-def _exact_row(n: int) -> StirlingRow:
-    """Row n for the exact route; ValueError above its ceiling."""
-    from .exact import exact_ceiling_error, stirling_row
-
-    error = exact_ceiling_error(n)
-    if error is not None:
-        raise ValueError(error)
-    return stirling_row(n)
-
-
 def _cmd_exact(args: argparse.Namespace) -> int:
     n = args.n
     row = _exact_row(n)
@@ -106,49 +95,27 @@ def _cmd_exact(args: argparse.Namespace) -> int:
 
 
 def _cmd_collide(args: argparse.Namespace) -> int:
-    n = args.n
     method = args.method
+    # --tol is read, and checked, by the circle routes only.
+    quad = _quad_config(args.tol) if method in ("quadrature", "eq2") else None
+    p, result, failure = _route(method, args.n, quad, args.pairs, args.seed, args.sampler)
+    if p is None:
+        raise failure
+    if failure is not None:
+        print(f"error: {failure}", file=sys.stderr)
+        print(f"p = {p:.17g} (not converged)")
+        return 1
+    print(f"p = {p:.17g}")
     if method == "exact":
-        prob = _exact_row(n).collision_probability()
-        print(f"p = {prob.approx:.17g}")
-        print(f"exact = {prob.numerator}/{prob.denominator}")
+        print(f"exact = {result.numerator}/{result.denominator}")
     elif method == "quadrature":
-        from .analytic import p_quadrature_result
-        from .quadrature import QuadratureConvergenceError
-
-        try:
-            res = p_quadrature_result(n, None, _quad_config(args.tol))
-        except QuadratureConvergenceError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            print(f"p = {exc.best.value:.17g} (not converged)")
-            return 1
-        print(f"p = {res.value:.17g}")
-        print(f"error estimate = {res.abs_error_estimate:.3e}")
-        print(f"evaluations = {res.evaluations}")
+        print(f"error estimate = {result.abs_error_estimate:.3e}")
+        print(f"evaluations = {result.evaluations}")
     elif method == "eq2":
-        from .analytic import I_n
-        from .quadrature import QuadratureConvergenceError
-
-        try:
-            res = I_n(n, _quad_config(args.tol))
-        except QuadratureConvergenceError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            print(f"p = {exc.best.value / (2.0 * math.pi):.17g} (not converged)")
-            return 1
-        print(f"p = {res.value / (2.0 * math.pi):.17g}")
-        print(f"kernel integral = {res.value:.17g}")
-    elif method == "asymptotic":
-        from .asymptotic import p_asymptotic
-
-        print(f"p = {p_asymptotic(n):.17g}")
+        print(f"kernel integral = {result.value:.17g}")
     elif method == "montecarlo":
-        from .montecarlo import SamplerKind, estimate_collision
-
-        kind = SamplerKind(args.sampler) if args.sampler else None
-        est = estimate_collision(n, args.pairs, kind=kind, seed=args.seed)
-        print(f"p = {est.p_hat:.17g}")
-        print(f"std err = {est.std_err:.17g}")
-        print(f"collisions = {est.collisions}/{est.samples}")
+        print(f"std err = {result.std_err:.17g}")
+        print(f"collisions = {result.collisions}/{result.samples}")
     return 0
 
 

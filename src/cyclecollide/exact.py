@@ -135,16 +135,6 @@ class CycleDistribution:
     probs: tuple[Fraction, ...]
 
 
-def exact_ceiling_error(n: int) -> str | None:
-    """Why the CLI and `table` refuse n on the exact route, or None."""
-    if n <= EXACT_ROUTE_CEILING:
-        return None
-    return (
-        f"n={n} above the documented exact-route ceiling "
-        f"{EXACT_ROUTE_CEILING}; use the quadrature route"
-    )
-
-
 def stirling_rows(n_values: Iterable[int]) -> Iterator[StirlingRow]:
     """Rows of the triangle at each n of a strictly increasing sequence.
 

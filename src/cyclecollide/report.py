@@ -18,14 +18,13 @@ so both formats carry identical value strings.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Context, Decimal
 
-from . import METHODS, VERSION, _args
-from .analytic import I_n, p_asymptotic, p_quadrature_result
-from .exact import StirlingRow, exact_ceiling_error, stirling_rows
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, QuadratureConvergenceError
+from . import METHODS, VERSION, _args, _route
+from .asymptotic import p_asymptotic
+from .exact import EXACT_ROUTE_CEILING, StirlingRow, stirling_rows
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 
 CSV_COLUMNS = (
     "n",
@@ -106,58 +105,35 @@ def _exact_decimal(numerator: int, denominator: int) -> str:
     return ctx.to_sci_string(ctx.divide(Decimal(numerator), Decimal(denominator)))
 
 
+# The columns each method fills from its p and the result its route returned.
+_COLUMNS = {
+    "exact": lambda p, r: {"p_exact": _exact_decimal(r.numerator, r.denominator)},
+    "quadrature": lambda p, r: {"p_quadrature": p, "quad_error_estimate": r.abs_error_estimate},
+    "eq2": lambda p, r: {"p_eq2": p},
+    "asymptotic": lambda p, r: {"p_asymptotic": p},
+    "montecarlo": lambda p, r: {"mc_p_hat": p, "mc_std_err": r.std_err},
+}
+
+
 def _compute_row(
     n: int, config: ReportConfig, stirling: StirlingRow | None
 ) -> CollisionReportRow:
-    methods = config.methods
     errors: list[str] = []
     fields: dict = {"n": n}
     best_p: float | None = None
-
-    if "montecarlo" in methods:
-        from .montecarlo import estimate_collision
-
-        try:
-            est = estimate_collision(n, config.mc_pairs, kind=None, seed=config.seed)
-        except ValueError as exc:  # n above the sampler limit
-            errors.append(f"montecarlo: {exc}")
-        else:
-            fields["mc_p_hat"] = est.p_hat
-            fields["mc_std_err"] = est.std_err
-            best_p = est.p_hat
-
-    if "eq2" in methods:
-        try:
-            res = I_n(n, config.quad)
-            fields["p_eq2"] = res.value / (2.0 * math.pi)
-        except QuadratureConvergenceError as exc:
-            fields["p_eq2"] = exc.best.value / (2.0 * math.pi)
-            errors.append(f"eq2: {exc}")
-        best_p = fields["p_eq2"]
-
-    if "quadrature" in methods:
-        try:
-            res = p_quadrature_result(n, None, config.quad)
-            fields["p_quadrature"] = res.value
-            fields["quad_error_estimate"] = res.abs_error_estimate
-        except QuadratureConvergenceError as exc:
-            fields["p_quadrature"] = exc.best.value
-            fields["quad_error_estimate"] = exc.best.abs_error_estimate
-            errors.append(f"quadrature: {exc}")
-        best_p = fields["p_quadrature"]
-
-    if stirling is not None:
-        exact = stirling.collision_probability()
-        fields["p_exact"] = _exact_decimal(exact.numerator, exact.denominator)
-        best_p = exact.approx
-    elif "exact" in methods:
-        errors.append(f"exact: {exact_ceiling_error(n)}")
-
-    if "asymptotic" in methods:
-        fields["p_asymptotic"] = p_asymptotic(n)
+    # Montecarlo first and exact last: the ratio's p is the last one found.
+    for method in reversed(config.methods):
+        p, result, failure = _route(
+            method, n, config.quad, config.mc_pairs, config.seed, row=stirling
+        )
+        if failure is not None:
+            errors.append(f"{method}: {failure}")
+        if p is not None:
+            fields.update(_COLUMNS[method](p, result))
+            if method != "asymptotic":
+                best_p = p
     if best_p is not None and n >= 2:
         fields["ratio_to_asymptotic"] = best_p / p_asymptotic(n)
-
     return CollisionReportRow(**fields, errors=tuple(errors))
 
 
@@ -172,9 +148,7 @@ def run_report(config: ReportConfig) -> list[CollisionReportRow]:
     """
     exact_rows = iter(())
     if "exact" in config.methods:
-        exact_rows = stirling_rows(
-            n for n in config.n_values if exact_ceiling_error(n) is None
-        )
+        exact_rows = stirling_rows(n for n in config.n_values if n <= EXACT_ROUTE_CEILING)
     return [_compute_row(n, config, next(exact_rows, None)) for n in config.n_values]
 
 

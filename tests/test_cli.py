@@ -6,14 +6,16 @@ import math
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cyclecollide import METHODS, SamplerKind, cli
+from cyclecollide import METHODS, ReportConfig, SamplerKind, cli, run_report
 from cyclecollide.cli import build_parser, main, parse_n_values
 from cyclecollide.exact import StirlingRow
+from core_check import PINS
 
 
 def run_cli(capsys, *argv):
@@ -308,6 +310,49 @@ def test_table_malformed_n_spec_is_usage_error(capsys, spec):
     assert captured.err.startswith("usage: ") and "bad n spec" in captured.err
 
 
+# The CSV column that holds each method's p.
+_P_COLUMN = {"quadrature": "p_quadrature", "eq2": "p_eq2", "asymptotic": "p_asymptotic",
+             "montecarlo": "mc_p_hat"}
+
+
+def _table_cells(capsys, *argv):
+    code, out, _ = run_cli(capsys, "table", *argv)
+    assert code == 0
+    header, row = out.splitlines()
+    return dict(zip(header.split(","), row.split(",")))
+
+
+@pytest.mark.parametrize("n", [2, 10, 1000])
+@pytest.mark.parametrize("method", sorted(_P_COLUMN))
+def test_collide_and_table_give_the_same_bits(capsys, method, n):
+    options = ("--pairs", "2000", "--seed", "7")
+    code, out, _ = run_cli(capsys, "collide", "--n", str(n), "--method", method, *options)
+    cells = _table_cells(capsys, "--n", str(n), "--methods", method, *options)
+    assert code == 0
+    assert out.splitlines()[0] == f"p = {cells[_P_COLUMN[method]]}"
+
+
+def test_collide_and_table_keep_the_same_best_estimate(capsys):
+    # rel_tol 1e-16 is below the evaluation-error floor at n = 2.
+    cells = _table_cells(capsys, "--n", "2", "--methods", "quadrature,eq2", "--tol", "1e-16")
+    for method in ("quadrature", "eq2"):
+        code, out, _ = run_cli(capsys, "collide", "--n", "2", "--method", method, "--tol", "1e-16")
+        assert (code, out) == (1, f"p = {cells[_P_COLUMN[method]]} (not converged)\n")
+
+
+def test_a_route_error_the_report_does_not_record_propagates(capsys, monkeypatch):
+    # A report records the exact ceiling, the sampler limit and
+    # non-convergence; any other error from a route is raised.
+    def broken(n, kind, config):
+        raise ValueError("broken route")
+
+    monkeypatch.setattr("cyclecollide.analytic.p_quadrature_result", broken)
+    with pytest.raises(ValueError, match="broken route"):
+        run_report(ReportConfig((5,), ("quadrature",)))
+    code, out, err = run_cli(capsys, "table", "--n", "5", "--methods", "quadrature")
+    assert (code, out, err) == (1, "", "error: broken route\n")
+
+
 # ------------------------------------------------------------ usage/misc
 
 def test_usage_error_exit_code():
@@ -355,38 +400,7 @@ def test_sampler_choices_are_the_sampler_kinds():
 
 @pytest.mark.parametrize(
     "argv, want",
-    [
-        (
-            ("exact", "--n", "5", "--row"),
-            "n = 5\nf(n) = 4402\np(n) = 2201/7200 = 0.30569444444444444\n"
-            "row: 24 50 35 10 1\n",
-        ),
-        (
-            ("collide", "--n", "5", "--method", "exact"),
-            "p = 0.30569444444444444\nexact = 2201/7200\n",
-        ),
-        (
-            ("collide", "--n", "10", "--method", "asymptotic"),
-            "p = 0.1859033533216066\n",
-        ),
-        (
-            ("collide", "--n", "10", "--method", "quadrature"),
-            "p = 0.24005636572585648\nerror estimate = 4.337e-15\nevaluations = 33\n",
-        ),
-        (
-            ("collide", "--n", "10", "--method", "eq2"),
-            "p = 0.24864367868641352\nkernel integral = 1.5622743086455555\n",
-        ),
-        (
-            ("table", "--n", "5,10", "--methods", "exact,quadrature,eq2,asymptotic"),
-            "n,p_exact,p_quadrature,quad_error_estimate,p_eq2,p_asymptotic,"
-            "ratio_to_asymptotic,mc_p_hat,mc_std_err\n"
-            "5,0.30569444444444444444,0.3056944444444446,5.3721817949240683e-15,"
-            "0.33463012803344688,0.22236065990957299,1.3747685609889837,,\n"
-            "10,0.24005636572585638622,0.24005636572585648,4.3374686678542132e-15,"
-            "0.24864367868641352,0.1859033533216066,1.2912965873755213,,\n",
-        ),
-    ],
+    PINS,
     ids=["exact-row", "collide-exact", "collide-asymptotic", "collide-quadrature",
          "collide-eq2", "table-without-montecarlo"],
 )
@@ -410,6 +424,14 @@ def test_commands_without_sampler_or_ladder_do_not_load_numpy(argv, want):
     # only the handlers that need the exact route import it.
     assert "fractions" not in imported
     assert ("cyclecollide.exact" in imported) == ("exact" in argv or argv[0] == "table")
+    # What the cold start of `collide` rests on: no method loads the report,
+    # the asymptotic one no quadrature config, the exact one no circle route.
+    if argv[0] == "collide":
+        assert "cyclecollide.report" not in imported
+    if argv[-1] == "asymptotic":
+        assert not {"cyclecollide.quadrature", "dataclasses"} & set(imported)
+    if argv[0] == "collide" and argv[-1] == "exact":
+        assert "cyclecollide.analytic" not in imported
 
 
 # Runs the CLI in a child in which `import numpy` fails.
@@ -445,6 +467,29 @@ def test_a_numpy_free_command_runs_without_numpy():
     )
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.startswith("p = 0.24005636572585648\n")
+
+
+_CORE_CHECK = Path(__file__).with_name("core_check.py")
+
+
+def test_core_check_matches_its_pins():
+    proc = subprocess.run([sys.executable, str(_CORE_CHECK)], capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+def test_core_check_names_the_first_command_that_differs():
+    # The second pin is spoilt; the script stops there.
+    spoilt = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import core_check; "
+        "pins = list(core_check.PINS); pins[1] = (pins[1][0], 'p = 0\\n'); "
+        "core_check.PINS = pins; sys.exit(core_check.main())"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", spoilt, str(_CORE_CHECK.parent)], capture_output=True, text=True
+    )
+    argv = " ".join(PINS[1][0])
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines()[0] == f"differs: cyclecollide {argv}"
 
 
 def test_another_missing_module_still_raises(monkeypatch):
