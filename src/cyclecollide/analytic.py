@@ -66,10 +66,11 @@ kernel), so the rule on N intervals of [0, pi] is within
 2 pi M(a) / (e^{2aN} - 1) of the integral.  N is the smallest, over a
 fixed grid of a, that meets half the tolerance laplace_I(n) / 2 would
 give (below the integral at every n measured), rounded up to a multiple
-of 8, and doubled only if the estimate then misses the computed value's
-tolerance.  The walk over the grid stops where N starts to rise, which
-finds the smallest (see _STRIP_WIDTHS).  A batch, the first and each
-doubling's midpoints, evaluates only its head, the nodes where the
+of 8.  If the estimate then misses the computed value's tolerance, N
+doubles and the whole batch runs again on the doubled table, so a
+result's bits depend on its final N alone.  The walk over the grid
+stops where N starts to rise, which finds the smallest (see
+_STRIP_WIDTHS).  A batch evaluates only its head, the nodes where the
 kernel's exponent -(1 - cos theta) 2 log n is at least -C, C = 120 (one
 bisection, 1 - cos theta rising along the nodes); up to log n = C/4
 (n ~ 1.07e13) the head is every node.  On the real line cosh ka >= 1 >=
@@ -86,8 +87,8 @@ the last term is below 2^-101 h at every n and width (at most 2^16 + 1
 nodes, L_w - log 2 pi <= 11.61), under half an ulp of the floor since
 sum f >= f(0) / 2 = 1/2: it never moves the estimate's bits, and the
 mass left out is below 2^-100 of the sum.
-EXACT_PRODUCT, and n = 1, run the halving ladder of `quadrature`, which
-imports numpy.
+EXACT_PRODUCT runs the halving ladder of `quadrature`, which imports
+numpy; p(1) is 1 exactly, with no integrand evaluated.
 
 The circle routes are Python floats and `math`: I_n, GAMMA_RATIO and
 `integrand` never import numpy for them.  `integrand` evaluates each
@@ -363,7 +364,7 @@ def _strip_choice(
     # r(n) > 1.
     guess = 0.5 * laplace_I(n)
     # No N takes the error below the rounding floor, about _FLOOR * value.
-    target = 0.5 * max(config.abs_tol, (config.rel_tol + _FLOOR) * guess)
+    target = 0.5 * (config.rel_tol + _FLOOR) * guess
     # need(a) is the N with 2aN = log(2 pi M(a) / target) + log 2, and
     # 2aN >= that implies e^{2aN} - 1 >= 2 pi M(a) / target.
     shift = math.log(2.0 / target)
@@ -420,12 +421,11 @@ def _node_table(intervals: int) -> tuple[tuple[float, ...], tuple[float, ...], l
 
 
 def _batch_sum(
-    psi2: float, delta: Sequence[float] | None, table, log_n2: float, odd: bool = False
+    psi2: float, delta: Sequence[float] | None, table, log_n2: float
 ) -> tuple[float, int]:
     # sum f over one batch's head, exactly rounded, and the number of nodes
-    # left out: every node of the table with its ends at half weight, or
-    # with `odd` its odd nodes, the midpoints of the table of half as many
-    # intervals.  f = exp((cos theta - 1) psi2 + sum_{k=K..2} d_k
+    # left out: every node of the table with its ends at half weight.
+    # f = exp((cos theta - 1) psi2 + sum_{k=K..2} d_k
     # (cos k theta - 1)) w, psi2 = 2 log n + d_1 = 2 psi(n) (2 log n for
     # the kernel).  Every f is in [0, 3.70], so this is also the head's sum|f|
     # and, on at most 2^16 + 1 nodes, not finite only if a value is not.
@@ -452,8 +452,7 @@ def _batch_sum(
         # One slice assignment, atomic, of the pairs any thread would store
         # there: threads may share a table.
         nodes[have:cut] = new
-    start, step = (1, 2) if odd else (0, 1)
-    head = nodes[start:cut:step]
+    head = nodes[:cut]
     exp = math.exp
     if delta is None or len(delta) == 1:
         ys = [exp(c * psi2) * w for c, w in head]
@@ -463,17 +462,16 @@ def _batch_sum(
         extra = itertools.repeat(0.0)
         for k in range(len(delta), 2, -1):
             d = delta[k - 1]
-            extra = [e + d * c for e, c in zip(extra, cos_m1[k * start : k * cut : k * step])]
+            extra = [e + d * c for e, c in zip(extra, cos_m1[: k * cut : k])]
         d = delta[1]
         ys = [
             exp(c * psi2 + (e + d * c2)) * w
-            for (c, w), e, c2 in zip(head, extra, cos_m1[2 * start : 2 * cut : 2 * step])
+            for (c, w), e, c2 in zip(head, extra, cos_m1[: 2 * cut : 2])
         ]
-    left_out = (intervals // 2 if odd else intervals + 1) - len(ys)
-    if not odd:
-        ys[0] *= 0.5
-        if not left_out:
-            ys[-1] *= 0.5
+    left_out = intervals + 1 - len(ys)
+    ys[0] *= 0.5
+    if not left_out:
+        ys[-1] *= 0.5
     total = math.fsum(ys)
     if not math.isfinite(total):
         raise ValueError(f"integrand not finite on [0.0, {math.pi}]")
@@ -491,8 +489,8 @@ def _kernel_quadrature(
     # The d_1 term is taken with the kernel's: 2 log n + d_1 = 2 psi(n).
     psi2 = log_n2 if delta is None else log_n2 + delta[0]
     intervals, half_inv_a, log_m, log_w = _strip_choice(n, log_n2, config, delta)
-    total, left_out = _batch_sum(psi2, delta, _node_table(intervals), log_n2)
     while True:
+        total, left_out = _batch_sum(psi2, delta, _node_table(intervals), log_n2)
         h = math.pi / intervals
         value = h * total
         floor = _FLOOR * h * total
@@ -503,7 +501,7 @@ def _kernel_quadrature(
             # h times the most each node left out of a head can be (module
             # docstring).
             error += h * left_out * math.exp(log_w - _HEAD_CUT) / (2.0 * math.pi)
-        tolerance = max(config.abs_tol, config.rel_tol * abs(value))
+        tolerance = config.rel_tol * value
         if error <= tolerance:
             return QuadratureResult(value * scale, error * scale, intervals + 1)
         if floor > tolerance or 2 * intervals + 1 > _MAX_NODES:
@@ -512,9 +510,6 @@ def _kernel_quadrature(
                 tolerance * scale,
             )
         intervals *= 2
-        more, more_left_out = _batch_sum(psi2, delta, _node_table(intervals), log_n2, odd=True)
-        total += more
-        left_out += more_left_out
 
 
 def _scaled(r: QuadratureResult, scale: float) -> QuadratureResult:
@@ -552,9 +547,10 @@ def p_quadrature_result(
 
     kind=None is GAMMA_RATIO, integrated at every n >= 2 as `I_n` is: one
     batch on the N intervals of [0, pi] that the strip bound certifies,
-    with that bound in its estimate.  EXACT_PRODUCT, the O(n) oracle, and
-    n = 1, where both identity integrands are the constant 1, run the
-    halving ladder of `quadrature`.
+    with that bound in its estimate.  EXACT_PRODUCT, the O(n) oracle, runs
+    the halving ladder of `quadrature`.  p(1) is (1.0, 0.0, 0): both
+    identity integrands are the constant 1, and none is evaluated.  A
+    rel_tol below 64 eps raises QuadratureConvergenceError at every n >= 2.
     This route evaluates an identity, so it reproduces the exact-arithmetic
     value for every n, large or small, to within the returned
     abs_error_estimate.
@@ -563,12 +559,14 @@ def p_quadrature_result(
     if kind is IntegrandKind.LIMIT_KERNEL:
         raise ValueError("LIMIT_KERNEL is not a collision-probability identity; "
                          "use I_n for the asymptotic kernel")
-    scale = 1.0 / math.pi
-    if kind is None or kind is IntegrandKind.GAMMA_RATIO:
-        if n > 1:
-            return _kernel_quadrature(n, config, _series_coeffs(n), scale)
-    elif kind is not IntegrandKind.EXACT_PRODUCT:
+    circle = kind is None or kind is IntegrandKind.GAMMA_RATIO
+    if not circle and kind is not IntegrandKind.EXACT_PRODUCT:
         raise ValueError(f"unknown integrand kind: {kind!r}")
+    if n == 1:
+        return QuadratureResult(1.0, 0.0, 0)
+    scale = 1.0 / math.pi
+    if circle:
+        return _kernel_quadrature(n, config, _series_coeffs(n), scale)
     try:
         return _scaled(
             quadrature(functools.partial(_exact_product_values, n), 0.0, math.pi, config), scale

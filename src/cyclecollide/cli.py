@@ -217,8 +217,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ModuleNotFoundError as exc:
-        # The samplers, verify and the ladder need numpy; the rest of the
-        # CLI runs without it.  Any other missing module is a bug.
+        # The samplers and verify need numpy; the rest of the CLI runs
+        # without it.  Any other missing module is a bug.
         if exc.name != "numpy":
             raise
         what = args.command

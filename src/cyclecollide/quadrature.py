@@ -21,7 +21,7 @@ error of integrand values accurate to a few ulps and of the sum.
 
 `quadrature` runs this ladder for any integrand of numpy arrays, and
 imports numpy when it runs; the package runs it for the EXACT_PRODUCT
-oracle and the constant n = 1 only, and does not re-export it: it is
+oracle only, and does not re-export it: it is
 `cyclecollide.quadrature.quadrature`.  The circle routes (I_n and the
 Gamma-ratio identity) know an analytic bound on their integrand instead:
 `analytic` evaluates them in one batch of N + 1 nodes in Python floats,
@@ -29,7 +29,8 @@ N from the Trefethen-Weideman strip bound, and reports that bound plus
 the same floor, whose sum|f| there is the rule's exactly rounded sum
 (f >= 0), plus a bound on the nodes too small to reach that sum, which
 it leaves out.  This module loads no numpy on import, so those routes
-never do.
+never do.  Every route meets rel_tol |value|, its one setting, so a
+rel_tol below the floor's 64 eps (about 1.42e-14) is out of reach.
 """
 
 from __future__ import annotations
@@ -55,13 +56,10 @@ def _finite(value) -> bool:
 @dataclass(frozen=True)
 class QuadratureConfig:
     rel_tol: float = 1e-10
-    abs_tol: float = 1e-14
 
     def __post_init__(self) -> None:
         if not (_finite(self.rel_tol) and self.rel_tol > 0):
             raise ValueError(f"rel_tol must be finite and > 0, got {self.rel_tol}")
-        if not (_finite(self.abs_tol) and self.abs_tol >= 0):
-            raise ValueError(f"abs_tol must be finite and >= 0, got {self.abs_tol}")
 
 
 DEFAULT_CONFIG = QuadratureConfig()
@@ -130,10 +128,10 @@ def quadrature(
     `f` must accept a float ndarray of evaluation points and return the
     integrand values; it is evaluated at both endpoints and at 2^k + 1
     equispaced nodes in all, k >= 4.  On success the returned error
-    estimate satisfies ``abs_error_estimate <= max(abs_tol, rel_tol *
-    |value|)``.  A QuadratureConvergenceError carrying the best estimate
-    is raised once the evaluation-error floor alone exceeds that
-    tolerance, or when 2^16 + 1 nodes did not reach it.  ValueError is
+    estimate satisfies ``abs_error_estimate <= rel_tol * |value|``.  A
+    QuadratureConvergenceError carrying the best estimate is raised once
+    the evaluation-error floor alone exceeds that tolerance, or when
+    2^16 + 1 nodes did not reach it.  ValueError is
     raised if f is not finite at a node, or if sum|f| over the nodes
     overflows, which would make the floor infinite.
     """
@@ -142,7 +140,6 @@ def quadrature(
     if not a < b:
         raise ValueError(f"need a < b, got [{a}, {b}]")
 
-    abs_tol, rel_tol = config.abs_tol, config.rel_tol
     intervals = _START_INTERVALS
     h = (b - a) / intervals
     # The bytes of np.linspace(a, b, intervals + 1) whenever h > 0.
@@ -164,7 +161,7 @@ def quadrature(
         floor = _FLOOR * h * total_abs
         previous, value = value, h * total
         error = abs(value - previous) + floor
-        tolerance = max(abs_tol, rel_tol * abs(value))
+        tolerance = config.rel_tol * abs(value)
         if error <= tolerance:
             return QuadratureResult(value, error, intervals + 1)
         if floor > tolerance or intervals + 1 >= _MAX_NODES:

@@ -195,7 +195,7 @@ def _render_config_json(config: ReportConfig) -> str:
         "{"
         f'"n_values": [{", ".join(str(n) for n in config.n_values)}], '
         f'"methods": [{", ".join(_json_str(m) for m in config.methods)}], '
-        f'"quad": {{"rel_tol": {quad.rel_tol:.17g}, "abs_tol": {quad.abs_tol:.17g}}}, '
+        f'"quad": {{"rel_tol": {quad.rel_tol:.17g}}}, '
         f'"mc_pairs": {config.mc_pairs}, '
         f'"seed": {config.seed}, '
         f'"output_format": {_json_str(config.output_format)}, '

@@ -1,10 +1,13 @@
 """The numpy-free core, checked against pinned bytes without pytest or numpy.
 
-Runs each command in PINS through `cyclecollide.cli.main` with numpy
-blocked (`sys.modules["numpy"] = None`) and compares its stdout with the
-pinned bytes.  Exits 0 when every command matches; otherwise exits 1 and
-names the first command that differs.  It needs no installed package, so
-it runs on any interpreter the package claims:
+With numpy blocked (`sys.modules["numpy"] = None`) it runs each command
+in PINS through `cyclecollide.cli.main` and compares its stdout with the
+pinned bytes, runs each command in NEEDS_NUMPY and compares its exit
+code 1 and its one stderr line, and compares the `float.hex` of
+`p_quadrature_result(n).value` and `I_n(n).value` with VALUE_PINS.
+Exits 0 when everything matches; otherwise exits 1 and names the first
+command or n that differs.  It needs no installed package, so it runs
+on any interpreter the package claims:
 
     PYTHONPATH=src python tests/core_check.py
 
@@ -48,23 +51,64 @@ PINS = (
         "10,0.24005636572585638622,0.24005636572585648,4.3374686678542132e-15,"
         "0.24864367868641352,0.1859033533216066,1.2912965873755213,,\n",
     ),
+    (
+        ("collide", "--n", "1", "--method", "quadrature"),
+        "p = 1\nerror estimate = 0.000e+00\nevaluations = 0\n",
+    ),
 )
+
+# (argv, stderr) of commands that need numpy: each exits 1 with one error
+# line and prints nothing on stdout.
+NEEDS_NUMPY = (
+    (
+        ("collide", "--n", "10", "--method", "montecarlo"),
+        "error: collide --method montecarlo needs numpy\n",
+    ),
+    (("verify",), "error: verify needs numpy\n"),
+)
+
+# (n, p_quadrature_result(n).value.hex(), I_n(n).value.hex()) at the
+# default tolerance.
+VALUE_PINS = (
+    (2, "0x1.0000000000003p-1", "0x1.1027e099874a4p+2"),
+    (10**3, "0x1.e19e61a037832p-4", "0x1.7a4ea37b46db1p-1"),
+    (10**6, "0x1.44fe4740e374cp-4", "0x1.fe7f8eb46a438p-2"),
+    (2**64, "0x1.5fb3b88570818p-5", "0x1.1439e3c65de9cp-2"),
+    (10**300, "0x1.6001df74bf843p-7", "0x1.1477452f499f2p-4"),
+)
+
+
+def _run(argv) -> tuple[int, str, str]:
+    from cyclecollide.cli import main as cli_main
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main(list(argv))
+    return code, out.getvalue(), err.getvalue()
 
 
 def main() -> int:
     sys.modules["numpy"] = None
-    from cyclecollide.cli import main as cli_main
+    from cyclecollide import I_n, p_quadrature_result
 
-    for argv, want in PINS:
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            code = cli_main(list(argv))
-        if (code, out.getvalue()) != (0, want):
+    runs = [(argv, _run(argv), (0, want, "")) for argv, want in PINS]
+    runs += [(argv, _run(argv), (1, "", want)) for argv, want in NEEDS_NUMPY]
+    for argv, got, want in runs:
+        if got != want:
             print(f"differs: cyclecollide {' '.join(argv)}", file=sys.stderr)
-            print(f"exit {code}, stdout {out.getvalue()!r}", file=sys.stderr)
-            print(f"pinned: exit 0, stdout {want!r}", file=sys.stderr)
+            print(f"exit, stdout, stderr {got!r}", file=sys.stderr)
+            print(f"pinned: {want!r}", file=sys.stderr)
             return 1
-    print(f"{len(PINS)} commands match their pins on Python {sys.version.split()[0]}")
+    for n, *want in VALUE_PINS:
+        got = [p_quadrature_result(n).value.hex(), I_n(n).value.hex()]
+        if got != want:
+            print(f"differs: p_quadrature_result and I_n at n = {n}", file=sys.stderr)
+            print(f"values {got}, pinned {want}", file=sys.stderr)
+            return 1
+    print(
+        f"{len(runs)} commands and {len(VALUE_PINS)} n match their pins "
+        f"on Python {sys.version.split()[0]}"
+    )
     return 0
 
 

@@ -184,11 +184,11 @@ def test_entry_points_follow_their_contract(value):
 # AttributeError in run_report: a tolerance, z of weierstrass_partial, the
 # sequences of n and of methods, and the quadrature config of a report.
 # An angle theta that is text was parsed as a number, and a complex one
-# was a TypeError.
+# was a TypeError.  A kind that is not an IntegrandKind is refused before
+# any n is read, also at n = 1, where p needs no integrand.
 OUTSIDE_CONTRACTS = [
     ("rel_tol-text", lambda: QuadratureConfig(rel_tol="x"), "rel_tol must be finite"),
     ("rel_tol-None", lambda: QuadratureConfig(rel_tol=None), "rel_tol must be finite"),
-    ("abs_tol-text", lambda: QuadratureConfig(abs_tol="x"), "abs_tol must be finite"),
     ("z-None", lambda: weierstrass_partial(None, 10), "z must be finite"),
     ("z-text", lambda: weierstrass_partial("0.5", 10), "z must be finite"),
     ("n_values-int", lambda: ReportConfig(5, ("exact",)), "n_values must be an iterable"),
@@ -202,6 +202,9 @@ OUTSIDE_CONTRACTS = [
     ("integrand-theta-complex", lambda: integrand(EP, 10, 1 + 0j), "theta must be"),
     ("recip_gamma_abs_sq-theta-text", lambda: recip_gamma_abs_sq(np.array(["0.5"])), "theta must be"),
     ("recip_gamma_abs_sq-theta-complex", lambda: recip_gamma_abs_sq(1 + 0j), "theta must be"),
+    ("integrand-kind-text", lambda: integrand("gamma-ratio", 10, 1.0), "unknown integrand kind"),
+    ("p_quadrature_result-kind-text", lambda: p_quadrature_result(1, "gamma-ratio"),
+     "unknown integrand kind"),
 ]
 
 

@@ -180,6 +180,34 @@ def test_collide_not_converged_prints_best_estimate(capsys, method, want):
     assert float(value) == pytest.approx(want, rel=1e-14)
 
 
+@pytest.mark.parametrize("n", [2, 10**6, 10**12, 10**300])
+@pytest.mark.parametrize("method", ["quadrature", "eq2"])
+def test_tol_below_the_rounding_floor_exits_1_at_every_n(capsys, method, n):
+    # Every circle route meets rel_tol |value|, and rel_tol 1e-16 is below
+    # the floor 64 eps |value|: however small p(n) is, the run does not
+    # converge, and its best estimate is the converged p to 1e-12.
+    argv = ("collide", "--n", str(n), "--method", method)
+    code, out, err = run_cli(capsys, *argv, "--tol", "1e-16")
+    assert code == 1
+    assert err.startswith("error: quadrature did not converge") and err.count("\n") == 1
+    value, note = out.removeprefix("p = ").split(" ", 1)
+    assert note == "(not converged)\n"
+    _, converged, _ = run_cli(capsys, *argv)
+    want = float(converged.splitlines()[0].removeprefix("p = "))
+    assert float(value) == pytest.approx(want, rel=1e-12)
+
+
+def test_table_below_the_rounding_floor_records_the_error_on_every_row(capsys):
+    code, out, _ = run_cli(
+        capsys, "table", "--n", f"2,{10**6},{10**12},{10**300}",
+        "--methods", "quadrature,eq2", "--tol", "1e-16", "--format", "json",
+    )
+    assert code == 0
+    for row in json.loads(out)["rows"]:
+        assert sorted(e.split(":", 1)[0] for e in row["errors"]) == ["eq2", "quadrature"], row["n"]
+        assert row["p_quadrature"] is not None and row["p_eq2"] is not None
+
+
 def test_interrupt_exits_130_without_traceback(capsys, monkeypatch):
     def interrupted():
         raise KeyboardInterrupt
@@ -263,7 +291,7 @@ def test_table_deterministic_bytes(capsys):
 # column from numpy's generators.
 _TABLE_SHA256 = {
     "csv": "332a3a81bda285fff1d2621de6cbab82e125387bee81cb97ec7f7d2322b35d87",
-    "json": "35dff7718c7797563802fcd4bc2f149c56d0dc98957e337b1ed76f8df629646e",
+    "json": "7449c1fad75a63323b0a072fb8fd587b9a2ea88747e4b13f3567dd54d122d483",
 }
 
 
@@ -402,12 +430,12 @@ def test_sampler_choices_are_the_sampler_kinds():
     "argv, want",
     PINS,
     ids=["exact-row", "collide-exact", "collide-asymptotic", "collide-quadrature",
-         "collide-eq2", "table-without-montecarlo"],
+         "collide-eq2", "table-without-montecarlo", "collide-quadrature-n1"],
 )
 def test_commands_without_sampler_or_ladder_do_not_load_numpy(argv, want):
     # Every command but the montecarlo method, a table with a montecarlo
-    # column and verify.  The quadrature commands at n = 1, where p is the
-    # constant 1 and runs the halving ladder, may load numpy too.
+    # column and verify, also the quadrature method at n = 1, where p is
+    # 1 exactly and no integrand is evaluated.
     # -X importtime names every module the process imports on stderr.
     proc = subprocess.run(
         [sys.executable, "-X", "importtime", "-m", "cyclecollide", *argv],
@@ -446,9 +474,9 @@ _WITHOUT_NUMPY = (
     [
         ("collide", "--n", "10", "--method", "montecarlo", "--pairs", "100"),
         ("verify",),
-        ("collide", "--n", "1", "--method", "quadrature"),
+        ("table", "--n", "5", "--methods", "montecarlo", "--pairs", "100"),
     ],
-    ids=["collide-montecarlo", "verify", "collide-quadrature-n1"],
+    ids=["collide-montecarlo", "verify", "table-montecarlo"],
 )
 def test_a_missing_numpy_is_an_error_line(argv):
     proc = subprocess.run(

@@ -209,11 +209,14 @@ def test_recip_gamma_theta_domain():
 
 def test_recip_gamma_scalar_equals_array():
     # Each angle is evaluated alone, so a lone angle has its bits inside
-    # an array.
+    # an array, as a float or as a 0-d array, which gives a float too.
     theta = np.random.default_rng(7).uniform(0.0, 2 * math.pi, 600)
     want = recip_gamma_abs_sq(theta)
     alone = [recip_gamma_abs_sq(float(t)) for t in theta]
     assert np.array(alone).tobytes() == want.tobytes()
+    zero_d = [recip_gamma_abs_sq(np.array(t)) for t in theta[:50]]
+    assert {type(v) for v in zero_d} == {float}
+    assert np.array(zero_d).tobytes() == want[:50].tobytes()
     assert recip_gamma_abs_sq(theta[:1]).tobytes() == want[:1].tobytes()
 
 

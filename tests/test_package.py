@@ -21,15 +21,18 @@ def test_import_does_not_load_numpy(module):
 
 def test_circle_routes_do_not_load_numpy():
     # The circle batch and a real angle of the circle integrands are Python
-    # floats; EXACT_PRODUCT and the ladder (n = 1) import numpy.
+    # floats, and p(1) = 1 needs no integrand; EXACT_PRODUCT, which runs
+    # the ladder, imports numpy.
     calls = (
         "cc.I_n(10), cc.I_n(2**1030), cc.p_quadrature_result(2), cc.p_quadrature(10**6), "
+        "cc.p_quadrature_result(1), cc.p_quadrature_result(1, cc.IntegrandKind.EXACT_PRODUCT), "
         "cc.integrand(cc.IntegrandKind.GAMMA_RATIO, 3, 0.5), "
         "cc.integrand(cc.IntegrandKind.LIMIT_KERNEL, 10.5, 1), cc.recip_gamma_abs_sq(2.0)"
     )
     code = f"import sys, cyclecollide as cc; {calls}; print('numpy' in sys.modules)"
     assert _run(code) == "False"
-    assert _run(code.replace("cc.I_n(10)", "cc.p_quadrature_result(1)")) == "True"
+    exact_product = "cc.p_quadrature_result(2, cc.IntegrandKind.EXACT_PRODUCT)"
+    assert _run(code.replace("cc.I_n(10)", exact_product)) == "True"
 
 
 # Checks, in a fresh process, that every public name is the object that

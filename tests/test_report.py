@@ -78,7 +78,7 @@ def test_quadrature_nonconvergence_annotated():
     row, _ = single_row(
         100,
         ("quadrature",),
-        quad=QuadratureConfig(rel_tol=1e-16, abs_tol=0.0),  # below the error floor
+        quad=QuadratureConfig(rel_tol=1e-16),  # below the error floor
     )
     assert row.p_quadrature is not None  # best estimate retained
     assert row.quad_error_estimate > 0

@@ -63,8 +63,7 @@ def test_corrupted_recurrence_fails_row_sum_criterion(monkeypatch):
 
 def test_strangled_quadrature_reports_convergence_failure(monkeypatch):
     def starved(**kwargs):
-        # rel_tol 1e-16 with no abs_tol is below the evaluation-error floor
-        kwargs["abs_tol"] = 0.0
+        # rel_tol 1e-16 is below the evaluation-error floor
         kwargs["rel_tol"] = 1e-16
         return QuadratureConfig(**kwargs)
 
