@@ -7,6 +7,11 @@ the Bernoulli sampler uses the classical representation of the cycle
 count as 1 + a sum of independent Bernoulli(1/j) indicators.  Both histograms should sit on the
 exact distribution c(n,k)/n!, and the paired collision estimate should
 land within a few standard errors of the exact p(n).
+
+The comparison runs at N = 12 and the estimates at n = 10, where the
+Bernoulli sampler draws by inversion: it multiplies out its Bernoulli
+factors into the counts c(n, k) and maps one uniform integer below n!
+onto them.  From n = 13 it skips from one success to the next instead.
 """
 
 import numpy as np

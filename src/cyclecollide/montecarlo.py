@@ -30,19 +30,29 @@ Two samplers draw the cycle count of a uniform random n-permutation:
 * BERNOULLI_SUM uses the classical fact that the cycle count of a uniform
   n-permutation is distributed as 1 + sum_{j=2..n} Bernoulli(1/j) (the
   Feller coupling: build the permutation by inserting letters one at a
-  time; letter j closes a new cycle with probability 1/j).  It jumps from
-  success to success: after a success at index j the next one is at
-  N = floor(j / U) + 1 with U uniform on (0, 1], since P(N > m) = j/m.
-  A draw costs an expected H_n ~ ln n steps.  The index is a double, so
-  n is limited to BERNOULLI_MAX_N = 2**53.  This is the default sampler
-  at every n, validated against the direct sampler.
+  time; letter j closes a new cycle with probability 1/j).  This is the
+  default sampler at every n, validated against the direct sampler.
+  Through n = 12 (_INVERSION_MAX_N) it draws by inversion.  Multiplying
+  out the factors ((j - 1) + x) / j gives n! P(K = k) as the coefficient
+  c(n, k) of x^k in prod_{j=1..n} (x + j - 1), so one integer v uniform
+  on 0 .. n! - 1 gives the count 1 + #{k < n : v >= c(n, 1) + ... +
+  c(n, k)}, exactly: numpy's bounded integers reject as in Lemire's
+  method, so v is exactly uniform.  Since 12! < 2^32 <= 13!, v is one
+  bounded uint32, and a batch takes at most 14 bytes a draw: 4 for v,
+  1 for its uint8 count, 1 for one compare's mask and 8 for the int64
+  counts (a batch of 10^5 peaks at 13, tracemalloc).
+  From n = 13 it jumps from success to success: after a success at
+  index j the next one is at N = floor(j / U) + 1 with U uniform on
+  (0, 1], since P(N > m) = j/m.  A draw costs an expected H_n ~ ln n
+  steps.  The index is a double, so n is limited to
+  BERNOULLI_MAX_N = 2**53.
   A batch runs in rounds over the draws still running, one uniform per
   live draw, and a round keeps only the mask of the draws that go on; no
   draw index is carried.  A draw's count is the round in which it
   stops, so once every draw has stopped the counts are replayed from the
   last mask back to the first.  The masks take a byte per draw per
   round, H_n bytes a draw on average (at most 37.4): a batch of 10^5
-  peaks near 24 bytes a draw at n = 12 and 51 at n = 2^53 (tracemalloc).
+  peaks near 24 bytes a draw at n = 13 and 51 at n = 2^53 (tracemalloc).
 
 Trials are sharded into fixed-size blocks, and block b draws from an
 SFC64 generator seeded by child b of `SeedSequence(seed)` (numpy's
@@ -53,6 +63,8 @@ no matter how many workers process the blocks.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -72,6 +84,9 @@ BLOCK_PAIRS = 1 << 14
 # on it.
 _PERM_CHUNK_ELEMS = 1 << 13
 
+# Largest n that BERNOULLI_SUM draws by inversion: 12! < 2^32 <= 13!, so
+# this is where one bounded uint32 stops covering n!, not a tuned knob.
+_INVERSION_MAX_N = 12
 # Largest n for BERNOULLI_SUM: every success index up to n must be an
 # exact double.
 BERNOULLI_MAX_N = 2**53
@@ -144,7 +159,26 @@ def _permutation_batch(n: int, size: int, rng: np.random.Generator) -> np.ndarra
     return counts
 
 
+@functools.cache
+def _feller_row(n: int) -> tuple[int, ...]:
+    """n! P(K = k) for k = 1..n, K the Feller coupling's count: the
+    coefficients of x^1 .. x^n in prod_{j=1..n} (x + j - 1), each factor
+    j times the generating polynomial of Bernoulli(1/j)."""
+    row = [1]  # the factor at j = 1, x
+    for j in range(2, n + 1):
+        row = [(j - 1) * a + b for a, b in zip([*row, 0], [0, *row])]
+    return tuple(row)
+
+
 def _bernoulli_batch(n: int, size: int, rng: np.random.Generator) -> np.ndarray:
+    if n <= _INVERSION_MAX_N:
+        # Inversion (module docstring): a draw counts the running sums of
+        # its row that v reaches.  Counts are at most n <= 12.
+        v = rng.integers(0, math.factorial(n), size, dtype=np.uint32)
+        counts = np.ones(size, np.uint8)
+        for cut in itertools.accumulate(_feller_row(n)[:-1]):
+            counts += v >= cut
+        return counts.astype(np.int64)
     # Success-to-success jumps, vectorized over the draws still running:
     # `j` holds each running draw's latest success index, starting from
     # the certain one at 1, and round r keeps `masks[r - 1]`, which of its
@@ -183,7 +217,9 @@ def sample_cycle_counts(
     n and size follow the package's integer contract (README, "Inputs");
     ValueError also for a `kind` that is not a SamplerKind, for
     BERNOULLI_SUM above BERNOULLI_MAX_N and for PERMUTATION_DIRECT above
-    PERMUTATION_MAX_N.
+    PERMUTATION_MAX_N.  `rng` must be a numpy Generator: PERMUTATION_DIRECT
+    reads its `bit_generator`'s raw words, and BERNOULLI_SUM calls its
+    `integers` (n <= 12) or `random` (n >= 13).
     """
     n = _check_n(n, kind)
     size = _args.integer("size", size, 1)

@@ -200,16 +200,18 @@ def check_monte_carlo() -> tuple[bool, str]:
     gap_se = abs(est.p_hat - exact) / est.std_err
     if gap_se > 4.0:
         return False, f"n=10: |p_hat - p_exact| = {gap_se:.2f} se > 4 se"
+    # BERNOULLI_SUM inverts the law through n = 12; n = 13 checks its jumps.
     pvals = []
-    for n in (2, 6, 12):
-        for kind in SamplerKind:
-            pv = _chi_square_pvalue(_cycle_counts(kind, n), n)
-            if not pv >= CHI2_SIGNIFICANCE:  # NaN fails too
-                return False, f"chi-square n={n} {kind.value}: p={pv:.2e} < 1e-6"
-            pvals.append(pv)
+    cases = [(n, kind) for n in (2, 6, 12) for kind in SamplerKind]
+    for n, kind in [*cases, (13, SamplerKind.BERNOULLI_SUM)]:
+        pv = _chi_square_pvalue(_cycle_counts(kind, n), n)
+        if not pv >= CHI2_SIGNIFICANCE:  # NaN fails too
+            return False, f"chi-square n={n} {kind.value}: p={pv:.2e} < 1e-6"
+        pvals.append(pv)
     return True, (
         f"estimate within {gap_se:.2f} se of exact; "
-        f"min chi-square p-value {min(pvals):.3g} over both samplers (cut 1e-6)"
+        f"min chi-square p-value {min(pvals):.3g} over both samplers at "
+        f"n = 2, 6, 12 and bernoulli at 13 (cut 1e-6)"
     )
 
 

@@ -1,14 +1,17 @@
 """Independent brute-force oracles used across the test suite.
 
 Everything here counts or enumerates directly from definitions; nothing
-imports the recurrence/quadrature code paths under test.  The one
-exception is `bernoulli_batch_by_index`, the Monte Carlo batch as it was
-first written, kept as the reference the faster batch must equal bit for
-bit.
+imports the recurrence/quadrature code paths under test.  The
+exceptions are the two BERNOULLI_SUM batches: `bernoulli_batch_by_index`,
+the jump batch as it was first written, kept as the reference the faster
+batch must equal bit for bit, and `bernoulli_batch_by_inversion`, which
+makes the inversion's one stream call and looks each draw up in a row of
+counts the caller passes.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from fractions import Fraction
@@ -81,3 +84,17 @@ def bernoulli_batch_by_index(n: int, size: int, rng) -> np.ndarray:
         active, j = active[alive], j[alive] + 1.0
         counts[active] += 1
     return counts
+
+
+def bernoulli_batch_by_inversion(row, size: int, rng) -> np.ndarray:
+    """BERNOULLI_SUM cycle counts at n = len(row) <= 12, by inversion.
+
+    `row` holds c(n, 1) .. c(n, n).  A draw is one integer v uniform on
+    0 .. n! - 1 from `rng.integers` and counts 1 + the running sums
+    c(n, 1) + ... + c(n, k), k < n, at or below v, found by bisection
+    over Python ints.
+    """
+    n = len(row)
+    cuts = list(itertools.accumulate(row[:-1]))
+    v = rng.integers(0, math.factorial(n), size, dtype=np.uint32)
+    return np.array([1 + bisect.bisect_right(cuts, x) for x in v.tolist()], dtype=np.int64)

@@ -290,8 +290,8 @@ def test_table_deterministic_bytes(capsys):
 # The quadrature and eq2 columns come from `math` (libm), the montecarlo
 # column from numpy's generators.
 _TABLE_SHA256 = {
-    "csv": "332a3a81bda285fff1d2621de6cbab82e125387bee81cb97ec7f7d2322b35d87",
-    "json": "7449c1fad75a63323b0a072fb8fd587b9a2ea88747e4b13f3567dd54d122d483",
+    "csv": "b01baa3a4bfda4b21cbbfd6c060e1d26dee9708852c15e4ffe3ad97111eec22c",
+    "json": "009f2b5ecae629aa9f3fdffc85f6ed2f8d7cb167e44b2c9a01babe0ed39cb6ff",
 }
 
 

@@ -20,7 +20,7 @@ from cyclecollide import (
     stirling_row,
 )
 from cyclecollide.montecarlo import BLOCK_PAIRS, PERMUTATION_MAX_N, _stream
-from oracles import bernoulli_batch_by_index, count_records
+from oracles import bernoulli_batch_by_index, bernoulli_batch_by_inversion, count_records
 
 
 def draw_one(kind, n, rng):
@@ -70,7 +70,7 @@ def test_draws_within_range(kind):
 
 @pytest.mark.parametrize("kind", SamplerKind)
 def test_batch_sampler_matches_exact_law(kind):
-    for n in (6, 50, 200):
+    for n in (6, 12, 13, 50, 200):
         draws = sample_cycle_counts(kind, n, 10**5, _stream(0, n))
         assert chi_square_pvalue(draws, n) >= 1e-6, n
 
@@ -174,21 +174,23 @@ def test_permutation_direct_counts_are_pinned():
 
 
 def test_default_sampler_counts_are_pinned():
-    # Pins the SFC64 block streams, the halves pairing and the jump
-    # sampler, with a short last block in both cases.
-    assert estimate_collision(10, 3 * BLOCK_PAIRS + 17, seed=5).collisions == 11857
+    # Pins the SFC64 block streams, the halves pairing and the sampler,
+    # by inversion at n = 10 and by jumps at n = 10^9, with a short last
+    # block in both cases.
+    assert estimate_collision(10, 3 * BLOCK_PAIRS + 17, seed=5).collisions == 11761
     assert estimate_collision(10**9, 2 * BLOCK_PAIRS + 1, seed=6).collisions == 2056
 
 
 # (kind, n) -> sha256 prefix of 300 single draws from the SFC64 stream
 # _stream(1, 2), and the next rng.random() after them, which pins the
-# stream position.
+# stream position.  BERNOULLI_SUM at n = 1 draws integers below 1! = 1,
+# which take no words, so its next rng.random() is the stream's first.
 _SINGLE_DRAW_PINS = {
     (SamplerKind.PERMUTATION_DIRECT, 1): ("6e7601f602122027", "0x1.7771b03fcf1f6p-1"),
     (SamplerKind.PERMUTATION_DIRECT, 5): ("6eae292fcd35f8a5", "0x1.c79a80b5bc636p-1"),
     (SamplerKind.PERMUTATION_DIRECT, 1000): ("a4394a315f16602e", "0x1.c65874430ce82p-1"),
-    (SamplerKind.BERNOULLI_SUM, 1): ("6e7601f602122027", "0x1.7771b03fcf1f6p-1"),
-    (SamplerKind.BERNOULLI_SUM, 5): ("3a6461edf2492a40", "0x1.53a0a54cc7c74p-1"),
+    (SamplerKind.BERNOULLI_SUM, 1): ("6e7601f602122027", "0x1.62bec232c86c0p-2"),
+    (SamplerKind.BERNOULLI_SUM, 5): ("11c46cfca3026590", "0x1.dc8b3faab2a07p-1"),
     (SamplerKind.BERNOULLI_SUM, 1000): ("523299fd4a65434f", "0x1.8ef20ed57875cp-3"),
     (SamplerKind.BERNOULLI_SUM, 2**40): ("f97c9ac73d001d27", "0x1.66074ad6d777ep-1"),
 }
@@ -218,20 +220,43 @@ def test_serial_blocks_are_generated_lazily(monkeypatch):
     assert peak < 100_000
 
 
-@pytest.mark.parametrize(
-    "n", [1, 2, 3, 5, 9, 27, 1000, 2**40, BERNOULLI_MAX_N - 1, BERNOULLI_MAX_N]
-)
-def test_bernoulli_batch_matches_index_tracking_loop(n):
-    # The mask-replay batch draws what the index-tracking loop draws: the
-    # same int64 counts and the same stream position after them.
+def assert_same_draws(n, draw_ref):
+    # The batch draws what the reference draws: the same int64 counts and
+    # the same stream position after them.
     for size in (1, 2, 7, 2**14, 10**5):
         for stream in range(3):
             rng, ref = _stream(stream, n % 2**32), _stream(stream, n % 2**32)
             got = montecarlo._bernoulli_batch(n, size, rng)
-            want = bernoulli_batch_by_index(n, size, ref)
+            want = draw_ref(size, ref)
             assert got.dtype == want.dtype == np.int64
             assert np.array_equal(got, want), (size, stream)
             assert rng.random() == ref.random(), (size, stream)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 9, 12])
+def test_bernoulli_batch_below_13_matches_bisection_over_the_row(n):
+    # Through n = 12 a draw is one bounded uint32 below n!, inverted
+    # through the running sums of the row of c(n, k).
+    row = stirling_row(n).coeffs
+    assert_same_draws(n, lambda size, ref: bernoulli_batch_by_inversion(row, size, ref))
+
+
+@pytest.mark.parametrize(
+    "n", [13, 27, 1000, 2**40, BERNOULLI_MAX_N - 1, BERNOULLI_MAX_N]
+)
+def test_bernoulli_batch_matches_index_tracking_loop(n):
+    # From n = 13 the mask-replay batch draws what the index-tracking loop
+    # draws.
+    assert_same_draws(n, lambda size, ref: bernoulli_batch_by_index(n, size, ref))
+
+
+def test_inversion_row_is_the_stirling_row():
+    # The sampler multiplies out its own Bernoulli(1/j) factors; the
+    # exact route builds its rows by the recurrence.  Both give c(n, k).
+    cut = montecarlo._INVERSION_MAX_N
+    for n in range(1, cut + 1):
+        assert montecarlo._feller_row(n) == stirling_row(n).coeffs
+    assert math.factorial(cut) < 2**32 <= math.factorial(cut + 1)
 
 
 class _ZeroUniforms:
