@@ -1,8 +1,8 @@
-"""The two argument contracts of the public entry points (README, "Inputs"):
-an integer for n of p(n), for every count and, below 2**64, for a seed; a
-real n for the closed forms I(n) and 1/(2 sqrt(pi log n)); and the
-sequences that hold such values.  Plain Python: no route loads numpy for
-them."""
+"""The argument readers of the public entry points (README, "Inputs"): an
+integer for n of p(n), for every count and, below 2**64, for a seed; a
+real n for the closed forms I(n) and 1/(2 sqrt(pi log n)); a real for an
+angle or a tolerance; the sequences of such values; and the objects an
+entry point is handed.  Plain Python: no route loads numpy for them."""
 
 import math
 
@@ -13,12 +13,11 @@ def integer(name: str, value, minimum: int) -> int:
         return value
     try:
         as_int = int(value)
-        ok = as_int == value and as_int >= minimum
+        if as_int == value and as_int >= minimum:
+            return as_int
     except (TypeError, ValueError, ArithmeticError):
-        ok = False
-    if not ok:
-        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
-    return as_int
+        pass
+    raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 def seed(value) -> int:
@@ -29,19 +28,24 @@ def seed(value) -> int:
     return value
 
 
+def real(value) -> float:
+    """float() of `value`; NaN for text, bytes, complex and what float()
+    refuses, so that a caller's range check, which NaN fails, refuses them."""
+    if isinstance(value, (str, bytes, bytearray, complex)):
+        return math.nan
+    try:
+        return float(value)
+    except (TypeError, ValueError, ArithmeticError):
+        return math.nan
+
+
 def real_n(value) -> int | float:
-    """An int n > 1 as it is, at any size; any other value that is not text
-    as its float, which must be finite and > 1."""
+    """An int n > 1 as it is, at any size; any other value as its `real`, finite and > 1."""
     if isinstance(value, int):
         if value > 1:
             return value
-    elif not isinstance(value, (str, bytes, bytearray)):
-        try:
-            n = float(value)
-        except (TypeError, ValueError, ArithmeticError):
-            n = math.nan
-        if 1 < n < math.inf:
-            return n
+    elif 1 < (n := real(value)) < math.inf:
+        return n
     raise ValueError(f"n must be finite and > 1, got {value!r}")
 
 
@@ -51,3 +55,17 @@ def items(name: str, value) -> tuple:
         return tuple(value)
     except TypeError:
         raise ValueError(f"{name} must be an iterable, got {value!r}") from None
+
+
+def ascending(name: str, values) -> tuple[int, ...]:
+    """The items of `values` as integers n >= 1, which must strictly increase."""
+    ns = tuple(integer("n", n, 1) for n in items(name, values))
+    if any(b <= a for a, b in zip(ns, ns[1:])):
+        raise ValueError(f"{name} must be strictly increasing, got {ns}")
+    return ns
+
+
+def instance(name: str, value, kind: type) -> None:
+    """ValueError unless `value` is a `kind`."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{name} must be a {kind.__name__}, got {value!r}")

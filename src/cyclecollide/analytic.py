@@ -535,6 +535,7 @@ def I_n(n: float, config: QuadratureConfig = DEFAULT_CONFIG) -> QuadratureResult
     n = _args.real_n(n)
     if n < 2:
         raise ValueError(f"n must be finite and >= 2, got {n!r}")
+    _args.instance("config", config, QuadratureConfig)
     return _kernel_quadrature(n, config, None, 2.0)
 
 
@@ -562,6 +563,7 @@ def p_quadrature_result(
     circle = kind is None or kind is IntegrandKind.GAMMA_RATIO
     if not circle and kind is not IntegrandKind.EXACT_PRODUCT:
         raise ValueError(f"unknown integrand kind: {kind!r}")
+    _args.instance("config", config, QuadratureConfig)
     if n == 1:
         return QuadratureResult(1.0, 0.0, 0)
     scale = 1.0 / math.pi

@@ -150,16 +150,12 @@ def stirling_rows(n_values: Iterable[int]) -> Iterator[StirlingRow]:
     steps over a requested row; the steps between consecutive n of a
     sweep are single factors.
 
-    The sequence is read and checked before any row is built: each n
-    follows the package's integer contract (README, "Inputs"), and a
-    non-increasing step or an `n_values` that is not iterable is a
-    ValueError.
+    Every n is read before any row is built, by the package's reader of
+    ascending n (README, "Inputs").
     """
-    targets = tuple(_args.integer("n", n, 1) for n in _args.items("n_values", n_values))
+    targets = _args.ascending("n_values", n_values)
     if not targets:
         return
-    if any(b <= a for a, b in zip(targets, targets[1:])):
-        raise ValueError(f"n values must be strictly increasing, got {targets}")
     # Row m as the base-2^B digits of the rising factorial at X = 2^B.
     m = min(targets[0], _PACKED_MAX)
     slot = -(-math.factorial(m).bit_length() // 8)

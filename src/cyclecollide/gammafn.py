@@ -139,14 +139,8 @@ def log_gamma(z: complex | np.ndarray) -> complex | np.ndarray:
 
 
 def _angle(value) -> float:
-    # A real angle in [0, 2 pi] as a float; written so that NaN fails.
-    if not isinstance(value, (str, bytes, bytearray, complex)):
-        try:
-            theta = float(value)
-        except (TypeError, ValueError, ArithmeticError):
-            theta = math.nan
-        if 0.0 <= theta <= 2.0 * math.pi:
-            return theta
+    if 0.0 <= (theta := _args.real(value)) <= 2.0 * math.pi:
+        return theta
     raise ValueError(f"theta must be a real number in [0, 2*pi], got {value!r}")
 
 
@@ -158,11 +152,9 @@ def _on_angles(
     evaluated; text, bytes, complex values and angles outside [0, 2*pi]
     raise ValueError.  numpy is imported only for a theta that is not a
     Python real number."""
-    if isinstance(theta, (int, float)):
+    if isinstance(theta, (int, float, str, bytes, bytearray, complex)):
         (value,) = values([_angle(theta)])
         return float(value)
-    if isinstance(theta, (str, bytes, bytearray, complex)):
-        _angle(theta)
     import numpy as np
 
     arr = np.asarray(theta)

@@ -216,13 +216,14 @@ def sample_cycle_counts(
 
     n and size follow the package's integer contract (README, "Inputs");
     ValueError also for a `kind` that is not a SamplerKind, for
-    BERNOULLI_SUM above BERNOULLI_MAX_N and for PERMUTATION_DIRECT above
-    PERMUTATION_MAX_N.  `rng` must be a numpy Generator: PERMUTATION_DIRECT
-    reads its `bit_generator`'s raw words, and BERNOULLI_SUM calls its
-    `integers` (n <= 12) or `random` (n >= 13).
+    BERNOULLI_SUM above BERNOULLI_MAX_N, for PERMUTATION_DIRECT above
+    PERMUTATION_MAX_N and for an `rng` that is not a numpy Generator:
+    PERMUTATION_DIRECT reads its `bit_generator`'s raw words, and
+    BERNOULLI_SUM calls its `integers` (n <= 12) or `random` (n >= 13).
     """
     n = _check_n(n, kind)
     size = _args.integer("size", size, 1)
+    _args.instance("rng", rng, np.random.Generator)
     if kind is SamplerKind.PERMUTATION_DIRECT:
         return _permutation_batch(n, size, rng)
     return _bernoulli_batch(n, size, rng)

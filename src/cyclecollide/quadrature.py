@@ -40,17 +40,10 @@ import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
+from . import _args
+
 if TYPE_CHECKING:
     import numpy as np
-
-
-def _finite(value) -> bool:
-    # math.isfinite, and False for what it cannot read as a float (text,
-    # None, complex, an int past the double range).
-    try:
-        return math.isfinite(value)
-    except (TypeError, ValueError, ArithmeticError):
-        return False
 
 
 @dataclass(frozen=True)
@@ -58,8 +51,10 @@ class QuadratureConfig:
     rel_tol: float = 1e-10
 
     def __post_init__(self) -> None:
-        if not (_finite(self.rel_tol) and self.rel_tol > 0):
+        rel_tol = _args.real(self.rel_tol)
+        if not 0.0 < rel_tol < math.inf:
             raise ValueError(f"rel_tol must be finite and > 0, got {self.rel_tol}")
+        object.__setattr__(self, "rel_tol", rel_tol)
 
 
 DEFAULT_CONFIG = QuadratureConfig()

@@ -68,11 +68,9 @@ class ReportConfig:
     output_path: str | None = None
 
     def __post_init__(self) -> None:
-        n_values = tuple(_args.integer("n", n, 1) for n in _args.items("n_values", self.n_values))
+        n_values = _args.ascending("n_values", self.n_values)
         if not n_values:
             raise ValueError("n_values must be nonempty")
-        if any(b <= a for a, b in zip(n_values, n_values[1:])):
-            raise ValueError("n_values must be strictly increasing")
         # Compared, not hashed: an unhashable item is an unknown method.
         requested = _args.items("methods", self.methods)
         methods = tuple(m for m in METHODS if m in requested)
@@ -83,12 +81,13 @@ class ReportConfig:
             raise ValueError(f"unknown methods: {unknown}")
         if ("asymptotic" in methods or "eq2" in methods) and n_values[0] < 2:
             raise ValueError("asymptotic and eq2 methods require all n >= 2")
-        if not isinstance(self.quad, QuadratureConfig):
-            raise ValueError(f"quad must be a QuadratureConfig, got {self.quad!r}")
+        _args.instance("quad", self.quad, QuadratureConfig)
         mc_pairs = _args.integer("mc_pairs", self.mc_pairs, 1)
         seed = _args.seed(self.seed)
         if self.output_format not in ("csv", "json"):
             raise ValueError("output_format must be 'csv' or 'json'")
+        if self.output_path is not None:
+            _args.instance("output_path", self.output_path, str)
         object.__setattr__(self, "n_values", n_values)
         object.__setattr__(self, "methods", methods)
         object.__setattr__(self, "mc_pairs", mc_pairs)
@@ -187,15 +186,12 @@ def _render_row_json(row: CollisionReportRow) -> str:
 
 
 def _render_config_json(config: ReportConfig) -> str:
-    quad = config.quad
-    out_path = (
-        _json_str(config.output_path) if config.output_path is not None else "null"
-    )
+    out_path = "null" if config.output_path is None else _json_str(config.output_path)
     return (
         "{"
         f'"n_values": [{", ".join(str(n) for n in config.n_values)}], '
         f'"methods": [{", ".join(_json_str(m) for m in config.methods)}], '
-        f'"quad": {{"rel_tol": {quad.rel_tol:.17g}}}, '
+        f'"quad": {{"rel_tol": {config.quad.rel_tol:.17g}}}, '
         f'"mc_pairs": {config.mc_pairs}, '
         f'"seed": {config.seed}, '
         f'"output_format": {_json_str(config.output_format)}, '

@@ -190,7 +190,7 @@ def _chi_square_pvalue(counts: np.ndarray, n: int) -> float:
 
 def _cycle_counts(kind: SamplerKind, n: int) -> np.ndarray:
     # Draws with k = 0..n cycles, counted per block: 10^6 never exist at once.
-    blocks = (sample_cycle_counts(kind, n, 10**5, _stream(0, b)) for b in range(10))
+    blocks = (sample_cycle_counts(kind, n, 10**4, _stream(0, b)) for b in range(100))
     return sum(np.bincount(draws, minlength=n + 1) for draws in blocks)
 
 

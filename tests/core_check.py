@@ -3,8 +3,10 @@
 With numpy blocked (`sys.modules["numpy"] = None`) it runs each command
 in PINS through `cyclecollide.cli.main` and compares its stdout with the
 pinned bytes, runs each command in NEEDS_NUMPY and compares its exit
-code 1 and its one stderr line, and compares the `float.hex` of
-`p_quadrature_result(n).value` and `I_n(n).value` with VALUE_PINS.
+code 1 and its one stderr line, compares the `float.hex` of
+`p_quadrature_result(n).value` and `I_n(n).value` with VALUE_PINS, and
+compares a JSON table at each tolerance in REL_TOLS with the table at its
+float.
 Exits 0 when everything matches; otherwise exits 1 and names the first
 command or n that differs.  It needs no installed package, so it runs
 on any interpreter the package claims:
@@ -17,6 +19,8 @@ pytest does not collect this file; tests/test_cli.py imports PINS from it.
 import contextlib
 import io
 import sys
+from decimal import Decimal
+from fractions import Fraction
 
 # (argv, stdout) of the commands that run without numpy.  The circle
 # values come from `math` alone, so from the C library's libm.
@@ -77,6 +81,11 @@ VALUE_PINS = (
     (10**300, "0x1.6001df74bf843p-7", "0x1.1477452f499f2p-4"),
 )
 
+# Tolerances that are not floats, each stored as its float, so that the
+# routes and the JSON config echo are those of the float.  A Fraction
+# formats itself one way up to Python 3.11 and another from 3.12.
+REL_TOLS = (Decimal("1e-10"), Fraction(1, 10**10), True)
+
 
 def _run(argv) -> tuple[int, str, str]:
     from cyclecollide.cli import main as cli_main
@@ -85,6 +94,15 @@ def _run(argv) -> tuple[int, str, str]:
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli_main(list(argv))
     return code, out.getvalue(), err.getvalue()
+
+
+def _table_json(rel_tol) -> str:
+    from cyclecollide import QuadratureConfig, ReportConfig, render_json, run_report
+
+    config = ReportConfig(
+        (1000,), ("quadrature", "eq2"), QuadratureConfig(rel_tol), output_format="json"
+    )
+    return render_json(run_report(config), config)
 
 
 def main() -> int:
@@ -105,9 +123,13 @@ def main() -> int:
             print(f"differs: p_quadrature_result and I_n at n = {n}", file=sys.stderr)
             print(f"values {got}, pinned {want}", file=sys.stderr)
             return 1
+    for rel_tol in REL_TOLS:
+        if _table_json(rel_tol) != _table_json(float(rel_tol)):
+            print(f"differs: the JSON table at rel_tol {rel_tol!r}", file=sys.stderr)
+            return 1
     print(
-        f"{len(runs)} commands and {len(VALUE_PINS)} n match their pins "
-        f"on Python {sys.version.split()[0]}"
+        f"{len(runs)} commands, {len(VALUE_PINS)} n and {len(REL_TOLS)} tolerances "
+        f"match their pins on Python {sys.version.split()[0]}"
     )
     return 0
 

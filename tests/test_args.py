@@ -30,6 +30,8 @@ from cyclecollide import (
     p_exact,
     p_quadrature_result,
     recip_gamma_abs_sq,
+    render_json,
+    run_report,
     sample_cycle_counts,
     stirling_row,
     stirling_rows,
@@ -180,12 +182,16 @@ def test_entry_points_follow_their_contract(value):
                 assert message not in str(exc)
 
 
-# Arguments that no contract reads, each once a TypeError or, for `quad`, an
-# AttributeError in run_report: a tolerance, z of weierstrass_partial, the
-# sequences of n and of methods, and the quadrature config of a report.
-# An angle theta that is text was parsed as a number, and a complex one
-# was a TypeError.  A kind that is not an IntegrandKind is refused before
-# any n is read, also at n = 1, where p needs no integrand.
+# Arguments outside the two contracts, each read by another `_args` reader
+# and each once a TypeError or an AttributeError: a tolerance (`real`), z
+# of weierstrass_partial, the sequences of n and of methods (`items`,
+# `ascending`), and the quadrature config of a report or a route, the rng
+# of a sampler and the output path of a report (`instance`).  An angle
+# theta that is text was parsed as a number, and a complex one was a
+# TypeError (`real`).  A kind that is not an IntegrandKind is refused
+# before any n is read, also at n = 1, where p needs no integrand; so is a
+# config that is not a QuadratureConfig at n = 1.  A RandomState drew from
+# its own stream at n >= 13.
 OUTSIDE_CONTRACTS = [
     ("rel_tol-text", lambda: QuadratureConfig(rel_tol="x"), "rel_tol must be finite"),
     ("rel_tol-None", lambda: QuadratureConfig(rel_tol=None), "rel_tol must be finite"),
@@ -205,6 +211,17 @@ OUTSIDE_CONTRACTS = [
     ("integrand-kind-text", lambda: integrand("gamma-ratio", 10, 1.0), "unknown integrand kind"),
     ("p_quadrature_result-kind-text", lambda: p_quadrature_result(1, "gamma-ratio"),
      "unknown integrand kind"),
+    ("config-None", lambda: p_quadrature_result(10, None, None), "config must be a Quad"),
+    ("config-float", lambda: p_quadrature_result(10, None, 1e-8), "config must be a Quad"),
+    ("config-None-n1", lambda: p_quadrature_result(1, None, None), "config must be a Quad"),
+    ("I_n-config-None", lambda: I_n(100, None), "config must be a Quad"),
+    ("rng-None", lambda: sample_cycle_counts(BERN, 5, 3, None), "rng must be a Generator"),
+    ("rng-RandomState", lambda: sample_cycle_counts(PERM, 5, 3, np.random.RandomState(0)),
+     "rng must be a Generator"),
+    ("rng-RandomState-13", lambda: sample_cycle_counts(BERN, 13, 3, np.random.RandomState(0)),
+     "rng must be a Generator"),
+    ("output_path-int", lambda: ReportConfig((5,), ("exact",), output_path=5),
+     "output_path must be a str"),
 ]
 
 
@@ -216,3 +233,19 @@ OUTSIDE_CONTRACTS = [
 def test_arguments_outside_the_contracts_are_value_errors(op, message):
     with pytest.raises(ValueError, match=message):
         op()
+
+
+@pytest.mark.parametrize(
+    "rel_tol", [Decimal("1e-10"), Fraction(1, 10**10), True, np.float32(1e-10)], ids=repr
+)
+def test_rel_tol_is_stored_as_its_float(rel_tol):
+    # A Decimal failed in the routes, a Fraction in the JSON echo before
+    # Python 3.12, and True and a float32 were stored as they came.  Each
+    # is now its float: the same routes and the same echo.
+    def run(config):
+        report = ReportConfig((1000,), ("quadrature", "eq2"), quad=config, output_format="json")
+        return config.rel_tol, render_json(run_report(report), report)
+
+    got, want = run(QuadratureConfig(rel_tol)), run(QuadratureConfig(float(rel_tol)))
+    assert type(got[0]) is float
+    assert got == want

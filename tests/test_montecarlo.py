@@ -109,12 +109,16 @@ def test_record_counter_matches_reference(n):
     assert rng.random() == ref.random()
 
 
-class _RawWords:
+class _RawWords(np.random.Generator):
     """A generator whose bit generator returns the given raw words."""
 
     def __init__(self, words):
-        self.bit_generator = self
+        super().__init__(np.random.SFC64())
         self._words = iter(words)
+
+    @property
+    def bit_generator(self):
+        return self
 
     def random_raw(self, size):
         return np.array([next(self._words) for _ in range(size)], dtype=np.uint64)

@@ -98,7 +98,7 @@ def test_chi2_sf_matches_scipy():
 
 @pytest.mark.parametrize("kind", list(SamplerKind))
 def test_chi_square_counts_are_streamed_per_block(kind):
-    # Criterion 7 counts each block of 10^5 draws as it comes: the same
+    # Criterion 7 counts each block of 10^4 draws as it comes: the same
     # p-value as one count of all 10^6 draws, without holding them.
     tracemalloc.start()
     try:
@@ -108,7 +108,7 @@ def test_chi_square_counts_are_streamed_per_block(kind):
         tracemalloc.stop()
     assert peak < 5 * 2**20
     draws = np.concatenate(
-        [sample_cycle_counts(kind, 2, 10**5, verify._stream(0, block)) for block in range(10)]
+        [sample_cycle_counts(kind, 2, 10**4, verify._stream(0, block)) for block in range(100)]
     )
     want = np.bincount(draws, minlength=3)
     assert counts.tolist() == want.tolist()
