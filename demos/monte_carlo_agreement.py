@@ -11,7 +11,8 @@ land within a few standard errors of the exact p(n).
 The comparison runs at N = 12 and the estimates at n = 10, where the
 Bernoulli sampler draws by inversion: it multiplies out its Bernoulli
 factors into the counts c(n, k) and maps one uniform integer below n!
-onto them.  From n = 13 it skips from one success to the next instead.
+onto them.  From n = 13 it draws letters 1..12 that way and skips from
+one success to the next over the rest.
 """
 
 import numpy as np

@@ -7,16 +7,31 @@ entry point is handed.  Plain Python: no route loads numpy for them."""
 import math
 
 
+def _complex(value) -> bool:
+    """Whether `value` is a complex number that is not real: Python
+    complex, and numpy's complex scalars, which int() and float() would
+    read as their real part."""
+    if type(value) in (int, float):
+        return False
+    # Imported here, so that a command whose arguments are ints and floats
+    # does not load `numbers` at its cold start.
+    import numbers
+
+    return isinstance(value, numbers.Complex) and not isinstance(value, numbers.Real)
+
+
 def integer(name: str, value, minimum: int) -> int:
-    """`value` as an int >= `minimum`: any value whose int() equals it."""
+    """`value` as an int >= `minimum`: any value whose int() equals it,
+    but no complex one."""
     if type(value) is int and value >= minimum:
         return value
-    try:
-        as_int = int(value)
-        if as_int == value and as_int >= minimum:
-            return as_int
-    except (TypeError, ValueError, ArithmeticError):
-        pass
+    if not _complex(value):
+        try:
+            as_int = int(value)
+            if as_int == value and as_int >= minimum:
+                return as_int
+        except (TypeError, ValueError, ArithmeticError):
+            pass
     raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
@@ -31,7 +46,7 @@ def seed(value) -> int:
 def real(value) -> float:
     """float() of `value`; NaN for text, bytes, complex and what float()
     refuses, so that a caller's range check, which NaN fails, refuses them."""
-    if isinstance(value, (str, bytes, bytearray, complex)):
+    if isinstance(value, (str, bytes, bytearray)) or _complex(value):
         return math.nan
     try:
         return float(value)

@@ -32,27 +32,32 @@ Two samplers draw the cycle count of a uniform random n-permutation:
   Feller coupling: build the permutation by inserting letters one at a
   time; letter j closes a new cycle with probability 1/j).  This is the
   default sampler at every n, validated against the direct sampler.
-  Through n = 12 (_INVERSION_MAX_N) it draws by inversion.  Multiplying
-  out the factors ((j - 1) + x) / j gives n! P(K = k) as the coefficient
-  c(n, k) of x^k in prod_{j=1..n} (x + j - 1), so one integer v uniform
-  on 0 .. n! - 1 gives the count 1 + #{k < n : v >= c(n, 1) + ... +
-  c(n, k)}, exactly: numpy's bounded integers reject as in Lemire's
-  method, so v is exactly uniform.  Since 12! < 2^32 <= 13!, v is one
-  bounded uint32, and a batch takes at most 14 bytes a draw: 4 for v,
-  1 for its uint8 count, 1 for one compare's mask and 8 for the int64
-  counts (a batch of 10^5 peaks at 13, tracemalloc).
-  From n = 13 it jumps from success to success: after a success at
-  index j the next one is at N = floor(j / U) + 1 with U uniform on
-  (0, 1], since P(N > m) = j/m.  A draw costs an expected H_n ~ ln n
-  steps.  The index is a double, so n is limited to
+  A draw takes letters 1..m, m = min(n, _INVERSION_MAX_N = 12), by
+  inversion.  Multiplying out the factors ((j - 1) + x) / j gives
+  m! P(K = k), K the count of cycles closed by letters 1..m, as the
+  coefficient c(m, k) of x^k in prod_{j=1..m} (x + j - 1), so one
+  integer v uniform on 0 .. m! - 1 gives K = 1 + #{k < m : v >=
+  c(m, 1) + ... + c(m, k)}, exactly: numpy's bounded integers reject as
+  in Lemire's method, so v is exactly uniform.  Since 12! < 2^32 <= 13!,
+  v is one bounded uint32.  The m - 1 compares run as one broadcast, so
+  a batch takes 4 bytes a draw for v, m - 1 for the compares' mask and 1
+  for K, at most 16, and then 8 for the int64 counts (a batch of 10^5
+  peaks at 16 bytes a draw at n = 12 and 9 at n = 3, tracemalloc).
+  For n >= 13 letters 13..n follow by jumps from success to success:
+  after a success at index j, or from j = 12, the next one is at
+  N = floor(j / U) + 1 with U uniform on (0, 1], since P(N > k) =
+  prod_{i=j+1..k} (1 - 1/i) = j/k whether or not j was a success.  A
+  draw costs an expected 1 + H_n - H_12 steps, H_n ~ ln n and
+  H_12 = 3.10.  The index is a double, so n is limited to
   BERNOULLI_MAX_N = 2**53.
   A batch runs in rounds over the draws still running, one uniform per
   live draw, and a round keeps only the mask of the draws that go on; no
-  draw index is carried.  A draw's count is the round in which it
-  stops, so once every draw has stopped the counts are replayed from the
-  last mask back to the first.  The masks take a byte per draw per
-  round, H_n bytes a draw on average (at most 37.4): a batch of 10^5
-  peaks near 24 bytes a draw at n = 13 and 51 at n = 2^53 (tracemalloc).
+  draw index is carried.  A draw that stops in round r closed r - 1
+  cycles above 12, so once every draw has stopped the rounds are
+  replayed from the last mask back to the first and K is added.  The
+  masks take a byte per draw per round, 1 + H_n - H_12 bytes a draw on
+  average (at most 35.2): a batch of 10^5 peaks near 17 bytes a draw at
+  n = 13 and 50 at n = 2^53 (tracemalloc).
 
 Trials are sharded into fixed-size blocks, and block b draws from an
 SFC64 generator seeded by child b of `SeedSequence(seed)` (numpy's
@@ -84,8 +89,8 @@ BLOCK_PAIRS = 1 << 14
 # on it.
 _PERM_CHUNK_ELEMS = 1 << 13
 
-# Largest n that BERNOULLI_SUM draws by inversion: 12! < 2^32 <= 13!, so
-# this is where one bounded uint32 stops covering n!, not a tuned knob.
+# Letters BERNOULLI_SUM draws by inversion, at every n: 12! < 2^32 <= 13!,
+# so this is where one bounded uint32 stops covering n!, not a tuned knob.
 _INVERSION_MAX_N = 12
 # Largest n for BERNOULLI_SUM: every success index up to n must be an
 # exact double.
@@ -171,20 +176,23 @@ def _feller_row(n: int) -> tuple[int, ...]:
 
 
 def _bernoulli_batch(n: int, size: int, rng: np.random.Generator) -> np.ndarray:
-    if n <= _INVERSION_MAX_N:
-        # Inversion (module docstring): a draw counts the running sums of
-        # its row that v reaches.  Counts are at most n <= 12.
-        v = rng.integers(0, math.factorial(n), size, dtype=np.uint32)
-        counts = np.ones(size, np.uint8)
-        for cut in itertools.accumulate(_feller_row(n)[:-1]):
-            counts += v >= cut
-        return counts.astype(np.int64)
-    # Success-to-success jumps, vectorized over the draws still running:
-    # `j` holds each running draw's latest success index, starting from
-    # the certain one at 1, and round r keeps `masks[r - 1]`, which of its
-    # draws go on.
+    # Letters 1..m by inversion (module docstring): `ups` counts the
+    # running sums of row m that v reaches, so a draw has 1 + ups cycles
+    # among them.
+    m = min(n, _INVERSION_MAX_N)
+    cuts = np.fromiter(itertools.accumulate(_feller_row(m)[:-1]), np.uint32, m - 1)
+    v = rng.integers(0, math.factorial(m), size, dtype=np.uint32)
+    ups = np.add.reduce(cuts[:, None] <= v, axis=0, dtype=np.uint8)
+    del v  # not held through the jumps
+    if n == m:
+        ups += 1
+        return ups.astype(np.int64)
+    # Letters m + 1..n by success-to-success jumps, vectorized over the
+    # draws still running: `j` holds each running draw's latest success
+    # index, or m before its first, and round r keeps `masks[r - 1]`,
+    # which of its draws go on.
     masks = []
-    j = np.ones(size)
+    j = np.full(size, float(m))
     while j.size:
         u = rng.random(j.size)
         np.subtract(1.0, u, out=u)
@@ -195,17 +203,19 @@ def _bernoulli_batch(n: int, size: int, rng: np.random.Generator) -> np.ndarray:
         masks.append(alive)
         j = j.compress(alive)
         j += 1.0
-    # A draw that stops in round r has r successes.  Walking back, each
-    # round's stopped draws take r and its running ones take, in order,
-    # the counts of the next round.  Counts are at most len(masks), so
-    # the type cannot wrap.
-    dtype = np.min_scalar_type(len(masks))
+    # A draw that stops in round r has r - 1 successes above m, so r + ups
+    # cycles.  Walking back, each round's stopped draws take r and its
+    # running ones take, in order, the values of the next round; then ups
+    # is added.  Counts are at most len(masks) + m - 1, so the type cannot
+    # wrap.
+    dtype = np.min_scalar_type(len(masks) + m - 1)
     counts = np.empty(0, dtype)
     for r in range(len(masks), 0, -1):
         alive = masks.pop()
         round_counts = np.full(alive.size, r, dtype)
         round_counts[alive.nonzero()[0]] = counts
         counts = round_counts
+    counts += ups
     return counts.astype(np.int64)
 
 
@@ -219,7 +229,7 @@ def sample_cycle_counts(
     BERNOULLI_SUM above BERNOULLI_MAX_N, for PERMUTATION_DIRECT above
     PERMUTATION_MAX_N and for an `rng` that is not a numpy Generator:
     PERMUTATION_DIRECT reads its `bit_generator`'s raw words, and
-    BERNOULLI_SUM calls its `integers` (n <= 12) or `random` (n >= 13).
+    BERNOULLI_SUM calls its `integers`, and from n = 13 its `random`.
     """
     n = _check_n(n, kind)
     size = _args.integer("size", size, 1)

@@ -200,7 +200,8 @@ def check_monte_carlo() -> tuple[bool, str]:
     gap_se = abs(est.p_hat - exact) / est.std_err
     if gap_se > 4.0:
         return False, f"n=10: |p_hat - p_exact| = {gap_se:.2f} se > 4 se"
-    # BERNOULLI_SUM inverts the law through n = 12; n = 13 checks its jumps.
+    # BERNOULLI_SUM inverts letters 1..12 at every n; n = 13 checks the
+    # jumps after the inversion.
     pvals = []
     cases = [(n, kind) for n in (2, 6, 12) for kind in SamplerKind]
     for n, kind in [*cases, (13, SamplerKind.BERNOULLI_SUM)]:

@@ -2,11 +2,11 @@
 
 Everything here counts or enumerates directly from definitions; nothing
 imports the recurrence/quadrature code paths under test.  The
-exceptions are the two BERNOULLI_SUM batches: `bernoulli_batch_by_index`,
-the jump batch as it was first written, kept as the reference the faster
-batch must equal bit for bit, and `bernoulli_batch_by_inversion`, which
-makes the inversion's one stream call and looks each draw up in a row of
-counts the caller passes.
+exception is the BERNOULLI_SUM batch `bernoulli_batch_by_index`, the
+reference the faster batch must equal bit for bit: it makes the same
+stream calls, looks each draw up in a row of counts the caller passes,
+and tracks each draw's index through the jumps, as the jump batch was
+first written.
 """
 
 from __future__ import annotations
@@ -67,34 +67,28 @@ def rising_factorial(n: int, x: Fraction | int) -> Fraction:
     return math.prod((Fraction(x) + j for j in range(n)), start=Fraction(1))
 
 
-def bernoulli_batch_by_index(n: int, size: int, rng) -> np.ndarray:
+def bernoulli_batch_by_index(n: int, row, size: int, rng) -> np.ndarray:
     """BERNOULLI_SUM cycle counts, tracking each running draw's index.
 
-    Success-to-success jumps of the Feller coupling: after a success at j
-    the next is at floor(j / U) + 1, U = 1 - rng.random() on (0, 1].  Each
-    round draws one uniform per running draw and adds one to the count
-    of every draw that goes on.
+    Letters 1..m, m = len(row) = min(n, 12), by inversion: `row` holds
+    c(m, 1) .. c(m, m), and a draw is one integer v uniform on
+    0 .. m! - 1 from `rng.integers`, which counts 1 + the running sums
+    c(m, 1) + ... + c(m, k), k < m, at or below v, found by bisection
+    over Python ints.  Letters m + 1..n by the success-to-success jumps
+    of the Feller coupling: after a success at j, or from j = m, the next
+    is at floor(j / U) + 1, U = 1 - rng.random() on (0, 1].  Each round
+    draws one uniform per running draw and adds one to the count of
+    every draw that goes on.
     """
-    counts = np.ones(size, dtype=np.int64)
-    active = np.arange(size)
-    j = np.ones(size)
+    m = len(row)
+    cuts = list(itertools.accumulate(row[:-1]))
+    v = rng.integers(0, math.factorial(m), size, dtype=np.uint32)
+    counts = np.array([1 + bisect.bisect_right(cuts, x) for x in v.tolist()], dtype=np.int64)
+    active = np.arange(size if m < n else 0)
+    j = np.full(active.size, float(m))
     while active.size:
         j = np.floor(j / (1.0 - rng.random(active.size)))  # next success - 1
         alive = j < n
         active, j = active[alive], j[alive] + 1.0
         counts[active] += 1
     return counts
-
-
-def bernoulli_batch_by_inversion(row, size: int, rng) -> np.ndarray:
-    """BERNOULLI_SUM cycle counts at n = len(row) <= 12, by inversion.
-
-    `row` holds c(n, 1) .. c(n, n).  A draw is one integer v uniform on
-    0 .. n! - 1 from `rng.integers` and counts 1 + the running sums
-    c(n, 1) + ... + c(n, k), k < n, at or below v, found by bisection
-    over Python ints.
-    """
-    n = len(row)
-    cuts = list(itertools.accumulate(row[:-1]))
-    v = rng.integers(0, math.factorial(n), size, dtype=np.uint32)
-    return np.array([1 + bisect.bisect_right(cuts, x) for x in v.tolist()], dtype=np.int64)

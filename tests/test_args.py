@@ -191,7 +191,9 @@ def test_entry_points_follow_their_contract(value):
 # TypeError (`real`).  A kind that is not an IntegrandKind is refused
 # before any n is read, also at n = 1, where p needs no integrand; so is a
 # config that is not a QuadratureConfig at n = 1.  A RandomState drew from
-# its own stream at n >= 13.
+# its own stream at n >= 13.  A numpy complex n that does not subclass
+# complex (complex64, clongdouble) was read as its real part with a
+# ComplexWarning, also when its imaginary part is 0.
 OUTSIDE_CONTRACTS = [
     ("rel_tol-text", lambda: QuadratureConfig(rel_tol="x"), "rel_tol must be finite"),
     ("rel_tol-None", lambda: QuadratureConfig(rel_tol=None), "rel_tol must be finite"),
@@ -222,6 +224,17 @@ OUTSIDE_CONTRACTS = [
      "rng must be a Generator"),
     ("output_path-int", lambda: ReportConfig((5,), ("exact",), output_path=5),
      "output_path must be a str"),
+    *(
+        (f"{name}-{type(n).__name__}", lambda op=op, n=n: op(n), message)
+        for n in (np.complex64(100 + 3j), np.clongdouble(100))
+        for name, op, message in (
+            ("p_asymptotic", p_asymptotic, "n must be finite and > 1"),
+            ("I_n", I_n, "n must be finite and > 1"),
+            ("stirling_row", stirling_row, "n must be an integer >= 1"),
+            ("estimate_collision", lambda n: estimate_collision(n, 50),
+             "n must be an integer >= 1"),
+        )
+    ),
 ]
 
 

@@ -290,8 +290,8 @@ def test_table_deterministic_bytes(capsys):
 # The quadrature and eq2 columns come from `math` (libm), the montecarlo
 # column from numpy's generators.
 _TABLE_SHA256 = {
-    "csv": "b01baa3a4bfda4b21cbbfd6c060e1d26dee9708852c15e4ffe3ad97111eec22c",
-    "json": "009f2b5ecae629aa9f3fdffc85f6ed2f8d7cb167e44b2c9a01babe0ed39cb6ff",
+    "csv": "4b33d9da10169b7e94852222ce8c402cbb3b273da2cc60215ebb02e07e249d9c",
+    "json": "6dddd8aea31734d1c3852cac3b8f42d0bee9ef0379fbcfe34bf64c1ca7b19cc8",
 }
 
 

@@ -20,7 +20,7 @@ from cyclecollide import (
     stirling_row,
 )
 from cyclecollide.montecarlo import BLOCK_PAIRS, PERMUTATION_MAX_N, _stream
-from oracles import bernoulli_batch_by_index, bernoulli_batch_by_inversion, count_records
+from oracles import bernoulli_batch_by_index, count_records
 
 
 def draw_one(kind, n, rng):
@@ -70,7 +70,7 @@ def test_draws_within_range(kind):
 
 @pytest.mark.parametrize("kind", SamplerKind)
 def test_batch_sampler_matches_exact_law(kind):
-    for n in (6, 12, 13, 50, 200):
+    for n in (6, 12, 13, 14, 20, 50, 200):
         draws = sample_cycle_counts(kind, n, 10**5, _stream(0, n))
         assert chi_square_pvalue(draws, n) >= 1e-6, n
 
@@ -179,10 +179,10 @@ def test_permutation_direct_counts_are_pinned():
 
 def test_default_sampler_counts_are_pinned():
     # Pins the SFC64 block streams, the halves pairing and the sampler,
-    # by inversion at n = 10 and by jumps at n = 10^9, with a short last
-    # block in both cases.
+    # by inversion at n = 10 and by inversion then jumps at n = 10^9, with
+    # a short last block in both cases.
     assert estimate_collision(10, 3 * BLOCK_PAIRS + 17, seed=5).collisions == 11761
-    assert estimate_collision(10**9, 2 * BLOCK_PAIRS + 1, seed=6).collisions == 2056
+    assert estimate_collision(10**9, 2 * BLOCK_PAIRS + 1, seed=6).collisions == 2116
 
 
 # (kind, n) -> sha256 prefix of 300 single draws from the SFC64 stream
@@ -195,8 +195,8 @@ _SINGLE_DRAW_PINS = {
     (SamplerKind.PERMUTATION_DIRECT, 1000): ("a4394a315f16602e", "0x1.c65874430ce82p-1"),
     (SamplerKind.BERNOULLI_SUM, 1): ("6e7601f602122027", "0x1.62bec232c86c0p-2"),
     (SamplerKind.BERNOULLI_SUM, 5): ("11c46cfca3026590", "0x1.dc8b3faab2a07p-1"),
-    (SamplerKind.BERNOULLI_SUM, 1000): ("523299fd4a65434f", "0x1.8ef20ed57875cp-3"),
-    (SamplerKind.BERNOULLI_SUM, 2**40): ("f97c9ac73d001d27", "0x1.66074ad6d777ep-1"),
+    (SamplerKind.BERNOULLI_SUM, 1000): ("f4d9188786266fc7", "0x1.c985a94dc0ea2p-1"),
+    (SamplerKind.BERNOULLI_SUM, 2**40): ("b554b3728ebf9d4a", "0x1.0569fecaad2ecp-3"),
 }
 
 
@@ -242,16 +242,18 @@ def test_bernoulli_batch_below_13_matches_bisection_over_the_row(n):
     # Through n = 12 a draw is one bounded uint32 below n!, inverted
     # through the running sums of the row of c(n, k).
     row = stirling_row(n).coeffs
-    assert_same_draws(n, lambda size, ref: bernoulli_batch_by_inversion(row, size, ref))
+    assert_same_draws(n, lambda size, ref: bernoulli_batch_by_index(n, row, size, ref))
 
 
 @pytest.mark.parametrize(
-    "n", [13, 27, 1000, 2**40, BERNOULLI_MAX_N - 1, BERNOULLI_MAX_N]
+    "n", [13, 14, 27, 1000, 2**40, BERNOULLI_MAX_N - 1, BERNOULLI_MAX_N]
 )
 def test_bernoulli_batch_matches_index_tracking_loop(n):
-    # From n = 13 the mask-replay batch draws what the index-tracking loop
-    # draws.
-    assert_same_draws(n, lambda size, ref: bernoulli_batch_by_index(n, size, ref))
+    # From n = 13 the batch inverts letters 1..12 and jumps from 12 with
+    # mask replay; it draws what the bisection and index-tracking loop
+    # draw.
+    row = stirling_row(montecarlo._INVERSION_MAX_N).coeffs
+    assert_same_draws(n, lambda size, ref: bernoulli_batch_by_index(n, row, size, ref))
 
 
 def test_inversion_row_is_the_stirling_row():
@@ -264,20 +266,27 @@ def test_inversion_row_is_the_stirling_row():
 
 
 class _ZeroUniforms:
-    """A generator whose uniforms are all 0: every index is a success."""
+    """A generator whose uniforms are all 0 and whose integers are all
+    their largest: every letter is a success."""
 
     def random(self, size):
         return np.zeros(size)
 
+    def integers(self, lo, hi, size, dtype):
+        return np.full(size, hi - 1, dtype)
 
-@pytest.mark.parametrize("n", [300, 2**15 + 3])
+
+@pytest.mark.parametrize("n", [260, 300, 2**15 + 3])
 def test_bernoulli_replay_counts_past_a_narrow_type(n):
-    # With U = 1 every index is a success, so each draw runs n rounds and
-    # its count is n; the replay must hold counts above 255 and 2^15.
+    # With v = 12! - 1 letters 1..12 are 12 cycles, and with U = 1 every
+    # index above is a success, so each draw runs n - 11 rounds and its
+    # count is n; the replay must hold counts above 255 and 2^15, also
+    # where the rounds alone stay below 256 (n = 260).
     got = montecarlo._bernoulli_batch(n, 3, _ZeroUniforms())
     assert got.dtype == np.int64
     assert got.tolist() == [n] * 3
-    assert bernoulli_batch_by_index(n, 3, _ZeroUniforms()).tolist() == [n] * 3
+    row = stirling_row(montecarlo._INVERSION_MAX_N).coeffs
+    assert bernoulli_batch_by_index(n, row, 3, _ZeroUniforms()).tolist() == [n] * 3
 
 
 @pytest.mark.parametrize("n", [10**12, BERNOULLI_MAX_N])
