@@ -68,7 +68,9 @@ fixed grid of a, that meets half the tolerance laplace_I(n) / 2 would
 give (below the integral at every n measured), rounded up to a multiple
 of 8.  If the estimate then misses the computed value's tolerance, N
 doubles and the whole batch runs again on the doubled table, so a
-result's bits depend on its final N alone.  The walk over the grid
+result's bits depend on its final N alone.  An n whose N exceeds the
+node cap, 2^16, is refused with a ValueError before any batch runs: from
+about log2 n = 4.04e7 at rel_tol 1e-10.  The walk over the grid
 stops where N starts to rise, which finds the smallest (see
 _STRIP_WIDTHS).  A batch evaluates only its head, the nodes where the
 kernel's exponent -(1 - cos theta) 2 log n is at least -C, C = 120 (one
@@ -118,7 +120,6 @@ import itertools
 import math
 import operator
 from enum import Enum
-from typing import TYPE_CHECKING, Callable, Sequence
 
 from . import _args
 
@@ -135,7 +136,10 @@ from .quadrature import (
     quadrature,
 )
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from collections.abc import Callable, Sequence
+
     import numpy as np
 
 # No code in this package reads this constant.  It stays only because the
@@ -162,12 +166,12 @@ _EULER_MACLAURIN_MIN_N = 64
 _SERIES_TAIL_BITS = 58
 # d_k(n) / zeta(k, n) = 2 (-1)^k / k (and d_1 = -2 (log n - psi(n))).
 _SERIES_SCALE = tuple(2.0 * (-1.0) ** k / k for k in range(1, _TERMS + 1))
-# Row k - 1, k = 1..54: B_2j / (2j)! (k)_{2j-1}, j = 1..6, with (k)_m the
+# Row k - 1, k = 1..54: B_2j / (2j)! (k)_{2j-1}, j = 1..5, with (k)_m the
 # rising factorial.
 _EULER_MACLAURIN = tuple(
     tuple(
         b / math.factorial(2 * j) * math.prod(range(k, k + 2 * j - 1))
-        for j, b in enumerate((1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730), start=1)
+        for j, b in enumerate((1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66), start=1)
     )
     for k in range(1, _TERMS + 1)
 )
@@ -177,18 +181,20 @@ def _euler_maclaurin(n: int, terms: int) -> list[float]:
     # d_k(n) for k = 1..terms, n >= 64, by Euler-Maclaurin in floats:
     # zeta(k, n) = n^{1-k} / (k - 1) + n^-k / 2 + sum_j row_j[k] n^{-k-2j+1},
     # where for k = 1 the first term is replaced by -log n, giving
-    # log n - psi(n).  The first omitted term is below 5e-12 of zeta(k, 64)
-    # at k = 54 and far smaller at lower k.
+    # log n - psi(n).  The first omitted term, B_12 / 12! (k)_11 n^{-k-11},
+    # is below 3e-18 of zeta(k, n) (or of log n - psi(n)) at every kept
+    # k <= K(n), and below 5e-18 of zeta(k, m) at every kept entry of the
+    # table below n = 64, which starts from all 54 columns at n = 64.
     inv = 1.0 / n
     x = inv * inv
     out = []
     power = 1.0
-    for k, scale, (c1, c2, c3, c4, c5, c6) in zip(
+    for k, scale, (c1, c2, c3, c4, c5) in zip(
         range(1, terms + 1), _SERIES_SCALE, _EULER_MACLAURIN
     ):
         power *= inv
         lead = n / (k - 1) + 0.5 if k > 1 else 0.5
-        corr = inv * (c1 + x * (c2 + x * (c3 + x * (c4 + x * (c5 + x * c6)))))
+        corr = inv * (c1 + x * (c2 + x * (c3 + x * (c4 + x * c5))))
         out.append(scale * power * (lead + corr))
     return out
 
@@ -381,7 +387,18 @@ def _strip_choice(
             best_log_m0, best_grow, best_e = log_m0, grow, e
         elif need > best:
             break
-    intervals = min(max(8, 8 * math.ceil(best / 8)), _MAX_NODES - 1)
+    intervals = max(8, 8 * math.ceil(best / 8))
+    if intervals >= _MAX_NODES:
+        # No N within the node cap certifies n.  This width certifies every
+        # n whose kernel growth log n^2 (cosh a - 1) fits in `room`, as
+        # shift, taken at this n, only falls with n.
+        log2_n = log_n2 / math.log(4.0)
+        room = (_MAX_NODES - 1) / best_half_inv_a - shift - best_log_m0 - best_e
+        raise ValueError(
+            f"n = 2**{log2_n:.6g} needs {intervals} intervals at rel_tol {config.rel_tol:g}, "
+            f"above the node cap; this rel_tol takes every n up to "
+            f"2**{math.floor(log2_n * room / best_grow)}"
+        )
     return intervals, best_half_inv_a, best_log_m0 + best_grow + best_e, best_log_m0 + best_e
 
 
@@ -494,7 +511,8 @@ def _kernel_quadrature(
         h = math.pi / intervals
         value = h * total
         floor = _FLOOR * h * total
-        # 2 pi M(a) / (e^{2aN} - 1), without overflow at large 2aN.
+        # 2 pi M(a) / (e^{2aN} - 1), without overflow at large 2aN; N >= need
+        # keeps log M - 2aN <= log(target / 2) < 709 (_strip_choice).
         strip = math.exp(log_m - intervals / half_inv_a) / -math.expm1(-intervals / half_inv_a)
         error = strip + floor
         if left_out:

@@ -21,10 +21,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import TYPE_CHECKING
 
 from . import METHODS, _exact_row, _route
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .quadrature import QuadratureConfig
 

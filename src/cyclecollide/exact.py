@@ -42,13 +42,13 @@ from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from collections import namedtuple
 
 from . import _args
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from collections.abc import Iterable, Iterator
     from fractions import Fraction
 
 # Practical ceiling for the exact route: the point past which row
@@ -75,20 +75,22 @@ _PACKED_MAX = 200
 _PASS_BELOW = 1024
 
 
-@dataclass(frozen=True)
-class StirlingRow:
+class StirlingRow(namedtuple("StirlingRow", "n coeffs")):
     """Row n of the cycle-count triangle.
 
     ``coeffs[k-1]`` is the number of permutations of ``n`` letters with
     exactly ``k`` cycles; the row sums to n!.
     """
 
-    n: int
-    coeffs: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.coeffs) != self.n:
+    def __new__(cls, n: int, coeffs: tuple[int, ...]):
+        if len(coeffs) != n:
             raise ValueError("row must have exactly n entries")
+        return super().__new__(cls, n, coeffs)
+
+    # _replace builds through _make: checked as the constructor checks.
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def row_sum(self) -> int:
         """Total count over all cycle numbers; equals n!."""
@@ -109,13 +111,10 @@ class StirlingRow:
         return ExactProbability(num, den, num / den)
 
 
-@dataclass(frozen=True)
-class ExactProbability:
+class ExactProbability(namedtuple("ExactProbability", "numerator denominator approx")):
     """A probability as a reduced fraction plus a float rendering."""
 
-    numerator: int
-    denominator: int
-    approx: float
+    __slots__ = ()
 
     @property
     def fraction(self) -> Fraction:
@@ -124,15 +123,13 @@ class ExactProbability:
         return Fraction(self.numerator, self.denominator)
 
 
-@dataclass(frozen=True)
-class CycleDistribution:
+class CycleDistribution(namedtuple("CycleDistribution", "n probs")):
     """Exact distribution of the cycle count of a uniform n-permutation.
 
     ``probs[k-1] = c(n, k) / n!`` and the entries sum to exactly 1.
     """
 
-    n: int
-    probs: tuple[Fraction, ...]
+    __slots__ = ()
 
 
 def stirling_rows(n_values: Iterable[int]) -> Iterator[StirlingRow]:

@@ -34,11 +34,13 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-from typing import TYPE_CHECKING, Callable, Iterable
 
 from . import _args
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from collections.abc import Callable, Iterable
+
     import numpy as np
 
 # Euler-Mascheroni constant, 50 decimal digits.  Stored as text and parsed

@@ -71,7 +71,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 import numpy as np
@@ -105,15 +105,10 @@ class SamplerKind(Enum):
     BERNOULLI_SUM = "bernoulli"
 
 
-@dataclass(frozen=True)
-class McEstimate:
+class McEstimate(namedtuple("McEstimate", "n samples collisions p_hat std_err")):
     """Collision estimate from `samples` independent ordered pairs."""
 
-    n: int
-    samples: int
-    collisions: int
-    p_hat: float
-    std_err: float
+    __slots__ = ()
 
 
 def _check_n(n: int, kind: SamplerKind) -> int:

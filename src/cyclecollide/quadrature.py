@@ -37,34 +37,33 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from collections import namedtuple
 
 from . import _args
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from collections.abc import Callable
+
     import numpy as np
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    rel_tol: float = 1e-10
+class QuadratureConfig(namedtuple("QuadratureConfig", "rel_tol")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        rel_tol = _args.real(self.rel_tol)
-        if not 0.0 < rel_tol < math.inf:
-            raise ValueError(f"rel_tol must be finite and > 0, got {self.rel_tol}")
-        object.__setattr__(self, "rel_tol", rel_tol)
+    def __new__(cls, rel_tol: float = 1e-10):
+        value = _args.real(rel_tol)
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"rel_tol must be finite and > 0, got {rel_tol}")
+        return super().__new__(cls, value)
+
+    # _replace builds through _make: checked as the constructor checks.
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 DEFAULT_CONFIG = QuadratureConfig()
 
-
-@dataclass(frozen=True)
-class QuadratureResult:
-    value: float
-    abs_error_estimate: float
-    evaluations: int
+QuadratureResult = namedtuple("QuadratureResult", "value abs_error_estimate evaluations")
 
 
 class QuadratureConvergenceError(RuntimeError):

@@ -18,13 +18,17 @@ so both formats carry identical value strings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from decimal import ROUND_HALF_EVEN, Context, Decimal
 
 from . import METHODS, VERSION, _args, _route
 from .asymptotic import p_asymptotic
-from .exact import EXACT_ROUTE_CEILING, StirlingRow, stirling_rows
+from .exact import EXACT_ROUTE_CEILING, stirling_rows
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from .exact import StirlingRow
 
 CSV_COLUMNS = (
     "n",
@@ -38,41 +42,29 @@ CSV_COLUMNS = (
     "mc_std_err",
 )
 
-
-@dataclass(frozen=True)
-class CollisionReportRow:
-    n: int
-    p_exact: str | None = None
-    p_quadrature: float | None = None
-    quad_error_estimate: float | None = None
-    p_eq2: float | None = None
-    p_asymptotic: float | None = None
-    ratio_to_asymptotic: float | None = None
-    mc_p_hat: float | None = None
-    mc_std_err: float | None = None
-    # Per-row method failures (exact route above its ceiling, Monte Carlo
-    # above the sampler limit, quadrature that did not converge).
-    # Serialized in JSON only; the CSV schema is the fixed nine columns
-    # above.
-    errors: tuple[str, ...] = ()
+# The CSV columns, None where a method did not run, and the per-row method
+# failures (exact route above its ceiling, Monte Carlo above the sampler
+# limit, quadrature that did not converge), serialized in JSON only.
+CollisionReportRow = namedtuple(
+    "CollisionReportRow", (*CSV_COLUMNS, "errors"), defaults=(None,) * 8 + ((),)
+)
 
 
-@dataclass(frozen=True)
-class ReportConfig:
-    n_values: tuple[int, ...]
-    methods: tuple[str, ...]
-    quad: QuadratureConfig = DEFAULT_CONFIG
-    mc_pairs: int = 100000
-    seed: int = 0
-    output_format: str = "csv"
-    output_path: str | None = None
+class ReportConfig(
+    namedtuple("ReportConfig", "n_values methods quad mc_pairs seed output_format output_path")
+):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        n_values = _args.ascending("n_values", self.n_values)
+    def __new__(
+        cls, n_values: tuple[int, ...], methods: tuple[str, ...],
+        quad: QuadratureConfig = DEFAULT_CONFIG, mc_pairs: int = 100000, seed: int = 0,
+        output_format: str = "csv", output_path: str | None = None,
+    ):
+        n_values = _args.ascending("n_values", n_values)
         if not n_values:
             raise ValueError("n_values must be nonempty")
         # Compared, not hashed: an unhashable item is an unknown method.
-        requested = _args.items("methods", self.methods)
+        requested = _args.items("methods", methods)
         methods = tuple(m for m in METHODS if m in requested)
         if not methods:
             raise ValueError(f"methods must be a nonempty subset of {METHODS}")
@@ -81,17 +73,18 @@ class ReportConfig:
             raise ValueError(f"unknown methods: {unknown}")
         if ("asymptotic" in methods or "eq2" in methods) and n_values[0] < 2:
             raise ValueError("asymptotic and eq2 methods require all n >= 2")
-        _args.instance("quad", self.quad, QuadratureConfig)
-        mc_pairs = _args.integer("mc_pairs", self.mc_pairs, 1)
-        seed = _args.seed(self.seed)
-        if self.output_format not in ("csv", "json"):
+        _args.instance("quad", quad, QuadratureConfig)
+        mc_pairs = _args.integer("mc_pairs", mc_pairs, 1)
+        seed = _args.seed(seed)
+        if output_format not in ("csv", "json"):
             raise ValueError("output_format must be 'csv' or 'json'")
-        if self.output_path is not None:
-            _args.instance("output_path", self.output_path, str)
-        object.__setattr__(self, "n_values", n_values)
-        object.__setattr__(self, "methods", methods)
-        object.__setattr__(self, "mc_pairs", mc_pairs)
-        object.__setattr__(self, "seed", seed)
+        if output_path is not None:
+            _args.instance("output_path", output_path, str)
+        fields = (n_values, methods, quad, mc_pairs, seed, output_format, output_path)
+        return super().__new__(cls, *fields)
+
+    # _replace builds through _make: checked as the constructor checks.
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 # The p_exact column's own context, so its digits do not follow the
@@ -155,8 +148,8 @@ def _cells(row: CollisionReportRow) -> list[str | None]:
     # One value string per CSV column, None where the value is missing:
     # n as an integer, p_exact as its decimal string, and every other
     # column a float with 17 significant digits.
-    floats = (getattr(row, column) for column in CSV_COLUMNS[2:])
-    return [str(row.n), row.p_exact, *(x if x is None else f"{x:.17g}" for x in floats)]
+    n, p_exact, *floats, _errors = row
+    return [str(n), p_exact, *(x if x is None else f"{x:.17g}" for x in floats)]
 
 
 def render_csv(rows: list[CollisionReportRow]) -> str:

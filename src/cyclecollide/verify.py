@@ -13,8 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass
-from typing import Callable, TextIO
+from collections import namedtuple
 
 import numpy as np
 
@@ -32,16 +31,13 @@ from .montecarlo import SamplerKind, _stream, estimate_collision, sample_cycle_c
 from .quadrature import QuadratureConfig
 from .report import ReportConfig, render_csv, render_json, run_report
 
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import TextIO
+
 CHI2_SIGNIFICANCE = 1e-6
 
-
-@dataclass(frozen=True)
-class CriterionResult:
-    name: str
-    passed: bool
-    detail: str
-    elapsed: float
-    time_limit: float
+CriterionResult = namedtuple("CriterionResult", "name passed detail elapsed time_limit")
 
 
 def _brute_cycle_histogram(n: int) -> list[int]:
@@ -258,11 +254,10 @@ def check_determinism() -> tuple[bool, str]:
     )
 
 
-@dataclass(frozen=True)
-class Criterion:
-    name: str
-    time_limit: float
-    check: Callable[[], tuple[bool, str]]
+class Criterion(namedtuple("Criterion", "name time_limit check")):
+    """A named check, () -> (passed, detail), and its time budget."""
+
+    __slots__ = ()
 
     def run(self) -> CriterionResult:
         start = time.perf_counter()

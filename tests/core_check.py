@@ -1,14 +1,17 @@
 """The numpy-free core, checked against pinned bytes without pytest or numpy.
 
-With numpy blocked (`sys.modules["numpy"] = None`) it runs each command
-in PINS through `cyclecollide.cli.main` and compares its stdout with the
-pinned bytes, runs each command in NEEDS_NUMPY and compares its exit
+With numpy blocked (`sys.modules["numpy"] = None`), and `dataclasses`,
+`inspect` and `typing` blocked the same way, so that the lean import
+graph is checked too, it runs each command in PINS through
+`cyclecollide.cli.main` and compares its stdout with the pinned bytes,
+runs each command in NEEDS_NUMPY and compares its exit
 code 1 and its one stderr line, compares the `float.hex` of
 `p_quadrature_result(n).value` and `I_n(n).value` with VALUE_PINS, and
 compares a JSON table at each tolerance in REL_TOLS with the table at its
 float.
 Exits 0 when everything matches; otherwise exits 1 and names the first
-command or n that differs.  It needs no installed package, so it runs
+command or n that differs, or, with a traceback, a blocked module that
+was imported.  It needs no installed package, so it runs
 on any interpreter the package claims:
 
     PYTHONPATH=src python tests/core_check.py
@@ -106,7 +109,10 @@ def _table_json(rel_tol) -> str:
 
 
 def main() -> int:
-    sys.modules["numpy"] = None
+    # Importing any of these fails from here on.  A module that site loaded
+    # at start-up (a .pth file may load typing) stays usable where it is
+    # already held.
+    sys.modules.update(dict.fromkeys(("numpy", "dataclasses", "inspect", "typing")))
     from cyclecollide import I_n, p_quadrature_result
 
     runs = [(argv, _run(argv), (0, want, "")) for argv, want in PINS]

@@ -952,11 +952,46 @@ def test_kernel_convergence_errors_carry_the_best_estimate(monkeypatch):
     best = exc_info.value.best
     assert best.value == pytest.approx(float(KERNEL_INTEGRALS[100]), rel=1e-14)
     assert best.abs_error_estimate > exc_info.value.tolerance
-    # ... and so does a node count that the node cap truncates.
+    # ... and so does a doubling that the node cap stops: a guess of the
+    # integral far above it picks too few intervals first.
     monkeypatch.setattr(analytic, "_MAX_NODES", 65)
+    monkeypatch.setattr(analytic, "laplace_I", lambda n: 1e6)
     with pytest.raises(QuadratureConvergenceError) as exc_info:
-        p_quadrature_result(2**1030, IntegrandKind.GAMMA_RATIO, TIGHT)
+        p_quadrature_result(10**70, IntegrandKind.GAMMA_RATIO, TIGHT)
     assert exc_info.value.best.evaluations == 65
+
+
+# At rel_tol 1e-10 the strip bound certifies every log2 n up to this one
+# with at most 2^16 intervals, the node cap; found by bisection over
+# _strip_choice.
+_LARGEST_CERTIFIED_LOG2_N = 40_389_896
+
+
+@pytest.mark.parametrize("route", [I_n, p_quadrature_result])
+def test_circle_routes_refuse_an_n_past_the_node_cap_before_any_batch(monkeypatch, route):
+    # 2^(4e7) takes one batch just under the cap.  Just past the largest
+    # certified n, and at 2^(1e8), where the strip term's exp overflowed
+    # after a 0.1 s batch, the route raises one ValueError before it builds
+    # a table, naming a log2 n up to which every n is certified: the
+    # largest one just past it, and within 0.1% of it far past.
+    res = route(1 << 4 * 10**7)
+    assert res.evaluations == 64_953
+    assert res.abs_error_estimate <= 1e-10 * res.value
+    top = _LARGEST_CERTIFIED_LOG2_N
+    n = 1 << top
+    assert analytic._strip_choice(n, 2.0 * math.log(n), analytic.DEFAULT_CONFIG, None)[0] == 2**16
+
+    def never(intervals):
+        raise AssertionError("a batch ran")
+
+    monkeypatch.setattr(analytic, "_node_table", never)
+    with pytest.raises(ValueError, match=rf"needs 65544 intervals .* every n up to 2\*\*{top}$"):
+        route(1 << top + 1)
+    far = r"^n = 2\*\*1e\+08 needs .* every n up to 2\*\*\d+$"
+    with pytest.raises(ValueError, match=far) as info:
+        route(1 << 10**8)
+    named = int(info.value.args[0].rsplit("**", 1)[1])
+    assert 0.999 * top < named <= top
 
 
 # The cache's worst case, as the analytic docstring and the README state

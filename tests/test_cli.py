@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -436,13 +437,19 @@ def test_commands_without_sampler_or_ladder_do_not_load_numpy(argv, want):
     # Every command but the montecarlo method, a table with a montecarlo
     # column and verify, also the quadrature method at n = 1, where p is
     # 1 exactly and no integrand is evaluated.
-    # -X importtime names every module the process imports on stderr.
+    # -X importtime names every module the process imports on stderr.  -S
+    # keeps out what site imports at start-up (a .pth file may import
+    # typing), so the package's own directory is passed on PYTHONPATH.
+    src = str(Path(cli.__file__).parents[1])
     proc = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "cyclecollide", *argv],
-        capture_output=True, text=True,
+        [sys.executable, "-S", "-X", "importtime", "-m", "cyclecollide", *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
     )
     assert (proc.returncode, proc.stdout) == (0, want)
     imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]
+    # Records are named tuples and annotations strings: none of the
+    # standard library's heavier helpers is loaded for them.
+    assert not {"dataclasses", "inspect", "typing"} & set(imported)
     routes = {"exact": "cyclecollide.exact", "asymptotic": "cyclecollide.asymptotic",
               "quadrature": "cyclecollide.analytic", "eq2": "cyclecollide.analytic"}
     route = routes[argv[-1] if argv[0] == "collide" else "exact"]

@@ -1,9 +1,12 @@
 """The lazy package: what `import cyclecollide` loads, and what its names are."""
 
+import pickle
 import subprocess
 import sys
 
 import pytest
+
+import cyclecollide as cc
 
 
 def _run(code: str) -> str:
@@ -129,3 +132,92 @@ def test_unknown_name_is_an_attribute_error():
 
     with pytest.raises(AttributeError, match="no_such_name"):
         cyclecollide.no_such_name
+
+
+# The public records are named tuples: iterable, indexable, equal to the
+# plain tuple of their fields and hashed as it, with `_fields`, `_asdict`
+# and `_replace`.  Their attribute names and reprs are those they had as
+# frozen dataclasses.  (record, its fields, its repr)
+_RECORDS = [
+    (lambda: cc.DEFAULT_CONFIG, ("rel_tol",), "QuadratureConfig(rel_tol=1e-10)"),
+    (
+        lambda: cc.p_quadrature_result(10),
+        ("value", "abs_error_estimate", "evaluations"),
+        "QuadratureResult(value=0.24005636572585648, "
+        "abs_error_estimate=4.337468667854213e-15, evaluations=33)",
+    ),
+    (lambda: cc.stirling_row(4), ("n", "coeffs"), "StirlingRow(n=4, coeffs=(6, 11, 6, 1))"),
+    (
+        lambda: cc.p_exact(4),
+        ("numerator", "denominator", "approx"),
+        "ExactProbability(numerator=97, denominator=288, approx=0.3368055555555556)",
+    ),
+    (
+        lambda: cc.cycle_distribution(3),
+        ("n", "probs"),
+        "CycleDistribution(n=3, probs=(Fraction(1, 3), Fraction(1, 2), Fraction(1, 6)))",
+    ),
+    (
+        lambda: cc.estimate_collision(10, 1000, seed=1),
+        ("n", "samples", "collisions", "p_hat", "std_err"),
+        "McEstimate(n=10, samples=1000, collisions=244, p_hat=0.244, "
+        "std_err=0.013581752464244074)",
+    ),
+    (
+        lambda: cc.CollisionReportRow(7, p_asymptotic=0.5, errors=("x",)),
+        (*cc.CSV_COLUMNS, "errors"),
+        "CollisionReportRow(n=7, p_exact=None, p_quadrature=None, "
+        "quad_error_estimate=None, p_eq2=None, p_asymptotic=0.5, "
+        "ratio_to_asymptotic=None, mc_p_hat=None, mc_std_err=None, errors=('x',))",
+    ),
+    (
+        lambda: cc.ReportConfig([5, 10], ["quadrature", "exact"], seed=3),
+        ("n_values", "methods", "quad", "mc_pairs", "seed", "output_format", "output_path"),
+        "ReportConfig(n_values=(5, 10), methods=('exact', 'quadrature'), "
+        "quad=QuadratureConfig(rel_tol=1e-10), mc_pairs=100000, seed=3, "
+        "output_format='csv', output_path=None)",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "record, fields, want", _RECORDS, ids=[r[2].split("(")[0] for r in _RECORDS]
+)
+def test_public_records_are_frozen_named_tuples(record, fields, want):
+    record = record()
+    assert type(record).__name__ in cc.__all__
+    assert type(record)._fields == fields
+    assert repr(record) == want
+    assert isinstance(record, tuple)
+    assert record == tuple(record) and hash(record) == hash(tuple(record))
+    assert tuple(record._asdict().values()) == tuple(record)
+    assert pickle.loads(pickle.dumps(record)) == record
+    with pytest.raises(AttributeError):
+        setattr(record, fields[0], record[0])
+    with pytest.raises(AttributeError):
+        record.not_a_field = 1
+
+
+# (record, a field, a value its constructor refuses, the ValueError)
+_CHECKED = [
+    (lambda: cc.DEFAULT_CONFIG, "rel_tol", -1.0, "rel_tol must be finite and > 0"),
+    (lambda: cc.stirling_row(4), "coeffs", (6, 11, 6), "row must have exactly n entries"),
+    (lambda: cc.ReportConfig([5], ["exact"]), "methods", ("nope",), "methods must be a nonempty"),
+    (lambda: cc.ReportConfig([5], ["exact"]), "n_values", (5, 5), "n_values must be strictly"),
+    (lambda: cc.ReportConfig([5], ["exact"]), "quad", 1e-10, "quad must be a QuadratureConfig"),
+]
+
+
+@pytest.mark.parametrize(
+    "record, field, bad, message",
+    _CHECKED,
+    ids=["config-rel_tol", "row-coeffs", "report-methods", "report-n_values", "report-quad"],
+)
+def test_replace_checks_as_the_constructor_does(record, field, bad, message):
+    record = record()
+    with pytest.raises(ValueError, match=message):
+        record._replace(**{field: bad})
+    with pytest.raises(ValueError, match=message):
+        type(record)(**{**record._asdict(), field: bad})
+    # Each field read back through the constructor gives the same record.
+    assert record._replace(**record._asdict()) == record
