@@ -19,6 +19,7 @@ that needs numpy run without it), 2 usage error, 130 interrupted
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -156,6 +157,22 @@ def _failures() -> tuple[type[Exception], ...]:
     return (ValueError, quadrature.QuadratureConvergenceError)
 
 
+def _help_formatter(prog: str) -> argparse.HelpFormatter:
+    # argparse's own formatter finds its width with shutil, whose import
+    # (with bz2, lzma and fnmatch) would cost each command about 3 ms.  The
+    # same width: a positive COLUMNS, else stdout's terminal, else 80.
+    try:
+        columns = int(os.environ["COLUMNS"])
+    except (KeyError, ValueError):
+        columns = 0
+    if columns <= 0:
+        try:
+            columns = os.get_terminal_size(sys.__stdout__.fileno()).columns
+        except (AttributeError, ValueError, OSError):
+            columns = 0
+    return argparse.HelpFormatter(prog, width=(columns or 80) - 2)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cyclecollide",
@@ -163,15 +180,17 @@ def build_parser() -> argparse.ArgumentParser:
             "Probability that two independent uniform random permutations "
             "of n letters have the same number of cycles."
         ),
+        formatter_class=_help_formatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    add_parser = functools.partial(sub.add_parser, formatter_class=_help_formatter)
 
-    p_ex = sub.add_parser("exact", help="exact f(n) and p(n)")
+    p_ex = add_parser("exact", help="exact f(n) and p(n)")
     p_ex.add_argument("--n", type=int, required=True)
     p_ex.add_argument("--row", action="store_true", help="print the full cycle-count row")
     p_ex.add_argument("--json", action="store_true")
 
-    p_co = sub.add_parser("collide", help="p(n) by one method")
+    p_co = add_parser("collide", help="p(n) by one method")
     p_co.add_argument("--n", type=int, required=True)
     p_co.add_argument("--method", required=True, choices=METHODS)
     p_co.add_argument("--tol", type=float, help="quadrature relative tolerance")
@@ -179,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_co.add_argument("--sampler", choices=_SAMPLERS)
     p_co.add_argument("--seed", type=int, default=0)
 
-    p_ta = sub.add_parser("table", help="multi-method convergence table")
+    p_ta = add_parser("table", help="multi-method convergence table")
     p_ta.add_argument(
         "--n", required=True, type=_n_spec,
         help="comma list (3,5,10) or geometric start:stop:factor (100:1000000:10)",
@@ -191,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ta.add_argument("--pairs", type=int, default=100000)
     p_ta.add_argument("--seed", type=int, default=0)
 
-    sub.add_parser("verify", help="run the verification suite")
+    add_parser("verify", help="run the verification suite")
 
     return parser
 

@@ -61,9 +61,9 @@ Two samplers draw the cycle count of a uniform random n-permutation:
 
 Trials are sharded into fixed-size blocks, and block b draws from an
 SFC64 generator seeded by child b of `SeedSequence(seed)` (numpy's
-spawn_key derivation), so each block has its own stream.  The result
-for a given (n, pairs, kind, seed) is therefore reproducible bit-for-bit
-no matter how many workers process the blocks.
+spawn_key derivation), so each block has its own stream, and the blocks
+run in order in one loop.  The result for a given (n, pairs, kind, seed)
+is reproducible bit-for-bit, and a `workers` count changes nothing.
 """
 
 from __future__ import annotations
@@ -234,8 +234,7 @@ def sample_cycle_counts(
     return _bernoulli_batch(n, size, rng)
 
 
-def _block_collisions(args: tuple[int, int, SamplerKind, int, int]) -> int:
-    n, pairs, kind, seed, block = args
+def _block_collisions(n: int, pairs: int, kind: SamplerKind, seed: int, block: int) -> int:
     draws = sample_cycle_counts(kind, n, 2 * pairs, _stream(seed, block))
     return int((draws[:pairs] == draws[pairs:]).sum())
 
@@ -253,36 +252,24 @@ def estimate_collision(
     probability being estimated: a block of p pairs draws 2p counts in
     one call from its own stream, and pair i is draws i and p + i.
     `kind=None` means BERNOULLI_SUM.  The estimate is a deterministic
-    function of (n, pairs, kind, seed);
-    `workers` only changes how the fixed blocks are scheduled, never the
-    result.  Time is linear in `pairs`; serially the blocks are generated
-    one at a time, so memory does not grow with `pairs`.  n, pairs,
-    seed (below 2**64) and workers follow the package's integer contract
-    (README, "Inputs"); ValueError also for a `kind` that is neither a
-    SamplerKind nor None.
+    function of (n, pairs, kind, seed).  Blocks run one at a time, so time
+    is linear in `pairs` and memory does not grow with it.  `workers` is
+    checked and changes nothing; ROADMAP item 6 deletes it with the
+    benchmark probe that passes it.  n, pairs, seed (below 2**64) and
+    workers follow the package's integer contract (README, "Inputs");
+    ValueError also for a `kind` that is neither a SamplerKind nor None.
     """
     if kind is None:
         kind = SamplerKind.BERNOULLI_SUM
     n = _check_n(n, kind)
     seed = _args.seed(seed)
     pairs = _args.integer("pairs", pairs, 1)
-    workers = _args.integer("workers", workers, 1)
+    _args.integer("workers", workers, 1)
 
-    tasks = (
-        (n, min(BLOCK_PAIRS, pairs - start), kind, seed, block)
+    collisions = sum(
+        _block_collisions(n, min(BLOCK_PAIRS, pairs - start), kind, seed, block)
         for block, start in enumerate(range(0, pairs, BLOCK_PAIRS))
     )
-    if workers > 1:
-        # Imported only here, so `import cyclecollide` does not load the
-        # pool and `logging` for the one branch that uses them.
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_block = list(pool.map(_block_collisions, tasks))
-    else:
-        per_block = map(_block_collisions, tasks)
-    collisions = sum(per_block)
-
     p_hat = collisions / pairs
     std_err = math.sqrt(p_hat * (1.0 - p_hat) / pairs)
     return McEstimate(n, pairs, collisions, p_hat, std_err)

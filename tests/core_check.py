@@ -6,9 +6,12 @@ graph is checked too, it runs each command in PINS through
 `cyclecollide.cli.main` and compares its stdout with the pinned bytes,
 runs each command in NEEDS_NUMPY and compares its exit
 code 1 and its one stderr line, compares the `float.hex` of
-`p_quadrature_result(n).value` and `I_n(n).value` with VALUE_PINS, and
+`p_quadrature_result(n).value` and `I_n(n).value` with VALUE_PINS,
 compares a JSON table at each tolerance in REL_TOLS with the table at its
-float.
+float, and checks every coefficient and the square sum of
+`stirling_row(n)` for each n in CONGRUENCE_ROWS mod each prime in
+CONGRUENCE_PRIMES against `tests/oracles.py`'s congruences, which share
+no code with the exact route.
 Exits 0 when everything matches; otherwise exits 1 and names the first
 command or n that differs, or, with a traceback, a blocked module that
 was imported.  It needs no installed package, so it runs
@@ -89,6 +92,12 @@ VALUE_PINS = (
 # formats itself one way up to Python 3.11 and another from 3.12.
 REL_TOLS = (Decimal("1e-10"), Fraction(1, 10**10), True)
 
+# The exact route's walk on either side of its packed cap (200) and of the
+# end of its three-factor passes (1024), and primes at which q = n // p is
+# large (3), 2 to 10 (97) and 1 to 5 (197).
+CONGRUENCE_ROWS = (199, 200, 201, *range(1022, 1028))
+CONGRUENCE_PRIMES = (3, 97, 197)
+
 
 def _run(argv) -> tuple[int, str, str]:
     from cyclecollide.cli import main as cli_main
@@ -113,7 +122,8 @@ def main() -> int:
     # at start-up (a .pth file may load typing) stays usable where it is
     # already held.
     sys.modules.update(dict.fromkeys(("numpy", "dataclasses", "inspect", "typing")))
-    from cyclecollide import I_n, p_quadrature_result
+    from cyclecollide import I_n, p_quadrature_result, stirling_row
+    from oracles import square_sum_mod, stirling_row_mod
 
     runs = [(argv, _run(argv), (0, want, "")) for argv, want in PINS]
     runs += [(argv, _run(argv), (1, "", want)) for argv, want in NEEDS_NUMPY]
@@ -133,9 +143,18 @@ def main() -> int:
         if _table_json(rel_tol) != _table_json(float(rel_tol)):
             print(f"differs: the JSON table at rel_tol {rel_tol!r}", file=sys.stderr)
             return 1
+    for n in CONGRUENCE_ROWS:
+        row = stirling_row(n)
+        for p in CONGRUENCE_PRIMES:
+            got = (tuple(c % p for c in row.coeffs), row.square_sum() % p)
+            if got != (stirling_row_mod(n, p), square_sum_mod(n, p)):
+                print(f"differs: stirling_row({n}) mod {p}", file=sys.stderr)
+                return 1
     print(
         f"{len(runs)} commands, {len(VALUE_PINS)} n and {len(REL_TOLS)} tolerances "
-        f"match their pins on Python {sys.version.split()[0]}"
+        f"match their pins, and {len(CONGRUENCE_ROWS)} rows mod "
+        f"{len(CONGRUENCE_PRIMES)} primes their congruences, on Python "
+        f"{sys.version.split()[0]}"
     )
     return 0
 

@@ -6,7 +6,8 @@ exception is the BERNOULLI_SUM batch `bernoulli_batch_by_index`, the
 reference the faster batch must equal bit for bit: it makes the same
 stream calls, looks each draw up in a row of counts the caller passes,
 and tracks each draw's index through the jumps, as the jump batch was
-first written.
+first written.  It is the only oracle that needs numpy, and imports it
+itself, so that `tests/core_check.py` can use the others without numpy.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ import bisect
 import itertools
 import math
 from fractions import Fraction
-
-import numpy as np
 
 
 def count_cycles(perm: tuple[int, ...]) -> int:
@@ -67,7 +66,56 @@ def rising_factorial(n: int, x: Fraction | int) -> Fraction:
     return math.prod((Fraction(x) + j for j in range(n)), start=Fraction(1))
 
 
-def bernoulli_batch_by_index(n: int, row, size: int, rng) -> np.ndarray:
+def _rising_row_mod(r: int, p: int) -> list[int]:
+    """Coefficients of x^0 .. x^r in x (x+1) ... (x+r-1), mod p, multiplied
+    out one factor at a time (the empty product 1 at r = 0)."""
+    poly = [1]
+    for j in range(r):
+        poly = [(j * a + b) % p for a, b in zip([*poly, 0], [0, *poly])]
+    return poly
+
+
+def _binomial_mod(a: int, b: int, p: int) -> int:
+    """C(a, b) mod a prime p by Lucas' theorem: the product of the
+    binomials of the base-p digits of a and b."""
+    result = 1
+    while b:
+        (a, a_digit), (b, b_digit) = divmod(a, p), divmod(b, p)
+        result = result * math.comb(a_digit, b_digit) % p
+    return result
+
+
+def stirling_row_mod(n: int, p: int) -> tuple[int, ...]:
+    """c(n, k) mod a prime p for k = 1..n, by a congruence.
+
+    Over F_p, x (x+1) ... (x+p-1) = x^p - x, whose roots are all of F_p.
+    So with n = qp + r, 0 <= r < p, the rising factorial x^(n) is
+    (x^p - x)^q x^(r) = sum_i C(q, i) (-1)^(q-i) x^(q + i(p-1)) x^(r)
+    mod p: the row of r mod p, shifted and signed once per term.
+    """
+    q, r = divmod(n, p)
+    low = _rising_row_mod(r, p)
+    poly = [0] * (n + 1)
+    for i in range(q + 1):
+        c = _binomial_mod(q, i, p) * (-1) ** (q - i)
+        for j, a in enumerate(low, q + i * (p - 1)):
+            poly[j] = (poly[j] + c * a) % p
+    return tuple(poly[1:])
+
+
+def square_sum_mod(n: int, p: int) -> int:
+    """f(n) = sum_k c(n, k)^2 mod a prime p, as C(2q, q) f(r), f(0) = 1.
+
+    The terms of `stirling_row_mod` do not overlap, since x^(r) has degree
+    r < p and no constant term when r >= 1, so f(n) is sum_i C(q, i)^2
+    f(r), and Vandermonde's identity sums the C(q, i)^2 to C(2q, q).
+    """
+    q, r = divmod(n, p)
+    f_r = sum(a * a for a in _rising_row_mod(r, p))
+    return _binomial_mod(2 * q, q, p) * f_r % p
+
+
+def bernoulli_batch_by_index(n: int, row, size: int, rng):
     """BERNOULLI_SUM cycle counts, tracking each running draw's index.
 
     Letters 1..m, m = len(row) = min(n, 12), by inversion: `row` holds
@@ -80,6 +128,8 @@ def bernoulli_batch_by_index(n: int, row, size: int, rng) -> np.ndarray:
     draws one uniform per running draw and adds one to the count of
     every draw that goes on.
     """
+    import numpy as np
+
     m = len(row)
     cuts = list(itertools.accumulate(row[:-1]))
     v = rng.integers(0, math.factorial(m), size, dtype=np.uint32)

@@ -1,9 +1,11 @@
+import argparse
 import contextlib
 import hashlib
 import io
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -396,6 +398,42 @@ def test_missing_subcommand_exit_code():
     assert exc_info.value.code == 2
 
 
+def _help_texts():
+    # The help of the parser and of each subcommand, and the usage line.
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    parsers = [parser, *commands.choices.values()]
+    return [text for p in parsers for text in (p.format_help(), p.format_usage())]
+
+
+@pytest.mark.parametrize("columns", ["20", "40", "80", "200"])
+def test_help_text_is_argparse_own_at_a_fixed_width(columns, monkeypatch):
+    monkeypatch.setenv("COLUMNS", columns)
+    ours = _help_texts()
+    monkeypatch.setattr(cli, "_help_formatter", argparse.HelpFormatter)
+    assert ours == _help_texts()
+
+
+@pytest.mark.parametrize("columns", ["57", "0", "-3", "wide", None])
+@pytest.mark.parametrize(
+    "terminal", [(133, 40), (71, 0), OSError], ids=["tty", "no-lines", "no-tty"]
+)
+def test_help_width_is_shutil_terminal_width(columns, terminal, monkeypatch):
+    # A positive COLUMNS, else the terminal's width, else 80.
+    if columns is None:
+        monkeypatch.delenv("COLUMNS", raising=False)
+    else:
+        monkeypatch.setenv("COLUMNS", columns)
+
+    def get_terminal_size(fd):
+        if terminal is OSError:
+            raise OSError("not a terminal")
+        return os.terminal_size(terminal)
+
+    monkeypatch.setattr(os, "get_terminal_size", get_terminal_size)
+    assert cli._help_formatter("cyclecollide")._width == shutil.get_terminal_size().columns - 2
+
+
 def test_parse_n_values():
     assert parse_n_values("3,5,10") == (3, 5, 10)
     assert parse_n_values("100:1000000:10") == (100, 1000, 10000, 100000, 1000000)
@@ -450,6 +488,9 @@ def test_commands_without_sampler_or_ladder_do_not_load_numpy(argv, want):
     # Records are named tuples and annotations strings: none of the
     # standard library's heavier helpers is loaded for them.
     assert not {"dataclasses", "inspect", "typing"} & set(imported)
+    # Nor is shutil, which argparse's own formatter imports to find the
+    # terminal's width.
+    assert "shutil" not in imported
     routes = {"exact": "cyclecollide.exact", "asymptotic": "cyclecollide.asymptotic",
               "quadrature": "cyclecollide.analytic", "eq2": "cyclecollide.analytic"}
     route = routes[argv[-1] if argv[0] == "collide" else "exact"]
@@ -525,6 +566,20 @@ def test_core_check_names_the_first_command_that_differs():
     argv = " ".join(PINS[1][0])
     assert proc.returncode == 1
     assert proc.stderr.splitlines()[0] == f"differs: cyclecollide {argv}"
+
+
+def test_core_check_names_a_row_that_differs_from_its_congruence():
+    # The oracle is spoilt at 97 alone: the script names the row and prime.
+    spoilt = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import core_check, oracles; "
+        "core_check.CONGRUENCE_ROWS = (199,); right = oracles.stirling_row_mod; "
+        "oracles.stirling_row_mod = lambda n, p: right(n, p)[::-1] if p == 97 else right(n, p); "
+        "sys.exit(core_check.main())"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", spoilt, str(_CORE_CHECK.parent)], capture_output=True, text=True
+    )
+    assert (proc.returncode, proc.stderr) == (1, "differs: stirling_row(199) mod 97\n")
 
 
 def test_another_missing_module_still_raises(monkeypatch):

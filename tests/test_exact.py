@@ -15,7 +15,13 @@ from cyclecollide import (
 )
 from cyclecollide import exact
 from cyclecollide.exact import _PACKED_MAX, _PASS_BELOW
-from oracles import collision_probability, cycle_histogram, rising_factorial
+from oracles import (
+    collision_probability,
+    cycle_histogram,
+    rising_factorial,
+    square_sum_mod,
+    stirling_row_mod,
+)
 
 
 # ---------------------------------------------------------------- rows
@@ -135,6 +141,42 @@ def test_walk_rejects_bad_sequences_before_any_row(n_values):
 
 def test_walk_over_nothing_is_empty():
     assert list(stirling_rows(())) == []
+
+
+# ------------------------------------------------------- congruences
+
+def _prime_at_most(m):
+    return next(p for p in range(m, 1, -1) if all(p % d for d in range(2, math.isqrt(p) + 1)))
+
+
+def assert_row_congruent(row):
+    """Every coefficient and the square sum of `row` mod eight primes: six
+    small ones, where q = n // p is large, and the largest at most n and
+    n / 2, where q is 1 or 2 and the row of r = n mod p is short."""
+    n, square_sum = row.n, row.square_sum()
+    for p in (2, 3, 5, 7, 11, 13, _prime_at_most(n), _prime_at_most(n // 2)):
+        assert tuple(c % p for c in row.coeffs) == stirling_row_mod(n, p), (n, p)
+        assert square_sum % p == square_sum_mod(n, p), (n, p)
+
+
+# The packed start (_PACKED_MAX = 200) on either side of its cap, and the
+# three-factor passes ending at every residue on either side of
+# _PASS_BELOW = 1024.
+@pytest.mark.parametrize("n", [199, 200, 201, *range(1022, 1028)])
+def test_rows_are_congruent_to_the_rising_factorial_mod_p(n):
+    assert (_PACKED_MAX, _PASS_BELOW) == (200, 1024)
+    assert_row_congruent(stirling_row(n))
+
+
+def test_sweep_across_both_caps_is_congruent_mod_p():
+    # Packed to 150, a pass from 199 over the packed cap to 202, one from
+    # 1023 over the pass cap to 1026, then single steps to two rows above
+    # any from-scratch reference.  One walk serves them all.
+    n_values = (150, 199, 202, 1000, 1023, 1030, 1501, 2003)
+    rows = list(stirling_rows(n_values))
+    assert [row.n for row in rows] == list(n_values)
+    for row in rows:
+        assert_row_congruent(row)
 
 
 # ------------------------------------------------- rising factorial

@@ -1,6 +1,8 @@
 import hashlib
 import itertools
 import math
+import subprocess
+import sys
 import tracemalloc
 
 import mpmath
@@ -211,9 +213,9 @@ def test_single_draw_counts_are_pinned(kind, n):
 
 
 def test_serial_blocks_are_generated_lazily(monkeypatch):
-    # 10^5 blocks with a no-op block body: the serial loop must not hold
-    # one task per block (~10 MB as a list).
-    monkeypatch.setattr(montecarlo, "_block_collisions", lambda task: 0)
+    # 10^5 blocks with a no-op block body: the loop must not hold one
+    # task per block (~10 MB as a list).
+    monkeypatch.setattr(montecarlo, "_block_collisions", lambda *block: 0)
     tracemalloc.start()
     try:
         est = estimate_collision(10, 10**5 * BLOCK_PAIRS, seed=1)
@@ -365,6 +367,19 @@ def test_estimate_deterministic_and_worker_invariant():
     again = estimate_collision(8, 3 * BLOCK_PAIRS + 17, seed=123)
     threaded = estimate_collision(8, 3 * BLOCK_PAIRS + 17, seed=123, workers=4)
     assert base == again == threaded
+
+
+def test_workers_start_no_thread_pool():
+    # The blocks run in one loop whatever `workers` says, so even four
+    # workers leave the thread pool unloaded.
+    code = (
+        "import sys; from cyclecollide.montecarlo import BLOCK_PAIRS, estimate_collision; "
+        "estimate_collision(8, 3 * BLOCK_PAIRS + 17, seed=123, workers=4); "
+        "print('concurrent.futures' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("kind", SamplerKind)

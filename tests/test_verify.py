@@ -182,7 +182,8 @@ def test_import_does_not_load_scipy():
 
 
 def test_import_does_not_load_thread_pool():
-    # Only estimate_collision(..., workers > 1) needs it.
+    # No module uses a thread pool: estimate_collision runs its blocks in
+    # one loop.
     code = _IMPORT_ALL + "print('concurrent.futures' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
