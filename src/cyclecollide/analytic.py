@@ -54,9 +54,9 @@ Three integrands:
 All integrands are 2 pi-periodic and even about theta = pi, so integration
 is done on [0, pi], endpoints included, and doubled.
 
-I_n and GAMMA_RATIO (the default) take one batch of N + 1 nodes, N from
-the strip bound of Trefethen & Weideman (Thm 3.2): on |Im theta| <= a <
-ln 2 the integrand is at most
+Every route takes one batch of N + 1 nodes, N from the strip bound of
+Trefethen & Weideman (Thm 3.2): on |Im theta| <= a < ln 2 the integrand
+is at most
 
     M(a) = exp(2 log n (cosh a - 1)) (2 + 2 cosh a) exp(2 sum_k |a_k| cosh ka)
            exp(sum_{k<=K} (|d_k| cosh ka - d_k))
@@ -72,8 +72,8 @@ result's bits depend on its final N alone.  An n whose N exceeds the
 node cap, 2^16, is refused with a ValueError before any batch runs: from
 about log2 n = 4.04e7 at rel_tol 1e-10.  The walk over the grid
 stops where N starts to rise, which finds the smallest (see
-_STRIP_WIDTHS).  A batch evaluates only its head, the nodes where the
-kernel's exponent -(1 - cos theta) 2 log n is at least -C, C = 120 (one
+_STRIP_WIDTHS).  A circle batch evaluates only its head, the nodes where
+the kernel's exponent -(1 - cos theta) 2 log n is at least -C, C = 120 (one
 bisection, 1 - cos theta rising along the nodes); up to log n = C/4
 (n ~ 1.07e13) the head is every node.  On the real line cosh ka >= 1 >=
 |cos k theta|, so the weight times the d_k factor is at most e^L_w / 2 pi,
@@ -89,8 +89,17 @@ the last term is below 2^-101 h at every n and width (at most 2^16 + 1
 nodes, L_w - log 2 pi <= 11.61), under half an ulp of the floor since
 sum f >= f(0) / 2 = 1/2: it never moves the estimate's bits, and the
 mass left out is below 2^-100 of the sum.
-EXACT_PRODUCT runs the halving ladder of `quadrature`, which imports
-numpy; p(1) is 1 exactly, with no integrand evaluated.
+
+EXACT_PRODUCT is the same function as GAMMA_RATIO, so it takes its N and
+strip term at the same n, in the same loop, with every node's value (in
+[0, 1], no head cut) from `quadrature`'s batch in numpy.  Proved: the
+strip term bounds the rule's error for f_K, and the floor covers the
+exactly rounded sum and f_K's 2^-58 from f_n.  Not proved: that values
+are within a few ulps of f_n, measured against mpmath for the circle
+routes (above).  For the product's own rounding (n - 1 log1p terms a
+value) the only evidence is the test against p(n) in `Fraction`: over
+n = 2..2000 at rel_tol 1e-8 to 1e-13 the gap was at most 0.11 of the
+estimate.  p(1) is 1 exactly, with no integrand evaluated.
 
 The circle routes are Python floats and `math`: I_n, GAMMA_RATIO and
 `integrand` never import numpy for them.  `integrand` evaluates each
@@ -496,21 +505,30 @@ def _batch_sum(
 
 
 def _kernel_quadrature(
-    n: float, config: QuadratureConfig, delta: Sequence[float] | None, scale: float
+    n: float,
+    config: QuadratureConfig,
+    delta: Sequence[float] | None,
+    scale: float,
+    values: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> QuadratureResult:
-    # scale > 0 times the integral over [0, pi] of the kernel, or with
-    # delta of the GAMMA_RATIO integrand (module docstring): 2 for the
-    # full circle, 1/pi for the normalized mean.  The tolerance applies to
-    # the integral over [0, pi].
+    # scale > 0 times the integral over [0, pi] of the kernel, with delta
+    # of the GAMMA_RATIO integrand, or with `values` of that function
+    # computed as EXACT_PRODUCT (module docstring): 2 for the full circle,
+    # 1/pi for the normalized mean.  The tolerance applies to the integral
+    # over [0, pi].
     log_n2 = 2.0 * math.log(n)
     # The d_1 term is taken with the kernel's: 2 log n + d_1 = 2 psi(n).
     psi2 = log_n2 if delta is None else log_n2 + delta[0]
     intervals, half_inv_a, log_m, log_w = _strip_choice(n, log_n2, config, delta)
     while True:
-        total, left_out = _batch_sum(psi2, delta, _node_table(intervals), log_n2)
         h = math.pi / intervals
-        value = h * total
-        floor = _FLOOR * h * total
+        if values is None:
+            total, left_out = _batch_sum(psi2, delta, _node_table(intervals), log_n2)
+            value = h * total
+            floor = _FLOOR * h * total
+        else:
+            value, floor, _ = quadrature(values, intervals)
+            left_out = 0
         # 2 pi M(a) / (e^{2aN} - 1), without overflow at large 2aN; N >= need
         # keeps log M - 2aN <= log(target / 2) < 709 (_strip_choice).
         strip = math.exp(log_m - intervals / half_inv_a) / -math.expm1(-intervals / half_inv_a)
@@ -528,11 +546,6 @@ def _kernel_quadrature(
                 tolerance * scale,
             )
         intervals *= 2
-
-
-def _scaled(r: QuadratureResult, scale: float) -> QuadratureResult:
-    # The ladder integrates [0, pi]; the integrands are even about pi.
-    return QuadratureResult(r.value * scale, r.abs_error_estimate * scale, r.evaluations)
 
 
 def I_n(n: float, config: QuadratureConfig = DEFAULT_CONFIG) -> QuadratureResult:
@@ -566,13 +579,14 @@ def p_quadrature_result(
 
     kind=None is GAMMA_RATIO, integrated at every n >= 2 as `I_n` is: one
     batch on the N intervals of [0, pi] that the strip bound certifies,
-    with that bound in its estimate.  EXACT_PRODUCT, the O(n) oracle, runs
-    the halving ladder of `quadrature`.  p(1) is (1.0, 0.0, 0): both
-    identity integrands are the constant 1, and none is evaluated.  A
-    rel_tol below 64 eps raises QuadratureConvergenceError at every n >= 2.
-    This route evaluates an identity, so it reproduces the exact-arithmetic
-    value for every n, large or small, to within the returned
-    abs_error_estimate.
+    with that bound plus the floor in its estimate.  EXACT_PRODUCT, the
+    O(n) oracle, takes the same N and estimate, at O(n N) a batch.  The
+    estimate is proved for the rule on GAMMA_RATIO's K-term function,
+    given values accurate to a few ulps; that accuracy is measured, for
+    the product only by the test against p(n) in exact arithmetic (module
+    docstring).  p(1) is (1.0, 0.0, 0): both identity integrands are the
+    constant 1, and none is evaluated.  A rel_tol below 64 eps raises
+    QuadratureConvergenceError at every n >= 2.
     """
     n = _args.integer("n", n, 1)
     if kind is IntegrandKind.LIMIT_KERNEL:
@@ -584,17 +598,8 @@ def p_quadrature_result(
     _args.instance("config", config, QuadratureConfig)
     if n == 1:
         return QuadratureResult(1.0, 0.0, 0)
-    scale = 1.0 / math.pi
-    if circle:
-        return _kernel_quadrature(n, config, _series_coeffs(n), scale)
-    try:
-        return _scaled(
-            quadrature(functools.partial(_exact_product_values, n), 0.0, math.pi, config), scale
-        )
-    except QuadratureConvergenceError as exc:
-        raise QuadratureConvergenceError(
-            _scaled(exc.best, scale), exc.tolerance * scale
-        ) from None
+    values = None if circle else functools.partial(_exact_product_values, n)
+    return _kernel_quadrature(n, config, _series_coeffs(n), 1.0 / math.pi, values)
 
 
 def p_quadrature(

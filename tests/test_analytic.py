@@ -28,7 +28,6 @@ from cyclecollide import (
     recip_gamma_abs_sq,
 )
 from cyclecollide import analytic
-from cyclecollide.quadrature import quadrature
 
 mpmath.mp.dps = 40
 
@@ -305,8 +304,8 @@ def test_p_quadrature_result_fields():
     res = p_quadrature_result(10, IntegrandKind.EXACT_PRODUCT)
     assert res.value == pytest.approx(p_exact(10).approx, rel=1e-9)
     assert res.abs_error_estimate >= 0
-    nodes = res.evaluations - 1  # 2^k intervals, endpoints included
-    assert nodes >= 16 and nodes & (nodes - 1) == 0
+    intervals = res.evaluations - 1  # N + 1 nodes, endpoints included
+    assert intervals >= 8 and intervals % 8 == 0
 
 
 def _exact_p_values(wanted):
@@ -324,17 +323,49 @@ def _exact_p_values(wanted):
 
 def test_quadrature_error_estimate_is_a_bound():
     # |p_quadrature - p_exact| <= abs_error_estimate, the gap taken in
-    # exact arithmetic, for both identity integrands at both tolerances.
+    # exact arithmetic, for both identity integrands at three tolerances.
     wanted = set(range(1, 601)) | set(range(650, 1501, 50))
     exact = _exact_p_values(wanted)
     misses = []
     for n in sorted(wanted):
         for kind in (IntegrandKind.EXACT_PRODUCT, IntegrandKind.GAMMA_RATIO):
-            for rel_tol in (1e-10, 1e-12):
+            for rel_tol in (1e-10, 1e-12, 1e-13):
                 res = p_quadrature_result(n, kind, QuadratureConfig(rel_tol=rel_tol))
                 if abs(Fraction(res.value) - exact[n]) > Fraction(res.abs_error_estimate):
                     misses.append((n, kind.value, rel_tol))
     assert misses == []
+
+
+def _strip_abs(n, delta, theta):
+    # |f_K| at a complex angle: the kernel exp(2 log n (cos theta - 1)) /
+    # (Gamma(e^{i theta}) Gamma(e^{-i theta})) times the kept d_k factor.
+    exponent = 2 * mpmath.log(n) * (mpmath.cos(theta) - 1)
+    exponent += mpmath.fsum(d * (mpmath.cos(k * theta) - 1) for k, d in enumerate(delta or (), 1))
+    z = mpmath.expj(theta)
+    return abs(mpmath.exp(exponent) * mpmath.rgamma(z) * mpmath.rgamma(1 / z))
+
+
+def test_strip_term_bounds_the_integrand_on_its_strip():
+    # Trefethen & Weideman's bound needs M(a) >= |f_K| on |Im theta| <= a,
+    # where |f_K| peaks on the edge Im theta = a (f_K is even and real on
+    # the real line).  The estimate must be at least the bound with the
+    # largest |f_K| found on 33 points of that edge; the strip's M(a) is
+    # 28.8 times that at n = 1e100 and rel_tol 1e-2, and up to 1.4e5 at 2.
+    with mpmath.workdps(20):
+        for n in (2, 10, 10**6, 10**20, 10**100):
+            for rel_tol in (1e-2, 1e-10):
+                config = QuadratureConfig(rel_tol=rel_tol)
+                delta = analytic._series_coeffs(n)
+                routes = [(I_n(n, config), 2.0, None)]
+                for kind in (None, IntegrandKind.EXACT_PRODUCT)[: 2 if n <= 10**6 else 1]:
+                    routes.append((p_quadrature_result(n, kind, config), 1 / math.pi, delta))
+                for res, scale, d in routes:
+                    intervals, half_inv_a, _, _ = analytic._strip_choice(n, 2 * math.log(n), config, d)
+                    assert res.evaluations == intervals + 1
+                    a = 0.5 / half_inv_a
+                    edge = max(_strip_abs(n, d, mpmath.mpc(math.pi * j / 32, a)) for j in range(33))
+                    bound = 2 * math.pi * float(edge) / math.expm1(2 * a * intervals)
+                    assert res.abs_error_estimate / scale >= bound, (n, rel_tol, scale)
 
 
 @pytest.mark.parametrize("n", [3, 20, 415, 2000, 10**4])
@@ -362,9 +393,14 @@ def test_exact_product_trapezoid_is_exact_once_2N_reaches_n(n):
     y = integrand(IntegrandKind.EXACT_PRODUCT, n, np.linspace(0.0, math.pi, intervals + 1))
     mean = math.fsum((0.5 * y[0], *y[1:-1], 0.5 * y[-1])) / intervals
     assert mean == pytest.approx(p_exact(n).approx, rel=1e-14)
-    if n <= 16:  # 8 intervals already exact: converged at the first estimate
+    if n <= 16:
+        # The strip choice's N >= 8 is already exact: the first batch meets
+        # the tolerance, on the N of GAMMA_RATIO at the same n.
         res = p_quadrature_result(n, IntegrandKind.EXACT_PRODUCT, TIGHT)
-        assert res.evaluations == 17
+        choice = analytic._strip_choice(n, 2.0 * math.log(n), TIGHT, analytic._series_coeffs(n))
+        assert res.evaluations == choice[0] + 1
+        assert res.evaluations == p_quadrature_result(n, None, TIGHT).evaluations
+        assert res.value == pytest.approx(p_exact(n).approx, rel=1e-14)
 
 
 def test_gamma_ratio_n1_is_one_at_pi():
@@ -456,43 +492,61 @@ def test_quadrature_bits_pinned(n, rel_tol, want_p, want_i):
         assert _bits(I_n(n, config)) == want_i
 
 
-# sha256 over the _bits of every quadrature route on a fixed grid: every
+# sha256 over the _bits of the quadrature routes on a fixed grid: every
 # route at n = 1..64 and at n = 1023..1026, ~100 log-spaced n to 1e300,
 # both sides of n = 2^60, where GAMMA_RATIO becomes the kernel, and 2^1030;
-# I_n also at non-integer n.  Measured once GAMMA_RATIO kept only its first
-# K(n) terms, with the d_1 term taken with the kernel's; I_n, EXACT_PRODUCT
-# and every result from n = 2^60 on kept their bits through that change,
-# GAMMA_RATIO values below 2^60 moved by at most 2 ulps and estimates by at
-# most 2.2e-8 relative (n = 3), and no node count moved.  Re-pinned when
-# the circle batch moved from numpy to Python floats (`math`): values moved
-# by at most 4.9e-16 relative and estimates by 3.9e-16, and no node count
-# moved; EXACT_PRODUCT kept its bits.  Re-pinned when p(1) became the
-# exact (1.0, 0.0, 0) without the ladder and the tolerance rel_tol |value|
-# alone: over the grid without n = 1 the digest stayed c29363b3...
-QUADRATURE_DIGEST = "ed4e171e95fa0840e6466b751ea4769b4b9721f7febb04041d0d1c235dab88c6"
+# I_n also at non-integer n; EXACT_PRODUCT up to n = 2000.
+#
+# CIRCLE_DIGEST covers auto, GAMMA_RATIO and I_n, whose bits come from
+# libm alone.  Under the one digest that covered every route before the
+# split, their results moved three times: when GAMMA_RATIO kept only its
+# first K(n) terms, with the d_1 term taken with the kernel's (GAMMA_RATIO
+# values below 2^60 by at most 2 ulps, estimates by at most 2.2e-8
+# relative at n = 3, no node count); when the circle batch moved from
+# numpy to Python floats (values by at most 4.9e-16 relative, estimates by
+# 3.9e-16, no node count); and when p(1) became the exact (1.0, 0.0, 0)
+# and the tolerance rel_tol |value| alone.  They kept their bits when the
+# product moved into the strip-certified batch, where the split was made.
+CIRCLE_DIGEST = "f63115466c661eee6f2a44ee36f9c88d81506e86c9a2b6f1ea92733b2869e2a4"
+# PRODUCT_DIGEST covers EXACT_PRODUCT, whose values go through numpy's
+# log1p and exp, whose SIMD kernels are chosen at run time: a mismatch on
+# another CPU may point to the hardware.  Re-pinned when the product left
+# the halving ladder for the strip-certified batch (was 36221ca2...).
+PRODUCT_DIGEST = "0614b5e695a19e62d396377546a5925ac826fcf04295261a72733e1303af8a57"
+
+_DIGEST_NS = [*range(1, 65), 1023, 1024, 1025, 1026]
+_DIGEST_NS += [int(10.0 ** (3 * k)) for k in range(1, 101)]
+_DIGEST_NS += [2**60 - 1, 2**60 + 1, 2**1030]
 
 
-def test_quadrature_digest_pinned():
-    ns = [*range(1, 65), 1023, 1024, 1025, 1026]
-    ns += [int(10.0 ** (3 * k)) for k in range(1, 101)]
-    ns += [2**60 - 1, 2**60 + 1, 2**1030]
+def _digest(results_at):
     digest = hashlib.sha256()
     for rel_tol in (1e-10, 1e-12):
         config = QuadratureConfig(rel_tol=rel_tol)
-        for n in ns:
-            results = [
-                p_quadrature_result(n, None, config),
-                p_quadrature_result(n, IntegrandKind.GAMMA_RATIO, config),
-            ]
-            if n <= 2000:
-                results.append(p_quadrature_result(n, IntegrandKind.EXACT_PRODUCT, config))
-            if n >= 2:
-                results.append(I_n(n, config))
-            if 2 <= n <= 64:
-                results.append(I_n(n + 0.5, config))
-            for r in results:
+        for n in _DIGEST_NS:
+            for r in results_at(n, config):
                 digest.update(repr(_bits(r)).encode())
-    assert digest.hexdigest() == QUADRATURE_DIGEST
+    return digest.hexdigest()
+
+
+def test_quadrature_digest_pinned():
+    def circle(n, config):
+        yield p_quadrature_result(n, None, config)
+        yield p_quadrature_result(n, IntegrandKind.GAMMA_RATIO, config)
+        if n >= 2:
+            yield I_n(n, config)
+        if 2 <= n <= 64:
+            yield I_n(n + 0.5, config)
+
+    assert _digest(circle) == CIRCLE_DIGEST
+
+
+def test_product_digest_pinned():
+    def product(n, config):
+        if n <= 2000:
+            yield p_quadrature_result(n, IntegrandKind.EXACT_PRODUCT, config)
+
+    assert _digest(product) == PRODUCT_DIGEST
 
 
 @pytest.mark.parametrize(
@@ -1074,11 +1128,13 @@ def test_threads_share_the_node_tables():
 # ------------------------------------------------------------- I_n
 
 def test_I_n_symmetry_half_vs_full_range():
+    # The full-circle rule on 256 nodes of [0, 2 pi), summed here, against
+    # the half-circle batch doubled.
     n = 50.0
-    f = lambda t: integrand(IntegrandKind.LIMIT_KERNEL, n, t)
-    full = quadrature(f, 0.0, 2 * math.pi, TIGHT)
+    thetas = [2 * math.pi * j / 256 for j in range(256)]
+    full = 2 * math.pi / 256 * math.fsum(integrand(IntegrandKind.LIMIT_KERNEL, n, thetas))
     half_doubled = I_n(n, TIGHT)
-    assert half_doubled.value == pytest.approx(full.value, rel=1e-10)
+    assert half_doubled.value == pytest.approx(full, rel=1e-10)
 
 
 def test_I_n_approaches_laplace():

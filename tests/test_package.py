@@ -24,8 +24,8 @@ def test_import_does_not_load_numpy(module):
 
 def test_circle_routes_do_not_load_numpy():
     # The circle batch and a real angle of the circle integrands are Python
-    # floats, and p(1) = 1 needs no integrand; EXACT_PRODUCT, which runs
-    # the ladder, imports numpy.
+    # floats, and p(1) = 1 needs no integrand; EXACT_PRODUCT, whose batch
+    # `quadrature` sums in numpy, imports it.
     calls = (
         "cc.I_n(10), cc.I_n(2**1030), cc.p_quadrature_result(2), cc.p_quadrature(10**6), "
         "cc.p_quadrature_result(1), cc.p_quadrature_result(1, cc.IntegrandKind.EXACT_PRODUCT), "
