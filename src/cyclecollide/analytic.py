@@ -75,20 +75,19 @@ stops where N starts to rise, which finds the smallest (see
 _STRIP_WIDTHS).  A circle batch evaluates only its head, the nodes where
 the kernel's exponent -(1 - cos theta) 2 log n is at least -C, C = 120 (one
 bisection, 1 - cos theta rising along the nodes); up to log n = C/4
-(n ~ 1.07e13) the head is every node.  On the real line cosh ka >= 1 >=
-|cos k theta|, so the weight times the d_k factor is at most e^L_w / 2 pi,
-L_w = log(2 pi M(a)) - 2 log n (cosh a - 1) at the chosen a, and every
-node left out is at most e^(L_w - C) / 2 pi.  Its values are in
-[0, 3.70] (the weight's peak; GAMMA_RATIO is at most 1), so one math.fsum
-of the head, exactly rounded and unable to overflow, is the rule's sum
-less the nodes left out, and because f >= 0 also the sum|f| of the
-floor; it is not finite only if a value is not.  The estimate is that
-bound plus the floor 64 eps h sum|f| of `quadrature` plus h e^(L_w - C)
-/ 2 pi for each node left out, and `evaluations` is N + 1.  With C = 120
-the last term is below 2^-101 h at every n and width (at most 2^16 + 1
-nodes, L_w - log 2 pi <= 11.61), under half an ulp of the floor since
-sum f >= f(0) / 2 = 1/2: it never moves the estimate's bits, and the
-mass left out is below 2^-100 of the sum.
+(n ~ 1.07e13) the head is every node.  Its values are in [0, 3.70] (the
+weight's peak; GAMMA_RATIO is at most 1), so one math.fsum of the head,
+exactly rounded and unable to overflow, is the rule's sum less the nodes
+left out, and because f >= 0 also the sum|f| of the floor; it is not
+finite only if a value is not.  The estimate has two terms, that bound
+and the floor 64 eps h sum|f| of `quadrature`, and `evaluations` is
+N + 1.  The floor covers the nodes left out: on the real line
+cosh ka >= 1 >= |cos k theta|, so the weight times the d_k factor is at
+most e^L_w / 2 pi, L_w = log(2 pi M(a)) - 2 log n (cosh a - 1) at the
+chosen a, and a node left out is at most e^(L_w - C) / 2 pi.  With
+L_w - log 2 pi <= 11.61 at every n and width, h times at most 2^16 + 1
+such nodes is below 2^-101 h, and since sum f >= f(0) / 2 = 1/2 that is
+below 2^-100 of the sum, and under half an ulp of the floor 2^-46 h sum f.
 
 EXACT_PRODUCT is the same function as GAMMA_RATIO, so it takes its N and
 strip term at the same n, in the same loop, with every node's value (in
@@ -102,14 +101,15 @@ n = 2..2000 at rel_tol 1e-8 to 1e-13 the gap was at most 0.11 of the
 estimate.  p(1) is 1 exactly, with no integrand evaluated.
 
 The circle routes are Python floats and `math`: I_n, GAMMA_RATIO and
-`integrand` never import numpy for them.  `integrand` evaluates each
-angle alone, cos(k theta) - 1 as -2 sin^2(k theta / 2) and the weight
-from cos(k theta) (gammafn).  A batch reads the same quantities at the
-nodes theta_j = pi j / N from a table per N: cos(k theta_j) =
-cos(pi m / N) at m = k j, of period 2N and even about m = N, so two
-tuples of 54 N + 1 slots hold cos(pi m / N) - 1 = -2 sin^2(pi m / 2N) and
-cos(pi m / N) at slot m, the values at m = 0..N repeated, and d_k's pass
-takes every k-th slot.  The weight of a node is computed from its slots
+`integrand` never import numpy for them.  `integrand` and a batch
+evaluate f_K by one formula (_f_k), the kernel its case K = 0.
+`integrand` evaluates each angle alone, cos(k theta) - 1 as
+-2 sin^2(k theta / 2) and the weight from cos(k theta) (gammafn).  A
+batch reads the same quantities at the nodes theta_j = pi j / N from a
+table per N: cos(k theta_j) = cos(pi m / N) at m = k j, of period 2N and
+even about m = N, so two tuples of 54 N + 1 slots hold cos(pi m / N) - 1
+= -2 sin^2(pi m / 2N) and cos(pi m / N) at slot m, the values at
+m = 0..N repeated, and d_k's pass takes every k-th slot.  The weight of a node is computed from its slots
 when a head first reaches it, and kept with its cos theta_j - 1 as a
 pair in the table's list, which holds the nodes 0, 1, ... as far as a
 head has reached; the kernel's pass reads only that list.  Tables are
@@ -241,11 +241,12 @@ def _small_series_table() -> tuple[tuple[float, ...], ...]:
     return tuple(reversed(rows))
 
 
-def _series_coeffs(n: int) -> Sequence[float] | None:
-    # d_1..d_K(n) of the GAMMA_RATIO integrand, n >= 2; None from n = 2^60
-    # on.  d_1 = -2 (log n - psi(n)) = 2 (H_{n-1} - log n - gamma).
+def _series_coeffs(n: int) -> Sequence[float]:
+    # d_1..d_K(n) of the GAMMA_RATIO integrand, n >= 2; () from n = 2^60
+    # on, where it is the kernel.  d_1 = -2 (log n - psi(n))
+    # = 2 (H_{n-1} - log n - gamma).
     if n >= _KERNEL_MIN_N:
-        return None
+        return ()
     if n < _EULER_MACLAURIN_MIN_N:
         return _small_series_table()[n - 2][: _series_terms(n)]
     return _euler_maclaurin(n, _series_terms(n))
@@ -280,27 +281,28 @@ def _exact_product_values(n: int, theta: np.ndarray) -> np.ndarray:
     return np.exp(acc) / (float(n) * n)
 
 
-def _circle_fn(n: float, delta: Sequence[float] | None) -> Callable[[float], float]:
-    # K_n exp(sum_{k<=K} d_k (cos k theta - 1)), or K_n alone, at one angle,
-    # with cos(k theta) - 1 = -2 sin^2(k theta / 2), free of cancellation
-    # near theta = 0; the d_k terms for k >= 2 are summed from k = K down,
-    # the smallest first, and then added to the kernel's exponent: the
-    # formulas of the batch (_batch_sum), with the angles of one node.
-    # math.log takes n as given, so an int n above the double range works.
-    log_n2 = 2.0 * math.log(n)
-    psi2 = log_n2 if delta is None else log_n2 + delta[0]
-    terms = tuple(enumerate(delta, start=1))[:0:-1] if delta else ()
+def _cos_m1(x: float) -> float:
+    # cos 2x - 1 as -2 sin^2 x, free of cancellation near x = 0.
+    s = math.sin(x)
+    return -2.0 * s * s
 
-    def f(theta: float) -> float:
-        half = 0.5 * theta
-        s = math.sin(half)
-        extra = 0.0
-        for k, d in terms:
-            t = math.sin(k * half)
-            extra += d * (-2.0 * t * t)
-        return math.exp(-2.0 * s * s * psi2 + extra) * _circle_weight(theta)
 
-    return f
+def _f_k(psi2: float, delta: Sequence[float], pairs, cos_k) -> list[float]:
+    # f_K = exp((cos theta - 1) psi2 + sum_{k=K..2} d_k (cos k theta - 1)) w
+    # at the angles of `pairs`, the (cos theta - 1, w) of each, where
+    # psi2 = 2 log n + d_1 = 2 psi(n) (2 log n for the kernel) and cos_k(k)
+    # gives the cos k theta - 1 of the same angles.  One list pass a kept
+    # d_k, k = K down to 2, the smallest first; the pass of d_2 also takes
+    # the exp.
+    exp = math.exp
+    if not delta or len(delta) == 1:
+        return [exp(c * psi2) * w for c, w in pairs]
+    extra = itertools.repeat(0.0)
+    for k in range(len(delta), 2, -1):
+        d = delta[k - 1]
+        extra = [e + d * c for e, c in zip(extra, cos_k(k))]
+    d = delta[1]
+    return [exp(c * psi2 + (e + d * c2)) * w for (c, w), e, c2 in zip(pairs, extra, cos_k(2))]
 
 
 def integrand(
@@ -324,11 +326,24 @@ def integrand(
         return _on_angles(lambda angles: _exact_product_values(n, angles), theta)
     if kind is IntegrandKind.GAMMA_RATIO:
         n = _args.integer("n", n, 1)
-        f = (lambda angle: 1.0) if n == 1 else _circle_fn(n, _series_coeffs(n))
+        if n == 1:
+            return _on_angles(lambda angles: [1.0] * len(angles), theta)
+        delta = _series_coeffs(n)
     elif kind is IntegrandKind.LIMIT_KERNEL:
-        f = _circle_fn(_args.real_n(n), None)
+        n, delta = _args.real_n(n), ()
     else:
         raise ValueError(f"unknown integrand kind: {kind!r}")
+    # math.log takes n as given, so an int n above the double range works.
+    log_n2 = 2.0 * math.log(n)
+    psi2 = log_n2 + delta[0] if delta else log_n2
+
+    def f(theta: float) -> float:
+        # f_K at one angle, cos k theta - 1 from sin(k theta / 2).
+        half = 0.5 * theta
+        pair = (_cos_m1(half), _circle_weight(theta))
+        (value,) = _f_k(psi2, delta, (pair,), lambda k: (_cos_m1(k * half),))
+        return value
+
     return _on_angles(lambda angles: map(f, angles), theta)
 
 
@@ -344,8 +359,8 @@ def integrand(
 _STRIP_WIDTHS = tuple(0.68 / 1.4**k for k in range(16))
 # The cached tables: every N <= 2^8, the 32 multiples of 8 (module
 # docstring).
-_TABLE_ENTRIES = 32
 _TABLE_MAX_INTERVALS = 2**8
+_TABLE_ENTRIES = _TABLE_MAX_INTERVALS // 8
 # C of the head cut (module docstring): a batch leaves out the nodes where
 # the kernel's exponent is below -C.
 _HEAD_CUT = 120.0
@@ -368,11 +383,10 @@ def _strip_table() -> tuple[tuple[float, float, float, tuple[float, ...]], ...]:
 
 
 def _strip_choice(
-    n: float, log_n2: float, config: QuadratureConfig, delta: Sequence[float] | None
-) -> tuple[int, float, float, float]:
-    # (N, 1 / 2a, log(2 pi M(a)), L_w) at the strip width a with the
-    # smallest need(a), ties to the wider a, L_w the part of log(2 pi M(a))
-    # without the kernel's growth: the min over every width, found by the
+    n: float, log_n2: float, config: QuadratureConfig, delta: Sequence[float]
+) -> tuple[int, float, float]:
+    # (N, 1 / 2a, log(2 pi M(a))) at the strip width a with the smallest
+    # need(a), ties to the wider a: the min over every width, found by the
     # walk that stops at need's first rise (_STRIP_WIDTHS).  laplace_I(n)
     # / 2 is the guess of the integral over [0, pi]: I_n / laplace_I is
     # 1.997 at n = 2 and 1.034 at 1e8, and pi p(n) is above it too, by
@@ -389,7 +403,7 @@ def _strip_choice(
         # sum_k (|d_k| cosh ka - d_k) = sum_k d_k ((-1)^k cosh ka - 1), as
         # d_k has the sign of (-1)^k (zeta(k, n) > 0 and psi(n) < log n),
         # over the K kept terms.
-        e = 0.0 if delta is None else math.fsum(map(operator.mul, signed, delta))
+        e = math.fsum(map(operator.mul, signed, delta)) if delta else 0.0
         need = (shift + log_m0 + grow + e) * half_inv_a
         if need < best:
             best, best_half_inv_a = need, half_inv_a
@@ -408,7 +422,7 @@ def _strip_choice(
             f"above the node cap; this rel_tol takes every n up to "
             f"2**{math.floor(log2_n * room / best_grow)}"
         )
-    return intervals, best_half_inv_a, best_log_m0 + best_grow + best_e, best_log_m0 + best_e
+    return intervals, best_half_inv_a, best_log_m0 + best_grow + best_e
 
 
 def _new_node_table(intervals: int) -> tuple[tuple[float, ...], tuple[float, ...], list]:
@@ -421,8 +435,7 @@ def _new_node_table(intervals: int) -> tuple[tuple[float, ...], tuple[float, ...
     # cancellation near m = 0 and rising in size along the nodes, and
     # cos(pi m / N) by math.cos.
     half_step = math.pi / (2 * intervals)
-    sines = [math.sin(half_step * m) for m in range(intervals + 1)]
-    cos_m1 = [-2.0 * s * s for s in sines]
+    cos_m1 = [_cos_m1(half_step * m) for m in range(intervals + 1)]
     cosines = [math.cos(2.0 * half_step * m) for m in range(intervals + 1)]
     periods = _TERMS // 2
     return (
@@ -446,18 +459,14 @@ def _node_table(intervals: int) -> tuple[tuple[float, ...], tuple[float, ...], l
     return _cached_node_table(intervals)
 
 
-def _batch_sum(
-    psi2: float, delta: Sequence[float] | None, table, log_n2: float
-) -> tuple[float, int]:
-    # sum f over one batch's head, exactly rounded, and the number of nodes
-    # left out: every node of the table with its ends at half weight.
-    # f = exp((cos theta - 1) psi2 + sum_{k=K..2} d_k
-    # (cos k theta - 1)) w, psi2 = 2 log n + d_1 = 2 psi(n) (2 log n for
-    # the kernel).  Every f is in [0, 3.70], so this is also the head's sum|f|
-    # and, on at most 2^16 + 1 nodes, not finite only if a value is not.
-    # The head is the nodes with the kernel's exponent
-    # -(1 - cos theta) 2 log n >= -_HEAD_CUT (module docstring), found by
-    # one bisection, 1 - cos theta rising along the nodes.
+def _batch_sum(psi2: float, delta: Sequence[float], table, log_n2: float) -> float:
+    # sum f over one batch's head, exactly rounded: the nodes of the table,
+    # its ends at half weight, where the kernel's exponent
+    # -(1 - cos theta) 2 log n is at least -_HEAD_CUT, found by one
+    # bisection, 1 - cos theta rising along the nodes.  The floor covers
+    # the nodes past the head (module docstring).  f is _f_k, in
+    # [0, 3.70], so this is also the head's sum|f| and, on at most
+    # 2^16 + 1 nodes, not finite only if a value is not.
     cos_m1, cosines, nodes = table
     intervals = (len(cos_m1) - 1) // _TERMS
     # 1 - cos theta <= 2, so up to log n = C / 4 the head is every node.
@@ -478,65 +487,44 @@ def _batch_sum(
         # One slice assignment, atomic, of the pairs any thread would store
         # there: threads may share a table.
         nodes[have:cut] = new
-    head = nodes[:cut]
-    exp = math.exp
-    if delta is None or len(delta) == 1:
-        ys = [exp(c * psi2) * w for c, w in head]
-    else:
-        # One list pass a kept d_k, k = K down to 2, the smallest first; the
-        # pass of d_2 also takes the exp.
-        extra = itertools.repeat(0.0)
-        for k in range(len(delta), 2, -1):
-            d = delta[k - 1]
-            extra = [e + d * c for e, c in zip(extra, cos_m1[: k * cut : k])]
-        d = delta[1]
-        ys = [
-            exp(c * psi2 + (e + d * c2)) * w
-            for (c, w), e, c2 in zip(head, extra, cos_m1[: 2 * cut : 2])
-        ]
-    left_out = intervals + 1 - len(ys)
+    ys = _f_k(psi2, delta, nodes[:cut], lambda k: cos_m1[: k * cut : k])
     ys[0] *= 0.5
-    if not left_out:
+    if cut > intervals:
         ys[-1] *= 0.5
     total = math.fsum(ys)
     if not math.isfinite(total):
         raise ValueError(f"integrand not finite on [0.0, {math.pi}]")
-    return total, left_out
+    return total
 
 
 def _kernel_quadrature(
     n: float,
     config: QuadratureConfig,
-    delta: Sequence[float] | None,
+    delta: Sequence[float],
     scale: float,
     values: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> QuadratureResult:
-    # scale > 0 times the integral over [0, pi] of the kernel, with delta
-    # of the GAMMA_RATIO integrand, or with `values` of that function
+    # scale > 0 times the integral over [0, pi] of f_K, the kernel for an
+    # empty delta, or with `values` of the GAMMA_RATIO function
     # computed as EXACT_PRODUCT (module docstring): 2 for the full circle,
     # 1/pi for the normalized mean.  The tolerance applies to the integral
     # over [0, pi].
     log_n2 = 2.0 * math.log(n)
     # The d_1 term is taken with the kernel's: 2 log n + d_1 = 2 psi(n).
-    psi2 = log_n2 if delta is None else log_n2 + delta[0]
-    intervals, half_inv_a, log_m, log_w = _strip_choice(n, log_n2, config, delta)
+    psi2 = log_n2 + delta[0] if delta else log_n2
+    intervals, half_inv_a, log_m = _strip_choice(n, log_n2, config, delta)
     while True:
         h = math.pi / intervals
         if values is None:
-            total, left_out = _batch_sum(psi2, delta, _node_table(intervals), log_n2)
+            total = _batch_sum(psi2, delta, _node_table(intervals), log_n2)
             value = h * total
             floor = _FLOOR * h * total
         else:
             value, floor, _ = quadrature(values, intervals)
-            left_out = 0
         # 2 pi M(a) / (e^{2aN} - 1), without overflow at large 2aN; N >= need
         # keeps log M - 2aN <= log(target / 2) < 709 (_strip_choice).
         strip = math.exp(log_m - intervals / half_inv_a) / -math.expm1(-intervals / half_inv_a)
         error = strip + floor
-        if left_out:
-            # h times the most each node left out of a head can be (module
-            # docstring).
-            error += h * left_out * math.exp(log_w - _HEAD_CUT) / (2.0 * math.pi)
         tolerance = config.rel_tol * value
         if error <= tolerance:
             return QuadratureResult(value * scale, error * scale, intervals + 1)
@@ -558,16 +546,15 @@ def I_n(n: float, config: QuadratureConfig = DEFAULT_CONFIG) -> QuadratureResult
     One trapezoid batch on N intervals of [0, pi], N the smallest multiple
     of 8 that the kernel's strip bound certifies for half the tolerance
     laplace_I(n) would give; `evaluations` is N + 1.  abs_error_estimate is
-    twice that bound plus twice the floor 64 eps h sum|f| plus twice h
-    times a bound on each node too small to reach the sum, which the batch
-    leaves out (module docstring): a proved upper bound on the error of
-    the value.
+    twice that bound plus twice the floor 64 eps h sum|f|, which also
+    covers the nodes too small to reach the sum that the batch leaves out
+    (module docstring): a proved upper bound on the error of the value.
     """
     n = _args.real_n(n)
     if n < 2:
         raise ValueError(f"n must be finite and >= 2, got {n!r}")
     _args.instance("config", config, QuadratureConfig)
-    return _kernel_quadrature(n, config, None, 2.0)
+    return _kernel_quadrature(n, config, (), 2.0)
 
 
 def p_quadrature_result(
@@ -579,7 +566,8 @@ def p_quadrature_result(
 
     kind=None is GAMMA_RATIO, integrated at every n >= 2 as `I_n` is: one
     batch on the N intervals of [0, pi] that the strip bound certifies,
-    with that bound plus the floor in its estimate.  EXACT_PRODUCT, the
+    with that bound plus the floor in its estimate, the floor also
+    covering the nodes the batch leaves out.  EXACT_PRODUCT, the
     O(n) oracle, takes the same N and estimate, at O(n N) a batch.  The
     estimate is proved for the rule on GAMMA_RATIO's K-term function,
     given values accurate to a few ulps; that accuracy is measured, for

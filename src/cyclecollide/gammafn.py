@@ -26,7 +26,11 @@ angles).
 angle loads no numpy; `log_gamma` and `weierstrass_partial` import numpy
 where they run.
 
-All functions accept scalars or numpy arrays and are pure.
+All functions are pure.  `log_gamma` takes a complex number or an array
+of them and `recip_gamma_abs_sq` a real angle or an array of angles, each
+returning a scalar for a scalar and an array of the same shape for an
+array; `weierstrass_partial` takes one complex z, and an array z raises
+ValueError.
 """
 
 from __future__ import annotations

@@ -5,8 +5,9 @@ With numpy blocked (`sys.modules["numpy"] = None`), and `dataclasses`,
 graph is checked too, it runs each command in PINS through
 `cyclecollide.cli.main` and compares its stdout with the pinned bytes,
 runs each command in NEEDS_NUMPY and compares its exit
-code 1 and its one stderr line, compares the `float.hex` of
-`p_quadrature_result(n).value` and `I_n(n).value` with VALUE_PINS,
+code 1 and its one stderr line, compares the `float.hex` of the value
+and of the error estimate, and the evaluations, of `p_quadrature_result(n)`
+and `I_n(n)` with VALUE_PINS,
 compares a JSON table at each tolerance in REL_TOLS with the table at its
 float, and checks every coefficient and the square sum of
 `stirling_row(n)` for each n in CONGRUENCE_ROWS mod each prime in
@@ -77,14 +78,21 @@ NEEDS_NUMPY = (
     (("verify",), "error: verify needs numpy\n"),
 )
 
-# (n, p_quadrature_result(n).value.hex(), I_n(n).value.hex()) at the
-# default tolerance.
+# (n, bits of p_quadrature_result(n), bits of I_n(n)) at the default
+# tolerance, the bits of a result being (value.hex(),
+# abs_error_estimate.hex(), evaluations).  At 2^64 and 10^300 a batch
+# leaves nodes out of its head, which the estimate's floor covers.
 VALUE_PINS = (
-    (2, "0x1.0000000000003p-1", "0x1.1027e099874a4p+2"),
-    (10**3, "0x1.e19e61a037832p-4", "0x1.7a4ea37b46db1p-1"),
-    (10**6, "0x1.44fe4740e374cp-4", "0x1.fe7f8eb46a438p-2"),
-    (2**64, "0x1.5fb3b88570818p-5", "0x1.1439e3c65de9cp-2"),
-    (10**300, "0x1.6001df74bf843p-7", "0x1.1477452f499f2p-4"),
+    (2, ("0x1.0000000000003p-1", "0x1.9c936d1f99e57p-45", 33),
+     ("0x1.1027e099874a4p+2", "0x1.1896899ee2414p-44", 33)),
+    (10**3, ("0x1.e19e61a037832p-4", "0x1.1192f3e0cb8a2p-47", 33),
+     ("0x1.7a4ea37b46db1p-1", "0x1.aca12ff0ee846p-45", 33)),
+    (10**6, ("0x1.44fe4740e374cp-4", "0x1.71df725f5203cp-43", 33),
+     ("0x1.fe7f8eb46a438p-2", "0x1.227f1a135919ap-40", 33)),
+    (2**64, ("0x1.5fb3b88570818p-5", "0x1.aea2722613b48p-51", 49),
+     ("0x1.1439e3c65de9cp-2", "0x1.523836eba5e7bp-48", 49)),
+    (10**300, ("0x1.6001df74bf843p-7", "0x1.db6e26e3c0043p-48", 161),
+     ("0x1.1477452f499f2p-4", "0x1.7566ee05fff9dp-45", 161)),
 )
 
 # Tolerances that are not floats, each stored as its float, so that the
@@ -134,10 +142,13 @@ def main() -> int:
             print(f"pinned: {want!r}", file=sys.stderr)
             return 1
     for n, *want in VALUE_PINS:
-        got = [p_quadrature_result(n).value.hex(), I_n(n).value.hex()]
+        got = [
+            (r.value.hex(), r.abs_error_estimate.hex(), r.evaluations)
+            for r in (p_quadrature_result(n), I_n(n))
+        ]
         if got != want:
             print(f"differs: p_quadrature_result and I_n at n = {n}", file=sys.stderr)
-            print(f"values {got}, pinned {want}", file=sys.stderr)
+            print(f"results {got}, pinned {want}", file=sys.stderr)
             return 1
     for rel_tol in REL_TOLS:
         if _table_json(rel_tol) != _table_json(float(rel_tol)):
@@ -151,8 +162,8 @@ def main() -> int:
                 print(f"differs: stirling_row({n}) mod {p}", file=sys.stderr)
                 return 1
     print(
-        f"{len(runs)} commands, {len(VALUE_PINS)} n and {len(REL_TOLS)} tolerances "
-        f"match their pins, and {len(CONGRUENCE_ROWS)} rows mod "
+        f"{len(runs)} commands, {len(VALUE_PINS)} n (value, estimate and evaluations) "
+        f"and {len(REL_TOLS)} tolerances match their pins, and {len(CONGRUENCE_ROWS)} rows mod "
         f"{len(CONGRUENCE_PRIMES)} primes their congruences, on Python "
         f"{sys.version.split()[0]}"
     )

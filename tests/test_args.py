@@ -193,12 +193,14 @@ def test_entry_points_follow_their_contract(value):
 # config that is not a QuadratureConfig at n = 1.  A RandomState drew from
 # its own stream at n >= 13.  A numpy complex n that does not subclass
 # complex (complex64, clongdouble) was read as its real part with a
-# ComplexWarning, also when its imaginary part is 0.
+# ComplexWarning, also when its imaginary part is 0.  weierstrass_partial
+# takes one complex z, not an array of them (gammafn docstring).
 OUTSIDE_CONTRACTS = [
     ("rel_tol-text", lambda: QuadratureConfig(rel_tol="x"), "rel_tol must be finite"),
     ("rel_tol-None", lambda: QuadratureConfig(rel_tol=None), "rel_tol must be finite"),
     ("z-None", lambda: weierstrass_partial(None, 10), "z must be finite"),
     ("z-text", lambda: weierstrass_partial("0.5", 10), "z must be finite"),
+    ("z-array", lambda: weierstrass_partial(np.array([1 + 1j, 2]), 10), "z must be finite"),
     ("n_values-int", lambda: ReportConfig(5, ("exact",)), "n_values must be an iterable"),
     ("methods-None", lambda: ReportConfig((5,), None), "methods must be an iterable"),
     ("stirling_rows-int", lambda: list(stirling_rows(5)), "n_values must be an iterable"),

@@ -34,8 +34,8 @@ def _inflated_strip(monkeypatch, extra, narrow=1.0):
     real = analytic._strip_choice
 
     def choice(*args):
-        intervals, half_inv_a, log_m, log_w = real(*args)
-        return intervals, half_inv_a * narrow, log_m + extra, log_w
+        intervals, half_inv_a, log_m = real(*args)
+        return intervals, half_inv_a * narrow, log_m + extra
 
     monkeypatch.setattr(analytic, "_strip_choice", choice)
 
