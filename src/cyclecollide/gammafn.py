@@ -164,8 +164,6 @@ def _on_angles(
     import numpy as np
 
     arr = np.asarray(theta)
-    if arr.dtype.kind not in "biufO":
-        raise ValueError(f"theta must be real numbers in [0, 2*pi], got dtype {arr.dtype}")
     angles = [_angle(t) for t in arr.reshape(-1).tolist()]
     if arr.ndim == 0:
         (value,) = values(angles)

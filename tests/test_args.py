@@ -1,10 +1,14 @@
-"""The two argument contracts (README, "Inputs") at every public entry point.
+"""The argument contracts (README, "Inputs") at every public entry point:
+n, z, the tolerance and the angle.
 
 An integer argument is any value whose int() equals it, taken as that
-int; a real n is an int unchanged or a finite double > 1.  Everything
-else is one ValueError.  The exact walk, the EXACT_PRODUCT routes and the
-counts of work (pairs, size, terms, workers) are unbounded in their
-argument, so they are never called on an accepted value above 50.
+int; a real n is an int unchanged or a finite double > 1; z of
+weierstrass_partial is a finite nonzero complex; a tolerance and an
+angle are each their float, finite and > 0 for a tolerance and in
+[0, 2*pi] for an angle.  Everything else is one ValueError.  The exact
+walk, the EXACT_PRODUCT routes and the counts of work (pairs, size,
+terms, workers) are unbounded in their argument, so they are never
+called on an accepted value above 50.
 """
 
 import math
@@ -97,6 +101,11 @@ TABLE = [
     (math.nan, None, None),
     (math.inf, None, None),
     (-math.inf, None, None),
+    # A float infinity is the contract's ValueError, not the OverflowError
+    # or numpy message of converting it to an int.
+    (np.float64(math.inf), None, None),
+    (1.0, 1, None),
+    (0.5, None, None),
 ]
 
 ROWS = pytest.mark.parametrize("value, as_int, as_real", TABLE, ids=[repr(row[0]) for row in TABLE])
@@ -182,36 +191,33 @@ def test_entry_points_follow_their_contract(value):
                 assert message not in str(exc)
 
 
-# Arguments outside the two contracts, each read by another `_args` reader
-# and each once a TypeError or an AttributeError: a tolerance (`real`), z
-# of weierstrass_partial, the sequences of n and of methods (`items`,
+# Arguments outside the two n contracts, most of them once a TypeError
+# or an AttributeError: a tolerance (`real`), z of weierstrass_partial
+# (finite and nonzero), the sequences of n and of methods (`items`,
 # `ascending`), and the quadrature config of a report or a route, the rng
-# of a sampler and the output path of a report (`instance`).  An angle
-# theta that is text was parsed as a number, and a complex one was a
-# TypeError (`real`).  A kind that is not an IntegrandKind is refused
-# before any n is read, also at n = 1, where p needs no integrand; so is a
-# config that is not a QuadratureConfig at n = 1.  A RandomState drew from
-# its own stream at n >= 13.  A numpy complex n that does not subclass
-# complex (complex64, clongdouble) was read as its real part with a
-# ComplexWarning, also when its imaginary part is 0.  weierstrass_partial
-# takes one complex z, not an array of them (gammafn docstring).
+# of a sampler and the output path of a report (`instance`).  A kind that
+# is not an IntegrandKind is refused before any n is read, also at n = 1,
+# where p needs no integrand; so is a config that is not a
+# QuadratureConfig at n = 1.  A RandomState drew from its own stream at
+# n >= 13.  A numpy complex n that does not subclass complex (complex64,
+# clongdouble) was read as its real part with a ComplexWarning, also when
+# its imaginary part is 0.  weierstrass_partial takes one complex z, not
+# an array of them (gammafn docstring).
 OUTSIDE_CONTRACTS = [
     ("rel_tol-text", lambda: QuadratureConfig(rel_tol="x"), "rel_tol must be finite"),
     ("rel_tol-None", lambda: QuadratureConfig(rel_tol=None), "rel_tol must be finite"),
     ("z-None", lambda: weierstrass_partial(None, 10), "z must be finite"),
     ("z-text", lambda: weierstrass_partial("0.5", 10), "z must be finite"),
     ("z-array", lambda: weierstrass_partial(np.array([1 + 1j, 2]), 10), "z must be finite"),
+    ("z-zero", lambda: weierstrass_partial(0j, 10), "z must be finite"),
+    ("z-inf", lambda: weierstrass_partial(complex("inf"), 10), "z must be finite"),
+    ("z-nan", lambda: weierstrass_partial(complex(math.nan, 0.5), 10), "z must be finite"),
     ("n_values-int", lambda: ReportConfig(5, ("exact",)), "n_values must be an iterable"),
     ("methods-None", lambda: ReportConfig((5,), None), "methods must be an iterable"),
     ("stirling_rows-int", lambda: list(stirling_rows(5)), "n_values must be an iterable"),
     ("methods-unhashable", lambda: ReportConfig((5,), [["exact"]]), "methods must be a nonempty"),
     ("methods-unhashable-item", lambda: ReportConfig((5,), ["exact", {}]), "unknown methods"),
     ("quad-None", lambda: ReportConfig((5,), ("quadrature",), quad=None), "quad must be a Quad"),
-    ("integrand-theta-text", lambda: integrand(GR, 10, "1"), "theta must be"),
-    ("integrand-theta-text-item", lambda: integrand(LK, 10, [0.5, "2"]), "theta must be"),
-    ("integrand-theta-complex", lambda: integrand(EP, 10, 1 + 0j), "theta must be"),
-    ("recip_gamma_abs_sq-theta-text", lambda: recip_gamma_abs_sq(np.array(["0.5"])), "theta must be"),
-    ("recip_gamma_abs_sq-theta-complex", lambda: recip_gamma_abs_sq(1 + 0j), "theta must be"),
     ("integrand-kind-text", lambda: integrand("gamma-ratio", 10, 1.0), "unknown integrand kind"),
     ("p_quadrature_result-kind-text", lambda: p_quadrature_result(1, "gamma-ratio"),
      "unknown integrand kind"),
@@ -248,6 +254,32 @@ OUTSIDE_CONTRACTS = [
 def test_arguments_outside_the_contracts_are_value_errors(op, message):
     with pytest.raises(ValueError, match=message):
         op()
+
+
+# Angles that are not real numbers in [0, 2*pi], alone, in lists and in
+# arrays.  Every angle is read before any is evaluated.  Text was once
+# parsed as a number, and a complex angle was a TypeError.  A void array
+# gives bytes, and a datetime64[D] array a date, which `real` refuses.
+BAD_ANGLES = [
+    -0.5, -0.1, 2 * math.pi + 1e-9, 2 * math.pi + 0.1,
+    math.nan, [0.5, math.nan], np.array([0.5, math.nan]), np.array([[math.nan]]),
+    "1", "0.5", b"1", np.array(["0.5"]), [0.5, "2"], [0.5, b"1"],
+    1 + 0j, np.complex64(1), np.array([0.5 + 0j]), np.array([1 + 0j]),
+    np.zeros(1, "V4"), np.array(["2020-01-01"], "M8[D]"),
+]
+ANGLE_READERS = [
+    *((kind.value, lambda theta, kind=kind: integrand(kind, 10, theta)) for kind in IntegrandKind),
+    ("recip_gamma_abs_sq", recip_gamma_abs_sq),
+]
+
+
+@pytest.mark.parametrize("theta", BAD_ANGLES, ids=repr)
+@pytest.mark.parametrize(
+    "op", [entry[1] for entry in ANGLE_READERS], ids=[entry[0] for entry in ANGLE_READERS]
+)
+def test_bad_angles_are_value_errors(op, theta):
+    with pytest.raises(ValueError, match="theta must be"):
+        op(theta)
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import io
+import itertools
 import math
 import subprocess
 import sys
@@ -10,10 +11,13 @@ from scipy.stats import chi2
 
 import cyclecollide.verify as verify
 from cyclecollide import (
+    I_n,
+    McEstimate,
     QuadratureConfig,
     SamplerKind,
     StirlingRow,
     cycle_distribution,
+    p_exact,
     sample_cycle_counts,
 )
 
@@ -78,6 +82,7 @@ def test_failure_turns_into_exit_code(monkeypatch):
     criteria = (
         verify.Criterion("forced", 30.0, lambda: (False, "forced failure")),
         verify.Criterion("fine", 30.0, lambda: (True, "ok")),
+        verify.Criterion("slow", 0.0, lambda: (True, "ok")),
     )
     monkeypatch.setattr(verify, "CRITERIA", criteria)
     buffer = io.StringIO()
@@ -85,7 +90,58 @@ def test_failure_turns_into_exit_code(monkeypatch):
     out = buffer.getvalue()
     assert "FAIL forced: forced failure" in out
     assert "PASS fine: ok" in out
+    assert "FAIL slow: ok [exceeded 0s budget]" in out
     assert out.splitlines()[-1] == "criterion failures"
+
+
+def _doubled_I_n(n, config):
+    result = I_n(n, config)
+    return result._replace(value=2.0 * result.value)
+
+
+def _slow_weierstrass(z, terms):
+    # Relative error 100 / terms: it shrinks through every doubling and is
+    # still 1e-3 at 10^5 terms.
+    return (1.0 + 100.0 / terms) * np.exp(-verify.EULER_GAMMA * z - verify.log_gamma(z))
+
+
+_FAR_ESTIMATE = McEstimate(10, 10**6, 0, p_exact(10).approx + 0.05, 0.01)
+_renders = itertools.count()
+
+# (id, criterion, its dependencies replaced, the start of its FAIL line):
+# one case for each way a criterion's check fails, each dependency a cheap
+# stand-in, so that no criterion does its real work.
+BROKEN = [
+    ("wrong-row", "brute-force-rows", {"stirling_rows": lambda ns: iter([StirlingRow(1, (2,))])},
+     "FAIL brute-force-rows: row 1: recurrence [2] != enumeration [1]"),
+    ("doubled-I_n", "laplace-estimate", {"I_n": _doubled_I_n},
+     "FAIL laplace-estimate: n=100: |I/laplace - 1| = 1."),
+    ("far-estimate", "monte-carlo-consistency",
+     {"estimate_collision": lambda *args, **kwargs: _FAR_ESTIMATE},
+     "FAIL monte-carlo-consistency: n=10: |p_hat - p_exact| = 5.00 se > 4 se"),
+    ("flat-product", "weierstrass-product", {"weierstrass_partial": lambda z, terms: 1 + 0j},
+     "FAIL weierstrass-product: theta=0.5: error not shrinking as terms double"),
+    ("slow-product", "weierstrass-product", {"weierstrass_partial": _slow_weierstrass},
+     "FAIL weierstrass-product: theta=0.5: error 1.000e-03 at 1e5 terms > 1e-4"),
+    ("changing-render", "table-determinism",
+     {"run_report": lambda config: [], "render_csv": lambda rows: str(next(_renders)),
+      "render_json": lambda rows, config: "[]"},
+     "FAIL table-determinism: outputs differ (csv equal: False, json equal: True)"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, patches, want", [case[1:] for case in BROKEN], ids=[case[0] for case in BROKEN]
+)
+def test_each_failing_check_prints_its_fail_line(monkeypatch, name, patches, want):
+    monkeypatch.setattr(verify, "CRITERIA", tuple(c for c in verify.CRITERIA if c.name == name))
+    for attr, stand_in in patches.items():
+        monkeypatch.setattr(verify, attr, stand_in)
+    buffer = io.StringIO()
+    assert verify.run_verify(stream=buffer) == 1
+    line, last = buffer.getvalue().splitlines()
+    assert line.startswith(want), line
+    assert last == "criterion failures"
 
 
 def test_chi2_sf_matches_scipy():
