@@ -1140,6 +1140,22 @@ def test_I_n_domain():
             I_n(bad)
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, np.float64(math.inf)])
+def test_circle_routes_reject_non_finite_n(bad):
+    # A float infinity or NaN is the contract's ValueError, not the
+    # OverflowError or numpy message of converting it to an int; an int
+    # above the double range is still a valid n.
+    with pytest.raises(ValueError, match="n must be"):
+        I_n(bad)
+    with pytest.raises(ValueError, match="n must be"):
+        p_quadrature_result(bad)
+    for kind in IntegrandKind:
+        with pytest.raises(ValueError, match="n must be"):
+            integrand(kind, bad, 0.5)
+    assert I_n(2**1030).value > 0
+    assert p_quadrature_result(2**1030).value > 0
+
+
 # ------------------------------------------------- closed-form pieces
 
 def test_laplace_values():
@@ -1167,6 +1183,15 @@ def test_p_asymptotic_values():
 @given(st.floats(min_value=1.0 + 1e-9, max_value=1e12))
 def test_asymptotic_is_scaled_laplace(n):
     assert abs(p_asymptotic(n) * 2.0 * math.pi - laplace_I(n)) <= 1e-15 * laplace_I(n)
+
+
+# inf used to give 0.0, which is not a probability.
+@pytest.mark.parametrize("bad", [1.0, 0.5, 0.0, -3.0, 1, math.inf, -math.inf, math.nan])
+def test_asymptotic_domain(bad):
+    with pytest.raises(ValueError, match="finite and > 1"):
+        laplace_I(bad)
+    with pytest.raises(ValueError, match="finite and > 1"):
+        p_asymptotic(bad)
 
 
 def test_asymptotic_takes_huge_int_n():

@@ -2,6 +2,7 @@ import math
 from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -255,8 +256,36 @@ def test_cycle_distribution_sums_to_one(n):
 
 # ------------------------------------------------------------ errors
 
-# tests/test_args.py runs n's contract on every exact entry point; here,
-# that the walk refuses an n before it starts any row.
+@pytest.mark.parametrize("bad", [0, -1, -7])
+@pytest.mark.parametrize(
+    "op", [stirling_row, p_exact, cycle_distribution],
+)
+def test_nonpositive_n_rejected(op, bad):
+    with pytest.raises(ValueError):
+        op(bad)
+
+
+_EXACT_ENTRY_POINTS = [
+    p_exact, stirling_row, lambda n: list(stirling_rows((n,))),
+    cycle_distribution,
+]
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [5.0, np.float64(5), Fraction(5), Decimal(5), 5.5, math.nan, math.inf, "5", 5 + 0j],
+    ids=repr,
+)
+@pytest.mark.parametrize("op", _EXACT_ENTRY_POINTS)
+def test_exact_entry_points_reject_non_integers(op, bad):
+    # An integral value is an integer, taken as its int (README, "Inputs").
+    if bad == 5 and not isinstance(bad, complex):
+        assert op(bad) == op(5)
+    else:
+        with pytest.raises(ValueError, match="n must be an integer"):
+            op(bad)
+
+
 @pytest.mark.parametrize("bad", [5.5, math.inf, math.nan, "5", Decimal("NaN")], ids=repr)
 def test_walk_rejects_non_integers_before_any_row(bad, monkeypatch):
     def no_row(m):
@@ -267,3 +296,16 @@ def test_walk_rejects_non_integers_before_any_row(bad, monkeypatch):
         stirling_row(bad)
     with pytest.raises(ValueError):
         next(stirling_rows(iter((1, 2, bad))))
+
+
+@pytest.mark.parametrize("bad", [0, -1])
+@pytest.mark.parametrize("op", _EXACT_ENTRY_POINTS)
+def test_exact_entry_points_reject_nonpositive_n(op, bad):
+    with pytest.raises(ValueError):
+        op(bad)
+
+
+@pytest.mark.parametrize("n, same", [(True, 1), (np.int64(5), 5)], ids=repr)
+@pytest.mark.parametrize("op", _EXACT_ENTRY_POINTS)
+def test_exact_entry_points_take_bool_and_numpy_ints(op, n, same):
+    assert op(n) == op(same)

@@ -237,6 +237,11 @@ def test_weierstrass_converges_on_circle(theta):
     assert errors[-1] <= 1e-3
 
 
+def test_weierstrass_rejects_terms_that_are_not_integers():
+    with pytest.raises(ValueError, match="terms must be an integer"):
+        weierstrass_partial(1.0 + 0j, 2.5)
+
+
 def test_weierstrass_memory_is_bounded_per_chunk():
     # 10^6 terms in chunks of 2^14: at most three complex temporaries of
     # 256 KiB at a time.
