@@ -7,12 +7,15 @@ entry point is handed.  Plain Python: no route loads numpy for them."""
 import math
 
 
-def _complex(value) -> bool:
-    """Whether `value` is a complex number that is not real: Python
-    complex, and numpy's complex scalars, which int() and float() would
-    read as their real part."""
+def _not_real(value) -> bool:
+    """Whether `value` is a number that int() and float() would misread:
+    a complex one that is not real (Python complex, numpy's complex
+    scalars), read as its real part, or a numpy datetime64 or timedelta64
+    scalar or array, read as a count of its unit."""
     if type(value) in (int, float):
         return False
+    if getattr(getattr(value, "dtype", None), "kind", None) in ("m", "M"):
+        return True
     # Imported here, so that a command whose arguments are ints and floats
     # does not load `numbers` at its cold start.
     import numbers
@@ -22,10 +25,10 @@ def _complex(value) -> bool:
 
 def integer(name: str, value, minimum: int) -> int:
     """`value` as an int >= `minimum`: any value whose int() equals it,
-    but no complex one."""
+    but no complex one and no numpy time."""
     if type(value) is int and value >= minimum:
         return value
-    if not _complex(value):
+    if not _not_real(value):
         try:
             as_int = int(value)
             if as_int == value and as_int >= minimum:
@@ -44,9 +47,10 @@ def seed(value) -> int:
 
 
 def real(value) -> float:
-    """float() of `value`; NaN for text, bytes, complex and what float()
-    refuses, so that a caller's range check, which NaN fails, refuses them."""
-    if isinstance(value, (str, bytes, bytearray)) or _complex(value):
+    """float() of `value`; NaN for text, bytes, complex, numpy times and
+    what float() refuses, so that a caller's range check, which NaN fails,
+    refuses them."""
+    if isinstance(value, (str, bytes, bytearray)) or _not_real(value):
         return math.nan
     try:
         return float(value)

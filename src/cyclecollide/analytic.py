@@ -152,7 +152,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 # No code in this package reads this constant.  It stays only because the
-# benchmark in bench/ imports it; ROADMAP item 6 moves it there.
+# benchmark in bench/ imports it; ROADMAP item 32 deletes it.
 EXACT_PRODUCT_AUTO_MAX = 1024
 
 

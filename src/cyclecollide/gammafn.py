@@ -155,16 +155,18 @@ def _on_angles(
 ) -> float | np.ndarray:
     """`values` at the angles of theta: a float for a real number, else an
     array of theta's shape.  Every angle is checked before any is
-    evaluated; text, bytes, complex values and angles outside [0, 2*pi]
-    raise ValueError.  numpy is imported only for a theta that is not a
-    Python real number."""
+    evaluated; text, bytes, complex values, numpy times and angles outside
+    [0, 2*pi] raise ValueError.  numpy is imported only for a theta that
+    is not a Python real number."""
     if isinstance(theta, (int, float, str, bytes, bytearray, complex)):
         (value,) = values([_angle(theta)])
         return float(value)
     import numpy as np
 
     arr = np.asarray(theta)
-    angles = [_angle(t) for t in arr.reshape(-1).tolist()]
+    # A time array's tolist() may give ints, so `_angle` reads it whole.
+    items = [theta] if arr.dtype.kind in "mM" else arr.reshape(-1).tolist()
+    angles = [_angle(t) for t in items]
     if arr.ndim == 0:
         (value,) = values(angles)
         return float(value)

@@ -254,7 +254,7 @@ def estimate_collision(
     `kind=None` means BERNOULLI_SUM.  The estimate is a deterministic
     function of (n, pairs, kind, seed).  Blocks run one at a time, so time
     is linear in `pairs` and memory does not grow with it.  `workers` is
-    checked and changes nothing; ROADMAP item 6 deletes it with the
+    checked and changes nothing; ROADMAP item 32 deletes it with the
     benchmark probe that passes it.  n, pairs, seed (below 2**64) and
     workers follow the package's integer contract (README, "Inputs");
     ValueError also for a `kind` that is neither a SamplerKind nor None.

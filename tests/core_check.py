@@ -1,24 +1,17 @@
 """The numpy-free core, checked against pinned bytes without pytest or numpy.
 
-With numpy blocked (`sys.modules["numpy"] = None`), and `dataclasses`,
-`inspect` and `typing` blocked the same way, so that the lean import
-graph is checked too, it runs each command in PINS through
-`cyclecollide.cli.main` and compares its stdout with the pinned bytes,
-runs each command in NEEDS_NUMPY and compares its exit
-code 1 and its one stderr line, compares the `float.hex` of the value
-and of the error estimate, and the evaluations, of `p_quadrature_result(n)`
-and `I_n(n)` with VALUE_PINS,
-compares a JSON table at each tolerance in REL_TOLS with the table at its
-float, and checks every coefficient and the square sum of
+With numpy, `dataclasses`, `inspect` and `typing` blocked (None in
+`sys.modules`), so that the lean import graph is checked too, it compares
+the stdout of each command in PINS, the exit code 1 and one stderr line of
+each command in NEEDS_NUMPY, every line of tests/pins/circle.txt (through
+tests/repin.py), the JSON table at each tolerance in REL_TOLS with the
+table at its float, and every coefficient and the square sum of
 `stirling_row(n)` for each n in CONGRUENCE_ROWS mod each prime in
-CONGRUENCE_PRIMES against `tests/oracles.py`'s congruences, which share
-no code with the exact route.
-Exits 0 when everything matches; otherwise exits 1 and names the first
-command or n that differs, or, with a traceback, a blocked module that
-was imported.  It needs no installed package, so it runs
-on any interpreter the package claims:
-
-    PYTHONPATH=src python tests/core_check.py
+CONGRUENCE_PRIMES with the congruences of `tests/oracles.py`, which share
+no code with the exact route.  It exits 0 if all match, else 1, naming
+the first command, pin file or n that differs, or, with a traceback, a
+blocked module that was imported.  It runs on any Python the package
+claims, with nothing installed: `PYTHONPATH=src python tests/core_check.py`.
 
 pytest does not collect this file; tests/test_cli.py imports PINS from it.
 """
@@ -78,23 +71,6 @@ NEEDS_NUMPY = (
     (("verify",), "error: verify needs numpy\n"),
 )
 
-# (n, bits of p_quadrature_result(n), bits of I_n(n)) at the default
-# tolerance, the bits of a result being (value.hex(),
-# abs_error_estimate.hex(), evaluations).  At 2^64 and 10^300 a batch
-# leaves nodes out of its head, which the estimate's floor covers.
-VALUE_PINS = (
-    (2, ("0x1.0000000000003p-1", "0x1.9c936d1f99e57p-45", 33),
-     ("0x1.1027e099874a4p+2", "0x1.1896899ee2414p-44", 33)),
-    (10**3, ("0x1.e19e61a037832p-4", "0x1.1192f3e0cb8a2p-47", 33),
-     ("0x1.7a4ea37b46db1p-1", "0x1.aca12ff0ee846p-45", 33)),
-    (10**6, ("0x1.44fe4740e374cp-4", "0x1.71df725f5203cp-43", 33),
-     ("0x1.fe7f8eb46a438p-2", "0x1.227f1a135919ap-40", 33)),
-    (2**64, ("0x1.5fb3b88570818p-5", "0x1.aea2722613b48p-51", 49),
-     ("0x1.1439e3c65de9cp-2", "0x1.523836eba5e7bp-48", 49)),
-    (10**300, ("0x1.6001df74bf843p-7", "0x1.db6e26e3c0043p-48", 161),
-     ("0x1.1477452f499f2p-4", "0x1.7566ee05fff9dp-45", 161)),
-)
-
 # Tolerances that are not floats, each stored as its float, so that the
 # routes and the JSON config echo are those of the float.  A Fraction
 # formats itself one way up to Python 3.11 and another from 3.12.
@@ -130,8 +106,9 @@ def main() -> int:
     # at start-up (a .pth file may load typing) stays usable where it is
     # already held.
     sys.modules.update(dict.fromkeys(("numpy", "dataclasses", "inspect", "typing")))
-    from cyclecollide import I_n, p_quadrature_result, stirling_row
+    from cyclecollide import stirling_row
     from oracles import square_sum_mod, stirling_row_mod
+    from repin import circle, compare
 
     runs = [(argv, _run(argv), (0, want, "")) for argv, want in PINS]
     runs += [(argv, _run(argv), (1, "", want)) for argv, want in NEEDS_NUMPY]
@@ -141,15 +118,11 @@ def main() -> int:
             print(f"exit, stdout, stderr {got!r}", file=sys.stderr)
             print(f"pinned: {want!r}", file=sys.stderr)
             return 1
-    for n, *want in VALUE_PINS:
-        got = [
-            (r.value.hex(), r.abs_error_estimate.hex(), r.evaluations)
-            for r in (p_quadrature_result(n), I_n(n))
-        ]
-        if got != want:
-            print(f"differs: p_quadrature_result and I_n at n = {n}", file=sys.stderr)
-            print(f"results {got}, pinned {want}", file=sys.stderr)
-            return 1
+    try:
+        compare("circle.txt", circle())
+    except AssertionError as exc:
+        print(f"differs: {exc}", file=sys.stderr)
+        return 1
     for rel_tol in REL_TOLS:
         if _table_json(rel_tol) != _table_json(float(rel_tol)):
             print(f"differs: the JSON table at rel_tol {rel_tol!r}", file=sys.stderr)
@@ -162,8 +135,8 @@ def main() -> int:
                 print(f"differs: stirling_row({n}) mod {p}", file=sys.stderr)
                 return 1
     print(
-        f"{len(runs)} commands, {len(VALUE_PINS)} n (value, estimate and evaluations) "
-        f"and {len(REL_TOLS)} tolerances match their pins, and {len(CONGRUENCE_ROWS)} rows mod "
+        f"{len(runs)} commands, tests/pins/circle.txt and {len(REL_TOLS)} tolerances match "
+        f"their pins, and {len(CONGRUENCE_ROWS)} rows mod "
         f"{len(CONGRUENCE_PRIMES)} primes their congruences, on Python "
         f"{sys.version.split()[0]}"
     )

@@ -1,4 +1,3 @@
-import hashlib
 import math
 import operator
 import sys
@@ -27,6 +26,7 @@ from cyclecollide import (
     p_quadrature_result,
 )
 from cyclecollide import analytic
+import repin
 
 mpmath.mp.dps = 40
 
@@ -419,138 +419,47 @@ def test_p_quadrature_rejects_limit_kernel():
 
 # ------------------------------------------------- pinned quadrature bits
 
-# (value.hex(), abs_error_estimate.hex(), evaluations) of p_quadrature_result
-# (auto, which is GAMMA_RATIO) and of I_n.  Every entry comes from the
-# strip-bound node count; from n = 2^60 on GAMMA_RATIO is the kernel.  The
-# elementary functions come from the C library through `math`, so another
-# libm may differ in the last bits; numpy does not enter these routes.
-PINNED = [
-    (1025, 1e-10,
-     ("0x1.e098eeae61a1ep-4", "0x1.13f9bd344d932p-47", 33),
-     ("0x1.7980f398d6fadp-1", "0x1.b06a722030f0dp-45", 33)),
-    (10**6, 1e-10,
-     ("0x1.44fe4740e374cp-4", "0x1.71df725f5203cp-43", 33),
-     ("0x1.fe7f8eb46a438p-2", "0x1.227f1a135919ap-40", 33)),
-    (2**60, 1e-10,
-     ("0x1.6b91780704792p-5", "0x1.8065de28579e0p-51", 49),
-     ("0x1.1d8bbb43aca2dp-2", "0x1.2de7c9afe2f79p-48", 49)),
-    (10**100, 1e-10,
-     ("0x1.31601728a73b5p-6", "0x1.4d5c3a73eed26p-42", 89),
-     ("0x1.dfaeb73b02220p-4", "0x1.05d20f001cf33p-39", 89)),
-    (2**1030, 1e-10,
-     ("0x1.5a3d514010100p-7", "0x1.e7dcf506b9b4bp-46", 161),
-     ("0x1.0fef96168e8b1p-4", "0x1.7f2ab2fbc559ap-43", 161)),
-    (1025, 1e-12,
-     ("0x1.e098eeae61a1ep-4", "0x1.13f9bd344d932p-47", 33),
-     ("0x1.7980f398d6fadp-1", "0x1.b06a722030f0dp-45", 33)),
-    (10**6, 1e-12,
-     ("0x1.44fe4740e374bp-4", "0x1.45e0f1d18c434p-50", 41),
-     ("0x1.fe7f8eb46a438p-2", "0x1.ffe39a5155dbap-48", 41)),
-    (2**60, 1e-12,
-     ("0x1.6b91780704792p-5", "0x1.8065de28579e0p-51", 49),
-     ("0x1.1d8bbb43aca2dp-2", "0x1.2de7c9afe2f79p-48", 49)),
-    (10**100, 1e-12,
-     ("0x1.31601728a7394p-6", "0x1.97772a7c7cb02p-50", 97),
-     ("0x1.dfaeb73b021ebp-4", "0x1.4005cc54c3f59p-47", 97)),
-    (2**1030, 1e-12,
-     ("0x1.5a3d5140100fep-7", "0x1.7d0915d7c22d7p-51", 169),
-     ("0x1.0fef96168e8afp-4", "0x1.2b43bb19bd2dbp-48", 169)),
-]
-
-
 def _bits(r):
     return (r.value.hex(), r.abs_error_estimate.hex(), r.evaluations)
 
 
-@pytest.mark.parametrize("n, rel_tol, want_p, want_i", PINNED)
+CIRCLE = "circle.txt"  # every circle result on the grid of tests/repin.py
+
+
+@pytest.mark.parametrize("n, rel_tol, want_p, want_i", [
+    (n, t, repin.read(CIRCLE, "auto", n, t) + repin.read(CIRCLE, "gamma-ratio", n, t),
+     repin.read(CIRCLE, "I_n", n, t))
+    for t in repin.REL_TOLS for n in (1025, 10**6, 2**60, 10**100, 2**1030)
+])
 def test_quadrature_bits_pinned(n, rel_tol, want_p, want_i):
-    config = QuadratureConfig(rel_tol=rel_tol)
     analytic._cached_node_table.cache_clear()
     for _ in range(2):  # a cold cache, then a warm one
-        assert _bits(p_quadrature_result(n, None, config)) == want_p
-        assert _bits(p_quadrature_result(n, IntegrandKind.GAMMA_RATIO, config)) == want_p
-        assert _bits(I_n(n, config)) == want_i
-
-
-# sha256 over the _bits of the quadrature routes on a fixed grid: every
-# route at n = 1..64 and at n = 1023..1026, ~100 log-spaced n to 1e300,
-# both sides of n = 2^60, where GAMMA_RATIO becomes the kernel, and 2^1030;
-# I_n also at non-integer n; EXACT_PRODUCT up to n = 2000.
-#
-# CIRCLE_DIGEST covers auto, GAMMA_RATIO and I_n, whose bits come from
-# libm alone.  Under the one digest that covered every route before the
-# split, their results moved three times: when GAMMA_RATIO kept only its
-# first K(n) terms, with the d_1 term taken with the kernel's (GAMMA_RATIO
-# values below 2^60 by at most 2 ulps, estimates by at most 2.2e-8
-# relative at n = 3, no node count); when the circle batch moved from
-# numpy to Python floats (values by at most 4.9e-16 relative, estimates by
-# 3.9e-16, no node count); and when p(1) became the exact (1.0, 0.0, 0)
-# and the tolerance rel_tol |value| alone.  They kept their bits when the
-# product moved into the strip-certified batch, where the split was made.
-CIRCLE_DIGEST = "f63115466c661eee6f2a44ee36f9c88d81506e86c9a2b6f1ea92733b2869e2a4"
-# PRODUCT_DIGEST covers EXACT_PRODUCT, whose values go through numpy's
-# log1p and exp, whose SIMD kernels are chosen at run time: a mismatch on
-# another CPU may point to the hardware.  Re-pinned when the product left
-# the halving ladder for the strip-certified batch (was 36221ca2...).
-PRODUCT_DIGEST = "0614b5e695a19e62d396377546a5925ac826fcf04295261a72733e1303af8a57"
-
-_DIGEST_NS = [*range(1, 65), 1023, 1024, 1025, 1026]
-_DIGEST_NS += [int(10.0 ** (3 * k)) for k in range(1, 101)]
-_DIGEST_NS += [2**60 - 1, 2**60 + 1, 2**1030]
-
-
-def _digest(results_at):
-    digest = hashlib.sha256()
-    for rel_tol in (1e-10, 1e-12):
-        config = QuadratureConfig(rel_tol=rel_tol)
-        for n in _DIGEST_NS:
-            for r in results_at(n, config):
-                digest.update(repr(_bits(r)).encode())
-    return digest.hexdigest()
+        repin.compare(CIRCLE, repin.circle_lines(n, rel_tol), want_p + want_i)
 
 
 def test_quadrature_digest_pinned():
-    def circle(n, config):
-        yield p_quadrature_result(n, None, config)
-        yield p_quadrature_result(n, IntegrandKind.GAMMA_RATIO, config)
-        if n >= 2:
-            yield I_n(n, config)
-        if 2 <= n <= 64:
-            yield I_n(n + 0.5, config)
-
-    assert _digest(circle) == CIRCLE_DIGEST
+    repin.compare(CIRCLE, repin.circle())
 
 
 def test_product_digest_pinned():
-    def product(n, config):
-        if n <= 2000:
-            yield p_quadrature_result(n, IntegrandKind.EXACT_PRODUCT, config)
-
-    assert _digest(product) == PRODUCT_DIGEST
-
-
-# sha256 over the float.hex of integrand(GAMMA_RATIO, n, theta) at every
-# integer n of the grid and of integrand(LIMIT_KERNEL, n, theta) at every
-# n > 1, each at 0, pi, 2 pi and pi j / 500, j = 1..999: both sides of
-# n = 64, where d_k leaves the table for Euler-Maclaurin, of the steps of
-# K(n) to 1 and 0 at 2^59 + 2 and 2^60, and n past the double range.  The
-# per-angle path shares its formula with the batch, but not its angles;
-# these bits come from libm alone.
-INTEGRAND_DIGEST = "a754430a50795a47abec397a5f253a3477a332c6a8bf332976335ccfeaa1eb17"
-_INTEGRAND_NS = [1, 2, 3, 10, 63, 64, 65, 1000, 10**6, 2**59, 2**59 + 2, 2**60 - 1, 2**60,
-                 2**60 + 1, 10**100, 2**1030, 10**400, 1.5, 1e10 + 0.5, 1e300]
+    repin.compare("product.txt", repin.product())
 
 
 def test_integrand_digest_pinned():
-    theta = np.array([0.0, math.pi, 2.0 * math.pi] + [math.pi * j / 500 for j in range(1, 1000)])
-    digest = hashlib.sha256()
-    for n in _INTEGRAND_NS:
-        kinds = [IntegrandKind.GAMMA_RATIO] if n == int(n) else []
-        kinds += [IntegrandKind.LIMIT_KERNEL] if n > 1 else []
-        for kind in kinds:
-            for value in integrand(kind, n, theta).tolist():
-                digest.update(value.hex().encode())
-    assert digest.hexdigest() == INTEGRAND_DIGEST
+    # The per-angle path shares its formula with the batch, but not its
+    # angles.
+    repin.compare("integrand.txt", repin.integrand())
+
+
+def test_compare_names_what_moved():
+    # One hex digit moved by hand, in the first of two lines.
+    want = ["auto 2 1e-10 0x1.0000000000003p-1 0x1.9c936d1f99e57p-45 33",
+            "auto 3 1e-10 0x1.7e07ed9d58a44p-2 0x1.3f1a0d29a1ab7p-45 33"]
+    got = [want[0].replace("3p-1 ", "4p-1 "), want[1]]
+    with pytest.raises(AssertionError) as info:
+        repin.compare(CIRCLE, got, want)
+    assert str(info.value) == ("tests/pins/circle.txt: moved lines 1, largest relative move "
+                               f"2.22e-16\n  pinned {want[0]}\n  now    {got[0]}")
 
 
 @pytest.mark.parametrize(

@@ -106,6 +106,11 @@ TABLE = [
     (np.float64(math.inf), None, None),
     (1.0, 1, None),
     (0.5, None, None),
+    # numpy times are not numbers; numpy registers timedelta64 as Integral.
+    (np.timedelta64(5), None, None),
+    (np.timedelta64(5, "ns"), None, None),
+    (np.datetime64(5, "ns"), None, None),
+    (np.array(5, "m8[ns]"), None, None),
 ]
 
 ROWS = pytest.mark.parametrize("value, as_int, as_real", TABLE, ids=[repr(row[0]) for row in TABLE])
@@ -206,6 +211,8 @@ def test_entry_points_follow_their_contract(value):
 OUTSIDE_CONTRACTS = [
     ("rel_tol-text", lambda: QuadratureConfig(rel_tol="x"), "rel_tol must be finite"),
     ("rel_tol-None", lambda: QuadratureConfig(rel_tol=None), "rel_tol must be finite"),
+    ("rel_tol-timedelta64", lambda: QuadratureConfig(rel_tol=np.timedelta64(1, "ns")),
+     "rel_tol must be finite"),
     ("z-None", lambda: weierstrass_partial(None, 10), "z must be finite"),
     ("z-text", lambda: weierstrass_partial("0.5", 10), "z must be finite"),
     ("z-array", lambda: weierstrass_partial(np.array([1 + 1j, 2]), 10), "z must be finite"),
@@ -259,13 +266,14 @@ def test_arguments_outside_the_contracts_are_value_errors(op, message):
 # Angles that are not real numbers in [0, 2*pi], alone, in lists and in
 # arrays.  Every angle is read before any is evaluated.  Text was once
 # parsed as a number, and a complex angle was a TypeError.  A void array
-# gives bytes, and a datetime64[D] array a date, which `real` refuses.
+# gives bytes, a datetime64[D] array a date, and a time array in ns ints.
 BAD_ANGLES = [
     -0.5, -0.1, 2 * math.pi + 1e-9, 2 * math.pi + 0.1,
     math.nan, [0.5, math.nan], np.array([0.5, math.nan]), np.array([[math.nan]]),
     "1", "0.5", b"1", np.array(["0.5"]), [0.5, "2"], [0.5, b"1"],
     1 + 0j, np.complex64(1), np.array([0.5 + 0j]), np.array([1 + 0j]),
-    np.zeros(1, "V4"), np.array(["2020-01-01"], "M8[D]"),
+    np.zeros(1, "V4"), np.array(["2020-01-01"], "M8[D]"), np.array([1], "m8[ns]"),
+    np.array([1], "M8[ns]"), np.timedelta64(1), [np.timedelta64(1, "ns")],
 ]
 ANGLE_READERS = [
     *((kind.value, lambda theta, kind=kind: integrand(kind, 10, theta)) for kind in IntegrandKind),

@@ -1,4 +1,3 @@
-import hashlib
 import itertools
 import math
 import subprocess
@@ -23,6 +22,7 @@ from cyclecollide import (
 )
 from cyclecollide.montecarlo import BLOCK_PAIRS, PERMUTATION_MAX_N, _stream
 from oracles import bernoulli_batch_by_index, count_records
+import repin
 
 
 def draw_one(kind, n, rng):
@@ -174,42 +174,24 @@ def test_permutation_direct_counts_are_pinned():
     # Pins the SFC64 block streams, the one call of 2p draws per block
     # and its halves pairing, and the raw-key record counter, over 4 and 2
     # blocks, each with a short last block.
-    kind = SamplerKind.PERMUTATION_DIRECT
-    assert estimate_collision(10, 50000, kind, seed=3).collisions == 11954
-    assert estimate_collision(257, 20000, kind, seed=4).collisions == 2738
+    got = [repin.collision_line(*case) for case in repin.COLLISIONS[:2]]
+    repin.compare("draws.txt", got, repin.read("draws.txt", "collisions", "PERMUTATION_DIRECT"))
 
 
 def test_default_sampler_counts_are_pinned():
     # Pins the SFC64 block streams, the halves pairing and the sampler,
     # by inversion at n = 10 and by inversion then jumps at n = 10^9, with
     # a short last block in both cases.
-    assert estimate_collision(10, 3 * BLOCK_PAIRS + 17, seed=5).collisions == 11761
-    assert estimate_collision(10**9, 2 * BLOCK_PAIRS + 1, seed=6).collisions == 2116
+    got = [repin.collision_line(*case) for case in repin.COLLISIONS[2:]]
+    repin.compare("draws.txt", got, repin.read("draws.txt", "collisions", "default"))
 
 
-# (kind, n) -> sha256 prefix of 300 single draws from the SFC64 stream
-# _stream(1, 2), and the next rng.random() after them, which pins the
-# stream position.  BERNOULLI_SUM at n = 1 draws integers below 1! = 1,
-# which take no words, so its next rng.random() is the stream's first.
-_SINGLE_DRAW_PINS = {
-    (SamplerKind.PERMUTATION_DIRECT, 1): ("6e7601f602122027", "0x1.7771b03fcf1f6p-1"),
-    (SamplerKind.PERMUTATION_DIRECT, 5): ("6eae292fcd35f8a5", "0x1.c79a80b5bc636p-1"),
-    (SamplerKind.PERMUTATION_DIRECT, 1000): ("a4394a315f16602e", "0x1.c65874430ce82p-1"),
-    (SamplerKind.BERNOULLI_SUM, 1): ("6e7601f602122027", "0x1.62bec232c86c0p-2"),
-    (SamplerKind.BERNOULLI_SUM, 5): ("11c46cfca3026590", "0x1.dc8b3faab2a07p-1"),
-    (SamplerKind.BERNOULLI_SUM, 1000): ("f4d9188786266fc7", "0x1.c985a94dc0ea2p-1"),
-    (SamplerKind.BERNOULLI_SUM, 2**40): ("b554b3728ebf9d4a", "0x1.0569fecaad2ecp-3"),
-}
-
-
-@pytest.mark.parametrize("kind, n", list(_SINGLE_DRAW_PINS))
+@pytest.mark.parametrize("kind, n", [(SamplerKind[kind], n) for kind, n in repin.DRAWS])
 def test_single_draw_counts_are_pinned(kind, n):
     # The batch of one: its draws, and how much of the stream each draw
     # takes, for both samplers.
-    rng = _stream(1, 2)
-    draws = [draw_one(kind, n, rng) for _ in range(300)]
-    digest = hashlib.sha256(repr(draws).encode()).hexdigest()[:16]
-    assert (digest, rng.random().hex()) == _SINGLE_DRAW_PINS[kind, n]
+    got = [repin.draw_line(kind.name, n)]
+    repin.compare("draws.txt", got, repin.read("draws.txt", kind.name, n))
 
 
 def test_serial_blocks_are_generated_lazily(monkeypatch):
